@@ -382,7 +382,7 @@ def verify_subspace(model: OracleModel, sub: SubspaceDesc, claims,
     basis = model.basis
     n = len(basis)
     member = np.array([sub.contains(x) for x in basis], dtype=bool)
-    Q = sp.diags(member.astype(np.int64), format="csr")
+    Q = sp.diags(member.astype(np.int64), format="csr", dtype=np.int64)
     for claim in sorted(set(claims)):
         fam = claim[0].lower() if claim[0] in "ST" else family
         if claim.endswith("-invariant") or claim.endswith("-reducing"):

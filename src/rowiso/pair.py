@@ -363,33 +363,16 @@ def mirror_elem(pp: PairPresentation, x: PairElem) -> PairElem:
     return PairElem(u, w, x.node)
 
 
-def s_pred(pp: PairPresentation, x: PairElem
-           ) -> Optional[tuple[int, PairElem]]:
-    """The unique (label, element) with ``s_apply(label, element) == x``.
-
-    Returns None when x is outside every S-generator's range.  For an
-    element with S-letters this strips the outermost letter of the
-    S-outside form.  For a pure-T element the predecessor, if any,
-    comes from running absorption backwards: un-absorb t-edges walking
-    the (unique) t-in-edges from the node, and at each visited node try
-    un-absorbing the (unique) s-in-edge and pulling the freed S-letter
-    out to the left.  A canonical element's first forward absorption
-    must be the fresh S-letter itself (the T-push it displaced stays
-    blocked), so these walks cover every way x can arise.
-
-    Every candidate is verified by re-applying; a candidate that fails,
-    or two distinct candidates that both verify, mean the edge data
-    contradicts theta beyond the checked region and raise
-    ContractViolation.
-    """
-    pp.require_commuting()
-    _require_canonical(pp, x)
+def _s_pred_raw(pp: PairPresentation, x: PairElem
+                ) -> Optional[tuple[int, PairElem]]:
+    # s_pred without the entry guards: pp theta-commutes and x is
+    # canonical.  Every candidate is still re-applied.
     theta = pp.theta
     if x.s_prefix:
         u, w = denormalize(theta, x.t_prefix, x.s_prefix)
         w2, u2 = s_outside_to_t_outside(theta, u[1:], w)
         y = _reduce_raw(pp, w2, u2, x.node)
-        if s_apply(pp, u[0], y) != x:
+        if _s_apply_raw(pp, u[0], y) != x:
             raise ContractViolation(
                 f"stripping the outer S-letter of {x!r} does not invert: "
                 f"candidate {y!r} fails re-application")
@@ -427,18 +410,58 @@ def s_pred(pp: PairPresentation, x: PairElem
     return found[0]
 
 
+def _t_pred_raw(pp: PairPresentation, x: PairElem
+                ) -> Optional[tuple[int, PairElem]]:
+    # t_pred without the entry guards: both pp and its mirror
+    # theta-commute and x is canonical
+    twin = mirror(pp)
+    res = _s_pred_raw(twin, mirror_elem(pp, x))
+    if res is None:
+        return None
+    label, y = res
+    return label, mirror_elem(twin, y)
+
+
+def s_pred(pp: PairPresentation, x: PairElem
+           ) -> Optional[tuple[int, PairElem]]:
+    """The unique (label, element) with ``s_apply(label, element) == x``.
+
+    Returns None when x is outside every S-generator's range.  For an
+    element with S-letters this strips the outermost letter of the
+    S-outside form.  For a pure-T element the predecessor, if any,
+    comes from running absorption backwards: un-absorb t-edges walking
+    the (unique) t-in-edges from the node, and at each visited node try
+    un-absorbing the (unique) s-in-edge and pulling the freed S-letter
+    out to the left.  A canonical element's first forward absorption
+    must be the fresh S-letter itself (the T-push it displaced stays
+    blocked), so these walks cover every way x can arise.
+
+    Every candidate is verified by re-applying; a candidate that fails,
+    or two distinct candidates that both verify, mean the edge data
+    contradicts theta beyond the checked region and raise
+    ContractViolation.
+
+    The guards (theta-commutation, a canonical x) run here, once per
+    call; internal loops call the unguarded kernel instead.
+    """
+    pp.require_commuting()
+    _require_canonical(pp, x)
+    return _s_pred_raw(pp, x)
+
+
 def t_pred(pp: PairPresentation, x: PairElem
            ) -> Optional[tuple[int, PairElem]]:
     """The unique (label, element) with ``t_apply(label, element) == x``.
 
     Delegates to the mirror pair, where the T-family plays the S role.
+    The guards (theta-commutation of the pair and of its mirror, a
+    canonical x) run here, once per call; internal loops call the
+    unguarded kernel instead.
     """
-    twin = mirror(pp)
-    res = s_pred(twin, mirror_elem(pp, x))
-    if res is None:
-        return None
-    label, y = res
-    return label, mirror_elem(twin, y)
+    pp.require_commuting()
+    _require_canonical(pp, x)
+    mirror(pp).require_commuting()
+    return _t_pred_raw(pp, x)
 
 
 def check_doubly_commute(pp: PairPresentation,
@@ -450,46 +473,66 @@ def check_doubly_commute(pp: PairPresentation,
     or zero, with at most one surviving term in the sum (predecessors
     are unique).  Checked for every canonical element of joint depth at
     most ``depth`` (default |base| + 2) and every label pair.
+
+    The report is cached on the pair per depth, so the default and an
+    explicit ``len(pp.base) + 2`` share one report.
     """
     pp.require_commuting()
     if depth is None:
         depth = len(pp.base) + 2
+    cache = pp._cache.setdefault("doubly", {})
+    if depth in cache:
+        return cache[depth]
     theta = pp.theta
     failures = []
     try:
+        # the t-predecessors below run on the mirror pair
+        mirror(pp).require_commuting()
         for x in enumerate_pair(pp, depth):
+            # a predecessor depends on x and at most one label, so each
+            # is computed once, where the label-pair loop first needs
+            # it: a contract violation still stops the sweep at the
+            # same (x, i, j) with the same failures before it
+            s_backs = []  # S-predecessor of T_j x, at index j - 1
             for i in range(1, pp.m + 1):
+                # T_j^* S_i x  vs  the theta-matched S_k T_jk^* x
+                t_back = _t_pred_raw(pp, _s_apply_raw(pp, i, x))
+                if i == 1:
+                    x_t_back = _t_pred_raw(pp, x)
                 for j in range(1, pp.n + 1):
-                    # T_j^* S_i x  vs  the theta-matched S_k T_jk^* x
-                    step = t_pred(pp, s_apply(pp, i, x))
-                    lhs = step[1] if step is not None and step[0] == j \
+                    lhs = t_back[1] if t_back is not None and t_back[0] == j \
                         else None
                     rhs = None
-                    step = t_pred(pp, x)
-                    if step is not None:
-                        k, jk = theta.inverse_map[(i, step[0])]
+                    if x_t_back is not None:
+                        k, jk = theta.inverse_map[(i, x_t_back[0])]
                         if jk == j:
-                            rhs = s_apply(pp, k, step[1])
+                            rhs = _s_apply_raw(pp, k, x_t_back[1])
                     if lhs != rhs:
                         failures.append(CommutationFailure(
                             "t-adjoint-of-s", x, i, j, lhs, rhs))
                     # S_i^* T_j x  vs  the theta-matched T_k S_ik^* x
-                    step = s_pred(pp, t_apply(pp, j, x))
-                    lhs = step[1] if step is not None and step[0] == i \
+                    if i == 1:
+                        s_backs.append(
+                            _s_pred_raw(pp, _t_apply_raw(pp, j, x)))
+                        if j == 1:
+                            x_s_back = _s_pred_raw(pp, x)
+                    s_back = s_backs[j - 1]
+                    lhs = s_back[1] if s_back is not None and s_back[0] == i \
                         else None
                     rhs = None
-                    step = s_pred(pp, x)
-                    if step is not None:
-                        i2, k = theta.inverse_map[(step[0], j)]
+                    if x_s_back is not None:
+                        i2, k = theta.inverse_map[(x_s_back[0], j)]
                         if i2 == i:
-                            rhs = t_apply(pp, k, step[1])
+                            rhs = _t_apply_raw(pp, k, x_s_back[1])
                     if lhs != rhs:
                         failures.append(CommutationFailure(
                             "s-adjoint-of-t", x, i, j, lhs, rhs))
     except ContractViolation as exc:
         failures.append(CommutationFailure(
             "pred-contract", None, 0, 0, str(exc), None))
-    return CommutationReport(tuple(failures))
+    report = CommutationReport(tuple(failures))
+    cache[depth] = report
+    return report
 
 
 def check_joint_isometry(pp: PairPresentation,
@@ -506,7 +549,8 @@ def check_joint_isometry(pp: PairPresentation,
         depth = len(pp.base) + 2
     violations = []
     elems = enumerate_pair(pp, depth)
-    for name, count, fn in (("S", pp.m, s_apply), ("T", pp.n, t_apply)):
+    for name, count, fn in (("S", pp.m, _s_apply_raw),
+                            ("T", pp.n, _t_apply_raw)):
         images: dict[PairElem, tuple[int, PairElem]] = {}
         for x in elems:
             for label in range(1, count + 1):

@@ -39,9 +39,9 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import ResourceExceeded, ValidationError
-from .pair import (PairElem, PairPresentation, check_doubly_commute,
-                   enumerate_pair, mirror, mirror_elem, s_apply, s_pred,
-                   t_apply, t_pred)
+from .pair import (PairElem, PairPresentation, _require_canonical,
+                   _s_pred_raw, check_doubly_commute, enumerate_pair, mirror,
+                   mirror_elem, s_apply, s_pred, t_apply, t_pred)
 from .wold import Part, SubspaceDesc
 
 DEFAULT_CHAIN_BUDGET = 10_000
@@ -150,7 +150,7 @@ def _strip_s(pp: PairPresentation, x: PairElem) -> PairElem:
     # elements with S-letters always have a predecessor; each step
     # shortens the S-prefix, so this reaches a pure-T state
     while x.s_prefix:
-        x = s_pred(pp, x)[1]
+        x = _s_pred_raw(pp, x)[1]
     return x
 
 
@@ -162,11 +162,15 @@ def s_membership(pp: PairPresentation, x: PairElem,
     death, an exact state revisit, the eternal-node certificate, or
     (single T-label only) the growing-revisit rule; if none of those
     fires within the budget, raises ResourceExceeded rather than guess.
+
+    The guards run once, at entry; the chain walk uses the unguarded
+    predecessor kernel.
     """
     pp.require_commuting()
     memo = pp._cache.setdefault("s_verdict", {})
     if x in memo:
         return memo[x]
+    _require_canonical(pp, x)
     data = _node_data(pp)
     x = _strip_s(pp, x)
     trail: list[PairElem] = []
@@ -199,7 +203,7 @@ def s_membership(pp: PairPresentation, x: PairElem,
                 min_len[cur.node] = length
         seen.add(cur)
         trail.append(cur)
-        cur = s_pred(pp, cur)[1]
+        cur = _s_pred_raw(pp, cur)[1]
     if verdict is None:
         raise ResourceExceeded(
             f"S-chain from {x!r} undecided after {budget} steps")
@@ -221,11 +225,13 @@ def s_in_V(pp: PairPresentation, x: PairElem,
 
     These elements span the finite slices the structure projection
     keeps; everything else either dies or merely feeds a cycle.
+    Guarded once at entry, like :func:`s_membership`.
     """
     pp.require_commuting()
     memo = pp._cache.setdefault("s_cycle", {})
     if x in memo:
         return memo[x]
+    _require_canonical(pp, x)
     if x.s_prefix:
         # the strip step shortens the S-prefix, so the chain can never
         # come back to x
@@ -257,7 +263,7 @@ def s_in_V(pp: PairPresentation, x: PairElem,
             return False
         position[cur] = len(trail)
         trail.append(cur)
-        cur = s_pred(pp, cur)[1]
+        cur = _s_pred_raw(pp, cur)[1]
     raise ResourceExceeded(
         f"S-cycle test from {x!r} undecided after {budget} steps")
 

@@ -14,6 +14,7 @@ import pytest
 
 from rowiso.errors import ContractViolation, ValidationError
 from rowiso.pair import (
+    CommutationFailure,
     PairElem,
     PairPresentation,
     check_doubly_commute,
@@ -30,6 +31,7 @@ from rowiso.pair import (
     t_pred,
     validate_pair,
 )
+from rowiso.slocinski import check_hypotheses
 from rowiso.words import Theta, commute_t_right, normalize
 
 # -- congruence-closure oracle --------------------------------------------------
@@ -139,6 +141,8 @@ THETA_ID_11 = Theta.identity(1, 1)
 THETA_ID_22 = Theta.identity(2, 2)
 THETA_FLIP_22 = Theta(2, 2, {(1, 1): (1, 1), (1, 2): (2, 1),
                              (2, 1): (1, 2), (2, 2): (2, 2)})
+THETA_CYCLIC_22 = Theta(2, 2, {(1, 1): (1, 2), (1, 2): (2, 1),
+                               (2, 1): (2, 2), (2, 2): (1, 1)})
 
 
 # -- reduce_elem ----------------------------------------------------------------
@@ -311,6 +315,29 @@ class TestPred:
             s_pred(pp, PairElem((), (), "a"))
         assert not check_joint_isometry(pp).ok
 
+    def test_non_canonical_element_rejected(self):
+        pp = PairPresentation(THETA_ID_11, ("b",),
+                              {("b", 1): "b"}, {("b", 1): "b"})
+        with pytest.raises(ValidationError):
+            s_pred(pp, PairElem((), (1,), "b"))
+        with pytest.raises(ValidationError):
+            t_pred(pp, PairElem((1,), (), "b"))
+
+    def test_unknown_node_rejected(self):
+        pp = free_pair(THETA_ID_22)
+        with pytest.raises(ValidationError):
+            s_pred(pp, PairElem((), (1,), "zz"))
+        with pytest.raises(ValidationError):
+            t_pred(pp, PairElem((1,), (), "zz"))
+
+    def test_non_commuting_pair_refused(self):
+        pp = PairPresentation(THETA_ID_11, ("a", "b"),
+                              {("a", 1): "b"}, {("a", 1): "a"})
+        assert not check_theta_commute(pp).ok
+        for pred in (s_pred, t_pred):
+            with pytest.raises(ContractViolation):
+                pred(pp, PairElem((), (), "b"))
+
 
 # -- enumeration ------------------------------------------------------------------
 
@@ -395,6 +422,81 @@ class TestThetaCommute:
         assert check_theta_commute(pp) is check_theta_commute(pp)
 
 
+# check_doubly_commute(free_pair(THETA_CYCLIC_22)).failures, as
+# (identity, element, i, j, lhs, rhs) with elements by repr
+T_ADJ_S = "t-adjoint-of-s"
+CYCLIC_TWIST_FAILURES = [
+    (T_ADJ_S, "<t1|b>", 1, 2, "<s1|b>", "<s2|b>"),
+    (T_ADJ_S, "<t1|b>", 2, 2, "<s2|b>", "<s1|b>"),
+    (T_ADJ_S, "<t2|b>", 1, 1, "<s2|b>", "<s1|b>"),
+    (T_ADJ_S, "<t2|b>", 2, 1, "<s1|b>", "<s2|b>"),
+    (T_ADJ_S, "<t1 t1|b>", 1, 2, "<t2 s1|b>", "<t2 s2|b>"),
+    (T_ADJ_S, "<t1 t1|b>", 2, 2, "<t2 s2|b>", "<t2 s1|b>"),
+    (T_ADJ_S, "<t1 t2|b>", 1, 2, "<t1 s2|b>", "<t1 s1|b>"),
+    (T_ADJ_S, "<t1 t2|b>", 2, 2, "<t1 s1|b>", "<t1 s2|b>"),
+    (T_ADJ_S, "<t2 t1|b>", 1, 1, "<t2 s2|b>", "<t2 s1|b>"),
+    (T_ADJ_S, "<t2 t1|b>", 2, 1, "<t2 s1|b>", "<t2 s2|b>"),
+    (T_ADJ_S, "<t2 t2|b>", 1, 1, "<t1 s1|b>", "<t1 s2|b>"),
+    (T_ADJ_S, "<t2 t2|b>", 2, 1, "<t1 s2|b>", "<t1 s1|b>"),
+    (T_ADJ_S, "<t1 s1|b>", 1, 2, "<s1 s1|b>", "<s2 s1|b>"),
+    (T_ADJ_S, "<t1 s1|b>", 2, 2, "<s2 s1|b>", "<s1 s1|b>"),
+    (T_ADJ_S, "<t1 s2|b>", 1, 2, "<s1 s2|b>", "<s2 s2|b>"),
+    (T_ADJ_S, "<t1 s2|b>", 2, 2, "<s2 s2|b>", "<s1 s2|b>"),
+    (T_ADJ_S, "<t2 s1|b>", 1, 1, "<s2 s1|b>", "<s1 s1|b>"),
+    (T_ADJ_S, "<t2 s1|b>", 2, 1, "<s1 s1|b>", "<s2 s1|b>"),
+    (T_ADJ_S, "<t2 s2|b>", 1, 1, "<s2 s2|b>", "<s1 s2|b>"),
+    (T_ADJ_S, "<t2 s2|b>", 2, 1, "<s1 s2|b>", "<s2 s2|b>"),
+    (T_ADJ_S, "<t1 t1 t1|b>", 1, 2, "<t2 t2 s1|b>", "<t2 t2 s2|b>"),
+    (T_ADJ_S, "<t1 t1 t1|b>", 2, 2, "<t2 t2 s2|b>", "<t2 t2 s1|b>"),
+    (T_ADJ_S, "<t1 t1 t2|b>", 1, 2, "<t2 t1 s2|b>", "<t2 t1 s1|b>"),
+    (T_ADJ_S, "<t1 t1 t2|b>", 2, 2, "<t2 t1 s1|b>", "<t2 t1 s2|b>"),
+    (T_ADJ_S, "<t1 t2 t1|b>", 1, 2, "<t1 t2 s2|b>", "<t1 t2 s1|b>"),
+    (T_ADJ_S, "<t1 t2 t1|b>", 2, 2, "<t1 t2 s1|b>", "<t1 t2 s2|b>"),
+    (T_ADJ_S, "<t1 t2 t2|b>", 1, 2, "<t1 t1 s1|b>", "<t1 t1 s2|b>"),
+    (T_ADJ_S, "<t1 t2 t2|b>", 2, 2, "<t1 t1 s2|b>", "<t1 t1 s1|b>"),
+    (T_ADJ_S, "<t2 t1 t1|b>", 1, 1, "<t2 t2 s2|b>", "<t2 t2 s1|b>"),
+    (T_ADJ_S, "<t2 t1 t1|b>", 2, 1, "<t2 t2 s1|b>", "<t2 t2 s2|b>"),
+    (T_ADJ_S, "<t2 t1 t2|b>", 1, 1, "<t2 t1 s1|b>", "<t2 t1 s2|b>"),
+    (T_ADJ_S, "<t2 t1 t2|b>", 2, 1, "<t2 t1 s2|b>", "<t2 t1 s1|b>"),
+    (T_ADJ_S, "<t2 t2 t1|b>", 1, 1, "<t1 t2 s1|b>", "<t1 t2 s2|b>"),
+    (T_ADJ_S, "<t2 t2 t1|b>", 2, 1, "<t1 t2 s2|b>", "<t1 t2 s1|b>"),
+    (T_ADJ_S, "<t2 t2 t2|b>", 1, 1, "<t1 t1 s2|b>", "<t1 t1 s1|b>"),
+    (T_ADJ_S, "<t2 t2 t2|b>", 2, 1, "<t1 t1 s1|b>", "<t1 t1 s2|b>"),
+    (T_ADJ_S, "<t1 t1 s1|b>", 1, 2, "<t2 s1 s1|b>", "<t2 s2 s1|b>"),
+    (T_ADJ_S, "<t1 t1 s1|b>", 2, 2, "<t2 s2 s1|b>", "<t2 s1 s1|b>"),
+    (T_ADJ_S, "<t1 t1 s2|b>", 1, 2, "<t2 s1 s2|b>", "<t2 s2 s2|b>"),
+    (T_ADJ_S, "<t1 t1 s2|b>", 2, 2, "<t2 s2 s2|b>", "<t2 s1 s2|b>"),
+    (T_ADJ_S, "<t1 t2 s1|b>", 1, 2, "<t1 s2 s1|b>", "<t1 s1 s1|b>"),
+    (T_ADJ_S, "<t1 t2 s1|b>", 2, 2, "<t1 s1 s1|b>", "<t1 s2 s1|b>"),
+    (T_ADJ_S, "<t1 t2 s2|b>", 1, 2, "<t1 s2 s2|b>", "<t1 s1 s2|b>"),
+    (T_ADJ_S, "<t1 t2 s2|b>", 2, 2, "<t1 s1 s2|b>", "<t1 s2 s2|b>"),
+    (T_ADJ_S, "<t2 t1 s1|b>", 1, 1, "<t2 s2 s1|b>", "<t2 s1 s1|b>"),
+    (T_ADJ_S, "<t2 t1 s1|b>", 2, 1, "<t2 s1 s1|b>", "<t2 s2 s1|b>"),
+    (T_ADJ_S, "<t2 t1 s2|b>", 1, 1, "<t2 s2 s2|b>", "<t2 s1 s2|b>"),
+    (T_ADJ_S, "<t2 t1 s2|b>", 2, 1, "<t2 s1 s2|b>", "<t2 s2 s2|b>"),
+    (T_ADJ_S, "<t2 t2 s1|b>", 1, 1, "<t1 s1 s1|b>", "<t1 s2 s1|b>"),
+    (T_ADJ_S, "<t2 t2 s1|b>", 2, 1, "<t1 s2 s1|b>", "<t1 s1 s1|b>"),
+    (T_ADJ_S, "<t2 t2 s2|b>", 1, 1, "<t1 s1 s2|b>", "<t1 s2 s2|b>"),
+    (T_ADJ_S, "<t2 t2 s2|b>", 2, 1, "<t1 s2 s2|b>", "<t1 s1 s2|b>"),
+    (T_ADJ_S, "<t1 s1 s1|b>", 1, 2, "<s1 s1 s1|b>", "<s2 s1 s1|b>"),
+    (T_ADJ_S, "<t1 s1 s1|b>", 2, 2, "<s2 s1 s1|b>", "<s1 s1 s1|b>"),
+    (T_ADJ_S, "<t1 s1 s2|b>", 1, 2, "<s1 s1 s2|b>", "<s2 s1 s2|b>"),
+    (T_ADJ_S, "<t1 s1 s2|b>", 2, 2, "<s2 s1 s2|b>", "<s1 s1 s2|b>"),
+    (T_ADJ_S, "<t1 s2 s1|b>", 1, 2, "<s1 s2 s1|b>", "<s2 s2 s1|b>"),
+    (T_ADJ_S, "<t1 s2 s1|b>", 2, 2, "<s2 s2 s1|b>", "<s1 s2 s1|b>"),
+    (T_ADJ_S, "<t1 s2 s2|b>", 1, 2, "<s1 s2 s2|b>", "<s2 s2 s2|b>"),
+    (T_ADJ_S, "<t1 s2 s2|b>", 2, 2, "<s2 s2 s2|b>", "<s1 s2 s2|b>"),
+    (T_ADJ_S, "<t2 s1 s1|b>", 1, 1, "<s2 s1 s1|b>", "<s1 s1 s1|b>"),
+    (T_ADJ_S, "<t2 s1 s1|b>", 2, 1, "<s1 s1 s1|b>", "<s2 s1 s1|b>"),
+    (T_ADJ_S, "<t2 s1 s2|b>", 1, 1, "<s2 s1 s2|b>", "<s1 s1 s2|b>"),
+    (T_ADJ_S, "<t2 s1 s2|b>", 2, 1, "<s1 s1 s2|b>", "<s2 s1 s2|b>"),
+    (T_ADJ_S, "<t2 s2 s1|b>", 1, 1, "<s2 s2 s1|b>", "<s1 s2 s1|b>"),
+    (T_ADJ_S, "<t2 s2 s1|b>", 2, 1, "<s1 s2 s1|b>", "<s2 s2 s1|b>"),
+    (T_ADJ_S, "<t2 s2 s2|b>", 1, 1, "<s2 s2 s2|b>", "<s1 s2 s2|b>"),
+    (T_ADJ_S, "<t2 s2 s2|b>", 2, 1, "<s1 s2 s2|b>", "<s2 s2 s2|b>"),
+]
+
+
 class TestDoublyCommute:
     def test_free_pair_doubly_commutes(self):
         for theta in (THETA_ID_22, THETA_FLIP_22):
@@ -425,9 +527,7 @@ class TestDoublyCommute:
         # commuting and jointly injective, yet the adjoint displays
         # fail: the 4-cycle twist has no product structure to cancel
         # against, so T* S picks up cross terms
-        cyclic = Theta(2, 2, {(1, 1): (1, 2), (1, 2): (2, 1),
-                              (2, 1): (2, 2), (2, 2): (1, 1)})
-        pp = free_pair(cyclic)
+        pp = free_pair(THETA_CYCLIC_22)
         assert check_theta_commute(pp).ok
         assert check_joint_isometry(pp).ok
         report = check_doubly_commute(pp)
@@ -467,6 +567,39 @@ class TestDoublyCommute:
     def test_default_depth_is_base_plus_two(self):
         pp = free_pair(THETA_ID_11)
         assert check_doubly_commute(pp) == check_doubly_commute(pp, 3)
+
+    def test_report_is_cached_per_depth(self):
+        pp = free_pair(THETA_CYCLIC_22)
+        report = check_doubly_commute(pp)
+        assert check_doubly_commute(pp, len(pp.base) + 2) is report
+        shallow = check_doubly_commute(pp, 2)
+        assert shallow is not report
+        assert len(shallow.failures) < len(report.failures)
+        assert check_doubly_commute(pp, 2) is shallow
+
+    def test_hypotheses_reuse_the_cached_report(self):
+        pp = free_pair(THETA_CYCLIC_22)
+        hyp = check_hypotheses(pp)
+        assert not hyp.doubly_commuting
+        assert hyp.doubly_commuting == check_doubly_commute(pp).ok
+
+    def test_cyclic_twist_failures_pinned(self):
+        # the whole report of the 4-cycle twist at the default depth 3,
+        # entry for entry: sharing predecessors across label pairs must
+        # not reorder, drop or add failures
+        report = check_doubly_commute(free_pair(THETA_CYCLIC_22))
+        got = [(f.identity, repr(f.element), f.i, f.j, repr(f.lhs),
+                repr(f.rhs)) for f in report.failures]
+        assert got == CYCLIC_TWIST_FAILURES
+
+    def test_collision_pair_failures_pinned(self):
+        pp = PairPresentation(THETA_ID_11, ("a", "c"),
+                              {("c", 1): "a"}, {("a", 1): "a"})
+        report = check_doubly_commute(pp)
+        assert report.failures == (CommutationFailure(
+            "pred-contract", None, 0, 0,
+            "<a> has 2 distinct S-predecessors [(1, <c>), (1, <t1|c>)]: "
+            "the S-family is not injective on the basis", None),)
 
 
 class TestJointIsometry:

@@ -112,6 +112,12 @@ class TestMembership:
         with pytest.raises(ContractViolation):
             s_membership(pp, PairElem((), (), "a"))
 
+    def test_non_canonical_element_rejected(self):
+        # the guard runs at entry, even where the node alone would
+        # decide the verdict
+        with pytest.raises(ValidationError):
+            s_membership(fresh(TWIN_LOOPS), PairElem((1,), (), "b"))
+
     def test_budget_exhaustion_raises(self):
         # two T-labels, no pumping rule; a budget of zero steps cannot
         # resolve a node that is neither dead nor eternal
@@ -160,6 +166,10 @@ class TestVMembership:
 
     def test_s_shifted_elements_never_in_v(self):
         assert not s_in_V(FOUR_CORNERS, PairElem((), (1,), "c"))
+
+    def test_non_canonical_element_rejected(self):
+        with pytest.raises(ValidationError):
+            s_in_V(fresh(TWIN_LOOPS), PairElem((), (1,), "b"))
 
     def test_v_implies_unitary(self):
         for pp in honest_pairs(409, 12):
