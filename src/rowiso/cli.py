@@ -8,6 +8,9 @@ experiments.  Labels are 1-based everywhere, matching the library.
 Exit codes: 0 the property holds / success, 1 the property fails (not
 commuting, no decomposition, oracle violation), 2 invalid input, 3
 resource budget exceeded.
+
+Only the ``oracle`` subcommand loads numpy and scipy, and only once its
+truncation is within budget; every other subcommand runs without them.
 """
 
 from __future__ import annotations

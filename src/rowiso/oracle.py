@@ -14,6 +14,10 @@ un-absorption walk pulls back that many letters before re-absorbing),
 and never raises it for a single family.  A column is interior for an
 identity when its depth plus the identity's worst-case cost stays
 within the truncation, which makes every masked comparison exact.
+
+numpy and scipy are imported inside the functions that build or read
+matrices: importing this module loads neither, and ``search`` runs
+without them.
 """
 
 from __future__ import annotations
@@ -21,19 +25,20 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Union
-
-import numpy as np
-import scipy.sparse as sp
+from typing import TYPE_CHECKING, Optional, Union
 
 from .errors import ContractViolation, ResourceExceeded, ValidationError
 from .pair import (PairElem, PairPresentation, check_doubly_commute,
                    check_joint_isometry, check_theta_commute, enumerate_pair,
                    mirror, mirror_elem)
-from .presentation import Elem, Presentation, apply
+from .presentation import Elem, Presentation, apply, free_presentation
 from .slocinski import dead_nodes, s_membership, slocinski, t_membership
 from .wold import Part, SubspaceDesc, wold
 from .words import Theta, commute_s_left, commute_t_right
+
+if TYPE_CHECKING:
+    import numpy as np
+    import scipy.sparse as sp
 
 BASIS_BUDGET = 10 ** 5
 SEARCH_BUDGET = 10 ** 7
@@ -47,6 +52,31 @@ def _raw_single_apply(edges: dict, m: int, i: int, x: Elem) -> Elem:
         if hit is not None:
             return Elem((), hit)
     return Elem((i,) + x.prefix, x.node)
+
+
+def _over_budget(depth: int) -> ResourceExceeded:
+    return ResourceExceeded(
+        f"truncated basis at depth {depth} has more than {BASIS_BUDGET} "
+        f"vectors, the budget")
+
+
+def _single_basis_size(p: Presentation, depth: int) -> int:
+    """``len(_raw_single_basis(p, depth))``, counted without building it.
+
+    A prefix of length L >= 1 ending in letter i sits on node b unless
+    (b, i) is an edge, so the count is |base| + sum over L = 1..depth
+    of m^(L-1) * #{(b, i) not in edges}.  The sum stops once it passes
+    the budget, so a deep truncation costs no more than a shallow one.
+    """
+    free = sum((b, i) not in p.edges
+               for b in p.base for i in range(1, p.m + 1))
+    total, layer = len(p.base), free
+    for _ in range(depth):
+        if not layer or total > BASIS_BUDGET:
+            break
+        total += layer
+        layer *= p.m
+    return total
 
 
 def _raw_single_basis(p: Presentation, depth: int) -> tuple:
@@ -63,6 +93,8 @@ def _raw_single_basis(p: Presentation, depth: int) -> tuple:
 
 
 def _raw_pair_basis(pp: PairPresentation, depth: int) -> tuple:
+    # no closed-form count here (the twist moves the arriving T-letter),
+    # so the walk itself stops one vector past the budget
     out = []
     for total in range(depth + 1):
         for t_len in range(total, -1, -1):
@@ -77,6 +109,8 @@ def _raw_pair_basis(pp: PairPresentation, depth: int) -> tuple:
                             if (b, arriving) in pp.t_edges:
                                 continue
                         out.append(PairElem(t, s, b))
+                        if len(out) > BASIS_BUDGET:
+                            raise _over_budget(depth)
     return tuple(out)
 
 
@@ -127,6 +161,8 @@ class OracleModel:
     interior: np.ndarray = field(init=False)
 
     def __post_init__(self):
+        import numpy as np
+
         good = np.ones(len(self.basis), dtype=bool)
         for key in self.keys:
             good &= self.imgs[key] >= 0
@@ -148,7 +184,9 @@ def materialize(p: Union[Presentation, PairPresentation],
 
     The action is recomputed from the raw edge dictionaries, so a
     corrupted presentation materializes to matrices that expose the
-    corruption instead of hiding it.
+    corruption instead of hiding it.  A truncation over
+    ``BASIS_BUDGET`` vectors raises ``ResourceExceeded`` before the
+    basis is built past the budget and before numpy is loaded.
     """
     if depth < 1:
         raise ValidationError(f"depth must be at least 1, got {depth}")
@@ -159,12 +197,14 @@ def materialize(p: Union[Presentation, PairPresentation],
             tuple(("t", j) for j in range(1, p.n + 1))
         adj = max(0, len(p.base) - 1)
     else:
+        if _single_basis_size(p, depth) > BASIS_BUDGET:
+            raise _over_budget(depth)
         basis = _raw_single_basis(p, depth)
         keys = tuple(("s", i) for i in range(1, p.m + 1))
         adj = 0
-    if len(basis) > BASIS_BUDGET:
-        raise ResourceExceeded(
-            f"truncated basis has {len(basis)} vectors, budget {BASIS_BUDGET}")
+    import numpy as np
+    import scipy.sparse as sp
+
     index = {x: k for k, x in enumerate(basis)}
     n = len(basis)
     imgs = {}
@@ -206,6 +246,8 @@ class Report:
 
 
 def _first_bad_column(diff: sp.spmatrix, cols: np.ndarray) -> Optional[int]:
+    import numpy as np
+
     sub = diff.tocsc()[:, cols]
     bad = np.nonzero(np.diff(sub.indptr))[0]
     if len(bad) == 0:
@@ -215,6 +257,8 @@ def _first_bad_column(diff: sp.spmatrix, cols: np.ndarray) -> Optional[int]:
 
 def _check_equal(rows: list, label: str, lhs: sp.spmatrix, rhs: sp.spmatrix,
                  mask: np.ndarray, basis: tuple) -> None:
+    import numpy as np
+
     diff = (lhs - rhs).tocsr()
     diff.eliminate_zeros()
     if diff.count_nonzero() == 0:
@@ -234,6 +278,9 @@ def verify_relations(model: OracleModel) -> Report:
     Pairs additionally: the twisted commutation identity and both
     doubly-commuting displays, term sets read off the twist.
     """
+    import numpy as np
+    import scipy.sparse as sp
+
     rows: list = []
     p = model.presentation
     basis = model.basis
@@ -278,6 +325,8 @@ def verify_relations(model: OracleModel) -> Report:
 
 def _verify_range_projection(rows: list, model: OracleModel, fam: str,
                              diag: np.ndarray, valid: np.ndarray) -> None:
+    import numpy as np
+
     # the range projection must vanish exactly on wandering vectors and
     # restrict to the identity on the unitary part
     p = model.presentation
@@ -317,6 +366,9 @@ def _verify_range_projection(rows: list, model: OracleModel, fam: str,
 
 
 def _verify_pair_relations(rows: list, model: OracleModel) -> None:
+    import numpy as np
+    import scipy.sparse as sp
+
     pp = model.presentation
     theta = pp.theta
     S = {i: model.mats[("s", i)] for i in range(1, pp.m + 1)}
@@ -373,6 +425,9 @@ def verify_subspace(model: OracleModel, sub: SubspaceDesc, claims,
     flagging any in-basis cycle.  ``family`` picks which family the
     unitary-on / shift-on claims speak about.
     """
+    import numpy as np
+    import scipy.sparse as sp
+
     rows: list = []
     unknown = set(claims) - set(CLAIMS)
     if unknown:
@@ -421,6 +476,8 @@ def verify_subspace(model: OracleModel, sub: SubspaceDesc, claims,
 
 def _shift_on(model: OracleModel, member: np.ndarray, fam: str,
               basis: tuple) -> list:
+    import numpy as np
+
     # backward chains must die; every step is trusted only while the
     # current vector's true predecessor is guaranteed in-basis
     count = model.presentation.m if fam == "s" else model.presentation.n
@@ -599,6 +656,9 @@ def fault_library():
         return not verify_relations(materialize(pp, 3)).ok
 
     def boundary_as_interior() -> bool:
+        import numpy as np
+        import scipy.sparse as sp
+
         p = Presentation(2, ("b",), {})
         model = materialize(p, 2)
         key = ("s", 1)
@@ -611,6 +671,14 @@ def fault_library():
              (fake, np.arange(len(fake)))),
             shape=(len(fake), len(fake)))
         return not verify_relations(model).ok
+
+    def wrong_corner_seed() -> bool:
+        # a forward closure seeded on a wandering vector is the shift
+        # part, so claiming it as a unitary corner must fail
+        p = free_presentation(1)
+        sub = SubspaceDesc((Elem((), "b"),), "forward-closure", p)
+        return not verify_subspace(materialize(p, 3), sub,
+                                   ("unitary-on",)).ok
 
     def non_canonical_element() -> bool:
         p = Presentation(1, ("a", "c"), {("c", 1): "a"})
@@ -626,6 +694,7 @@ def fault_library():
         ("non-bijective-theta", broken_theta),
         ("boundary-as-interior", boundary_as_interior),
         ("non-canonical-element", non_canonical_element),
+        ("wrong-corner-seed", wrong_corner_seed),
     )
 
 

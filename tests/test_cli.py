@@ -3,10 +3,16 @@
 Everything drives ``main(argv)`` directly: the return value is the
 exit code and capsys picks up the rendered output, so the full
 parse -> compute -> render path is exercised without subprocesses.
+The cold-start guard is the exception: which libraries a command
+loads can only be read in a fresh interpreter.
 """
 
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -296,3 +302,66 @@ class TestJsonOutput:
         payload = json.loads(capsys.readouterr().out)
         assert payload["valid"] is False
         assert payload["violations"]
+
+
+# -- cold start --------------------------------------------------------------
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+# runs in a fresh interpreter: after each step, record the exit code and
+# which of numpy/scipy are loaded
+COLD_PROBE = """
+import contextlib, io, json, sys
+
+def heavy():
+    return sorted({name.split(".")[0] for name in sys.modules}
+                  & {"numpy", "scipy"})
+
+steps = []
+import rowiso
+steps.append(["import rowiso", None, heavy()])
+import rowiso.cli
+steps.append(["import rowiso.cli", None, heavy()])
+for argv in json.loads(sys.argv[1]):
+    sink = io.StringIO()
+    with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+        code = rowiso.cli.main(argv)
+    steps.append([argv[0], code, heavy()])
+print(json.dumps(steps))
+"""
+
+
+def cold_run(runs: list) -> list:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC
+    proc = subprocess.run([sys.executable, "-c", COLD_PROBE,
+                           json.dumps(runs)],
+                          capture_output=True, text=True, env=env,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return [tuple(step) for step in json.loads(proc.stdout)]
+
+
+class TestColdStart:
+    def test_only_the_oracle_loads_numpy_and_scipy(self, tmp_path):
+        cycle = doc_file(tmp_path, CYCLE_DOC, "cycle.json")
+        corners = doc_file(tmp_path, FOUR_CORNERS_DOC, "corners.json")
+        free3 = doc_file(tmp_path, {"m": 3, "base": ["b"], "s_edges": []},
+                         "free3.json")
+        symbolic = [
+            ["validate", cycle],
+            ["wold", cycle],
+            ["classify", cycle],
+            ["check-commute", corners],
+            ["check-doubly", corners],
+            ["slocinski", corners],
+            ["search", "--max-base", "1", "--m", "1", "--n", "1",
+             "--property", "doubly-commuting"],
+            ["export-dot", corners],
+            ["oracle", free3, "--depth", "11"],
+        ]
+        steps = cold_run(symbolic + [["oracle", cycle]])
+        *light, (label, code, heavy) = steps
+        assert [step[1] for step in light] == [None, None] + [0] * 8 + [3]
+        assert [step for step in light if step[2]] == []
+        assert (label, code, heavy) == ("oracle", 0, ["numpy", "scipy"])

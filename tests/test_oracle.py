@@ -6,6 +6,8 @@ one-node self-loop, a two-node cycle, and the four-corner pair fixture
 whose decomposition is known node by node.
 """
 
+import time
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,8 @@ from rowiso.oracle import (
     verify_relations,
     verify_subspace,
     _forge_theta,
+    _raw_single_basis,
+    _single_basis_size,
 )
 from rowiso.pair import PairElem, PairPresentation, free_pair, s_apply, t_apply
 from rowiso.presentation import Elem, Presentation, apply, free_presentation
@@ -77,6 +81,26 @@ class TestMaterialize:
     def test_basis_budget_enforced(self):
         with pytest.raises(ResourceExceeded):
             materialize(free_presentation(3), 11)
+
+    def test_budget_refused_before_the_basis_is_built(self):
+        # about 10^19 and 10^24 vectors: only a refusal made before the
+        # enumeration can return at all
+        for p in (free_presentation(3), free_pair(Theta.identity(2, 2))):
+            start = time.perf_counter()
+            with pytest.raises(ResourceExceeded):
+                materialize(p, 40)
+            assert time.perf_counter() - start < 20
+
+    def test_single_basis_size_is_the_enumerated_count(self):
+        rng = random.Random(1021)
+        dup = Presentation(1, ("a", "b", "c"), {("a", 1): "c", ("b", 1): "c"})
+        cases = [FREE2, SELF_LOOP, TWO_CYCLE, MIXED, dup,
+                 free_presentation(3)]
+        cases += [random_presentation(rng) for _ in range(20)]
+        for p in cases:
+            for depth in range(1, 6):
+                assert _single_basis_size(p, depth) == \
+                    len(_raw_single_basis(p, depth)), (p, depth)
 
     def test_matrix_agrees_with_symbolic_apply(self):
         model = materialize(MIXED, 3)
@@ -266,13 +290,14 @@ class TestAllThetas:
 class TestFaultInjection:
     def test_every_fault_detected(self):
         results = run_fault_injection()
-        assert len(results) == 4
+        assert len(results) == 5
         assert all(results.values()), results
 
     def test_library_names(self):
         names = [name for name, _ in fault_library()]
         assert names == ["duplicate-in-edge", "non-bijective-theta",
-                         "boundary-as-interior", "non-canonical-element"]
+                         "boundary-as-interior", "non-canonical-element",
+                         "wrong-corner-seed"]
 
     def test_forged_theta_bypasses_validation(self):
         mapping = {(1, 1): (1, 1), (2, 1): (1, 1)}
