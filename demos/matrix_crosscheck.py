@@ -1,6 +1,6 @@
 """The matrix oracle at work: verify, corrupt, catch.
 
-The oracle rebuilds every generator as a sparse 0/1 matrix on a depth
+The oracle rebuilds every generator as a 0/1 matrix on a depth
 truncation straight from the raw edge data, then checks the operator
 identities with exact integer arithmetic.  A healthy presentation
 sails through; a forged twist is caught by the commutation identity.

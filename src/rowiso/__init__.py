@@ -4,7 +4,7 @@ A finitely presented action of one or two families of isometries on an
 orthonormal basis, where every structural question (Wold split,
 spectral kind of the unitary part, existence of the four-fold pair
 decomposition) is answered exactly as a statement about basis index
-sets, then independently re-verified by integer sparse matrices on a
+sets, then independently re-verified by exact integer matrix identities on a
 truncation.
 """
 

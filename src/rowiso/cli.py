@@ -9,8 +9,8 @@ Exit codes: 0 the property holds / success, 1 the property fails (not
 commuting, no decomposition, oracle violation), 2 invalid input, 3
 resource budget exceeded.
 
-Only the ``oracle`` subcommand loads numpy and scipy, and only once its
-truncation is within budget; every other subcommand runs without them.
+Only the ``oracle`` subcommand loads numpy, and only once its truncation
+is within budget; every other subcommand runs without it.
 """
 
 from __future__ import annotations

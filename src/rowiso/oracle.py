@@ -2,9 +2,12 @@
 
 Everything here re-derives the basis action from the raw edge data and
 the word calculus, on purpose: the symbolic modules must never get to
-grade their own homework.  Generators become sparse 0/1 matrices over
-the canonical elements of bounded depth, and every operator identity is
-checked with exact integer arithmetic.  There are no tolerances.
+grade their own homework.  Each generator is a 0/1 partial injection on
+the canonical elements of bounded depth, held as one image index per
+column.  An operator is a pair of integer arrays (rows, cols), one entry
+of value 1 per pair, repeated pairs adding up; every identity is built
+from transpose, product and sum on that form and compared column by
+column with integer counts.  There are no floats and no tolerances.
 
 Truncation discipline: a truncated isometry is defective at the
 boundary, so each identity is asserted only on its own interior mask.
@@ -15,9 +18,9 @@ and never raises it for a single family.  A column is interior for an
 identity when its depth plus the identity's worst-case cost stays
 within the truncation, which makes every masked comparison exact.
 
-numpy and scipy are imported inside the functions that build or read
-matrices: importing this module loads neither, and ``search`` runs
-without them.
+numpy is imported inside the functions that build or read the image
+arrays: importing this module does not load it, and ``search`` runs
+without it.
 """
 
 from __future__ import annotations
@@ -38,7 +41,6 @@ from .words import Theta, commute_s_left, commute_t_right
 
 if TYPE_CHECKING:
     import numpy as np
-    import scipy.sparse as sp
 
 BASIS_BUDGET = 10 ** 5
 SEARCH_BUDGET = 10 ** 7
@@ -92,9 +94,23 @@ def _raw_single_basis(p: Presentation, depth: int) -> tuple:
     return tuple(out)
 
 
+def _pair_basis_lower_bound(pp: PairPresentation, depth: int) -> int:
+    """A lower bound on ``len(_raw_pair_basis(pp, depth))``.
+
+    The pure-S elements and the pure-T elements (the T-letter arrives
+    unchanged through an empty S-block) are each counted by the
+    single-family closed form; the |base| depth-zero vectors are in
+    both.  Each count is capped just past the budget, which keeps the
+    sum a lower bound.
+    """
+    return (_single_basis_size(pp._s_family, depth)
+            + _single_basis_size(pp._t_family, depth) - len(pp.base))
+
+
 def _raw_pair_basis(pp: PairPresentation, depth: int) -> tuple:
-    # no closed-form count here (the twist moves the arriving T-letter),
-    # so the walk itself stops one vector past the budget
+    # no closed-form count of the mixed elements (the twist moves the
+    # arriving T-letter), so the walk itself stops one vector past the
+    # budget
     out = []
     for total in range(depth + 1):
         for t_len in range(total, -1, -1):
@@ -141,12 +157,12 @@ def _raw_pair_apply(pp: PairPresentation, kind: str, lab: int,
 
 @dataclass
 class OracleModel:
-    """Sparse 0/1 matrices for every generator on a depth-d truncation.
+    """Every generator of a depth-d truncation as an image array.
 
     ``imgs[key]`` holds, per column, the row index of the image or -1
-    when the image falls outside the basis (a boundary column).  The
-    matrices are built from ``imgs``; ``interior`` flags vectors whose
-    every generator image is in-basis.
+    when the image falls outside the basis (a boundary column).  It is
+    the generator's 0/1 matrix, and every identity is computed from it;
+    ``interior`` flags vectors whose every generator image is in-basis.
     """
 
     presentation: object
@@ -155,7 +171,6 @@ class OracleModel:
     index: dict
     keys: tuple
     imgs: dict
-    mats: dict
     depths: np.ndarray
     adjoint_cost: int
     interior: np.ndarray = field(init=False)
@@ -192,6 +207,8 @@ def materialize(p: Union[Presentation, PairPresentation],
         raise ValidationError(f"depth must be at least 1, got {depth}")
     pair = isinstance(p, PairPresentation)
     if pair:
+        if _pair_basis_lower_bound(p, depth) > BASIS_BUDGET:
+            raise _over_budget(depth)
         basis = _raw_pair_basis(p, depth)
         keys = tuple(("s", i) for i in range(1, p.m + 1)) + \
             tuple(("t", j) for j in range(1, p.n + 1))
@@ -203,12 +220,10 @@ def materialize(p: Union[Presentation, PairPresentation],
         keys = tuple(("s", i) for i in range(1, p.m + 1))
         adj = 0
     import numpy as np
-    import scipy.sparse as sp
 
     index = {x: k for k, x in enumerate(basis)}
     n = len(basis)
     imgs = {}
-    mats = {}
     for key in keys:
         arr = np.full(n, -1, dtype=np.int64)
         for col, x in enumerate(basis):
@@ -217,13 +232,72 @@ def materialize(p: Union[Presentation, PairPresentation],
             else:
                 y = _raw_single_apply(p.edges, p.m, key[1], x)
             arr[col] = index.get(y, -1)
-        cols = np.nonzero(arr >= 0)[0]
-        mats[key] = sp.csr_matrix(
-            (np.ones(len(cols), dtype=np.int64), (arr[cols], cols)),
-            shape=(n, n))
         imgs[key] = arr
     depths = np.array([x.depth for x in basis], dtype=np.int64)
-    return OracleModel(p, depth, basis, index, keys, imgs, mats, depths, adj)
+    return OracleModel(p, depth, basis, index, keys, imgs, depths, adj)
+
+
+# ---------------------------------------------------------------- operators
+#
+# An operator is a pair (rows, cols) of int64 arrays: one entry of value
+# 1 at each (rows[k], cols[k]), repeated pairs adding up.
+
+def _gen(model: OracleModel, key: tuple) -> tuple:
+    import numpy as np
+
+    img = model.imgs[key]
+    cols = np.flatnonzero(img >= 0)
+    return img[cols], cols
+
+
+def _tr(a: tuple) -> tuple:
+    return a[1], a[0]
+
+
+def _mul(a: tuple, b: tuple) -> tuple:
+    # the product pairs every entry (r, k) of a with every entry (k, c)
+    # of b: sort a by column, then find each b-row's run of a-entries
+    import numpy as np
+
+    order = np.argsort(a[1], kind="stable")
+    a_cols = a[1][order]
+    lo = np.searchsorted(a_cols, b[0], side="left")
+    runs = np.searchsorted(a_cols, b[0], side="right") - lo
+    b_at = np.repeat(np.arange(len(runs)), runs)
+    first = np.cumsum(runs) - runs
+    a_at = order[np.repeat(lo - first, runs) + np.arange(len(b_at))]
+    return a[0][a_at], b[1][b_at]
+
+
+def _add(ops: list) -> tuple:
+    import numpy as np
+
+    empty = np.zeros(0, dtype=np.int64)
+    return (np.concatenate([empty] + [o[0] for o in ops]),
+            np.concatenate([empty] + [o[1] for o in ops]))
+
+
+def _diag(counts: np.ndarray) -> tuple:
+    import numpy as np
+
+    at = np.repeat(np.arange(len(counts)), counts)
+    return at, at
+
+
+def _first_bad_column(lhs: tuple, rhs: tuple, mask: np.ndarray
+                      ) -> Optional[int]:
+    """The first masked column where ``lhs`` and ``rhs`` differ, if any."""
+    import numpy as np
+
+    n = len(mask)
+    keys = np.concatenate((lhs[1] * n + lhs[0], rhs[1] * n + rhs[0]))
+    uniq, inv = np.unique(keys, return_inverse=True)
+    split = len(lhs[0])
+    net = (np.bincount(inv[:split], minlength=len(uniq))
+           - np.bincount(inv[split:], minlength=len(uniq)))
+    cols = uniq[net != 0] // n
+    cols = cols[mask[cols]]
+    return int(cols.min()) if len(cols) else None
 
 
 # ------------------------------------------------------------------- reports
@@ -245,26 +319,9 @@ class Report:
             len(self.rows), self.rows[0])
 
 
-def _first_bad_column(diff: sp.spmatrix, cols: np.ndarray) -> Optional[int]:
-    import numpy as np
-
-    sub = diff.tocsc()[:, cols]
-    bad = np.nonzero(np.diff(sub.indptr))[0]
-    if len(bad) == 0:
-        return None
-    return int(cols[bad[0]])
-
-
-def _check_equal(rows: list, label: str, lhs: sp.spmatrix, rhs: sp.spmatrix,
+def _check_equal(rows: list, label: str, lhs: tuple, rhs: tuple,
                  mask: np.ndarray, basis: tuple) -> None:
-    import numpy as np
-
-    diff = (lhs - rhs).tocsr()
-    diff.eliminate_zeros()
-    if diff.count_nonzero() == 0:
-        return
-    cols = np.nonzero(mask)[0]
-    col = _first_bad_column(diff, cols)
+    col = _first_bad_column(lhs, rhs, mask)
     if col is not None:
         rows.append(f"{label}: differs at column {basis[col]!r}")
 
@@ -279,36 +336,32 @@ def verify_relations(model: OracleModel) -> Report:
     doubly-commuting displays, term sets read off the twist.
     """
     import numpy as np
-    import scipy.sparse as sp
 
     rows: list = []
     p = model.presentation
     basis = model.basis
     n = len(basis)
-    eye = sp.identity(n, dtype=np.int64, format="csr")
+    eye = _diag(np.ones(n, dtype=np.int64))
+    zero = _add([])
     pair = model.is_pair
     families = [("s", p.m)] + ([("t", p.n)] if pair else [])
     for fam, count in families:
-        gens = [model.mats[(fam, k)] for k in range(1, count + 1)]
+        gens = [_gen(model, (fam, k)) for k in range(1, count + 1)]
         in_img = [model.imgs[(fam, k)] >= 0 for k in range(1, count + 1)]
         for i in range(count):
             for j in range(count):
-                want = eye if i == j else sp.csr_matrix((n, n),
-                                                        dtype=np.int64)
+                want = eye if i == j else zero
                 # adjoint rows are exact wherever the forward image is
                 # in-basis, no extra cost
                 _check_equal(rows, f"{fam}[{i+1}]^T {fam}[{j+1}]",
-                             gens[i].T @ gens[j], want, in_img[j], basis)
-        ran = sum(g @ g.T for g in gens)
-        diag = ran.diagonal()
-        off = ran - sp.diags(diag, dtype=np.int64)
-        off.eliminate_zeros()
+                             _mul(_tr(gens[i]), gens[j]), want, in_img[j],
+                             basis)
+        ran = _add([_mul(g, _tr(g)) for g in gens])
+        diag = np.bincount(ran[0][ran[0] == ran[1]], minlength=n)
         valid = model.mask(adjoint=1) if pair else np.ones(n, dtype=bool)
-        if off.count_nonzero():
-            col = _first_bad_column(off.tocsr(), np.nonzero(valid)[0])
-            if col is not None:
-                rows.append(f"sum {fam}{fam}^T not diagonal at "
-                            f"{basis[col]!r}")
+        col = _first_bad_column(ran, _diag(diag), valid)
+        if col is not None:
+            rows.append(f"sum {fam}{fam}^T not diagonal at {basis[col]!r}")
         if np.any((diag > 1) & valid):
             bad = int(np.nonzero((diag > 1) & valid)[0][0])
             rows.append(f"sum {fam}{fam}^T exceeds identity at {basis[bad]!r}")
@@ -344,9 +397,10 @@ def _verify_range_projection(rows: list, model: OracleModel, fam: str,
             return verdict is Part.UNITARY
     else:
         res = wold(p)
+        wandering_set = set(res.wandering)
 
         def wandering(x):
-            return x in set(res.wandering)
+            return x in wandering_set
 
         def unitary(x):
             return res.unitary_part.contains(x)
@@ -354,10 +408,11 @@ def _verify_range_projection(rows: list, model: OracleModel, fam: str,
     for col in np.nonzero(valid)[0]:
         x = model.basis[col]
         has_pred = bool(diag[col])
-        if wandering(x) and has_pred:
+        is_wandering = wandering(x)
+        if is_wandering and has_pred:
             rows.append(f"range projection nonzero on wandering {x!r}")
             return
-        if not wandering(x) and not has_pred:
+        if not is_wandering and not has_pred:
             rows.append(f"range projection vanishes off wandering at {x!r}")
             return
         if unitary(x) and not has_pred:
@@ -367,12 +422,11 @@ def _verify_range_projection(rows: list, model: OracleModel, fam: str,
 
 def _verify_pair_relations(rows: list, model: OracleModel) -> None:
     import numpy as np
-    import scipy.sparse as sp
 
     pp = model.presentation
     theta = pp.theta
-    S = {i: model.mats[("s", i)] for i in range(1, pp.m + 1)}
-    T = {j: model.mats[("t", j)] for j in range(1, pp.n + 1)}
+    S = {i: _gen(model, ("s", i)) for i in range(1, pp.m + 1)}
+    T = {j: _gen(model, ("t", j)) for j in range(1, pp.n + 1)}
     basis = model.basis
     for (i, j), (i2, j2) in sorted(theta.map.items()):
         ok = (model.imgs[("t", j)] >= 0)
@@ -386,25 +440,21 @@ def _verify_pair_relations(rows: list, model: OracleModel) -> None:
         safe2[safe2 < 0] = 0
         ok2 &= np.where(scols >= 0, model.imgs[("t", j2)][safe2] >= 0, False)
         _check_equal(rows, f"S{i} T{j} = T{j2} S{i2}",
-                     S[i] @ T[j], T[j2] @ S[i2], ok & ok2, basis)
+                     _mul(S[i], T[j]), _mul(T[j2], S[i2]), ok & ok2, basis)
     # doubly-commuting displays; each sum has at most one live term per
     # column because predecessors are unique
     m1 = model.mask(forward=1, adjoint=1)
     for i in range(1, pp.m + 1):
         for j in range(1, pp.n + 1):
-            lhs = T[j].T @ S[i]
-            terms = [S[k] @ T[jk].T
-                     for (k, jj), (ii, jk) in sorted(theta.map.items())
-                     if jj == j and ii == i]
-            rhs = sum(terms) if terms else sp.csr_matrix(lhs.shape,
-                                                         dtype=np.int64)
+            lhs = _mul(_tr(T[j]), S[i])
+            rhs = _add([_mul(S[k], _tr(T[jk]))
+                        for (k, jj), (ii, jk) in sorted(theta.map.items())
+                        if jj == j and ii == i])
             _check_equal(rows, f"T{j}^T S{i} display", lhs, rhs, m1, basis)
-            lhs2 = S[i].T @ T[j]
-            terms2 = [T[k] @ S[ik].T
-                      for (ii, k), (ik, jj) in sorted(theta.map.items())
-                      if ii == i and jj == j]
-            rhs2 = sum(terms2) if terms2 else sp.csr_matrix(lhs.shape,
-                                                            dtype=np.int64)
+            lhs2 = _mul(_tr(S[i]), T[j])
+            rhs2 = _add([_mul(T[k], _tr(S[ik]))
+                         for (ii, k), (ik, jj) in sorted(theta.map.items())
+                         if ii == i and jj == j])
             _check_equal(rows, f"S{i}^T T{j} display", lhs2, rhs2, m1, basis)
 
 
@@ -426,7 +476,6 @@ def verify_subspace(model: OracleModel, sub: SubspaceDesc, claims,
     unitary-on / shift-on claims speak about.
     """
     import numpy as np
-    import scipy.sparse as sp
 
     rows: list = []
     unknown = set(claims) - set(CLAIMS)
@@ -435,40 +484,34 @@ def verify_subspace(model: OracleModel, sub: SubspaceDesc, claims,
     if family not in ("s", "t"):
         raise ValidationError(f"family must be 's' or 't', got {family!r}")
     basis = model.basis
-    n = len(basis)
     member = np.array([sub.contains(x) for x in basis], dtype=bool)
-    Q = sp.diags(member.astype(np.int64), format="csr", dtype=np.int64)
+    Q = _diag(member.astype(np.int64))
     for claim in sorted(set(claims)):
         fam = claim[0].lower() if claim[0] in "ST" else family
         if claim.endswith("-invariant") or claim.endswith("-reducing"):
             count = (model.presentation.m if fam == "s"
                      else model.presentation.n)
             for k in range(1, count + 1):
-                G = model.mats[(fam, k)]
+                G = _gen(model, (fam, k))
                 okcols = model.imgs[(fam, k)] >= 0
+                GQ = _mul(G, Q)
                 if claim.endswith("-invariant"):
-                    diff = (G @ Q) - (Q @ (G @ Q))
+                    lhs, rhs = GQ, _mul(Q, GQ)
                 else:
-                    diff = (Q @ G) - (G @ Q)
-                diff = diff.tocsr()
-                diff.eliminate_zeros()
-                if diff.count_nonzero():
-                    col = _first_bad_column(diff, np.nonzero(okcols)[0])
-                    if col is not None:
-                        rows.append(f"{claim} fails for {fam}[{k}] at "
-                                    f"column {basis[col]!r}")
+                    lhs, rhs = _mul(Q, G), GQ
+                col = _first_bad_column(lhs, rhs, okcols)
+                if col is not None:
+                    rows.append(f"{claim} fails for {fam}[{k}] at "
+                                f"column {basis[col]!r}")
         elif claim == "unitary-on":
             count = (model.presentation.m if fam == "s"
                      else model.presentation.n)
-            gens = [model.mats[(fam, k)] for k in range(1, count + 1)]
-            ran = sum(g @ g.T for g in gens)
+            gens = [_gen(model, (fam, k)) for k in range(1, count + 1)]
+            ran = _add([_mul(g, _tr(g)) for g in gens])
             valid = member & model.mask(adjoint=1)
-            diff = ((ran @ Q) - Q).tocsr()
-            diff.eliminate_zeros()
-            if diff.count_nonzero():
-                col = _first_bad_column(diff, np.nonzero(valid)[0])
-                if col is not None:
-                    rows.append(f"unitary-on fails at column {basis[col]!r}")
+            col = _first_bad_column(_mul(ran, Q), Q, valid)
+            if col is not None:
+                rows.append(f"unitary-on fails at column {basis[col]!r}")
         elif claim == "shift-on":
             rows.extend(_shift_on(model, member, fam, basis))
     return Report(tuple(rows))
@@ -656,20 +699,12 @@ def fault_library():
         return not verify_relations(materialize(pp, 3)).ok
 
     def boundary_as_interior() -> bool:
-        import numpy as np
-        import scipy.sparse as sp
-
         p = Presentation(2, ("b",), {})
         model = materialize(p, 2)
         key = ("s", 1)
         fake = model.imgs[key].copy()
-        boundary = np.nonzero(fake < 0)[0]
-        fake[boundary] = 0  # lie: claim the dropped image is column 0
+        fake[fake < 0] = 0  # lie: claim the dropped image is column 0
         model.imgs[key] = fake
-        model.mats[key] = sp.csr_matrix(
-            (np.ones(len(fake), dtype=np.int64),
-             (fake, np.arange(len(fake)))),
-            shape=(len(fake), len(fake)))
         return not verify_relations(model).ok
 
     def wrong_corner_seed() -> bool:
@@ -679,6 +714,13 @@ def fault_library():
         sub = SubspaceDesc((Elem((), "b"),), "forward-closure", p)
         return not verify_subspace(materialize(p, 3), sub,
                                    ("unitary-on",)).ok
+
+    def cycle_claimed_shift() -> bool:
+        # the unitary part of a cycle has eternal backward chains, so
+        # claiming it as a shift part must fail
+        p = Presentation(1, ("a", "b"), {("a", 1): "b", ("b", 1): "a"})
+        return not verify_subspace(materialize(p, 3), wold(p).unitary_part,
+                                   ("shift-on",)).ok
 
     def non_canonical_element() -> bool:
         p = Presentation(1, ("a", "c"), {("c", 1): "a"})
@@ -695,6 +737,7 @@ def fault_library():
         ("boundary-as-interior", boundary_as_interior),
         ("non-canonical-element", non_canonical_element),
         ("wrong-corner-seed", wrong_corner_seed),
+        ("cycle-claimed-shift", cycle_claimed_shift),
     )
 
 

@@ -12,10 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional
 
 from .errors import ValidationError
-from .presentation import Elem, Node, Presentation, pred
+from .presentation import Elem, Node, Presentation, _require_canonical
 
 
 class Part(str, Enum):
@@ -33,9 +32,12 @@ class SubspaceDesc:
     - ``"full-space"``: every canonical element; seeds are a sample
       kept only for rendering.
     - ``"forward-closure"``: everything reachable from ``seeds`` by
-      applying generators.  Membership is decided by the backward
-      chase: strip the prefix, then follow the unique in-edges until a
-      seed is hit, the chain dies, or a base node repeats.
+      applying generators.  Membership follows the backward chase:
+      strip the prefix, then follow the unique in-edges until a seed is
+      hit, the chain dies, or a base node repeats.  Past the prefix the
+      chase depends on the element's node alone, so it is run once per
+      node and kept as a node set; only seeds of positive depth are
+      matched against the prefix's suffixes.
 
     Two-family elements (anything carrying a ``t_prefix``) are accepted
     in forward-closure mode only when the seeds sit at depth zero and
@@ -47,6 +49,8 @@ class SubspaceDesc:
     seeds: tuple
     mode: str
     presentation: object = field(repr=False, compare=False, default=None)
+    _cache: dict = field(init=False, repr=False, compare=False,
+                         default_factory=dict)
 
     def __post_init__(self):
         if self.mode not in ("forward-closure", "full-space",
@@ -62,7 +66,9 @@ class SubspaceDesc:
             return True
         if self.mode == "explicit-finite":
             return x in self.seeds
-        seed_set = set(self.seeds)
+        seed_set = self._cache.get("seeds")
+        if seed_set is None:
+            seed_set = self._cache["seeds"] = frozenset(self.seeds)
         if x in seed_set:
             return True
         if hasattr(x, "t_prefix"):
@@ -70,19 +76,39 @@ class SubspaceDesc:
             # at depth zero (see class docstring)
             return type(x)((), (), x.node) in seed_set
         p = self.presentation
-        cur: Optional[Elem] = x
-        seen_nodes: set[Node] = set()
-        while True:
-            step = pred(p, cur)
-            if step is None:
-                return False
-            _, cur = step
-            if cur in seed_set:
-                return True
-            if not cur.prefix:
-                if cur.node in seen_nodes:
-                    return False
-                seen_nodes.add(cur.node)
+        p.require_valid()
+        _require_canonical(p, x)
+        closure = self._cache.get("closure")
+        if closure is None:
+            closure = self._cache["closure"] = _closure(p, seed_set)
+        deep, nodes = closure
+        if deep:
+            for k in range(1, len(x.prefix)):
+                if Elem(x.prefix[k:], x.node) in deep:
+                    return True
+        return x.node in nodes
+
+
+def _closure(p: Presentation, seed_set: frozenset) -> tuple:
+    """The seeds of positive depth, and the nodes decided by the rest.
+
+    A node is in the node set when its backward chain (the node, then
+    its in-edge sources) reaches a depth-zero seed before it dies or
+    repeats.
+    """
+    seeds = [s for s in seed_set if isinstance(s, Elem)]
+    roots = {s.node for s in seeds if not s.prefix}
+    nodes = set()
+    for b in p.base:
+        cur, seen = b, set()
+        while cur is not None and cur not in seen:
+            if cur in roots:
+                nodes.add(b)
+                break
+            seen.add(cur)
+            hit = p.in_edge.get(cur)
+            cur = hit[0] if hit else None
+    return frozenset(s for s in seeds if s.prefix), frozenset(nodes)
 
 
 @dataclass(frozen=True)

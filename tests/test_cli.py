@@ -343,7 +343,7 @@ def cold_run(runs: list) -> list:
 
 
 class TestColdStart:
-    def test_only_the_oracle_loads_numpy_and_scipy(self, tmp_path):
+    def test_only_the_oracle_loads_numpy(self, tmp_path):
         cycle = doc_file(tmp_path, CYCLE_DOC, "cycle.json")
         corners = doc_file(tmp_path, FOUR_CORNERS_DOC, "corners.json")
         free3 = doc_file(tmp_path, {"m": 3, "base": ["b"], "s_edges": []},
@@ -364,4 +364,32 @@ class TestColdStart:
         *light, (label, code, heavy) = steps
         assert [step[1] for step in light] == [None, None] + [0] * 8 + [3]
         assert [step for step in light if step[2]] == []
-        assert (label, code, heavy) == ("oracle", 0, ["numpy", "scipy"])
+        assert (label, code, heavy) == ("oracle", 0, ["numpy"])
+
+    def test_the_oracle_runs_without_scipy(self, tmp_path):
+        # scipy made unimportable: the fault library, a pair model and
+        # the oracle subcommand must all still pass
+        probe = """
+import contextlib, io, sys
+sys.modules["scipy"] = None
+from rowiso.cli import main
+from rowiso.oracle import materialize, run_fault_injection, verify_relations
+from rowiso.pair import PairPresentation
+from rowiso.words import Theta
+faults = run_fault_injection()
+assert all(faults.values()), faults
+pp = PairPresentation(Theta.identity(1, 1), ("b", "c"), {("b", 1): "c"},
+                      {("c", 1): "b"})
+assert verify_relations(materialize(pp, 4)).ok
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main(["oracle", sys.argv[1]]) == 0
+print("ok")
+"""
+        env = dict(os.environ)
+        env["PYTHONPATH"] = SRC
+        proc = subprocess.run(
+            [sys.executable, "-c", probe,
+             doc_file(tmp_path, CYCLE_DOC, "cycle.json")],
+            capture_output=True, text=True, env=env, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "ok"

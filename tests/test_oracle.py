@@ -1,4 +1,4 @@
-"""Tests for the truncated sparse-matrix verifier.
+"""Tests for the truncated matrix verifier.
 
 The verifier re-derives everything from raw edge data, so these tests
 lean on hand-countable models: a free family of two isometries, a
@@ -21,9 +21,15 @@ from rowiso.oracle import (
     search,
     verify_relations,
     verify_subspace,
+    _add,
+    _first_bad_column,
     _forge_theta,
+    _mul,
+    _pair_basis_lower_bound,
+    _raw_pair_basis,
     _raw_single_basis,
     _single_basis_size,
+    _tr,
 )
 from rowiso.pair import PairElem, PairPresentation, free_pair, s_apply, t_apply
 from rowiso.presentation import Elem, Presentation, apply, free_presentation
@@ -59,14 +65,13 @@ class TestMaterialize:
         assert len(model.basis) == 7  # 1 + 2 + 4 words
         for i in (1, 2):
             # depth-2 columns fall off the truncation
-            assert model.mats[("s", i)].count_nonzero() == 3
             assert int((model.imgs[("s", i)] >= 0).sum()) == 3
         assert int(model.interior.sum()) == 3
 
     def test_self_loop_is_the_identity_matrix(self):
         model = materialize(SELF_LOOP, 3)
         assert model.basis == (Elem((), "b"),)
-        assert model.mats[("s", 1)].toarray().tolist() == [[1]]
+        assert model.imgs[("s", 1)].tolist() == [0]
         assert model.interior.tolist() == [True]
 
     def test_free_pair_basis_count(self):
@@ -102,6 +107,30 @@ class TestMaterialize:
                 assert _single_basis_size(p, depth) == \
                     len(_raw_single_basis(p, depth)), (p, depth)
 
+    def test_pair_lower_bound_counts_the_pure_elements(self):
+        twisted = PairPresentation(
+            Theta(2, 1, {(1, 1): (2, 1), (2, 1): (1, 1)}), ("a", "b"),
+            {("a", 1): "b"}, {("b", 1): "a"})
+        cases = [FOUR_CORNERS, BILATERAL, twisted, free_pair(ID11),
+                 free_pair(Theta.identity(2, 2))]
+        cases += list(honest_pairs(1019, 6))
+        for pp in cases:
+            for depth in range(1, 5):
+                basis = _raw_pair_basis(pp, depth)
+                pure = sum(not x.t_prefix or not x.s_prefix for x in basis)
+                assert _pair_basis_lower_bound(pp, depth) == pure, \
+                    (pp, depth)
+
+    def test_pair_over_budget_refused_without_the_walk(self, monkeypatch):
+        def walk(pp, depth):
+            raise AssertionError("the basis walk ran")
+
+        monkeypatch.setattr("rowiso.oracle._raw_pair_basis", walk)
+        with pytest.raises(ResourceExceeded):
+            materialize(free_pair(Theta.identity(2, 2)), 40)
+        with pytest.raises(ResourceExceeded):
+            materialize(free_pair(Theta.identity(1, 2)), 40)
+
     def test_matrix_agrees_with_symbolic_apply(self):
         model = materialize(MIXED, 3)
         for key in model.keys:
@@ -134,6 +163,38 @@ class TestMaterialize:
         model = materialize(FREE2, 3)
         assert model.adjoint_cost == 0
         assert (model.mask(adjoint=4) == model.mask()).all()
+
+
+# -- operator kernels --------------------------------------------------------
+
+
+def dense(op, n):
+    out = np.zeros((n, n), dtype=np.int64)
+    np.add.at(out, (op[0], op[1]), 1)
+    return out
+
+
+class TestOperatorKernels:
+    def test_kernels_match_dense_integer_matrices(self):
+        rng = np.random.default_rng(1031)
+        for _ in range(200):
+            n = int(rng.integers(1, 7))
+
+            def op():
+                k = int(rng.integers(0, 2 * n))
+                return (rng.integers(0, n, k, dtype=np.int64),
+                        rng.integers(0, n, k, dtype=np.int64))
+
+            a, b = op(), op()
+            assert (dense(_tr(a), n) == dense(a, n).T).all()
+            assert (dense(_mul(a, b), n) == dense(a, n) @ dense(b, n)).all()
+            assert (dense(_add([a, b]), n)
+                    == dense(a, n) + dense(b, n)).all()
+            mask = rng.integers(0, 2, n).astype(bool)
+            bad = np.flatnonzero(
+                (dense(a, n) != dense(b, n)).any(axis=0) & mask)
+            want = int(bad[0]) if len(bad) else None
+            assert _first_bad_column(a, b, mask) == want
 
 
 # -- relation checks ---------------------------------------------------------
@@ -233,6 +294,127 @@ class TestVerifySubspace:
             verify_subspace(model, full, ("unitary-on",), family="x")
 
 
+# -- pinned report rows ------------------------------------------------------
+
+# Full report rows of a fixed corrupted corpus, recorded from the
+# scipy.sparse implementation: the integer-array identities must report
+# the same violation, in the same words, at the same column.
+CYCLE_AND_WANDERER = Presentation(2, ("a", "b", "c"),
+                                  {("a", 1): "b", ("b", 1): "a"})
+IN_DEGREE_2_PAIR = PairPresentation(
+    Theta(2, 1, {(1, 1): (2, 1), (2, 1): (1, 1)}), ("a", "b", "c"),
+    {("a", 1): "c", ("b", 2): "c"}, {("a", 1): "b", ("c", 1): "b"})
+
+PINNED_ROWS = {
+    "duplicate-in-edge": (
+        "s[1]^T s[1]: differs at column <a>",
+        "sum ss^T exceeds identity at <c>",
+        "range projection check aborted: node 'c' has in-degree 2: "
+        "('a',1), ('b',1)",
+    ),
+    "forged-theta": (
+        "s[1]^T s[2]: differs at column <t1|b>",
+        "s[2]^T s[1]: differs at column <t1|b>",
+        "sum ss^T exceeds identity at <t1 s1|b>",
+        "range projection vanishes off wandering at <t1 s2|b>",
+        "range projection check aborted: theta domain must be all of "
+        "[m] x [n]",
+        "T1^T S1 display: differs at column <t1|b>",
+        "T1^T S2 display: differs at column <t1|b>",
+    ),
+    "boundary-as-interior": (
+        "s[1]^T s[1]: differs at column <s1 s1|b>",
+        "sum ss^T exceeds identity at <b>",
+        "range projection nonzero on wandering <b>",
+    ),
+    "shift-part-unitary-on": (
+        "unitary-on fails at column <c>",
+    ),
+    "unitary-part-shift-on": (
+        "shift-on fails: cycle through <a>",
+    ),
+    "explicit-set-claims": (
+        "S-invariant fails for s[1] at column <c>",
+        "S-invariant fails for s[2] at column <c>",
+        "S-reducing fails for s[1] at column <c>",
+        "S-reducing fails for s[2] at column <a>",
+        "shift-on fails: cycle through <s2|a>",
+        "unitary-on fails at column <c>",
+    ),
+    "in-degree-2-pair": (
+        "s[1]^T s[2]: differs at column <b>",
+        "s[2]^T s[1]: differs at column <a>",
+        "sum ss^T exceeds identity at <c>",
+        "range projection check aborted: s-family: node 'c' has "
+        "in-degree 2: ('a',1), ('b',2)",
+        "t[1]^T t[1]: differs at column <a>",
+        "sum tt^T exceeds identity at <b>",
+        "range projection check aborted: s-family: node 'b' has "
+        "in-degree 2: ('a',1), ('c',1)",
+        "S2 T1 = T1 S1: differs at column <a>",
+        "T1^T S1 display: differs at column <a>",
+        "S1^T T1 display: differs at column <a>",
+        "T1^T S2 display: differs at column <b>",
+        "S2^T T1 display: differs at column <c>",
+    ),
+    "in-degree-2-pair-full-space": (
+        "unitary-on fails at column <a>",
+    ),
+    "in-degree-2-pair-explicit": (
+        "S-invariant fails for s[1] at column <a>",
+        "S-invariant fails for s[2] at column <a>",
+        "T-reducing fails for t[1] at column <a>",
+        "unitary-on fails at column <a>",
+    ),
+}
+
+
+def pinned_corpus_rows() -> dict:
+    out = {}
+    dup = Presentation(1, ("a", "b", "c"), {("a", 1): "c", ("b", 1): "c"})
+    out["duplicate-in-edge"] = verify_relations(materialize(dup, 3)).rows
+    forged = PairPresentation(
+        _forge_theta(2, 1, {(1, 1): (1, 1), (2, 1): (1, 1)},
+                     {(1, 1): (2, 1), (2, 1): (2, 1)}), ("b",), {}, {})
+    out["forged-theta"] = verify_relations(materialize(forged, 3)).rows
+    model = materialize(free_presentation(2), 2)
+    fake = model.imgs[("s", 1)].copy()
+    fake[fake < 0] = 0  # the boundary lie: dropped images claimed at <b>
+    model.imgs[("s", 1)] = fake
+    out["boundary-as-interior"] = verify_relations(model).rows
+    res = wold(CYCLE_AND_WANDERER)
+    model = materialize(CYCLE_AND_WANDERER, 3)
+    out["shift-part-unitary-on"] = verify_subspace(
+        model, res.shift_part, ("unitary-on",)).rows
+    out["unitary-part-shift-on"] = verify_subspace(
+        model, res.unitary_part, ("shift-on",)).rows
+    spike = SubspaceDesc((Elem((), "c"), Elem((2,), "a")), "explicit-finite",
+                         CYCLE_AND_WANDERER)
+    out["explicit-set-claims"] = verify_subspace(
+        model, spike,
+        ("S-invariant", "S-reducing", "unitary-on", "shift-on")).rows
+    model = materialize(IN_DEGREE_2_PAIR, 3)
+    out["in-degree-2-pair"] = verify_relations(model).rows
+    full = SubspaceDesc((), "full-space", IN_DEGREE_2_PAIR)
+    out["in-degree-2-pair-full-space"] = verify_subspace(
+        model, full, ("T-invariant", "T-reducing", "unitary-on", "shift-on"),
+        family="t").rows
+    spot = SubspaceDesc((PairElem((), (), "a"), PairElem((), (1,), "b")),
+                        "explicit-finite", IN_DEGREE_2_PAIR)
+    out["in-degree-2-pair-explicit"] = verify_subspace(
+        model, spot,
+        ("S-invariant", "T-reducing", "unitary-on", "shift-on")).rows
+    return out
+
+
+class TestPinnedReportRows:
+    def test_rows_of_the_corrupted_corpus(self):
+        got = pinned_corpus_rows()
+        assert list(got) == list(PINNED_ROWS)
+        for name, rows in PINNED_ROWS.items():
+            assert got[name] == rows, name
+
+
 # -- search ------------------------------------------------------------------
 
 
@@ -290,14 +472,14 @@ class TestAllThetas:
 class TestFaultInjection:
     def test_every_fault_detected(self):
         results = run_fault_injection()
-        assert len(results) == 5
+        assert len(results) == 6
         assert all(results.values()), results
 
     def test_library_names(self):
         names = [name for name, _ in fault_library()]
         assert names == ["duplicate-in-edge", "non-bijective-theta",
                          "boundary-as-interior", "non-canonical-element",
-                         "wrong-corner-seed"]
+                         "wrong-corner-seed", "cycle-claimed-shift"]
 
     def test_forged_theta_bypasses_validation(self):
         mapping = {(1, 1): (1, 1), (2, 1): (1, 1)}

@@ -224,3 +224,32 @@ class TestSubspaceDesc:
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValidationError):
             SubspaceDesc((), "sideways-closure", FREE2)
+
+    def test_forward_closure_matches_forward_search(self):
+        # seeds of any depth; apply never lowers depth, so a search
+        # capped at depth 4 finds every member of depth at most 4
+        rng = random.Random(2029)
+        for _ in range(60):
+            p = random_presentation(rng)
+            pool = enumerate_basis(p, 2)
+            seeds = tuple(rng.sample(pool, min(len(pool), rng.randint(0, 3))))
+            reached, todo = set(seeds), list(seeds)
+            while todo:
+                x = todo.pop()
+                for i in range(1, p.m + 1):
+                    y = apply(p, i, x)
+                    if y.depth <= 4 and y not in reached:
+                        reached.add(y)
+                        todo.append(y)
+            d = SubspaceDesc(seeds, "forward-closure", p)
+            for x in enumerate_basis(p, 4):
+                assert d.contains(x) == (x in reached), (p, seeds, x)
+
+    def test_forward_closure_rejects_bad_elements(self):
+        d = SubspaceDesc((Elem((), "c"),), "forward-closure", MIXED)
+        with pytest.raises(ValidationError, match="not canonical"):
+            d.contains(Elem((1,), "b"))
+        with pytest.raises(ValidationError, match="not a base node"):
+            d.contains(Elem((), "z"))
+        with pytest.raises(ValidationError, match="outside 1..2"):
+            d.contains(Elem((3,), "c"))
