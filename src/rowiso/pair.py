@@ -20,9 +20,10 @@ deterministic one-step evaluation that stays well-defined either way.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from itertools import product as _cartesian
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .errors import ContractViolation, ValidationError
 from .presentation import Node, Presentation, ValidationReport
@@ -32,13 +33,15 @@ from .words import (Theta, Word, commute_s_left, commute_s_right,
                     validate_word)
 
 
-@dataclass(frozen=True)
-class PairElem:
+class PairElem(NamedTuple):
     """Canonical name ``T_t S_s e_node`` of a joint basis vector.
 
     Canonical means: the innermost S-letter has no s-edge at the node,
     and the innermost T-letter, pushed rightward through the S-block,
     has no t-edge at the node either.
+
+    A named tuple, so construction, hashing and equality run in C; it
+    equals the plain tuple ``(t_prefix, s_prefix, node)``.
     """
 
     t_prefix: Word
@@ -97,7 +100,8 @@ class PairPresentation:
 
     __slots__ = ("theta", "base", "s_edges", "t_edges", "node_index",
                  "s_in", "t_in", "_s_family", "_t_family", "_key",
-                 "_report", "_commutation", "_mirror", "_cache")
+                 "_report", "_commutation", "_mirror", "_cache",
+                 "__weakref__")
 
     def __init__(self, theta: Theta, base: Iterable[Node], s_edges: dict,
                  t_edges: dict):
@@ -118,7 +122,8 @@ class PairPresentation:
                      tuple(sorted(self.t_edges.items())))
         self._report: Optional[ValidationReport] = None
         self._commutation: Optional[CommutationReport] = None
-        self._mirror: Optional["PairPresentation"] = None
+        # the twin pair, or a weak reference back to the pair it mirrors
+        self._mirror = None
         self._cache: dict = {}
 
     @property
@@ -340,16 +345,22 @@ def mirror(pp: PairPresentation) -> PairPresentation:
 
     The swapped theta is ``(j, i) -> swap(theta^-1(i, j))``, which is
     exactly what turns the rule ``S_i T_j = T_j' S_i'`` into its
-    mirror-image reading.  Involutive: the mirror of the mirror is the
-    original object.
+    mirror-image reading.  A pair keeps its twin, and the twin keeps
+    only a weak reference back, so the two never form a cycle and a
+    dropped pair frees its twin and both caches at once.  Involutive
+    while both are alive: the mirror of the mirror is the original
+    object; once the original is gone, the twin's mirror is built anew.
     """
-    if pp._mirror is None:
+    twin = pp._mirror
+    if isinstance(twin, weakref.ref):
+        twin = twin()
+    if twin is None:
         mirrored = {(d, c): (b, a) for (a, b), (c, d) in pp.theta.map.items()}
         twin = PairPresentation(Theta(pp.n, pp.m, mirrored), pp.base,
                                 dict(pp.t_edges), dict(pp.s_edges))
-        twin._mirror = pp
+        twin._mirror = weakref.ref(pp)
         pp._mirror = twin
-    return pp._mirror
+    return twin
 
 
 def mirror_elem(pp: PairPresentation, x: PairElem) -> PairElem:
@@ -414,12 +425,22 @@ def _t_pred_raw(pp: PairPresentation, x: PairElem
                 ) -> Optional[tuple[int, PairElem]]:
     # t_pred without the entry guards: both pp and its mirror
     # theta-commute and x is canonical
-    twin = mirror(pp)
-    res = _s_pred_raw(twin, mirror_elem(pp, x))
+    t = x.t_prefix
+    if t:
+        # T-letters are outside, so the outer one strips directly
+        y = _reduce_raw(pp, t[1:], x.s_prefix, x.node)
+        if _t_apply_raw(pp, t[0], y) != x:
+            raise ContractViolation(
+                f"stripping the outer T-letter of {x!r} does not invert: "
+                f"candidate {y!r} fails re-application")
+        return t[0], y
+    # a pure-S element is a pure-T element of the mirror pair, and so
+    # is its predecessor there: the two names only swap prefixes
+    res = _s_pred_raw(mirror(pp), PairElem(x.s_prefix, (), x.node))
     if res is None:
         return None
     label, y = res
-    return label, mirror_elem(twin, y)
+    return label, PairElem((), y.t_prefix, y.node)
 
 
 def s_pred(pp: PairPresentation, x: PairElem
@@ -453,10 +474,11 @@ def t_pred(pp: PairPresentation, x: PairElem
            ) -> Optional[tuple[int, PairElem]]:
     """The unique (label, element) with ``t_apply(label, element) == x``.
 
-    Delegates to the mirror pair, where the T-family plays the S role.
-    The guards (theta-commutation of the pair and of its mirror, a
-    canonical x) run here, once per call; internal loops call the
-    unguarded kernel instead.
+    An element with T-letters loses its outermost one; for a pure-S
+    element the backward walk runs on the mirror pair, where the
+    T-family plays the S role.  The guards (theta-commutation of the
+    pair and of its mirror, a canonical x) run here, once per call;
+    internal loops call the unguarded kernel instead.
     """
     pp.require_commuting()
     _require_canonical(pp, x)

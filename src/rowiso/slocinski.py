@@ -40,8 +40,8 @@ from typing import Optional
 
 from .errors import ResourceExceeded, ValidationError
 from .pair import (PairElem, PairPresentation, _require_canonical,
-                   _s_pred_raw, check_doubly_commute, enumerate_pair, mirror,
-                   mirror_elem, s_apply, s_pred, t_apply, t_pred)
+                   _s_apply_raw, _s_pred_raw, _t_apply_raw, _t_pred_raw,
+                   check_doubly_commute, enumerate_pair, mirror, mirror_elem)
 from .wold import Part, SubspaceDesc
 
 DEFAULT_CHAIN_BUDGET = 10_000
@@ -146,14 +146,6 @@ def dead_nodes(pp: PairPresentation) -> frozenset:
 
 # ------------------------------------------------------------ chain verdicts
 
-def _strip_s(pp: PairPresentation, x: PairElem) -> PairElem:
-    # elements with S-letters always have a predecessor; each step
-    # shortens the S-prefix, so this reaches a pure-T state
-    while x.s_prefix:
-        x = _s_pred_raw(pp, x)[1]
-    return x
-
-
 def s_membership(pp: PairPresentation, x: PairElem,
                  budget: int = DEFAULT_CHAIN_BUDGET) -> Part:
     """Wold verdict of the S-family at one joint basis element.
@@ -163,6 +155,13 @@ def s_membership(pp: PairPresentation, x: PairElem,
     (single T-label only) the growing-revisit rule; if none of those
     fires within the budget, raises ResourceExceeded rather than guess.
 
+    Every state on a backward chain shares the chain's verdict, so each
+    state walked is memoised on the pair and the walk stops at the
+    first state with a known verdict.  An element with S-letters always
+    has a predecessor, and stripping them is not counted against the
+    budget: it counts steps from the pure-T state the strip reaches,
+    which the ResourceExceeded message names.
+
     The guards run once, at entry; the chain walk uses the unguarded
     predecessor kernel.
     """
@@ -171,26 +170,42 @@ def s_membership(pp: PairPresentation, x: PairElem,
     if x in memo:
         return memo[x]
     _require_canonical(pp, x)
-    data = _node_data(pp)
-    x = _strip_s(pp, x)
     trail: list[PairElem] = []
-    seen: set[PairElem] = set()
-    min_len: dict = {}
     verdict: Optional[Part] = None
     cur = x
-    for _ in range(budget):
+    # each strip step shortens the S-prefix, so this reaches a pure-T
+    # state unless a known verdict comes first
+    while cur.s_prefix:
+        trail.append(cur)
+        cur = _s_pred_raw(pp, cur)[1]
         if cur in memo:
             verdict = memo[cur]
             break
+    if verdict is None:
+        verdict = _pure_t_verdict(pp, cur, memo, trail, budget)
+    for state in trail:
+        memo[state] = verdict
+    return verdict
+
+
+def _pure_t_verdict(pp: PairPresentation, start: PairElem, memo: dict,
+                    trail: list, budget: int) -> Part:
+    # walks the chain from the pure-T state start, appending each state
+    # it passes to trail, until a certificate or a memoised verdict
+    data = _node_data(pp)
+    seen: set[PairElem] = set()
+    min_len: dict = {}
+    cur = start
+    for _ in range(budget):
+        if cur in memo:
+            return memo[cur]
         if cur in seen:
-            verdict = Part.UNITARY
-            break
+            return Part.UNITARY
+        trail.append(cur)
         if cur.node in data["eternal"]:
-            verdict = Part.UNITARY
-            break
+            return Part.UNITARY
         if cur.node in data["dead"]:
-            verdict = Part.SHIFT
-            break
+            return Part.SHIFT
         if pp.n == 1:
             length = len(cur.t_prefix)
             if length == 0:
@@ -198,19 +213,12 @@ def s_membership(pp: PairPresentation, x: PairElem,
             else:
                 best = min_len.get(cur.node)
                 if best is not None and best < length:
-                    verdict = Part.UNITARY  # chain grows forever
-                    break
+                    return Part.UNITARY  # chain grows forever
                 min_len[cur.node] = length
         seen.add(cur)
-        trail.append(cur)
         cur = _s_pred_raw(pp, cur)[1]
-    if verdict is None:
-        raise ResourceExceeded(
-            f"S-chain from {x!r} undecided after {budget} steps")
-    for state in trail:
-        memo[state] = verdict
-    memo[x] = verdict
-    return verdict
+    raise ResourceExceeded(
+        f"S-chain from {start!r} undecided after {budget} steps")
 
 
 def t_membership(pp: PairPresentation, x: PairElem,
@@ -361,17 +369,25 @@ class SlocinskiResult:
 
 
 def _condition_one(pp: PairPresentation, elems) -> Optional[FailureWitness]:
-    # the S-unitary part must be closed under every T_j and its adjoint
+    # the S-unitary part must be closed under every T_j and its adjoint;
+    # pp theta-commutes and elems are canonical, so the kernels run
+    # unguarded
+    twin_checked = False
     for x in elems:
         if s_membership(pp, x) is not Part.UNITARY:
             continue
         for j in range(1, pp.n + 1):
-            y = t_apply(pp, j, x)
+            y = _t_apply_raw(pp, j, x)
             if s_membership(pp, y) is not Part.UNITARY:
                 return FailureWitness(
                     "unitary-part-of-S-invariant-under-T", x,
                     f"T_{j} maps it to {y!r}, which is S-shift")
-        step = t_pred(pp, x)
+        if not twin_checked:
+            # the mirror pair's check that t_pred makes, where the
+            # first T-predecessor needs it
+            mirror(pp).require_commuting()
+            twin_checked = True
+        step = _t_pred_raw(pp, x)
         if step is not None and s_membership(pp, step[1]) is not Part.UNITARY:
             return FailureWitness(
                 "unitary-part-of-S-closed-under-T-adjoint", x,
@@ -382,18 +398,19 @@ def _condition_one(pp: PairPresentation, elems) -> Optional[FailureWitness]:
 def _condition_two(pp: PairPresentation, elems) -> Optional[FailureWitness]:
     # the T-unitary part of the S-shift part must be closed under every
     # S_i and its adjoint; staying S-shift is automatic (chains factor
-    # through the original element), the T-verdict is the live question
+    # through the original element), the T-verdict is the live question;
+    # the kernels run unguarded, as in _condition_one
     for x in elems:
         if (s_membership(pp, x) is not Part.SHIFT
                 or t_membership(pp, x) is not Part.UNITARY):
             continue
         for i in range(1, pp.m + 1):
-            y = s_apply(pp, i, x)
+            y = _s_apply_raw(pp, i, x)
             if t_membership(pp, y) is not Part.UNITARY:
                 return FailureWitness(
                     "T-unitary-part-of-S-shift-invariant-under-S", x,
                     f"S_{i} maps it to {y!r}, which is T-shift")
-        step = s_pred(pp, x)
+        step = _s_pred_raw(pp, x)
         if step is not None and t_membership(pp, step[1]) is not Part.UNITARY:
             return FailureWitness(
                 "T-unitary-part-of-S-shift-closed-under-S-adjoint", x,
@@ -628,7 +645,7 @@ def verify_theorem_implications(pp: PairPresentation) -> ImplicationReport:
         if s_membership(pp, x) is not Part.UNITARY:
             continue
         for j in range(1, pp.n + 1):
-            y = t_apply(pp, j, x)
+            y = _t_apply_raw(pp, j, x)
             if s_membership(pp, y) is not Part.UNITARY:
                 bad = FailureWitness(
                     "S-unitary-part-T-invariance", x,
@@ -640,10 +657,14 @@ def verify_theorem_implications(pp: PairPresentation) -> ImplicationReport:
         "S-unitary-part-always-T-invariant", True, bad is None, bad))
     if pp.m >= 2:
         bad = None
+        twin_checked = False
         for x in elems:
             if not s_in_V(pp, x):
                 continue
-            step = t_pred(pp, x)
+            if not twin_checked:
+                mirror(pp).require_commuting()
+                twin_checked = True
+            step = _t_pred_raw(pp, x)
             if step is not None and not s_in_V(pp, step[1]):
                 bad = FailureWitness(
                     "structure-support-closed-under-T-adjoint", x,

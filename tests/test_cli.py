@@ -290,6 +290,21 @@ class TestJsonOutput:
         assert main(["slocinski", path, "--json"]) == 0
         assert capsys.readouterr().out == first
 
+    def test_json_pair_elements_are_their_names(self, tmp_path, capsys):
+        # a pair element is a tuple, which json would write as a list;
+        # it must render as its name, like every other element
+        assert main(["check-doubly", doc_file(tmp_path, TWISTED_FREE_DOC),
+                     "--json"]) == 1
+        first = json.loads(capsys.readouterr().out)["failures"][0]
+        assert first["element"] == "<t1|b>"
+        assert (first["lhs"], first["rhs"]) == ("<s2|b>", "<s1|b>")
+        assert main(["slocinski", doc_file(tmp_path, FOUR_CORNERS_DOC),
+                     "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert [payload[key]["seeds"] for key in
+                ("H_uu", "H_us", "H_su", "H_ss")] == \
+            [["<a>"], ["<b>"], ["<c>"], ["<d>"]]
+
     def test_json_wold(self, tmp_path, capsys):
         assert main(["wold", doc_file(tmp_path, FREE2_DOC), "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)

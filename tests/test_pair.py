@@ -7,12 +7,15 @@ reads the canonical name off the minimal-length states.  The oracle
 never calls the library's reducer.
 """
 
+import gc
 import random
+import weakref
 from itertools import permutations, product
 
 import pytest
 
 from rowiso.errors import ContractViolation, ValidationError
+from rowiso.oracle import _edge_maps, all_thetas
 from rowiso.pair import (
     CommutationFailure,
     PairElem,
@@ -30,8 +33,10 @@ from rowiso.pair import (
     t_apply,
     t_pred,
     validate_pair,
+    _s_pred_raw,
+    _t_pred_raw,
 )
-from rowiso.slocinski import check_hypotheses
+from rowiso.slocinski import check_hypotheses, slocinski
 from rowiso.words import Theta, commute_t_right, normalize
 
 # -- congruence-closure oracle --------------------------------------------------
@@ -329,6 +334,44 @@ class TestPred:
             s_pred(pp, PairElem((), (1,), "zz"))
         with pytest.raises(ValidationError):
             t_pred(pp, PairElem((1,), (), "zz"))
+
+    def test_direct_t_strip_matches_the_mirror_route(self):
+        # an element with T-letters loses its outer one in place; the
+        # mirror route renames it, strips there and renames back
+        def outcome(fn, pp, x):
+            try:
+                return fn(pp, x)
+            except ContractViolation:
+                return ContractViolation
+
+        def via_mirror(pp, x):
+            twin = mirror(pp)
+            res = _s_pred_raw(twin, mirror_elem(pp, x))
+            if res is None:
+                return None
+            return res[0], mirror_elem(twin, res[1])
+
+        space = []
+        for m, n in product((1, 2), repeat=2):
+            for k in (1, 2):
+                nodes = tuple("ab"[:k])
+                for theta in all_thetas(m, n):
+                    for se in _edge_maps(nodes, m):
+                        for te in _edge_maps(nodes, n):
+                            pp = PairPresentation(theta, nodes, se, te)
+                            if check_theta_commute(pp).ok:
+                                space.append(pp)
+        assert len(space) == 4487
+        collision = PairPresentation(THETA_ID_11, ("a", "c"),
+                                     {("c", 1): "a"}, {("a", 1): "a"})
+        raised = 0
+        for pp in commuting_pairs(331, 100) + space[::23] + [collision]:
+            assert check_theta_commute(mirror(pp)).ok
+            for x in enumerate_pair(pp, len(pp.base) + 2):
+                got = outcome(_t_pred_raw, pp, x)
+                assert got == outcome(via_mirror, pp, x), (pp, x)
+                raised += got is ContractViolation
+        assert raised  # the collision pair breaks the pure-S walk
 
     def test_non_commuting_pair_refused(self):
         pp = PairPresentation(THETA_ID_11, ("a", "b"),
@@ -632,6 +675,34 @@ class TestMirror:
         assert tw.t_edges == pp.s_edges
         assert tw.m == pp.n and tw.n == pp.m
 
+    def test_twin_keeps_only_a_weak_reference_back(self):
+        pp = PairPresentation(THETA_FLIP_22, ("a", "b"),
+                              {("a", 1): "b"}, {("b", 2): "a"})
+        tw = mirror(pp)
+        original = pp.to_dict()
+        del pp
+        again = mirror(tw)
+        assert again.to_dict() == original
+        assert mirror(again) is tw
+
+    def test_dropped_pair_frees_its_twin(self):
+        # without a reference cycle, a pair that took T-predecessors
+        # goes, with its twin and both caches, as soon as it is dropped
+        pp = PairPresentation(THETA_ID_11, ("a", "b"),
+                              {("a", 1): "a"}, {("b", 1): "b"})
+        gc.disable()
+        try:
+            check_doubly_commute(pp)
+            assert slocinski(pp).exists
+            pair_ref = weakref.ref(pp)
+            twin_ref = weakref.ref(mirror(pp))
+            assert twin_ref()._cache
+            del pp
+            assert pair_ref() is None
+            assert twin_ref() is None
+        finally:
+            gc.enable()
+
     def test_mirror_exchanges_the_actions(self):
         for pp in commuting_pairs(367, 12):
             tw = mirror(pp)
@@ -681,6 +752,17 @@ class TestPairData:
     def test_elem_repr(self):
         assert repr(PairElem((), (), "b")) == "<b>"
         assert repr(PairElem((1,), (2, 1), "c")) == "<t1 s2 s1|c>"
+
+    def test_elem_value_semantics(self):
+        x = PairElem((2, 1), (1,), "c")
+        y = PairElem(t_prefix=(2, 1), s_prefix=(1,), node="c")
+        assert x == y and x is not y
+        assert hash(x) == hash(y)
+        assert len({x, y, PairElem((2, 1), (), "c")}) == 2
+        assert (x.t_prefix, x.s_prefix, x.node) == ((2, 1), (1,), "c")
+        assert x.depth == 3
+        assert PairElem((), (), "b").depth == 0
+        assert repr([(1, x)]) == "[(1, <t2 t1 s1|c>)]"
 
     def test_require_commuting_error(self):
         pp = PairPresentation(THETA_ID_11, ("a", "b"),

@@ -34,7 +34,7 @@ from rowiso.slocinski import (
 from rowiso.wold import Part
 from rowiso.words import Theta
 
-from test_pair import honest_pairs
+from test_pair import commuting_pairs, honest_pairs
 
 ID11 = Theta.identity(1, 1)
 ID22 = Theta.identity(2, 2)
@@ -127,6 +127,32 @@ class TestMembership:
             s_membership(pp, PairElem((), (), "a"), budget=0)
         # and the same question resolves exactly with a real budget
         assert s_membership(fresh(pp), PairElem((), (), "a")) is Part.SHIFT
+
+    def test_verdicts_do_not_depend_on_memo_order(self):
+        # every state a walk passes is memoised and a walk stops at the
+        # first known verdict, so what earlier questions left in the
+        # memo must not change an answer or an error
+        def verdicts(pp, x):
+            out = []
+            for decide in (s_membership, t_membership, s_in_V):
+                try:
+                    out.append(decide(pp, x))
+                except (ResourceExceeded, ContractViolation) as exc:
+                    out.append((type(exc), str(exc)))
+            return out
+
+        raised = 0
+        for pp in commuting_pairs(419, 100):
+            elems = enumerate_pair(pp, len(pp.base) + 2)
+            forward, backward = fresh(pp), fresh(pp)
+            in_order = {x: verdicts(forward, x) for x in elems}
+            reverse = {x: verdicts(backward, x) for x in reversed(elems)}
+            for x in elems:
+                alone = verdicts(fresh(pp), x)
+                assert in_order[x] == alone, (pp, x)
+                assert reverse[x] == alone, (pp, x)
+                raised += any(isinstance(v, tuple) for v in alone)
+        assert raised  # some sampled pairs are not jointly injective
 
 
 class TestDeadNodes:
