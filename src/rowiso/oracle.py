@@ -32,8 +32,7 @@ from typing import TYPE_CHECKING, Optional, Union
 
 from .errors import ContractViolation, ResourceExceeded, ValidationError
 from .pair import (PairElem, PairPresentation, check_doubly_commute,
-                   check_joint_isometry, check_theta_commute, enumerate_pair,
-                   mirror, mirror_elem)
+                   check_joint_isometry, check_theta_commute, mirror)
 from .presentation import Elem, Presentation, apply, free_presentation
 from .slocinski import dead_nodes, s_membership, slocinski, t_membership
 from .wold import Part, SubspaceDesc, wold
@@ -387,9 +386,9 @@ def _verify_range_projection(rows: list, model: OracleModel, fam: str,
         dead = dead_nodes(p if fam == "s" else mirror(p))
 
         def wandering(x):
-            if fam == "t":
-                x = mirror_elem(p, x)
-            return not x.s_prefix and x.node in dead
+            # the family's own letters: a wandering vector has none
+            letters = x.s_prefix if fam == "s" else x.t_prefix
+            return not letters and x.node in dead
 
         def unitary(x):
             verdict = (s_membership(p, x) if fam == "s"
@@ -608,16 +607,15 @@ def _pred_doubly_commuting(pp: PairPresentation) -> bool:
 
 def _pred_s_shift_t_unitary(pp: PairPresentation) -> bool:
     # candidate for the triviality theorem: nontrivial space, several
-    # T-labels, T with no wandering vectors, and no S-unitary element
-    # anywhere on the truncation (a superset of "S is a pure shift",
-    # which is the safe direction for asserting emptiness)
+    # T-labels, T with no wandering vectors, and S a pure shift; the
+    # S-verdict depends on the node alone, so the base vectors decide
+    # the last one exactly
     if not pp.base or pp.n < 2:
         return False
     if dead_nodes(mirror(pp)):
         return False
-    depth = max(4, len(pp.base) + 2)
-    return all(s_membership(pp, x) is not Part.UNITARY
-               for x in enumerate_pair(pp, depth))
+    return all(s_membership(pp, PairElem((), (), b)) is not Part.UNITARY
+               for b in pp.base)
 
 
 PREDICATES: dict = {

@@ -29,8 +29,7 @@ from .errors import ContractViolation, ValidationError
 from .presentation import Node, Presentation, ValidationReport
 from .presentation import validate as _validate_family
 from .words import (Theta, Word, commute_s_left, commute_s_right,
-                    commute_t_right, denormalize, s_outside_to_t_outside,
-                    validate_word)
+                    commute_t_right, denormalize, validate_word)
 
 
 class PairElem(NamedTuple):
@@ -380,14 +379,15 @@ def _s_pred_raw(pp: PairPresentation, x: PairElem
     # canonical.  Every candidate is still re-applied.
     theta = pp.theta
     if x.s_prefix:
-        u, w = denormalize(theta, x.t_prefix, x.s_prefix)
-        w2, u2 = s_outside_to_t_outside(theta, u[1:], w)
-        y = _reduce_raw(pp, w2, u2, x.node)
-        if _s_apply_raw(pp, u[0], y) != x:
+        # T_t S_i = S_i' T_t' moves the outer S-letter outside, leaving
+        # T_t' S_rest e_b in T-outside form
+        i0, w = commute_s_right(theta, x.t_prefix, x.s_prefix[0])
+        y = _reduce_raw(pp, w, x.s_prefix[1:], x.node)
+        if _s_apply_raw(pp, i0, y) != x:
             raise ContractViolation(
                 f"stripping the outer S-letter of {x!r} does not invert: "
                 f"candidate {y!r} fails re-application")
-        return u[0], y
+        return i0, y
     found: list[tuple[int, PairElem]] = []
     suffix: list[int] = []
     node = x.node

@@ -12,25 +12,21 @@ Key structural facts the deciders rest on, all consequences of the
 absorption calculus in :mod:`pair`:
 
 - An element with S-letters always has an S-predecessor (strip the
-  outermost letter of the S-outside form), so chains settle into
-  pure-T states ``T_w e_b`` after finitely many steps.
+  outermost letter of the S-outside form).  A forward S-step never
+  lengthens the T-prefix, so the S-predecessor of a pure-T state
+  ``T_w e_b`` sits at a node f(b) that does not depend on w, and the
+  S-verdict of ``T_w S_u e_b`` is that of b (Słociński, 1980).
 - For pure-T states, existence of a predecessor depends only on the
   node: the backward un-absorption walk visits a node-determined set,
   and a predecessor exists iff some visited node has an S-in-edge.
   DEAD nodes (no such edge on the whole walk) are exactly where chains
-  die.
+  die, so b is S-shift iff its f-orbit meets a DEAD node.
 - The successor's node lies in a node-determined over-approximation
   SUCC(b); if no DEAD node is reachable from b in the SUCC digraph, no
   chain through b can ever die ("eternal" nodes, a soundness
-  certificate for unitarity).
-- When the T-family has a single label, pure-T states are pairs
-  (length, node) and a revisited node with strictly larger length and
-  no depth-zero state in between certifies an ever-growing, hence
-  eternal, chain.  This makes single-T-label verdicts exact without
-  budgets.
+  certificate for unitarity that needs no f).
 
-Verdicts are exact or raise; they never guess.  Chains that outlive
-their budget without triggering any certificate raise ResourceExceeded.
+Verdicts are exact or raise; they never guess.
 """
 
 from __future__ import annotations
@@ -146,85 +142,82 @@ def dead_nodes(pp: PairPresentation) -> frozenset:
 
 # ------------------------------------------------------------ chain verdicts
 
+def _s_verdict(pp: PairPresentation, node,
+               budget: int = DEFAULT_CHAIN_BUDGET) -> Part:
+    # the S-verdict of every element at node, by the orbit of the node
+    # map c -> node of the S-predecessor of <c>; pp theta-commutes and
+    # node is a base node.  The map and the verdicts are memoised per
+    # node, and the map is computed only along the orbits asked about.
+    verdicts = pp._cache.setdefault("s_node_verdict", {})
+    if node in verdicts:
+        return verdicts[node]
+    data = _node_data(pp)
+    pred_node = pp._cache.setdefault("s_pred_node", {})
+    orbit: dict = {}
+    cur = node
+    for _ in range(budget):
+        # an eternal node is certified before the map is computed
+        # there, which raises where the S-family is not injective
+        if cur in verdicts:
+            verdict = verdicts[cur]
+        elif cur in orbit or cur in data["eternal"]:
+            verdict = Part.UNITARY
+        elif cur in data["dead"]:
+            verdict = Part.SHIFT
+        else:
+            orbit[cur] = None
+            if cur not in pred_node:
+                pred_node[cur] = _s_pred_raw(pp, PairElem((), (), cur))[1].node
+            cur = pred_node[cur]
+            continue
+        break
+    else:
+        raise ResourceExceeded(
+            f"S-chain from node {node!r} undecided after {budget} steps")
+    for c in (*orbit, cur):
+        verdicts[c] = verdict
+    return verdict
+
+
 def s_membership(pp: PairPresentation, x: PairElem,
                  budget: int = DEFAULT_CHAIN_BUDGET) -> Part:
     """Wold verdict of the S-family at one joint basis element.
 
-    UNITARY iff the backward S-chain never ends.  Exact: decided by
-    death, an exact state revisit, the eternal-node certificate, or
-    (single T-label only) the growing-revisit rule; if none of those
-    fires within the budget, raises ResourceExceeded rather than guess.
+    UNITARY iff the backward S-chain never ends.  The verdict depends
+    on ``x.node`` alone and follows the node map f, where f(c) is the
+    node of the S-predecessor of the base vector at c: the orbit of
+    ``x.node`` under f is SHIFT when it meets a DEAD node, and UNITARY
+    when it meets an eternal node or comes back to a node it visited.
+    Each f(c) is computed when an orbit first reaches c, and f and the
+    verdicts are memoised per node on the pair, so an orbit also stops
+    at the first node with a known verdict.
 
-    Every state on a backward chain shares the chain's verdict, so each
-    state walked is memoised on the pair and the walk stops at the
-    first state with a known verdict.  An element with S-letters always
-    has a predecessor, and stripping them is not counted against the
-    budget: it counts steps from the pure-T state the strip reaches,
-    which the ResourceExceeded message names.
+    ``budget`` counts node steps: |base| + 1 of them always decide an
+    orbit, and a smaller budget may raise ResourceExceeded naming the
+    start node.  Where the S-family is not injective, the kernel's
+    ContractViolation names the base vector on the orbit at which f
+    could not be computed.
 
-    The guards run once, at entry; the chain walk uses the unguarded
-    predecessor kernel.
+    The guards (theta-commutation, a canonical x) run once, at entry;
+    the orbit walk uses the unguarded predecessor kernel.
     """
     pp.require_commuting()
-    memo = pp._cache.setdefault("s_verdict", {})
-    if x in memo:
-        return memo[x]
     _require_canonical(pp, x)
-    trail: list[PairElem] = []
-    verdict: Optional[Part] = None
-    cur = x
-    # each strip step shortens the S-prefix, so this reaches a pure-T
-    # state unless a known verdict comes first
-    while cur.s_prefix:
-        trail.append(cur)
-        cur = _s_pred_raw(pp, cur)[1]
-        if cur in memo:
-            verdict = memo[cur]
-            break
-    if verdict is None:
-        verdict = _pure_t_verdict(pp, cur, memo, trail, budget)
-    for state in trail:
-        memo[state] = verdict
-    return verdict
-
-
-def _pure_t_verdict(pp: PairPresentation, start: PairElem, memo: dict,
-                    trail: list, budget: int) -> Part:
-    # walks the chain from the pure-T state start, appending each state
-    # it passes to trail, until a certificate or a memoised verdict
-    data = _node_data(pp)
-    seen: set[PairElem] = set()
-    min_len: dict = {}
-    cur = start
-    for _ in range(budget):
-        if cur in memo:
-            return memo[cur]
-        if cur in seen:
-            return Part.UNITARY
-        trail.append(cur)
-        if cur.node in data["eternal"]:
-            return Part.UNITARY
-        if cur.node in data["dead"]:
-            return Part.SHIFT
-        if pp.n == 1:
-            length = len(cur.t_prefix)
-            if length == 0:
-                min_len.clear()
-            else:
-                best = min_len.get(cur.node)
-                if best is not None and best < length:
-                    return Part.UNITARY  # chain grows forever
-                min_len[cur.node] = length
-        seen.add(cur)
-        cur = _s_pred_raw(pp, cur)[1]
-    raise ResourceExceeded(
-        f"S-chain from {start!r} undecided after {budget} steps")
+    return _s_verdict(pp, x.node, budget)
 
 
 def t_membership(pp: PairPresentation, x: PairElem,
                  budget: int = DEFAULT_CHAIN_BUDGET) -> Part:
-    """Wold verdict of the T-family; delegates to the mirror pair."""
-    return s_membership(mirror(pp), mirror_elem(pp, x), budget)
+    """Wold verdict of the T-family: the mirror pair's S-verdict.
+
+    The mirror pair keeps every node, so this is decided at ``x.node``
+    as in :func:`s_membership`; the guards check the mirror pair's
+    theta-commutation and that x is canonical.
+    """
+    twin = mirror(pp)
+    twin.require_commuting()
+    _require_canonical(pp, x)
+    return _s_verdict(twin, x.node, budget)
 
 
 def s_in_V(pp: PairPresentation, x: PairElem,
@@ -374,11 +367,11 @@ def _condition_one(pp: PairPresentation, elems) -> Optional[FailureWitness]:
     # unguarded
     twin_checked = False
     for x in elems:
-        if s_membership(pp, x) is not Part.UNITARY:
+        if _s_verdict(pp, x.node) is not Part.UNITARY:
             continue
         for j in range(1, pp.n + 1):
             y = _t_apply_raw(pp, j, x)
-            if s_membership(pp, y) is not Part.UNITARY:
+            if _s_verdict(pp, y.node) is not Part.UNITARY:
                 return FailureWitness(
                     "unitary-part-of-S-invariant-under-T", x,
                     f"T_{j} maps it to {y!r}, which is S-shift")
@@ -388,7 +381,8 @@ def _condition_one(pp: PairPresentation, elems) -> Optional[FailureWitness]:
             mirror(pp).require_commuting()
             twin_checked = True
         step = _t_pred_raw(pp, x)
-        if step is not None and s_membership(pp, step[1]) is not Part.UNITARY:
+        if (step is not None
+                and _s_verdict(pp, step[1].node) is not Part.UNITARY):
             return FailureWitness(
                 "unitary-part-of-S-closed-under-T-adjoint", x,
                 f"its T-predecessor {step[1]!r} is S-shift")
@@ -400,18 +394,22 @@ def _condition_two(pp: PairPresentation, elems) -> Optional[FailureWitness]:
     # S_i and its adjoint; staying S-shift is automatic (chains factor
     # through the original element), the T-verdict is the live question;
     # the kernels run unguarded, as in _condition_one
+    twin = mirror(pp)
     for x in elems:
-        if (s_membership(pp, x) is not Part.SHIFT
-                or t_membership(pp, x) is not Part.UNITARY):
+        if _s_verdict(pp, x.node) is not Part.SHIFT:
+            continue
+        twin.require_commuting()  # where the first T-verdict needs it
+        if _s_verdict(twin, x.node) is not Part.UNITARY:
             continue
         for i in range(1, pp.m + 1):
             y = _s_apply_raw(pp, i, x)
-            if t_membership(pp, y) is not Part.UNITARY:
+            if _s_verdict(twin, y.node) is not Part.UNITARY:
                 return FailureWitness(
                     "T-unitary-part-of-S-shift-invariant-under-S", x,
                     f"S_{i} maps it to {y!r}, which is T-shift")
         step = _s_pred_raw(pp, x)
-        if step is not None and t_membership(pp, step[1]) is not Part.UNITARY:
+        if (step is not None
+                and _s_verdict(twin, step[1].node) is not Part.UNITARY):
             return FailureWitness(
                 "T-unitary-part-of-S-shift-closed-under-S-adjoint", x,
                 f"its S-predecessor {step[1]!r} is T-shift")
@@ -420,12 +418,13 @@ def _condition_two(pp: PairPresentation, elems) -> Optional[FailureWitness]:
 
 def _corner_descs(pp: PairPresentation) -> dict:
     corners = {"uu": [], "us": [], "su": [], "ss": []}
+    twin = mirror(pp)
     for b in pp.base:
-        e = PairElem((), (), b)
-        s_u = s_membership(pp, e) is Part.UNITARY
-        t_u = t_membership(pp, e) is Part.UNITARY
+        s_u = _s_verdict(pp, b) is Part.UNITARY
+        twin.require_commuting()  # as in _condition_two
+        t_u = _s_verdict(twin, b) is Part.UNITARY
         key = ("u" if s_u else "s") + ("u" if t_u else "s")
-        corners[key].append(e)
+        corners[key].append(PairElem((), (), b))
     return {key: SubspaceDesc(tuple(seeds), "forward-closure", pp)
             for key, seeds in corners.items()}
 
@@ -642,11 +641,11 @@ def verify_theorem_implications(pp: PairPresentation) -> ImplicationReport:
     ]
     bad = None
     for x in elems:
-        if s_membership(pp, x) is not Part.UNITARY:
+        if _s_verdict(pp, x.node) is not Part.UNITARY:
             continue
         for j in range(1, pp.n + 1):
             y = _t_apply_raw(pp, j, x)
-            if s_membership(pp, y) is not Part.UNITARY:
+            if _s_verdict(pp, y.node) is not Part.UNITARY:
                 bad = FailureWitness(
                     "S-unitary-part-T-invariance", x,
                     f"T_{j} maps it to {y!r}, which is S-shift")

@@ -13,13 +13,15 @@ import time
 import pytest
 
 from rowiso.lebesgue import UnitaryKind, classify_unitary, sing_membership_test
-from rowiso.oracle import materialize, run_fault_injection, verify_subspace
+from rowiso.oracle import (
+    _edge_maps,
+    materialize,
+    run_fault_injection,
+    verify_subspace,
+)
 from rowiso.pair import (
     PairElem,
-    PairPresentation,
     check_doubly_commute,
-    check_joint_isometry,
-    check_theta_commute,
     enumerate_pair,
     mirror,
     t_apply,
@@ -51,53 +53,20 @@ def _verdict(num, slug, violations, elapsed=None, budget=None):
         assert elapsed < budget, f"{line} exceeded {budget}s"
 
 
-def in_degree_one_maps(nodes, labels):
-    """Every edge map with global in-degree at most one (valid actions)."""
-    slots = [(node, lab) for node in nodes for lab in range(1, labels + 1)]
-    options = (None,) + tuple(nodes)
-    for combo in itertools.product(options, repeat=len(slots)):
-        targets = [t for t in combo if t is not None]
-        if len(targets) != len(set(targets)):
-            continue
-        yield {slot: t for slot, t in zip(slots, combo) if t is not None}
-
-
 @pytest.fixture(scope="module")
 def singles():
     out = []
     for m in (1, 2, 3):
         for k in (1, 2, 3):
             nodes = tuple("abc"[:k])
-            for edges in in_degree_one_maps(nodes, m):
+            for edges in _edge_maps(nodes, m):
                 out.append(Presentation(m, nodes, edges))
     assert len(out) == 1091
     return out
 
 
-@pytest.fixture(scope="module")
-def pair_space():
-    """All pair candidates with |base| <= 2, m,n <= 2, every twist."""
-    out = []
-    for m in (1, 2):
-        for n in (1, 2):
-            grid = [(i, j) for i in range(1, m + 1) for j in range(1, n + 1)]
-            thetas = [Theta(m, n, dict(zip(grid, perm)))
-                      for perm in itertools.permutations(grid)]
-            for k in (1, 2):
-                nodes = tuple("ab"[:k])
-                smaps = list(in_degree_one_maps(nodes, m))
-                tmaps = list(in_degree_one_maps(nodes, n))
-                for theta in thetas:
-                    for se in smaps:
-                        for te in tmaps:
-                            pp = PairPresentation(theta, nodes,
-                                                  dict(se), dict(te))
-                            commuting = check_theta_commute(pp).ok
-                            injective = (commuting
-                                         and check_joint_isometry(pp).ok)
-                            out.append((pp, commuting, injective))
-    assert len(out) == 11465
-    return out
+# the pair criteria take ``pair_space``, the 11,465-candidate pair space,
+# from conftest.py, where test_slocinski.py shares it
 
 
 def test_c1_wold_verified_exhaustively(singles):

@@ -15,7 +15,9 @@ from rowiso.pair import (
     enumerate_pair,
     free_pair,
     s_apply,
+    s_pred,
     t_apply,
+    t_pred,
 )
 from rowiso.slocinski import (
     Multiplicity,
@@ -55,6 +57,21 @@ def fresh(pp):
     # budgets need an uncached twin
     return PairPresentation(pp.theta, pp.base, dict(pp.s_edges),
                             dict(pp.t_edges))
+
+
+def chain_outcome(pp, x, pred, cap):
+    """"ends" or "revisits" for x's backward chain, None past the cap."""
+    seen = set()
+    cur = x
+    for _ in range(cap):
+        if cur in seen:
+            return "revisits"
+        seen.add(cur)
+        step = pred(pp, cur)
+        if step is None:
+            return "ends"
+        cur = step[1]
+    return None
 
 
 # -- chain verdicts -------------------------------------------------------------
@@ -127,6 +144,28 @@ class TestMembership:
             s_membership(pp, PairElem((), (), "a"), budget=0)
         # and the same question resolves exactly with a real budget
         assert s_membership(fresh(pp), PairElem((), (), "a")) is Part.SHIFT
+
+    def test_element_chains_agree_with_the_node_map(self, pair_space):
+        # an independent reading of the verdicts: walk each element's
+        # backward chain state by state with the public predecessors;
+        # a chain that ends reads shift for its family, one that
+        # revisits a state reads unitary, and one that does neither
+        # within the cap (an ever-growing chain) is not judged here
+        honest = [pp for pp, _, injective in pair_space if injective]
+        pairs = honest_pairs(433, 100) + honest[::23]
+        ended = revisited = 0
+        for pp in pairs:
+            for x in enumerate_pair(pp, len(pp.base) + 2):
+                for pred, verdict in ((s_pred, s_membership),
+                                      (t_pred, t_membership)):
+                    outcome = chain_outcome(pp, x, pred, cap=24)
+                    if outcome == "ends":
+                        assert verdict(pp, x) is Part.SHIFT, (pp, x)
+                        ended += 1
+                    elif outcome == "revisits":
+                        assert verdict(pp, x) is Part.UNITARY, (pp, x)
+                        revisited += 1
+        assert ended and revisited
 
     def test_verdicts_do_not_depend_on_memo_order(self):
         # every state a walk passes is memoised and a walk stops at the
