@@ -4,8 +4,15 @@ Everything here re-derives the basis action from the raw edge data and
 the word calculus, on purpose: the symbolic modules must never get to
 grade their own homework.  Each generator is a 0/1 partial injection on
 the canonical elements of bounded depth, held as one image index per
-column.  An operator is a pair of integer arrays (rows, cols), one entry
-of value 1 per pair, repeated pairs adding up; every identity is built
+column.  For a single family the image arrays are written in closed
+form: the basis is laid out layer by layer, a prefix of length at least
+one never absorbs, so each generator shifts a whole layer onto a run of
+the next one, and only the depth-zero columns consult the edges.  Pair
+arrays are filled column by column from the letter calculus.  Subspace
+claims read a description's membership once for the whole basis.
+
+An operator is a pair of integer arrays (rows, cols), one entry of
+value 1 per pair, repeated pairs adding up; every identity is built
 from transpose, product and sum on that form and compared column by
 column with integer counts.  There are no floats and no tolerances.
 
@@ -47,18 +54,16 @@ SEARCH_BUDGET = 10 ** 7
 
 # ------------------------------------------------------------ model building
 
-def _raw_single_apply(edges: dict, m: int, i: int, x: Elem) -> Elem:
-    if not x.prefix:
-        hit = edges.get((x.node, i))
-        if hit is not None:
-            return Elem((), hit)
-    return Elem((i,) + x.prefix, x.node)
-
-
 def _over_budget(depth: int) -> ResourceExceeded:
     return ResourceExceeded(
         f"truncated basis at depth {depth} has more than {BASIS_BUDGET} "
         f"vectors, the budget")
+
+
+def _free_nodes(p: Presentation) -> list:
+    # per label i, in base order, the nodes where S_i does not absorb
+    return [[b for b in p.base if (b, i) not in p.edges]
+            for i in range(1, p.m + 1)]
 
 
 def _single_basis_size(p: Presentation, depth: int) -> int:
@@ -69,9 +74,7 @@ def _single_basis_size(p: Presentation, depth: int) -> int:
     of m^(L-1) * #{(b, i) not in edges}.  The sum stops once it passes
     the budget, so a deep truncation costs no more than a shallow one.
     """
-    free = sum((b, i) not in p.edges
-               for b in p.base for i in range(1, p.m + 1))
-    total, layer = len(p.base), free
+    total, layer = len(p.base), sum(map(len, _free_nodes(p)))
     for _ in range(depth):
         if not layer or total > BASIS_BUDGET:
             break
@@ -81,16 +84,75 @@ def _single_basis_size(p: Presentation, depth: int) -> int:
 
 
 def _raw_single_basis(p: Presentation, depth: int) -> tuple:
+    """Every element of prefix length at most ``depth``, layer by layer.
+
+    Layer L >= 1 lists, for each head of length L - 1 in lexicographic
+    order and each last letter i, the nodes where letter i does not
+    absorb: each head owns a block of ``sum_i |free_i|`` columns.
+    """
     # deliberately not presentation.enumerate: corrupted inputs must
     # still materialize so the matrix checks can expose them
-    out = []
-    for length in range(depth + 1):
-        for prefix in itertools.product(range(1, p.m + 1), repeat=length):
-            for b in p.base:
-                if prefix and (b, prefix[-1]) in p.edges:
-                    continue
-                out.append(Elem(prefix, b))
+    free = _free_nodes(p)
+    out = [Elem((), b) for b in p.base]
+    heads = [()]
+    for _ in range(depth):
+        if not any(free):
+            break  # every deeper layer is empty
+        out.extend(Elem(head + (i,), b) for head in heads
+                   for i, nodes in enumerate(free, 1) for b in nodes)
+        heads = [head + (i,) for head in heads for i in range(1, p.m + 1)]
     return tuple(out)
+
+
+def _single_images(p: Presentation, depth: int) -> tuple:
+    """Each generator's image array and the column depths, in closed form.
+
+    A prefix of length L >= 1 never absorbs, so ``S_i`` maps layer L of
+    ``_raw_single_basis`` onto the i-th of m equal runs of layer L + 1,
+    column for column: ``offset[L+1] + (i-1)*size[L] + arange(size[L])``.
+    Only the |base| depth-zero columns are looked up in ``p.edges``.  A
+    node declared twice appears twice in each run, and its row is its
+    last occurrence, as in the model's index.
+    """
+    import numpy as np
+
+    free = _free_nodes(p)
+    last = []  # per label: node -> its last position in the block
+    rep = []   # per block position: the row that names the same element
+    for nodes in free:
+        at = {b: len(rep) + k for k, b in enumerate(nodes)}
+        last.append(at)
+        rep.extend(at[b] for b in nodes)
+    width = len(rep)
+    sizes = [len(p.base)]
+    for length in range(1, depth + 1):
+        if not width:
+            break
+        sizes.append(width * p.m ** (length - 1))
+    offsets = [0]
+    for size in sizes:
+        offsets.append(offsets[-1] + size)
+    # the rows naming layer L's columns, relative to the layer's start,
+    # are a prefix of this array for every L >= 1
+    named = (np.arange(sizes[-2] // width if len(sizes) > 2 else 0,
+                       dtype=np.int64)[:, None] * width
+             + np.array(rep, dtype=np.int64)).ravel()
+    imgs = {}
+    for i in range(1, p.m + 1):
+        arr = np.full(offsets[-1], -1, dtype=np.int64)
+        for col, b in enumerate(p.base):
+            hit = p.edges.get((b, i))
+            if hit is not None:
+                arr[col] = p.node_index.get(hit, -1)
+            elif b in last[i - 1]:  # not an edge whose target is None
+                arr[col] = offsets[1] + last[i - 1][b]
+        for length in range(1, len(sizes) - 1):
+            size = sizes[length]
+            arr[offsets[length]:offsets[length + 1]] = (
+                offsets[length + 1] + (i - 1) * size + named[:size])
+        imgs[("s", i)] = arr
+    depths = np.repeat(np.arange(len(sizes), dtype=np.int64), sizes)
+    return imgs, depths
 
 
 def _pair_basis_lower_bound(pp: PairPresentation, depth: int) -> int:
@@ -162,6 +224,10 @@ class OracleModel:
     when the image falls outside the basis (a boundary column).  It is
     the generator's 0/1 matrix, and every identity is computed from it;
     ``interior`` flags vectors whose every generator image is in-basis.
+    ``index`` maps each element to its column and ``depths`` holds each
+    column's depth.  A single family's basis is ordered by layer (prefix
+    length), which is what lets ``materialize`` write its arrays in
+    closed form.
     """
 
     presentation: object
@@ -198,7 +264,11 @@ def materialize(p: Union[Presentation, PairPresentation],
 
     The action is recomputed from the raw edge dictionaries, so a
     corrupted presentation materializes to matrices that expose the
-    corruption instead of hiding it.  A truncation over
+    corruption instead of hiding it.  A single family's arrays come in
+    closed form from the layer layout (``_single_images``): ``S_i``
+    maps layer L >= 1 onto a run of layer L + 1, and only the |base|
+    depth-zero columns are looked up in the edges.  A pair's arrays
+    apply the letter calculus to every column.  A truncation over
     ``BASIS_BUDGET`` vectors raises ``ResourceExceeded`` before the
     basis is built past the budget and before numpy is loaded.
     """
@@ -221,18 +291,16 @@ def materialize(p: Union[Presentation, PairPresentation],
     import numpy as np
 
     index = {x: k for k, x in enumerate(basis)}
-    n = len(basis)
-    imgs = {}
-    for key in keys:
-        arr = np.full(n, -1, dtype=np.int64)
-        for col, x in enumerate(basis):
-            if pair:
-                y = _raw_pair_apply(p, key[0], key[1], x)
-            else:
-                y = _raw_single_apply(p.edges, p.m, key[1], x)
-            arr[col] = index.get(y, -1)
-        imgs[key] = arr
-    depths = np.array([x.depth for x in basis], dtype=np.int64)
+    if pair:
+        imgs = {}
+        for key in keys:
+            arr = np.full(len(basis), -1, dtype=np.int64)
+            for col, x in enumerate(basis):
+                arr[col] = index.get(_raw_pair_apply(p, key[0], key[1], x), -1)
+            imgs[key] = arr
+        depths = np.array([x.depth for x in basis], dtype=np.int64)
+    else:
+        imgs, depths = _single_images(p, depth)
     return OracleModel(p, depth, basis, index, keys, imgs, depths, adj)
 
 
@@ -382,30 +450,45 @@ def _verify_range_projection(rows: list, model: OracleModel, fam: str,
     # the range projection must vanish exactly on wandering vectors and
     # restrict to the identity on the unitary part
     p = model.presentation
-    if model.is_pair:
-        dead = dead_nodes(p if fam == "s" else mirror(p))
-
-        def wandering(x):
-            # the family's own letters: a wandering vector has none
-            letters = x.s_prefix if fam == "s" else x.t_prefix
-            return not letters and x.node in dead
-
-        def unitary(x):
-            verdict = (s_membership(p, x) if fam == "s"
-                       else t_membership(p, x))
-            return verdict is Part.UNITARY
-    else:
+    basis = model.basis
+    if not model.is_pair:
+        # wold validated p, so the basis is canonical in it and the
+        # checks run on whole columns at once
         res = wold(p)
-        wandering_set = set(res.wandering)
+        wandering = np.zeros(len(basis), dtype=bool)
+        wandering[[model.index[x] for x in res.wandering]] = True
+        unitary = np.array(res.unitary_part.contains_many(basis, p),
+                           dtype=bool)
+        has_pred = diag > 0
+        fails = (
+            (wandering & has_pred,
+             "range projection nonzero on wandering {!r}"),
+            (~wandering & ~has_pred,
+             "range projection vanishes off wandering at {!r}"),
+            (unitary & ~has_pred,
+             "range projection not identity on unitary {!r}"),
+        )
+        bad = valid & (fails[0][0] | fails[1][0] | fails[2][0])
+        if bad.any():
+            col = int(np.argmax(bad))
+            text = next(text for hit, text in fails if hit[col])
+            rows.append(text.format(basis[col]))
+        return
 
-        def wandering(x):
-            return x in wandering_set
+    dead = dead_nodes(p if fam == "s" else mirror(p))
 
-        def unitary(x):
-            return res.unitary_part.contains(x)
+    def wandering(x):
+        # the family's own letters: a wandering vector has none
+        letters = x.s_prefix if fam == "s" else x.t_prefix
+        return not letters and x.node in dead
+
+    def unitary(x):
+        verdict = (s_membership(p, x) if fam == "s"
+                   else t_membership(p, x))
+        return verdict is Part.UNITARY
 
     for col in np.nonzero(valid)[0]:
-        x = model.basis[col]
+        x = basis[col]
         has_pred = bool(diag[col])
         is_wandering = wandering(x)
         if is_wandering and has_pred:
@@ -467,12 +550,13 @@ def verify_subspace(model: OracleModel, sub: SubspaceDesc, claims,
                     family: str = "s") -> Report:
     """Check subspace claims as exact matrix identities.
 
-    Q is the diagonal 0/1 projection of the description over the basis.
-    Invariance and reduction are commutator checks on forward-interior
-    columns; unitary-on checks the range projection fixes Q; shift-on
-    walks each member's backward chain and demands certified death,
-    flagging any in-basis cycle.  ``family`` picks which family the
-    unitary-on / shift-on claims speak about.
+    Q is the diagonal 0/1 projection of the description over the basis,
+    read with one ``contains_many`` call.  Invariance and reduction are
+    commutator checks on forward-interior columns; unitary-on checks the
+    range projection fixes Q; shift-on walks each member's backward
+    chain (each column once) and demands certified death, flagging any
+    in-basis cycle.  ``family`` picks which family the unitary-on /
+    shift-on claims speak about.
     """
     import numpy as np
 
@@ -483,7 +567,8 @@ def verify_subspace(model: OracleModel, sub: SubspaceDesc, claims,
     if family not in ("s", "t"):
         raise ValidationError(f"family must be 's' or 't', got {family!r}")
     basis = model.basis
-    member = np.array([sub.contains(x) for x in basis], dtype=bool)
+    member = np.array(sub.contains_many(basis, model.presentation),
+                      dtype=bool)
     Q = _diag(member.astype(np.int64))
     for claim in sorted(set(claims)):
         fam = claim[0].lower() if claim[0] in "ST" else family
@@ -529,24 +614,25 @@ def _shift_on(model: OracleModel, member: np.ndarray, fam: str,
         arr = model.imgs[(fam, k)]
         cols = np.nonzero(arr >= 0)[0]
         pred[arr[cols]] = cols
-    safe = model.mask(adjoint=1)
-    out = []
-    for start in np.nonzero(member)[0]:
-        cur = int(start)
-        seen = set()
-        while True:
-            if not safe[cur]:
-                break  # cannot certify this column either way
-            if cur in seen:
-                out.append(f"shift-on fails: cycle through "
-                           f"{basis[int(start)]!r}")
-                return out
-            seen.add(cur)
-            nxt = int(pred[cur])
-            if nxt < 0:
+    pred = pred.tolist()
+    safe = model.mask(adjoint=1).tolist()
+    # a column's chain is its predecessor's chain one step longer, so
+    # each column is walked once; state 1 marks the current walk, state
+    # 2 a column whose chain dies or leaves the safe columns
+    state = [0] * n
+    for start in np.flatnonzero(member).tolist():
+        cur, path = start, []
+        while safe[cur] and state[cur] != 2:
+            if state[cur] == 1:
+                return [f"shift-on fails: cycle through {basis[start]!r}"]
+            state[cur] = 1
+            path.append(cur)
+            cur = pred[cur]
+            if cur < 0:
                 break  # certified death
-            cur = nxt
-    return out
+        for col in path:
+            state[col] = 2
+    return []
 
 
 # ------------------------------------------------------------------- search

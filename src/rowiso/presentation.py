@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product as _cartesian
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .errors import ValidationError
 from .words import Word
@@ -27,12 +27,14 @@ _builtin_enumerate = enumerate
 Node = str
 
 
-@dataclass(frozen=True)
-class Elem:
+class Elem(NamedTuple):
     """Canonical name ``S_prefix e_node`` of a basis vector.
 
     Canonical means fully absorbed: the innermost prefix letter has no
     edge at the node, so no shorter name denotes the same vector.
+
+    A named tuple, so construction, hashing and equality run in C; it
+    equals the plain tuple ``(prefix, node)``.
     """
 
     prefix: Word

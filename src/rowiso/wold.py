@@ -66,9 +66,7 @@ class SubspaceDesc:
             return True
         if self.mode == "explicit-finite":
             return x in self.seeds
-        seed_set = self._cache.get("seeds")
-        if seed_set is None:
-            seed_set = self._cache["seeds"] = frozenset(self.seeds)
+        seed_set = self._seed_set()
         if x in seed_set:
             return True
         if hasattr(x, "t_prefix"):
@@ -78,10 +76,55 @@ class SubspaceDesc:
         p = self.presentation
         p.require_valid()
         _require_canonical(p, x)
+        return self._reached(x, *self._node_closure())
+
+    def contains_many(self, xs, canonical_in=None) -> list:
+        """``[self.contains(x) for x in xs]``, with the guards run once.
+
+        The presentation is validated once, at the first element that
+        needs it, so an invalid one raises exactly where the
+        per-element calls would.  ``canonical_in`` names a presentation
+        every element of ``xs`` is canonical in, as the oracle's basis
+        is in its own presentation; when it equals this description's
+        presentation the per-element canonical guard is skipped.
+        """
+        if self.mode == "full-space":
+            return [True] * len(xs)
+        if self.mode == "explicit-finite":
+            seeds = self.seeds
+            return [x in seeds for x in xs]
+        seed_set = self._seed_set()
+        out = [True if x in seed_set
+               else type(x)((), (), x.node) in seed_set
+               if hasattr(x, "t_prefix") else None for x in xs]
+        if None in out:
+            p = self.presentation
+            p.require_valid()
+            if canonical_in is None or canonical_in != p:
+                for x, hit in zip(xs, out):
+                    if hit is None:
+                        _require_canonical(p, x)
+            deep, nodes = self._node_closure()
+            out = [hit if hit is not None
+                   else self._reached(x, deep, nodes) if deep
+                   else x.node in nodes for x, hit in zip(xs, out)]
+        return out
+
+    def _seed_set(self) -> frozenset:
+        seed_set = self._cache.get("seeds")
+        if seed_set is None:
+            seed_set = self._cache["seeds"] = frozenset(self.seeds)
+        return seed_set
+
+    def _node_closure(self) -> tuple:
         closure = self._cache.get("closure")
         if closure is None:
-            closure = self._cache["closure"] = _closure(p, seed_set)
-        deep, nodes = closure
+            closure = self._cache["closure"] = _closure(self.presentation,
+                                                        self._seed_set())
+        return closure
+
+    @staticmethod
+    def _reached(x: Elem, deep: frozenset, nodes: frozenset) -> bool:
         if deep:
             for k in range(1, len(x.prefix)):
                 if Elem(x.prefix[k:], x.node) in deep:

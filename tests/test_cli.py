@@ -16,10 +16,11 @@ from pathlib import Path
 
 import pytest
 
-from rowiso.cli import InputDocument, export_dot, main, parse, render
+from rowiso.cli import (InputDocument, _jsonable, export_dot, main, parse,
+                        render)
 from rowiso.errors import ValidationError
 from rowiso.pair import PairPresentation
-from rowiso.presentation import Presentation
+from rowiso.presentation import Elem, Presentation
 
 FREE2_DOC = {"m": 2, "base": ["b"], "s_edges": []}
 CYCLE_DOC = {"m": 1, "base": ["a", "b"],
@@ -310,6 +311,24 @@ class TestJsonOutput:
         payload = json.loads(capsys.readouterr().out)
         assert payload["multiplicity"] == 1
         assert payload["unitary_part"]["seeds"] == []
+
+    def test_json_single_elements_are_their_names(self, tmp_path, capsys):
+        # an element is a tuple, which json would write as a list; it
+        # must render as its name
+        doc = {"m": 2, "base": ["a", "b", "c"],
+               "s_edges": [["a", 1, "b"], ["b", 1, "a"]]}
+        path = doc_file(tmp_path, doc)
+        assert main(["wold", path, "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["unitary_part"]["seeds"] == ["<a>", "<b>"]
+        assert payload["shift_part"]["seeds"] == ["<c>"]
+        assert payload["wandering"] == ["<c>"]
+        assert main(["classify", path, "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["PH"]["seeds"] == ["<a>", "<b>"]
+        assert payload["components"][0]["V"]["seeds"] == ["<a>", "<b>"]
+        assert _jsonable([Elem((1,), "b"), Elem((2, 1), "c")]) == \
+            ["<s1|b>", "<s2 s1|c>"]
 
     def test_json_validate_violations(self, tmp_path, capsys):
         bad = {"m": 1, "base": ["a"], "s_edges": [["a", 2, "a"]]}

@@ -6,6 +6,7 @@ one-node self-loop, a two-node cycle, and the four-corner pair fixture
 whose decomposition is known node by node.
 """
 
+import itertools
 import time
 
 import numpy as np
@@ -14,6 +15,7 @@ import pytest
 from rowiso.errors import ResourceExceeded, ValidationError
 from rowiso.oracle import (
     SearchSpace,
+    _edge_maps,
     all_thetas,
     fault_library,
     materialize,
@@ -163,6 +165,89 @@ class TestMaterialize:
         model = materialize(FREE2, 3)
         assert model.adjoint_cost == 0
         assert (model.mask(adjoint=4) == model.mask()).all()
+
+
+# -- closed-form single-family images ----------------------------------------
+
+
+def _raw_single_apply(edges: dict, m: int, i: int, x: Elem) -> Elem:
+    # the per-column action the closed form replaces: only a depth-zero
+    # vector can absorb its new letter
+    if not x.prefix:
+        hit = edges.get((x.node, i))
+        if hit is not None:
+            return Elem((), hit)
+    return Elem((i,) + x.prefix, x.node)
+
+
+def reference_single_model(p: Presentation, depth: int) -> tuple:
+    """Basis, image arrays and depths of a single family, column by column."""
+    basis = []
+    for length in range(depth + 1):
+        for prefix in itertools.product(range(1, p.m + 1), repeat=length):
+            for b in p.base:
+                if prefix and (b, prefix[-1]) in p.edges:
+                    continue
+                basis.append(Elem(prefix, b))
+    index = {x: k for k, x in enumerate(basis)}
+    imgs = {("s", i): [index.get(_raw_single_apply(p.edges, p.m, i, x), -1)
+                       for x in basis]
+            for i in range(1, p.m + 1)}
+    return tuple(basis), imgs, [x.depth for x in basis]
+
+
+def single_space() -> list:
+    """The 1,091 single presentations with m, |base| <= 3."""
+    out = []
+    for m in (1, 2, 3):
+        for k in (1, 2, 3):
+            nodes = tuple("abc"[:k])
+            out.extend(Presentation(m, nodes, edges)
+                       for edges in _edge_maps(nodes, m))
+    assert len(out) == 1091
+    return out
+
+
+CORRUPTED_SINGLES = {
+    "duplicate-in-edge": Presentation(1, ("a", "b", "c"),
+                                      {("a", 1): "c", ("b", 1): "c"}),
+    "undeclared-target": Presentation(2, ("a", "b"), {("a", 1): "z"}),
+    "undeclared-source": Presentation(2, ("a", "b"), {("z", 2): "a"}),
+    "label-outside": Presentation(2, ("a", "b"),
+                                  {("a", 3): "b", ("b", 0): "a"}),
+    "self-loop": Presentation(2, ("a", "b"), {("a", 2): "a"}),
+    "node-declared-twice": Presentation(2, ("a", "b", "a"), {("b", 2): "a"}),
+    "edge-to-none": Presentation(2, ("a", "b"), {("a", 1): None}),
+}
+
+
+class TestClosedFormImages:
+    def assert_matches_reference(self, p, depth):
+        model = materialize(p, depth)
+        basis, imgs, depths = reference_single_model(p, depth)
+        assert model.basis == basis
+        assert model.keys == tuple(imgs)
+        for key, want in imgs.items():
+            assert model.imgs[key].dtype == np.int64
+            assert model.imgs[key].tolist() == want, (p, depth, key)
+        assert model.depths.tolist() == depths
+
+    def test_every_small_presentation_at_depths_one_to_five(self):
+        for p in single_space():
+            for depth in range(1, 6):
+                self.assert_matches_reference(p, depth)
+
+    @pytest.mark.parametrize("name", sorted(CORRUPTED_SINGLES))
+    def test_corrupted_presentations(self, name):
+        for depth in range(1, 6):
+            self.assert_matches_reference(CORRUPTED_SINGLES[name], depth)
+
+    def test_saturated_self_loop_stays_cheap(self):
+        # every slot absorbs, so every layer past the base is empty
+        model = materialize(SELF_LOOP, 500)
+        assert model.basis == (Elem((), "b"),)
+        assert model.imgs[("s", 1)].tolist() == [0]
+        assert model.depths.tolist() == [0]
 
 
 # -- operator kernels --------------------------------------------------------

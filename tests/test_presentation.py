@@ -286,6 +286,17 @@ class TestPresentationData:
         assert repr(Elem((1, 2), "c")) == "<s1 s2|c>"
         assert Elem((1, 2), "c").depth == 2
 
+    def test_elem_value_semantics(self):
+        x = Elem((2, 1), "c")
+        y = Elem(prefix=(2, 1), node="c")
+        assert x == y and x is not y
+        assert hash(x) == hash(y) == hash(((2, 1), "c"))
+        assert len({x, y, Elem((2,), "c"), Elem((2, 1), "b")}) == 3
+        assert (x.prefix, x.node) == ((2, 1), "c")
+        assert x.depth == 2
+        assert Elem((), "b").depth == 0
+        assert repr([(1, x), Elem((), "b")]) == "[(1, <s2 s1|c>), <b>]"
+
     def test_non_integer_label_rejected(self):
         with pytest.raises(ValidationError):
             Presentation(1, ("b",), {("b", "1"): "b"})

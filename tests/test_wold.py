@@ -12,9 +12,11 @@ import random
 import pytest
 
 from rowiso.errors import ValidationError
+from rowiso.pair import PairElem, PairPresentation, enumerate_pair
 from rowiso.presentation import Elem, Presentation, apply, free_presentation, pred
 from rowiso.presentation import enumerate as enumerate_basis
 from rowiso.wold import Part, SubspaceDesc, is_row_unitary, membership, wold
+from rowiso.words import Theta
 
 from test_presentation import random_presentation
 
@@ -22,6 +24,9 @@ FREE2 = free_presentation(2)
 LOOP1 = Presentation(1, ("b",), {("b", 1): "b"})
 LOOP2 = Presentation(2, ("b",), {("b", 1): "b"})
 MIXED = Presentation(2, ("b", "c"), {("b", 1): "b"})
+FOUR_CORNERS = PairPresentation(
+    Theta.identity(1, 1), ("a", "b", "c", "d"),
+    {("a", 1): "a", ("b", 1): "b"}, {("a", 1): "a", ("c", 1): "c"})
 
 
 def backward_chain_survives(p, x, steps):
@@ -253,3 +258,95 @@ class TestSubspaceDesc:
             d.contains(Elem((), "z"))
         with pytest.raises(ValidationError, match="outside 1..2"):
             d.contains(Elem((3,), "c"))
+
+
+# -- batch membership ---------------------------------------------------------
+
+
+def outcome(call):
+    """The value of ``call()``, or the type and text of what it raised."""
+    try:
+        return call()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def assert_batch_matches(d, xs, canonical_in=None):
+    want = outcome(lambda: [d.contains(x) for x in xs])
+    assert outcome(lambda: d.contains_many(xs, canonical_in)) == want
+    return want
+
+
+class TestContainsMany:
+    def test_matches_contains_on_random_presentations(self):
+        rng = random.Random(2039)
+        for _ in range(80):
+            p = random_presentation(rng)
+            xs = enumerate_basis(p, 4)
+            pool = enumerate_basis(p, 2)
+            roots = tuple(Elem((), b) for b in rng.sample(
+                p.base, rng.randint(0, len(p.base))))
+            deep = tuple(rng.sample(pool, min(len(pool), 3)))
+            res = wold(p)
+            descs = [
+                SubspaceDesc(roots, "forward-closure", p),
+                SubspaceDesc(deep, "forward-closure", p),
+                SubspaceDesc(deep, "explicit-finite", p),
+                SubspaceDesc((), "full-space", p),
+                res.unitary_part,
+                res.shift_part,
+            ]
+            twin = Presentation(p.m, p.base, dict(p.edges))
+            for d in descs:
+                want = assert_batch_matches(d, xs)
+                assert isinstance(want, list)
+                # the guard skipped for the presentation's own elements
+                assert d.contains_many(xs, p) == want
+                assert d.contains_many(xs, twin) == want
+                assert d.contains_many([]) == []
+
+    def test_deep_seeds_reach_their_forward_images(self):
+        d = SubspaceDesc((Elem((2,), "c"),), "forward-closure", MIXED)
+        xs = enumerate_basis(MIXED, 3)
+        got = d.contains_many(xs, MIXED)
+        assert got == [d.contains(x) for x in xs]
+        assert got[xs.index(Elem((1, 2), "c"))]
+        assert not got[xs.index(Elem((2, 1), "c"))]
+
+    def test_pair_elements(self):
+        roots = (PairElem((), (), "a"), PairElem((), (), "c"))
+        spot = (PairElem((), (), "b"), PairElem((1,), (), "d"))
+        xs = enumerate_pair(FOUR_CORNERS, 3)
+        for d in (SubspaceDesc(roots, "forward-closure", FOUR_CORNERS),
+                  SubspaceDesc(spot, "explicit-finite", FOUR_CORNERS),
+                  SubspaceDesc((), "full-space", FOUR_CORNERS)):
+            want = assert_batch_matches(d, xs, FOUR_CORNERS)
+            assert want == d.contains_many(xs)
+            assert True in want
+        # a single-family description answers joint elements by node
+        d = SubspaceDesc((Elem((), "a"),), "forward-closure", MIXED)
+        xs = [PairElem((1,), (), "a"), PairElem((), (1,), "b")]
+        assert assert_batch_matches(d, xs, MIXED) == [False, False]
+
+    def test_invalid_presentation_raises_as_contains_does(self):
+        bad = Presentation(1, ("a", "b", "c"), {("a", 1): "c", ("b", 1): "c"})
+        d = SubspaceDesc((Elem((), "a"),), "forward-closure", bad)
+        xs = [Elem((), "a"), Elem((), "b"), Elem((1,), "a")]
+        want = assert_batch_matches(d, xs, bad)
+        assert want == (ValidationError,
+                        "node 'c' has in-degree 2: ('a',1), ('b',1)")
+        # seeds are answered before the presentation is looked at
+        assert assert_batch_matches(d, xs[:1], bad) == [True]
+
+    def test_foreign_element_raises_as_contains_does(self):
+        # <s1|c> is canonical in the edge-free family, not where letter
+        # 1 absorbs at c
+        p = Presentation(1, ("a", "c"), {("c", 1): "a"})
+        q = Presentation(1, ("a", "c"), {})
+        xs = enumerate_basis(q, 2)
+        for seeds in ((Elem((), "a"),), (Elem((), "c"),)):
+            d = SubspaceDesc(seeds, "forward-closure", p)
+            want = (ValidationError, "element <s1|c> is not canonical: "
+                                     "letter 1 absorbs at 'c'")
+            assert assert_batch_matches(d, xs) == want
+            assert assert_batch_matches(d, xs, q) == want
