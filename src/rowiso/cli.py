@@ -3,7 +3,12 @@
 Input documents carry exactly the keys m, base, s_edges and optionally
 n, theta, t_edges (the last three together describe a commuting pair).
 Unknown keys are rejected outright; silent typos have ruined enough
-experiments.  Labels are 1-based everywhere, matching the library.
+experiments.  Node names are JSON strings, edge rows are
+``[node, label, node]`` and theta rows are four integers
+``[i, j, i', j']``.  Labels are 1-based everywhere, matching the
+library.  :func:`parse` is the one reader of this schema and returns
+the built presentation; every subcommand that takes a document,
+``export-dot`` included, refuses the same malformed documents.
 
 Exit codes: 0 the property holds / success, 1 the property fails (not
 commuting, no decomposition, oracle violation), 2 invalid input, 3
@@ -19,8 +24,7 @@ import argparse
 import enum
 import json
 import sys
-from dataclasses import dataclass, fields, is_dataclass
-from typing import Optional
+from dataclasses import fields, is_dataclass
 
 from .errors import ContractViolation, ResourceExceeded, ValidationError
 from .lebesgue import classify_unitary
@@ -37,55 +41,13 @@ from .words import Theta
 _DOC_KEYS = {"m", "n", "theta", "base", "s_edges", "t_edges"}
 
 
-@dataclass(frozen=True)
-class InputDocument:
-    m: int
-    base: tuple
-    s_edges: tuple
-    n: Optional[int] = None
-    theta: Optional[Theta] = None
-    t_edges: Optional[tuple] = None
+def parse(text: str) -> Presentation | PairPresentation:
+    """Parse a strict JSON document into a Presentation or PairPresentation.
 
-    @property
-    def is_pair(self) -> bool:
-        return self.n is not None
-
-    def build(self):
-        if self.is_pair:
-            return PairPresentation(
-                self.theta, self.base,
-                _edge_dict(self.s_edges), _edge_dict(self.t_edges or ()))
-        return Presentation(self.m, self.base, _edge_dict(self.s_edges))
-
-
-def _edge_dict(rows) -> dict:
-    out = {}
-    for src, lab, dst in rows:
-        key = (src, lab)
-        if key in out:
-            raise ValidationError(f"edge ({src}, {lab}) declared twice")
-        out[key] = dst
-    return out
-
-
-def _edge_rows(rows, name: str) -> tuple:
-    if not isinstance(rows, list):
-        raise ValidationError(f"{name} must be a list of [node, label, node]")
-    clean = []
-    for row in rows:
-        if (not isinstance(row, list) or len(row) != 3
-                or not isinstance(row[1], int)):
-            raise ValidationError(
-                f"{name} rows must be [node, label, node], got {row!r}")
-        clean.append((row[0], row[1], row[2]))
-    return tuple(clean)
-
-
-def parse(text: str) -> InputDocument:
-    """Parse a strict JSON document into an InputDocument.
-
-    Malformed JSON reports line and column; schema violations name the
-    offending key.  Semantic checks (edge targets, label ranges) are
+    This is the one reader of the document schema.  Malformed JSON
+    reports line and column; schema violations name the offending key.
+    Type and range checks beyond the document's shape live in the
+    constructors; semantic checks (edge targets, label ranges) are
     deferred to the validate machinery.
     """
     try:
@@ -94,6 +56,8 @@ def parse(text: str) -> InputDocument:
         raise ValidationError(
             f"malformed JSON at line {exc.lineno}, column {exc.colno}: "
             f"{exc.msg}") from None
+    except RecursionError:
+        raise ValidationError("malformed JSON: nested too deeply") from None
     if not isinstance(raw, dict):
         raise ValidationError("document must be a JSON object")
     unknown = set(raw) - _DOC_KEYS
@@ -104,37 +68,45 @@ def parse(text: str) -> InputDocument:
             raise ValidationError(f"missing required key {key!r}")
     if not isinstance(raw["m"], int):
         raise ValidationError("m must be an integer")
-    if not isinstance(raw["base"], list):
+    base = raw["base"]
+    if not isinstance(base, list) or not all(isinstance(b, str)
+                                             for b in base):
         raise ValidationError("base must be a list of node names")
     n = raw.get("n")
     if n is not None and not isinstance(n, int):
         raise ValidationError("n must be an integer")
     if (n is None) != ("theta" not in raw):
         raise ValidationError("theta is required exactly when n is present")
-    if n is None and "t_edges" in raw:
-        raise ValidationError("t_edges requires n")
-    theta = None
-    if n is not None:
+    if n is None:
+        if "t_edges" in raw:
+            raise ValidationError("t_edges requires n")
+    else:
         rows = raw["theta"]
         if (not isinstance(rows, list)
                 or any(not isinstance(r, list) or len(r) != 4 for r in rows)):
             raise ValidationError("theta must be a list of quadruples")
-        theta = Theta.from_quadruples(raw["m"], n,
-                                      [tuple(r) for r in rows])
+        theta = Theta.from_quadruples(raw["m"], n, rows)
+    edges = {}
+    for name in ("s_edges", "t_edges"):
+        rows = raw.get(name, [])
+        if not isinstance(rows, list):
+            raise ValidationError(
+                f"{name} must be a list of [node, label, node]")
+        edges[name] = family = {}
+        for row in rows:
+            if (not isinstance(row, list) or len(row) != 3
+                    or not isinstance(row[0], str)
+                    or not isinstance(row[1], int)
+                    or not isinstance(row[2], str)):
+                raise ValidationError(
+                    f"{name} rows must be [node, label, node], got {row!r}")
+            src, lab, dst = row
+            if (src, lab) in family:
+                raise ValidationError(f"edge ({src}, {lab}) declared twice")
+            family[(src, lab)] = dst
     if n is None:
-        t_edges = None
-    elif "t_edges" in raw:
-        t_edges = _edge_rows(raw["t_edges"], "t_edges")
-    else:
-        t_edges = ()
-    return InputDocument(
-        m=raw["m"],
-        base=tuple(raw["base"]),
-        s_edges=_edge_rows(raw["s_edges"], "s_edges"),
-        n=n,
-        theta=theta,
-        t_edges=t_edges,
-    )
+        return Presentation(raw["m"], base, edges["s_edges"])
+    return PairPresentation(theta, base, edges["s_edges"], edges["t_edges"])
 
 
 # ---------------------------------------------------------------- rendering
@@ -202,14 +174,15 @@ def _flat(value) -> str:
     return str(value)
 
 
-def export_dot(doc: InputDocument) -> str:
+def export_dot(p: Presentation | PairPresentation) -> str:
     """Graphviz rendering: solid s-edges, dashed t-edges, stable order."""
+    doc = p.to_dict()
     lines = ["digraph presentation {"]
-    for node in doc.base:
+    for node in doc["base"]:
         lines.append(f'  "{node}";')
-    for src, lab, dst in sorted(doc.s_edges):
+    for src, lab, dst in doc["s_edges"]:
         lines.append(f'  "{src}" -> "{dst}" [style=solid, label="s {lab}"];')
-    for src, lab, dst in sorted(doc.t_edges or ()):
+    for src, lab, dst in doc.get("t_edges", ()):
         lines.append(f'  "{src}" -> "{dst}" [style=dashed, label="t {lab}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
@@ -231,8 +204,7 @@ def _need_single(built) -> Presentation:
     return built
 
 
-def _cmd_validate(doc: InputDocument, args) -> tuple:
-    built = doc.build()
+def _cmd_validate(built, args) -> tuple:
     if isinstance(built, PairPresentation):
         report = validate_pair(built)
     else:
@@ -242,8 +214,8 @@ def _cmd_validate(doc: InputDocument, args) -> tuple:
     return (0 if report.ok else 1), payload
 
 
-def _cmd_wold(doc: InputDocument, args) -> tuple:
-    p = _need_single(doc.build())
+def _cmd_wold(built, args) -> tuple:
+    p = _need_single(built)
     p.require_valid()
     res = wold(p)
     payload = {
@@ -256,8 +228,8 @@ def _cmd_wold(doc: InputDocument, args) -> tuple:
     return 0, payload
 
 
-def _cmd_classify(doc: InputDocument, args) -> tuple:
-    p = _need_single(doc.build())
+def _cmd_classify(built, args) -> tuple:
+    p = _need_single(built)
     p.require_valid()
     res = classify_unitary(p)
     payload = {
@@ -276,8 +248,8 @@ def _cmd_classify(doc: InputDocument, args) -> tuple:
     return 0, payload
 
 
-def _cmd_check_commute(doc: InputDocument, args) -> tuple:
-    pp = _need_pair(doc.build())
+def _cmd_check_commute(built, args) -> tuple:
+    pp = _need_pair(built)
     pp.require_valid()
     report = check_theta_commute(pp)
     payload = {"commuting": report.ok,
@@ -285,8 +257,8 @@ def _cmd_check_commute(doc: InputDocument, args) -> tuple:
     return (0 if report.ok else 1), payload
 
 
-def _cmd_check_doubly(doc: InputDocument, args) -> tuple:
-    pp = _need_pair(doc.build())
+def _cmd_check_doubly(built, args) -> tuple:
+    pp = _need_pair(built)
     pp.require_valid()
     report = check_doubly_commute(pp)
     payload = {"doubly_commuting": report.ok,
@@ -294,8 +266,8 @@ def _cmd_check_doubly(doc: InputDocument, args) -> tuple:
     return (0 if report.ok else 1), payload
 
 
-def _cmd_slocinski(doc: InputDocument, args) -> tuple:
-    pp = _need_pair(doc.build())
+def _cmd_slocinski(built, args) -> tuple:
+    pp = _need_pair(built)
     pp.require_valid()
     res = slocinski(pp, order=args.order)
     hyp = check_hypotheses(pp)
@@ -315,10 +287,10 @@ def _cmd_slocinski(doc: InputDocument, args) -> tuple:
     return (0 if res.exists else 1), payload
 
 
-def _cmd_oracle(doc: InputDocument, args) -> tuple:
-    built = doc.build()
+def _cmd_oracle(built, args) -> tuple:
     built.require_valid()
-    depth = args.depth if args.depth else max(4, len(built.base) + 2)
+    depth = (args.depth if args.depth is not None
+             else max(4, len(built.base) + 2))
     model = materialize(built, depth)
     report = verify_relations(model)
     payload = {
@@ -343,15 +315,22 @@ def _cmd_search(args) -> tuple:
     return 0, payload
 
 
-def _cmd_export_dot(doc: InputDocument, args) -> tuple:
-    return 0, {"dot": export_dot(doc)}
+def _cmd_export_dot(built, args) -> tuple:
+    return 0, {"dot": export_dot(built)}
 
 
 def _read_input(args) -> str:
-    if args.file == "-":
-        return sys.stdin.read()
-    with open(args.file, "r", encoding="utf-8") as fh:
-        return fh.read()
+    try:
+        if args.file == "-":
+            text = sys.stdin.read()
+            # stdin may decode bad bytes to lone surrogates instead of
+            # failing; encoding them back fails
+            text.encode("utf-8")
+            return text
+        with open(args.file, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeError as exc:
+        raise ValidationError(f"input is not UTF-8: {exc}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -377,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--order", choices=("st", "ts"), default="st",
                      help="which family's split is taken first")
     sub = file_sub("oracle", "matrix verification on a truncation")
-    sub.add_argument("--depth", type=int, default=0,
+    sub.add_argument("--depth", type=int, default=None,
                      help="truncation depth (default max(4, |base|+2))")
     sub = subs.add_parser("search", help="exhaustive sweep for a property")
     sub.add_argument("--max-base", type=int, required=True)
@@ -410,8 +389,8 @@ def main(argv=None) -> int:
         if args.command == "search":
             code, payload = _cmd_search(args)
         else:
-            doc = parse(_read_input(args))
-            code, payload = _HANDLERS[args.command](doc, args)
+            built = parse(_read_input(args))
+            code, payload = _HANDLERS[args.command](built, args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

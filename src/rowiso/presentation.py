@@ -125,19 +125,6 @@ class Presentation:
                         for (src, label), dst in sorted(self.edges.items())],
         }
 
-    @classmethod
-    def from_dict(cls, doc: dict) -> "Presentation":
-        edges = {}
-        for row in doc.get("s_edges", []):
-            if len(row) != 3:
-                raise ValidationError(f"edge row {row!r} is not a triple")
-            src, label, dst = row
-            if (src, label) in edges:
-                raise ValidationError(
-                    f"duplicate edge for node {src!r} label {label}")
-            edges[(src, label)] = dst
-        return cls(doc["m"], doc["base"], edges)
-
 
 def free_presentation(m: int, base: Iterable[Node] = ("b",)) -> Presentation:
     """The edge-free presentation: the left-regular action on each node."""
@@ -161,6 +148,10 @@ def validate(p: Presentation) -> ValidationReport:
         if b in seen:
             violations.append(f"base node {b!r} declared twice")
         seen.add(b)
+    if None in seen:
+        # None is the "no edge" sentinel of the edge lookups
+        violations.append("base node None is reserved: it marks a "
+                          "missing edge")
     in_count: dict[Node, list] = {}
     for (src, label), dst in sorted(p.edges.items(), key=lambda kv: str(kv)):
         if src not in p.node_index:

@@ -95,6 +95,9 @@ class Theta:
         for q in quads:
             if len(q) != 4:
                 raise ValidationError(f"theta row {q!r} is not a quadruple")
+            if any(not isinstance(v, int) or isinstance(v, bool) for v in q):
+                raise ValidationError(
+                    f"theta row {q!r} has a non-integer entry")
             key = (q[0], q[1])
             if key in mapping:
                 raise ValidationError(f"theta maps ({q[0]},{q[1]}) twice")

@@ -10,17 +10,19 @@ loads can only be read in a fresh interpreter.
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from rowiso.cli import (InputDocument, _jsonable, export_dot, main, parse,
-                        render)
+from rowiso.cli import _jsonable, export_dot, main, parse, render
 from rowiso.errors import ValidationError
 from rowiso.pair import PairPresentation
 from rowiso.presentation import Elem, Presentation
+
+from test_oracle import single_space
 
 FREE2_DOC = {"m": 2, "base": ["b"], "s_edges": []}
 CYCLE_DOC = {"m": 1, "base": ["a", "b"],
@@ -60,15 +62,13 @@ def doc_file(tmp_path, payload, name="doc.json"):
 
 class TestParse:
     def test_single_round_trip(self):
-        doc = parse(json.dumps(CYCLE_DOC))
-        built = doc.build()
+        built = parse(json.dumps(CYCLE_DOC))
         assert isinstance(built, Presentation)
         assert built.base == ("a", "b")
         assert built.edges == {("a", 1): "b", ("b", 1): "a"}
 
     def test_pair_round_trip(self):
-        doc = parse(json.dumps(FOUR_CORNERS_DOC))
-        built = doc.build()
+        built = parse(json.dumps(FOUR_CORNERS_DOC))
         assert isinstance(built, PairPresentation)
         assert built.theta.is_identity
         assert built.t_edges == {("a", 1): "a", ("c", 1): "c"}
@@ -100,22 +100,28 @@ class TestParse:
         with pytest.raises(ValidationError, match="JSON object"):
             parse("[1, 2]")
 
+    def test_deep_nesting_is_malformed(self):
+        with pytest.raises(ValidationError, match="nested too deeply"):
+            parse('{"m": ' + "[" * 100000)
+
     def test_edge_rows_shape_checked(self):
         bad = dict(FREE2_DOC, s_edges=[["a", "one", "a"]])
         with pytest.raises(ValidationError, match="node, label, node"):
             parse(json.dumps(bad))
 
     def test_pair_without_t_edges_defaults_empty(self):
-        doc = parse(json.dumps({"m": 1, "n": 1, "theta": [[1, 1, 1, 1]],
-                                "base": ["b"], "s_edges": []}))
-        assert doc.t_edges == ()
-        assert doc.build().t_edges == {}
+        built = parse(json.dumps({"m": 1, "n": 1, "theta": [[1, 1, 1, 1]],
+                                  "base": ["b"], "s_edges": []}))
+        assert built.t_edges == {}
 
     def test_duplicate_edge_slot_rejected_on_build(self):
-        doc = parse(json.dumps(dict(
-            CYCLE_DOC, s_edges=[["a", 1, "b"], ["a", 1, "a"]])))
         with pytest.raises(ValidationError, match="declared twice"):
-            doc.build()
+            parse(json.dumps(dict(
+                CYCLE_DOC, s_edges=[["a", 1, "b"], ["a", 1, "a"]])))
+
+    def test_every_presentation_round_trips(self, pair_space):
+        for x in single_space() + [pp for pp, _, _ in pair_space[::23]]:
+            assert parse(json.dumps(x.to_dict())) == x
 
 
 # -- rendering ---------------------------------------------------------------
@@ -134,11 +140,11 @@ class TestRender:
                         "  right: false\n")
 
     def test_export_dot_exact_bytes(self):
-        doc = parse(json.dumps({
+        pp = parse(json.dumps({
             "m": 1, "n": 1, "theta": [[1, 1, 1, 1]],
             "base": ["a", "b"],
             "s_edges": [["a", 1, "b"]], "t_edges": [["b", 1, "a"]]}))
-        assert export_dot(doc) == (
+        assert export_dot(pp) == (
             'digraph presentation {\n'
             '  "a";\n'
             '  "b";\n'
@@ -194,6 +200,84 @@ class TestExitCodes:
                      "--theta-all", "--property", "doubly-commuting"])
         assert code == 3
         assert "budget exceeded" in capsys.readouterr().err
+
+
+# -- malformed input ---------------------------------------------------------
+
+# the fuzz test's replacement values: one of every JSON type, with the
+# float, bool and string lookalikes of an integer
+JUNK = (None, [], ["x"], {}, {"x": 1}, 1.5, True, "1")
+
+
+def _slots(value, path=()):
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, list):
+        items = enumerate(value)
+    else:
+        return
+    for key, item in items:
+        yield path + (key,)
+        yield from _slots(item, path + (key,))
+
+
+def mutant(doc: dict, rng: random.Random) -> dict:
+    """``doc`` with one key dropped, or one value or row entry replaced."""
+    doc = json.loads(json.dumps(doc))
+    *parents, last = rng.choice(list(_slots(doc)))
+    holder = doc
+    for key in parents:
+        holder = holder[key]
+    if isinstance(holder, dict) and rng.random() < 0.25:
+        del holder[last]
+    else:
+        holder[last] = rng.choice(JUNK)
+    return doc
+
+
+class TestMalformedInput:
+    def test_fuzzed_documents_never_escape_main(self, capsys, monkeypatch):
+        rng = random.Random(8)
+        docs = (FREE2_DOC, CYCLE_DOC, FOUR_CORNERS_DOC, TWISTED_FREE_DOC,
+                COLLISION_DOC, NONCOMMUTING_DOC)
+        codes = set()
+        for _ in range(300):
+            text = json.dumps(mutant(rng.choice(docs), rng))
+            for command in ("validate", "export-dot"):
+                monkeypatch.setattr("sys.stdin", io.StringIO(text))
+                codes.add(main([command, "-"]))
+        capsys.readouterr()
+        assert codes == {0, 1, 2}
+
+    @pytest.mark.parametrize("doc, message", [
+        (dict(FREE2_DOC, base=[["x"]]), "base must be a list of node names"),
+        (dict(FREE2_DOC, base=[1]), "base must be a list of node names"),
+        (dict(CYCLE_DOC, s_edges=[["a", 1, {"x": 1}]]), "node, label, node"),
+        (dict(CYCLE_DOC, s_edges=[["a", 1, 5]]), "node, label, node"),
+        (dict(FOUR_CORNERS_DOC, theta=[[1, 1, 1.5, 1]]), "non-integer"),
+        (dict(FOUR_CORNERS_DOC, theta=[[1, 1, [1], 1]]), "non-integer"),
+        (dict(FOUR_CORNERS_DOC, theta=[[1, 1, "1", 1]]), "non-integer"),
+    ])
+    def test_malformed_document_is_two(self, tmp_path, capsys, doc, message):
+        for command in ("validate", "export-dot"):
+            assert main([command, doc_file(tmp_path, doc)]) == 2
+            assert message in capsys.readouterr().err
+
+    def test_non_utf8_input_is_two(self, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"m": 2, "base": ["\xff"], "s_edges": []}')
+        assert main(["validate", str(path)]) == 2
+        assert "error: input is not UTF-8" in capsys.readouterr().err
+        # stdin decodes undecodable bytes to lone surrogates
+        text = path.read_bytes().decode("utf-8", "surrogateescape")
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        assert main(["validate", "-"]) == 2
+        assert "error: input is not UTF-8" in capsys.readouterr().err
+
+    def test_export_dot_refuses_a_duplicate_slot(self, tmp_path, capsys):
+        doc = dict(CYCLE_DOC, s_edges=[["a", 1, "b"], ["a", 1, "a"]])
+        assert main(["export-dot", doc_file(tmp_path, doc)]) == 2
+        assert "declared twice" in capsys.readouterr().err
 
 
 # -- subcommands -------------------------------------------------------------
@@ -254,6 +338,12 @@ class TestSubcommands:
         assert main(["oracle", doc_file(tmp_path, free3),
                      "--depth", "11"]) == 3
         assert "budget exceeded" in capsys.readouterr().err
+
+    def test_oracle_depth_below_one_is_two(self, tmp_path, capsys):
+        path = doc_file(tmp_path, CYCLE_DOC)
+        for depth in ("0", "-1"):
+            assert main(["oracle", path, "--depth", depth]) == 2
+            assert "depth must be at least 1" in capsys.readouterr().err
 
     def test_search_subcommand(self, capsys):
         code = main(["search", "--max-base", "1", "--m", "1", "--n", "1",

@@ -8,12 +8,14 @@ never calls the library's reducer.
 """
 
 import gc
+import json
 import random
 import weakref
 from itertools import permutations, product
 
 import pytest
 
+from rowiso.cli import parse
 from rowiso.errors import ContractViolation, ValidationError
 from rowiso.oracle import _edge_maps, all_thetas
 from rowiso.pair import (
@@ -747,7 +749,7 @@ class TestPairData:
                               {("a", 2): "b"}, {("b", 1): "a"})
         doc = pp.to_dict()
         assert doc["theta"] == THETA_FLIP_22.to_quadruples()
-        assert PairPresentation.from_dict(doc) == pp
+        assert parse(json.dumps(doc)) == pp
 
     def test_elem_repr(self):
         assert repr(PairElem((), (), "b")) == "<b>"

@@ -6,11 +6,13 @@ it by repeated innermost absorption, independently of the library's
 incremental walker.
 """
 
+import json
 import random
 from itertools import product
 
 import pytest
 
+from rowiso.cli import parse
 from rowiso.errors import ValidationError
 from rowiso.presentation import (
     Elem,
@@ -268,18 +270,18 @@ class TestPresentationData:
         doc = CHAIN.to_dict()
         assert doc == {"m": 2, "base": ["b", "c"],
                        "s_edges": [["b", 2, "c"]]}
-        assert Presentation.from_dict(doc) == CHAIN
+        assert parse(json.dumps(doc)) == CHAIN
 
     def test_duplicate_edge_row_rejected(self):
-        with pytest.raises(ValidationError):
-            Presentation.from_dict({
+        with pytest.raises(ValidationError, match="declared twice"):
+            parse(json.dumps({
                 "m": 1, "base": ["b"],
-                "s_edges": [["b", 1, "b"], ["b", 1, "b"]]})
+                "s_edges": [["b", 1, "b"], ["b", 1, "b"]]}))
 
     def test_malformed_edge_row_rejected(self):
-        with pytest.raises(ValidationError):
-            Presentation.from_dict({
-                "m": 1, "base": ["b"], "s_edges": [["b", 1]]})
+        with pytest.raises(ValidationError, match="node, label, node"):
+            parse(json.dumps({
+                "m": 1, "base": ["b"], "s_edges": [["b", 1]]}))
 
     def test_elem_repr(self):
         assert repr(Elem((), "b")) == "<b>"

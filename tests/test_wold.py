@@ -12,8 +12,9 @@ import random
 import pytest
 
 from rowiso.errors import ValidationError
-from rowiso.pair import PairElem, PairPresentation, enumerate_pair
-from rowiso.presentation import Elem, Presentation, apply, free_presentation, pred
+from rowiso.pair import PairElem, PairPresentation, enumerate_pair, validate_pair
+from rowiso.presentation import (Elem, Presentation, apply, free_presentation,
+                                 pred, validate)
 from rowiso.presentation import enumerate as enumerate_basis
 from rowiso.wold import Part, SubspaceDesc, is_row_unitary, membership, wold
 from rowiso.words import Theta
@@ -195,6 +196,20 @@ class TestMembership:
     def test_unknown_node_rejected(self):
         with pytest.raises(ValidationError):
             membership(FREE2, Elem((), "z"))
+
+    def test_none_base_node_is_invalid_input(self):
+        # None is the "no edge" sentinel of the edge lookups: accepted as
+        # a node, <s2|None> fell in neither Wold part and the oracle saw
+        # the edge into <None> as missing
+        p = Presentation(2, ("a", None), {("a", 1): None})
+        reserved = "base node None is reserved: it marks a missing edge"
+        assert validate(p).violations == (reserved,)
+        for call in (p.require_valid, lambda: wold(p),
+                     lambda: membership(p, Elem((2,), None))):
+            with pytest.raises(ValidationError, match=reserved):
+                call()
+        pp = PairPresentation(Theta.identity(1, 1), ("a", None), {}, {})
+        assert validate_pair(pp).violations == (f"s-family: {reserved}",)
 
 
 # -- SubspaceDesc -------------------------------------------------------------

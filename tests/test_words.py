@@ -260,6 +260,11 @@ class TestTheta:
             Theta.from_quadruples(
                 2, 1, [[1, 1, 2, 1], [1, 1, 1, 1], [2, 1, 1, 1]])
 
+    def test_quadruple_entries_must_be_integers(self):
+        for bad in (1.5, "1", True, [1], None):
+            with pytest.raises(ValidationError, match="non-integer entry"):
+                Theta.from_quadruples(1, 1, [[1, 1, bad, 1]])
+
     def test_inverse_map(self):
         for k, v in THETA_CYCLIC.map.items():
             assert THETA_CYCLIC.inverse_map[v] == k
