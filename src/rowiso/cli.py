@@ -121,7 +121,8 @@ def _jsonable(obj):
     if isinstance(obj, Theta):
         return [list(q) for q in obj.to_quadruples()]
     if isinstance(obj, SubspaceDesc):
-        return {"mode": obj.mode, "seeds": [_jsonable(s) for s in obj.seeds]}
+        mode = "explicit-finite" if obj.nodes is None else "forward-closure"
+        return {"mode": mode, "seeds": [_jsonable(s) for s in obj.seeds]}
     if is_dataclass(obj) and not isinstance(obj, type):
         out = {}
         for f in fields(obj):

@@ -17,11 +17,11 @@ from enum import Enum
 from typing import Optional
 
 from .errors import ContractViolation, NotCommuting, ValidationError
-from .presentation import Elem, Node, Presentation, apply
-from .presentation import _require_canonical
+from .presentation import Elem, Node, Presentation
+from .presentation import _apply_raw, _require_canonical
 from .pair import (PairElem, PairPresentation, check_theta_commute, t_apply,
                    t_pred)
-from .wold import SubspaceDesc, _on_cycle
+from .wold import SubspaceDesc, _on_cycle, closure
 from .words import Theta
 
 
@@ -78,21 +78,28 @@ def _cycle_from(p: Presentation, b: Node) -> tuple[tuple[Node, int], ...]:
 def classify_unitary(p: Presentation) -> LebesgueResult:
     """Split the unitary part into its cycle components and summands."""
     p.require_valid()
-    components = []
-    visited: set[Node] = set()
-    kind = (UnitaryKind.SINGULAR if p.m == 1 else UnitaryKind.DILATION_TYPE)
+    cycles = []
+    index: dict[Node, int] = {}  # cycle node -> position of its cycle
     for b in p.base:
-        if b in visited or not _on_cycle(p, b):
+        if b in index or not _on_cycle(p, b):
             continue
         cycle = _cycle_from(p, b)
-        nodes = [node for node, _ in cycle]
-        visited.update(nodes)
-        seeds = tuple(Elem((), node) for node in nodes)
+        index.update((node, len(cycles)) for node, _ in cycle)
+        cycles.append(cycle)
+    # one closure of every cycle node: the root a node's chain reaches
+    # names its component
+    spans = [set() for _ in cycles]
+    for b, root in closure(p, index).items():
+        spans[index[root]].add(b)
+    kind = (UnitaryKind.SINGULAR if p.m == 1 else UnitaryKind.DILATION_TYPE)
+    components = []
+    for cycle, span in zip(cycles, spans):
+        seeds = tuple(Elem((), node) for node, _ in cycle)
         components.append(UnitaryComponent(
             cycle=cycle,
-            span=SubspaceDesc(seeds, "forward-closure", p),
+            span=SubspaceDesc(seeds, frozenset(span), p),
             kind=kind,
-            V=SubspaceDesc(seeds, "explicit-finite", p),
+            V=SubspaceDesc(seeds),
         ))
     sing_seeds = tuple(s for c in components if c.kind is UnitaryKind.SINGULAR
                        for s in c.V.seeds)
@@ -102,10 +109,11 @@ def classify_unitary(p: Presentation) -> LebesgueResult:
     ph_seeds = tuple(s for c in components for s in c.V.seeds)
     return LebesgueResult(
         components=tuple(components),
-        H_sing=SubspaceDesc(sing_seeds, "explicit-finite", p),
-        H_dil=SubspaceDesc(dil_seeds, "forward-closure", p),
-        H_abs=SubspaceDesc((), "explicit-finite", p),
-        PH=SubspaceDesc(ph_seeds, "explicit-finite", p),
+        H_sing=SubspaceDesc(sing_seeds),
+        H_dil=SubspaceDesc(
+            dil_seeds, frozenset(closure(p, (s.node for s in dil_seeds))), p),
+        H_abs=SubspaceDesc(()),
+        PH=SubspaceDesc(ph_seeds),
     )
 
 
@@ -124,14 +132,16 @@ def sing_membership_test(p: Presentation, x: Elem, depth: int) -> bool:
     if depth < 0:
         raise ValidationError("depth must be nonnegative")
     result = classify_unitary(p)
-    if not result.PH.contains(x):
+    ph = frozenset(result.PH.seeds)
+    if x not in ph:
         raise ValidationError(f"{x!r} lies outside the structure support")
-    exact = result.H_sing.contains(x)
-    ph = set(result.PH.seeds)
+    exact = x in result.H_sing.seeds
+    # x is canonical in the valid p, so its images are too
     layer = {x}
     bounded = True
     for _ in range(depth):
-        layer = {apply(p, i, y) for y in layer for i in range(1, p.m + 1)}
+        layer = {_apply_raw(p, i, y) for y in layer
+                 for i in range(1, p.m + 1)}
         if not layer <= ph:
             bounded = False
             break

@@ -795,7 +795,7 @@ def fault_library():
         # a forward closure seeded on a wandering vector is the shift
         # part, so claiming it as a unitary corner must fail
         p = free_presentation(1)
-        sub = SubspaceDesc((Elem((), "b"),), "forward-closure", p)
+        sub = SubspaceDesc((Elem((), "b"),), frozenset({"b"}), p)
         return not verify_subspace(materialize(p, 3), sub,
                                    ("unitary-on",)).ok
 

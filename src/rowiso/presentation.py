@@ -189,6 +189,11 @@ def apply(p: Presentation, i: int, x: Elem) -> Elem:
     if not 1 <= i <= p.m:
         raise ValidationError(f"label {i} outside 1..{p.m}")
     _require_canonical(p, x)
+    return _apply_raw(p, i, x)
+
+
+def _apply_raw(p: Presentation, i: int, x: Elem) -> Elem:
+    # apply without its guards, for callers that ran them once
     if not x.prefix and (x.node, i) in p.edges:
         return Elem((), p.edges[(x.node, i)])
     # prepending outermost keeps the innermost letter untouched,

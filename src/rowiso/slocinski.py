@@ -346,11 +346,12 @@ class FailureWitness:
 class SlocinskiResult:
     """Existence verdict and the four corners, as subspace descriptions.
 
-    When ``exists`` is true the corners are jointly reducing, so their
-    membership tests are node-determined and the descriptions are
-    forward closures of depth-zero seeds.  When it is false the seed
-    sets still record the per-node verdict intersection, but no
-    partition claim is made and ``failure_witness`` explains why.
+    Each corner is a node set: the base nodes whose S- and T-verdicts
+    match the corner.  When ``exists`` is true the corners are jointly
+    reducing, so membership is determined by the node.  When it is
+    false the node sets still record the per-node verdict intersection,
+    but no partition claim is made and ``failure_witness`` explains
+    why.
     """
 
     exists: bool
@@ -424,9 +425,10 @@ def _corner_descs(pp: PairPresentation) -> dict:
         twin.require_commuting()  # as in _condition_two
         t_u = _s_verdict(twin, b) is Part.UNITARY
         key = ("u" if s_u else "s") + ("u" if t_u else "s")
-        corners[key].append(PairElem((), (), b))
-    return {key: SubspaceDesc(tuple(seeds), "forward-closure", pp)
-            for key, seeds in corners.items()}
+        corners[key].append(b)
+    return {key: SubspaceDesc(tuple(PairElem((), (), b) for b in nodes),
+                              frozenset(nodes), pp)
+            for key, nodes in corners.items()}
 
 
 def slocinski(pp: PairPresentation, order: str = "st") -> SlocinskiResult:

@@ -6,14 +6,16 @@ back to a wandering vector).  Over a finite base the infinite
 intersection defining the unitary part collapses to a reachability
 question: the backward chain enters the base after finitely many steps
 and then, by pigeonhole, either dies at an in-degree-0 node or loops.
+Past the prefix the chain depends on the element's node alone, so each
+part is a node set: every element whose node lies in it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import Optional
 
-from .errors import ValidationError
 from .presentation import Elem, Node, Presentation, _require_canonical
 
 
@@ -26,132 +28,80 @@ class Part(str, Enum):
 class SubspaceDesc:
     """A decidable description of a closed span of basis vectors.
 
-    mode is one of:
+    Two kinds:
 
-    - ``"explicit-finite"``: the span of ``seeds`` and nothing else.
-    - ``"full-space"``: every canonical element; seeds are a sample
-      kept only for rendering.
-    - ``"forward-closure"``: everything reachable from ``seeds`` by
-      applying generators.  Membership follows the backward chase:
-      strip the prefix, then follow the unique in-edges until a seed is
-      hit, the chain dies, or a base node repeats.  Past the prefix the
-      chase depends on the element's node alone, so it is run once per
-      node and kept as a node set; only seeds of positive depth are
-      matched against the prefix's suffixes.
-
-    Two-family elements (anything carrying a ``t_prefix``) are accepted
-    in forward-closure mode only when the seeds sit at depth zero and
-    the described subspace is reducing for both families; then
-    membership is determined by the element's node alone, because the
-    strip path of any element ends at its node's depth-zero vector.
+    - a node set (``nodes`` is a frozenset): every element whose node
+      lies in ``nodes``.  This is how the theory describes the Wold
+      parts, the cycle components, ``H_dil`` and the four corners of a
+      pair.  ``seeds`` are the depth-zero vectors that generate it,
+      kept for rendering.  Over a single-family ``presentation`` each
+      element is first checked to be a canonical element of a valid
+      presentation; pair elements are answered by node alone.
+    - an explicit set (``nodes`` is None): the span of ``seeds`` and
+      nothing else.
     """
 
     seeds: tuple
-    mode: str
+    nodes: Optional[frozenset] = None
     presentation: object = field(repr=False, compare=False, default=None)
-    _cache: dict = field(init=False, repr=False, compare=False,
-                         default_factory=dict)
-
-    def __post_init__(self):
-        if self.mode not in ("forward-closure", "full-space",
-                             "explicit-finite"):
-            raise ValidationError(f"unknown subspace mode {self.mode!r}")
 
     @property
     def is_empty(self) -> bool:
-        return self.mode != "full-space" and not self.seeds
+        return not self.seeds
 
     def contains(self, x) -> bool:
-        if self.mode == "full-space":
-            return True
-        if self.mode == "explicit-finite":
+        if self.nodes is None:
             return x in self.seeds
-        seed_set = self._seed_set()
-        if x in seed_set:
-            return True
-        if hasattr(x, "t_prefix"):
-            # joint-family element: reducing subspaces are determined
-            # at depth zero (see class docstring)
-            return type(x)((), (), x.node) in seed_set
         p = self.presentation
-        p.require_valid()
-        _require_canonical(p, x)
-        return self._reached(x, *self._node_closure())
+        if isinstance(p, Presentation):
+            p.require_valid()
+            _require_canonical(p, x)
+        return x.node in self.nodes
 
     def contains_many(self, xs, canonical_in=None) -> list:
         """``[self.contains(x) for x in xs]``, with the guards run once.
 
-        The presentation is validated once, at the first element that
-        needs it, so an invalid one raises exactly where the
-        per-element calls would.  ``canonical_in`` names a presentation
-        every element of ``xs`` is canonical in, as the oracle's basis
-        is in its own presentation; when it equals this description's
-        presentation the per-element canonical guard is skipped.
+        A non-empty ``xs`` validates the presentation before its first
+        element, so an invalid one raises as the per-element calls
+        would.  ``canonical_in`` names a presentation every element of
+        ``xs`` is canonical in, as the oracle's basis is in its own
+        presentation; when it equals this description's presentation
+        the per-element canonical guard is skipped.
         """
-        if self.mode == "full-space":
-            return [True] * len(xs)
-        if self.mode == "explicit-finite":
+        if self.nodes is None:
             seeds = self.seeds
             return [x in seeds for x in xs]
-        seed_set = self._seed_set()
-        out = [True if x in seed_set
-               else type(x)((), (), x.node) in seed_set
-               if hasattr(x, "t_prefix") else None for x in xs]
-        if None in out:
-            p = self.presentation
+        p = self.presentation
+        if xs and isinstance(p, Presentation):
             p.require_valid()
-            if canonical_in is None or canonical_in != p:
-                for x, hit in zip(xs, out):
-                    if hit is None:
-                        _require_canonical(p, x)
-            deep, nodes = self._node_closure()
-            out = [hit if hit is not None
-                   else self._reached(x, deep, nodes) if deep
-                   else x.node in nodes for x, hit in zip(xs, out)]
-        return out
-
-    def _seed_set(self) -> frozenset:
-        seed_set = self._cache.get("seeds")
-        if seed_set is None:
-            seed_set = self._cache["seeds"] = frozenset(self.seeds)
-        return seed_set
-
-    def _node_closure(self) -> tuple:
-        closure = self._cache.get("closure")
-        if closure is None:
-            closure = self._cache["closure"] = _closure(self.presentation,
-                                                        self._seed_set())
-        return closure
-
-    @staticmethod
-    def _reached(x: Elem, deep: frozenset, nodes: frozenset) -> bool:
-        if deep:
-            for k in range(1, len(x.prefix)):
-                if Elem(x.prefix[k:], x.node) in deep:
-                    return True
-        return x.node in nodes
+            if canonical_in != p:
+                for x in xs:
+                    _require_canonical(p, x)
+        nodes = self.nodes
+        return [x.node in nodes for x in xs]
 
 
-def _closure(p: Presentation, seed_set: frozenset) -> tuple:
-    """The seeds of positive depth, and the nodes decided by the rest.
+def closure(p: Presentation, roots) -> dict:
+    """The forward closure of the depth-zero ``roots``, node by node.
 
-    A node is in the node set when its backward chain (the node, then
-    its in-edge sources) reaches a depth-zero seed before it dies or
-    repeats.
+    Maps each node whose backward chain (the node, then its in-edge
+    sources) reaches a root before it dies or repeats to the first root
+    it reaches.  A chain stops at the first node already decided, so
+    each node is walked once.
     """
-    seeds = [s for s in seed_set if isinstance(s, Elem)]
-    roots = {s.node for s in seeds if not s.prefix}
-    nodes = set()
+    found = {r: r for r in roots}
+    dead = {None}  # a chain that reaches None has died
     for b in p.base:
-        cur, seen = b, set()
-        while cur is not None and cur not in seen:
-            if cur in roots:
-                nodes.add(b)
-                break
-            seen.add(cur)
+        path, cur = {}, b
+        while cur not in found and cur not in dead and cur not in path:
+            path[cur] = None
             hit = p.in_edge.get(cur)
             cur = hit[0] if hit else None
-    return frozenset(s for s in seeds if s.prefix), frozenset(nodes)
+        if cur in found:
+            found.update(dict.fromkeys(path, found[cur]))
+        else:
+            dead.update(path)
+    return found
 
 
 @dataclass(frozen=True)
@@ -190,11 +140,13 @@ def wold(p: Presentation) -> WoldResult:
     in-degree-0 nodes.  Every canonical element belongs to exactly one.
     """
     p.require_valid()
-    cycle_seeds = tuple(Elem((), b) for b in p.base if _on_cycle(p, b))
-    wandering = tuple(Elem((), b) for b in p.base if b not in p.in_edge)
+    cycle = [b for b in p.base if _on_cycle(p, b)]
+    free = [b for b in p.base if b not in p.in_edge]
+    wandering = tuple(Elem((), b) for b in free)
     return WoldResult(
-        unitary_part=SubspaceDesc(cycle_seeds, "forward-closure", p),
-        shift_part=SubspaceDesc(wandering, "forward-closure", p),
+        unitary_part=SubspaceDesc(tuple(Elem((), b) for b in cycle),
+                                  frozenset(closure(p, cycle)), p),
+        shift_part=SubspaceDesc(wandering, frozenset(closure(p, free)), p),
         wandering=wandering,
         multiplicity=len(wandering),
     )
@@ -217,8 +169,7 @@ def membership(p: Presentation, x: Elem) -> Part:
     eternal, hence unitary.  Runs in O(|prefix| + |base|).
     """
     p.require_valid()
-    if x.node not in p.node_index:
-        raise ValidationError(f"element node {x.node!r} is not a base node")
+    _require_canonical(p, x)
     cur = x.node
     seen = set()
     while True:

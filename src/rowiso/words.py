@@ -66,6 +66,9 @@ class Theta:
     def __init__(self, m: int, n: int, mapping: dict):
         if m < 1 or n < 1:
             raise ValidationError("alphabet sizes must be positive")
+        if len(mapping) != m * n:
+            # refused before the domain set, whose size is m * n
+            raise ValidationError("theta domain must be all of [m] x [n]")
         domain = set(_cartesian(range(1, m + 1), range(1, n + 1)))
         pairs = {}
         for key, value in mapping.items():

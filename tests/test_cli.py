@@ -167,6 +167,12 @@ class TestExitCodes:
         assert main(["wold", bad]) == 2
         assert "unknown keys" in capsys.readouterr().err
 
+    def test_large_partial_theta_is_two(self, tmp_path, capsys):
+        doc = {"m": 1000, "n": 1000, "theta": [], "base": [], "s_edges": []}
+        assert main(["validate", doc_file(tmp_path, doc)]) == 2
+        assert capsys.readouterr().err == (
+            "error: theta domain must be all of [m] x [n]\n")
+
     def test_wrong_document_kind_is_two(self, tmp_path, capsys):
         assert main(["slocinski", doc_file(tmp_path, FREE2_DOC)]) == 2
         assert "pair document" in capsys.readouterr().err
@@ -369,6 +375,54 @@ class TestSubcommands:
 # -- machine output ----------------------------------------------------------
 
 
+def closure_json(*seeds):
+    return {"mode": "forward-closure", "seeds": list(seeds)}
+
+
+def explicit_json(*seeds):
+    return {"mode": "explicit-finite", "seeds": list(seeds)}
+
+
+# full --json payloads, fixed before descriptions became node sets
+CYCLE_WOLD_JSON = {
+    "multiplicity": 0, "row_unitary": True,
+    "shift_part": closure_json(),
+    "unitary_part": closure_json("<a>", "<b>"),
+    "wandering": [],
+}
+CYCLE_CLASSIFY_JSON = {
+    "H_abs": explicit_json(),
+    "H_dil": closure_json(),
+    "H_sing": explicit_json("<a>", "<b>"),
+    "PH": explicit_json("<a>", "<b>"),
+    "components": [{
+        "V": explicit_json("<a>", "<b>"),
+        "cycle": [["a", 1], ["b", 1]],
+        "kind": "singular",
+        "span": closure_json("<a>", "<b>"),
+    }],
+}
+FOUR_CORNERS_SLOCINSKI_JSON = {
+    "H_ss": closure_json("<d>"),
+    "H_su": closure_json("<c>"),
+    "H_us": closure_json("<b>"),
+    "H_uu": closure_json("<a>"),
+    "exists": True,
+    "failure_witness": None,
+    "hypotheses": {
+        "doubly_commuting": True,
+        "n_at_least_2_or_theta_identity": True,
+        "s_shift_finite_multiplicity": False,
+        "s_unitary_singular": True,
+        "t_unitary_singular": True,
+    },
+    "s_shift_multiplicity": {"count": None,
+                             "generators": [["c", []], ["d", [1]]]},
+    "t_shift_multiplicity": {"count": None,
+                             "generators": [["b", []], ["d", [1]]]},
+}
+
+
 class TestJsonOutput:
     def test_json_is_canonical(self, tmp_path, capsys):
         path = doc_file(tmp_path, FOUR_CORNERS_DOC)
@@ -419,6 +473,17 @@ class TestJsonOutput:
         assert payload["components"][0]["V"]["seeds"] == ["<a>", "<b>"]
         assert _jsonable([Elem((1,), "b"), Elem((2, 1), "c")]) == \
             ["<s1|b>", "<s2 s1|c>"]
+
+    @pytest.mark.parametrize("command, doc, payload", [
+        ("wold", CYCLE_DOC, CYCLE_WOLD_JSON),
+        ("classify", CYCLE_DOC, CYCLE_CLASSIFY_JSON),
+        ("slocinski", FOUR_CORNERS_DOC, FOUR_CORNERS_SLOCINSKI_JSON),
+    ])
+    def test_json_payloads_pinned(self, tmp_path, capsys, command, doc,
+                                  payload):
+        assert main([command, doc_file(tmp_path, doc), "--json"]) == 0
+        assert capsys.readouterr().out == \
+            json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
     def test_json_validate_violations(self, tmp_path, capsys):
         bad = {"m": 1, "base": ["a"], "s_edges": [["a", 2, "a"]]}

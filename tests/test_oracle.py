@@ -322,6 +322,12 @@ class TestVerifyRelations:
 # -- subspace claims ---------------------------------------------------------
 
 
+def full_space(p):
+    """Every canonical element: the node set over the whole base."""
+    return SubspaceDesc(tuple(Elem((), b) for b in p.base),
+                        frozenset(p.base), p)
+
+
 class TestVerifySubspace:
     def test_unitary_part_of_cycle(self):
         model = materialize(TWO_CYCLE, 3)
@@ -331,26 +337,26 @@ class TestVerifySubspace:
 
     def test_cycle_flagged_by_shift_claim(self):
         model = materialize(TWO_CYCLE, 3)
-        full = SubspaceDesc((), "full-space", TWO_CYCLE)
+        full = full_space(TWO_CYCLE)
         report = verify_subspace(model, full, ("shift-on",))
         assert not report.ok
         assert report.rows[0].startswith("shift-on fails: cycle")
 
     def test_free_family_is_certified_shift(self):
         model = materialize(FREE2, 4)
-        full = SubspaceDesc((), "full-space", FREE2)
+        full = full_space(FREE2)
         assert verify_subspace(model, full, ("shift-on", "S-reducing")).ok
 
     def test_wandering_vector_breaks_unitary_claim(self):
         model = materialize(FREE2, 4)
-        full = SubspaceDesc((), "full-space", FREE2)
+        full = full_space(FREE2)
         report = verify_subspace(model, full, ("unitary-on",))
         assert not report.ok
         assert "unitary-on fails" in report.rows[0]
 
     def test_non_invariant_subspace_caught(self):
         model = materialize(FREE2, 3)
-        spike = SubspaceDesc((Elem((), "b"),), "explicit-finite", FREE2)
+        spike = SubspaceDesc((Elem((), "b"),))
         report = verify_subspace(model, spike, ("S-invariant",))
         assert not report.ok
         assert "S-invariant fails for s[1]" in report.rows[0]
@@ -372,7 +378,7 @@ class TestVerifySubspace:
 
     def test_unknown_claim_rejected(self):
         model = materialize(FREE2, 2)
-        full = SubspaceDesc((), "full-space", FREE2)
+        full = full_space(FREE2)
         with pytest.raises(ValidationError):
             verify_subspace(model, full, ("invariant",))
         with pytest.raises(ValidationError):
@@ -473,19 +479,19 @@ def pinned_corpus_rows() -> dict:
         model, res.shift_part, ("unitary-on",)).rows
     out["unitary-part-shift-on"] = verify_subspace(
         model, res.unitary_part, ("shift-on",)).rows
-    spike = SubspaceDesc((Elem((), "c"), Elem((2,), "a")), "explicit-finite",
-                         CYCLE_AND_WANDERER)
+    spike = SubspaceDesc((Elem((), "c"), Elem((2,), "a")))
     out["explicit-set-claims"] = verify_subspace(
         model, spike,
         ("S-invariant", "S-reducing", "unitary-on", "shift-on")).rows
     model = materialize(IN_DEGREE_2_PAIR, 3)
     out["in-degree-2-pair"] = verify_relations(model).rows
-    full = SubspaceDesc((), "full-space", IN_DEGREE_2_PAIR)
+    full = SubspaceDesc(
+        tuple(PairElem((), (), b) for b in IN_DEGREE_2_PAIR.base),
+        frozenset(IN_DEGREE_2_PAIR.base), IN_DEGREE_2_PAIR)
     out["in-degree-2-pair-full-space"] = verify_subspace(
         model, full, ("T-invariant", "T-reducing", "unitary-on", "shift-on"),
         family="t").rows
-    spot = SubspaceDesc((PairElem((), (), "a"), PairElem((), (1,), "b")),
-                        "explicit-finite", IN_DEGREE_2_PAIR)
+    spot = SubspaceDesc((PairElem((), (), "a"), PairElem((), (1,), "b")))
     out["in-degree-2-pair-explicit"] = verify_subspace(
         model, spot,
         ("S-invariant", "T-reducing", "unitary-on", "shift-on")).rows

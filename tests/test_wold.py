@@ -12,13 +12,18 @@ import random
 import pytest
 
 from rowiso.errors import ValidationError
-from rowiso.pair import PairElem, PairPresentation, enumerate_pair, validate_pair
+from rowiso.lebesgue import UnitaryKind, classify_unitary
+from rowiso.pair import (PairElem, PairPresentation, enumerate_pair, mirror,
+                         validate_pair)
 from rowiso.presentation import (Elem, Presentation, apply, free_presentation,
                                  pred, validate)
 from rowiso.presentation import enumerate as enumerate_basis
-from rowiso.wold import Part, SubspaceDesc, is_row_unitary, membership, wold
+from rowiso.slocinski import _s_verdict, slocinski
+from rowiso.wold import (Part, SubspaceDesc, closure, is_row_unitary,
+                         membership, wold)
 from rowiso.words import Theta
 
+from test_oracle import single_space
 from test_presentation import random_presentation
 
 FREE2 = free_presentation(2)
@@ -197,6 +202,20 @@ class TestMembership:
         with pytest.raises(ValidationError):
             membership(FREE2, Elem((), "z"))
 
+    def test_non_canonical_element_rejected(self):
+        # membership refuses what the Wold parts' contains refuses
+        cases = (
+            (FREE2, Elem((99,), "b"), "element prefix letter 99 outside 1..2"),
+            (Presentation(1, ("a", "c"), {("c", 1): "a"}), Elem((1,), "c"),
+             "element <s1|c> is not canonical: letter 1 absorbs at 'c'"),
+        )
+        for p, x, text in cases:
+            for call in (lambda: membership(p, x),
+                         lambda: wold(p).shift_part.contains(x)):
+                with pytest.raises(ValidationError) as exc:
+                    call()
+                assert str(exc.value) == text
+
     def test_none_base_node_is_invalid_input(self):
         # None is the "no edge" sentinel of the edge lookups: accepted as
         # a node, <s2|None> fell in neither Wold part and the oracle saw
@@ -215,45 +234,66 @@ class TestMembership:
 # -- SubspaceDesc -------------------------------------------------------------
 
 
+def node_set(p, roots):
+    """The forward closure of the depth-zero ``roots``, as a node set."""
+    return SubspaceDesc(tuple(Elem((), b) for b in roots),
+                        frozenset(closure(p, roots)), p)
+
+
+def forward_nodes(p, roots):
+    """The nodes a forward search along the edges reaches from ``roots``.
+
+    Applying a generator to ``<b>`` gives ``<d>`` along an edge and an
+    element on ``b`` otherwise, so these are the nodes of the forward
+    closure of the roots' depth-zero vectors.
+    """
+    reached, todo = set(roots), list(roots)
+    while todo:
+        b = todo.pop()
+        for i in range(1, p.m + 1):
+            d = p.edges.get((b, i))
+            if d is not None and d not in reached:
+                reached.add(d)
+                todo.append(d)
+    return reached
+
+
 class TestSubspaceDesc:
     def test_explicit_finite(self):
-        d = SubspaceDesc((Elem((), "b"),), "explicit-finite", FREE2)
+        d = SubspaceDesc((Elem((), "b"),))
         assert d.contains(Elem((), "b"))
         assert not d.contains(Elem((1,), "b"))
 
     def test_full_space(self):
-        d = SubspaceDesc((), "full-space", FREE2)
+        # the full space is the node set over the whole base
+        d = node_set(FREE2, FREE2.base)
         assert d.contains(Elem((1, 2), "b"))
         assert not d.is_empty
 
     def test_forward_closure_walks_backward(self):
-        d = SubspaceDesc((Elem((), "c"),), "forward-closure", MIXED)
+        d = node_set(MIXED, ("c",))
         assert d.contains(Elem((2, 1), "c"))
         assert not d.contains(Elem((), "b"))
 
     def test_forward_closure_terminates_on_cycles(self):
-        d = SubspaceDesc((Elem((), "c"),), "forward-closure", MIXED)
+        d = node_set(MIXED, ("c",))
         # backward chain from b loops forever at b; must return False
         assert not d.contains(Elem((2,), "b"))
 
     def test_empty_closure(self):
-        d = SubspaceDesc((), "forward-closure", MIXED)
+        d = node_set(MIXED, ())
         assert d.is_empty
         assert not d.contains(Elem((), "b"))
 
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ValidationError):
-            SubspaceDesc((), "sideways-closure", FREE2)
-
     def test_forward_closure_matches_forward_search(self):
-        # seeds of any depth; apply never lowers depth, so a search
-        # capped at depth 4 finds every member of depth at most 4
+        # apply never lowers depth, so a search capped at depth 4 finds
+        # every member of depth at most 4
         rng = random.Random(2029)
         for _ in range(60):
             p = random_presentation(rng)
-            pool = enumerate_basis(p, 2)
-            seeds = tuple(rng.sample(pool, min(len(pool), rng.randint(0, 3))))
-            reached, todo = set(seeds), list(seeds)
+            roots = rng.sample(p.base, rng.randint(0, len(p.base)))
+            reached = {Elem((), b) for b in roots}
+            todo = list(reached)
             while todo:
                 x = todo.pop()
                 for i in range(1, p.m + 1):
@@ -261,18 +301,52 @@ class TestSubspaceDesc:
                     if y.depth <= 4 and y not in reached:
                         reached.add(y)
                         todo.append(y)
-            d = SubspaceDesc(seeds, "forward-closure", p)
+            d = node_set(p, roots)
             for x in enumerate_basis(p, 4):
-                assert d.contains(x) == (x in reached), (p, seeds, x)
+                assert d.contains(x) == (x in reached), (p, roots, x)
 
     def test_forward_closure_rejects_bad_elements(self):
-        d = SubspaceDesc((Elem((), "c"),), "forward-closure", MIXED)
+        d = node_set(MIXED, ("c",))
         with pytest.raises(ValidationError, match="not canonical"):
             d.contains(Elem((1,), "b"))
         with pytest.raises(ValidationError, match="not a base node"):
             d.contains(Elem((), "z"))
         with pytest.raises(ValidationError, match="outside 1..2"):
             d.contains(Elem((3,), "c"))
+
+
+class TestNodeSets:
+    def test_single_family_parts_match_per_node_verdicts(self):
+        for p in single_space():
+            res = wold(p)
+            for b in p.base:
+                unitary = membership(p, Elem((), b)) is Part.UNITARY
+                assert (b in res.unitary_part.nodes) == unitary, (p, b)
+                assert (b in res.shift_part.nodes) != unitary, (p, b)
+            cls = classify_unitary(p)
+            dil = set()
+            for comp in cls.components:
+                roots = [node for node, _ in comp.cycle]
+                assert comp.span.nodes == forward_nodes(p, roots), p
+                if comp.kind is UnitaryKind.DILATION_TYPE:
+                    dil.update(roots)
+            assert cls.H_dil.nodes == forward_nodes(p, dil), p
+
+    def test_corners_match_per_node_verdicts(self, pair_space):
+        honest = [pp for pp, _, injective in pair_space if injective]
+        for pp in honest[::23]:
+            # the T-verdicts are the S-verdicts of the mirror pair
+            sides = (pp, mirror(pp))
+            for order in ("st", "ts"):
+                res = slocinski(pp, order)
+                corners = {"uu": res.H_uu, "us": res.H_us,
+                           "su": res.H_su, "ss": res.H_ss}
+                for b in pp.base:
+                    key = "".join(
+                        "u" if _s_verdict(side, b) is Part.UNITARY else "s"
+                        for side in sides)
+                    assert [k for k, d in corners.items()
+                            if b in d.nodes] == [key], (pp, order, b)
 
 
 # -- batch membership ---------------------------------------------------------
@@ -299,15 +373,13 @@ class TestContainsMany:
             p = random_presentation(rng)
             xs = enumerate_basis(p, 4)
             pool = enumerate_basis(p, 2)
-            roots = tuple(Elem((), b) for b in rng.sample(
-                p.base, rng.randint(0, len(p.base))))
-            deep = tuple(rng.sample(pool, min(len(pool), 3)))
+            roots = rng.sample(p.base, rng.randint(0, len(p.base)))
+            spot = tuple(rng.sample(pool, min(len(pool), 3)))
             res = wold(p)
             descs = [
-                SubspaceDesc(roots, "forward-closure", p),
-                SubspaceDesc(deep, "forward-closure", p),
-                SubspaceDesc(deep, "explicit-finite", p),
-                SubspaceDesc((), "full-space", p),
+                node_set(p, roots),
+                SubspaceDesc(spot),
+                node_set(p, p.base),
                 res.unitary_part,
                 res.shift_part,
             ]
@@ -320,38 +392,29 @@ class TestContainsMany:
                 assert d.contains_many(xs, twin) == want
                 assert d.contains_many([]) == []
 
-    def test_deep_seeds_reach_their_forward_images(self):
-        d = SubspaceDesc((Elem((2,), "c"),), "forward-closure", MIXED)
-        xs = enumerate_basis(MIXED, 3)
-        got = d.contains_many(xs, MIXED)
-        assert got == [d.contains(x) for x in xs]
-        assert got[xs.index(Elem((1, 2), "c"))]
-        assert not got[xs.index(Elem((2, 1), "c"))]
-
     def test_pair_elements(self):
+        # a pair description answers by node, with no guard
         roots = (PairElem((), (), "a"), PairElem((), (), "c"))
         spot = (PairElem((), (), "b"), PairElem((1,), (), "d"))
         xs = enumerate_pair(FOUR_CORNERS, 3)
-        for d in (SubspaceDesc(roots, "forward-closure", FOUR_CORNERS),
-                  SubspaceDesc(spot, "explicit-finite", FOUR_CORNERS),
-                  SubspaceDesc((), "full-space", FOUR_CORNERS)):
+        full = tuple(PairElem((), (), b) for b in FOUR_CORNERS.base)
+        for d in (SubspaceDesc(roots, frozenset("ac"), FOUR_CORNERS),
+                  SubspaceDesc(spot),
+                  SubspaceDesc(full, frozenset(FOUR_CORNERS.base),
+                               FOUR_CORNERS)):
             want = assert_batch_matches(d, xs, FOUR_CORNERS)
             assert want == d.contains_many(xs)
             assert True in want
-        # a single-family description answers joint elements by node
-        d = SubspaceDesc((Elem((), "a"),), "forward-closure", MIXED)
-        xs = [PairElem((1,), (), "a"), PairElem((), (1,), "b")]
-        assert assert_batch_matches(d, xs, MIXED) == [False, False]
 
     def test_invalid_presentation_raises_as_contains_does(self):
         bad = Presentation(1, ("a", "b", "c"), {("a", 1): "c", ("b", 1): "c"})
-        d = SubspaceDesc((Elem((), "a"),), "forward-closure", bad)
+        d = node_set(bad, ("a",))
         xs = [Elem((), "a"), Elem((), "b"), Elem((1,), "a")]
-        want = assert_batch_matches(d, xs, bad)
-        assert want == (ValidationError,
-                        "node 'c' has in-degree 2: ('a',1), ('b',1)")
-        # seeds are answered before the presentation is looked at
-        assert assert_batch_matches(d, xs[:1], bad) == [True]
+        want = (ValidationError, "node 'c' has in-degree 2: ('a',1), ('b',1)")
+        assert assert_batch_matches(d, xs, bad) == want
+        # a seed is no exception: the guard runs before the node test
+        assert assert_batch_matches(d, xs[:1], bad) == want
+        assert d.contains_many([], bad) == []
 
     def test_foreign_element_raises_as_contains_does(self):
         # <s1|c> is canonical in the edge-free family, not where letter
@@ -359,8 +422,8 @@ class TestContainsMany:
         p = Presentation(1, ("a", "c"), {("c", 1): "a"})
         q = Presentation(1, ("a", "c"), {})
         xs = enumerate_basis(q, 2)
-        for seeds in ((Elem((), "a"),), (Elem((), "c"),)):
-            d = SubspaceDesc(seeds, "forward-closure", p)
+        for root in ("a", "c"):
+            d = node_set(p, (root,))
             want = (ValidationError, "element <s1|c> is not canonical: "
                                      "letter 1 absorbs at 'c'")
             assert assert_batch_matches(d, xs) == want

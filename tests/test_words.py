@@ -7,6 +7,7 @@ normal forms is a singleton that matches ``normalize``.
 """
 
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -238,6 +239,18 @@ class TestTheta:
     def test_must_be_total(self):
         with pytest.raises(ValidationError):
             Theta(2, 2, {(1, 1): (1, 1)})
+
+    def test_partial_mapping_refused_without_the_domain(self):
+        # the size test runs before the m * n domain set is built
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValidationError,
+                               match=r"theta domain must be all of"):
+                Theta(1000, 1000, {})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_must_be_bijective(self):
         with pytest.raises(ValidationError):
