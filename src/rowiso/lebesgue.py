@@ -21,7 +21,7 @@ from .presentation import Elem, Node, Presentation
 from .presentation import _apply_raw, _require_canonical
 from .pair import (PairElem, PairPresentation, check_theta_commute, t_apply,
                    t_pred)
-from .wold import SubspaceDesc, _on_cycle, closure
+from .wold import SubspaceDesc, _backward, _orbit_ends
 from .words import Theta
 
 
@@ -76,21 +76,23 @@ def _cycle_from(p: Presentation, b: Node) -> tuple[tuple[Node, int], ...]:
 
 
 def classify_unitary(p: Presentation) -> LebesgueResult:
-    """Split the unitary part into its cycle components and summands."""
+    """Split the unitary part into its cycle components and summands.
+
+    A node lies in the component of the cycle its backward chain ends on.
+    """
     p.require_valid()
+    end = _orbit_ends(p.base, _backward(p))
     cycles = []
     index: dict[Node, int] = {}  # cycle node -> position of its cycle
     for b in p.base:
-        if b in index or not _on_cycle(p, b):
-            continue
-        cycle = _cycle_from(p, b)
-        index.update((node, len(cycles)) for node, _ in cycle)
-        cycles.append(cycle)
-    # one closure of every cycle node: the root a node's chain reaches
-    # names its component
+        if end[b] == b and b in p.in_edge and b not in index:
+            cycle = _cycle_from(p, b)
+            index.update((node, len(cycles)) for node, _ in cycle)
+            cycles.append(cycle)
     spans = [set() for _ in cycles]
-    for b, root in closure(p, index).items():
-        spans[index[root]].add(b)
+    for b in p.base:
+        if end[b] in index:
+            spans[index[end[b]]].add(b)
     kind = (UnitaryKind.SINGULAR if p.m == 1 else UnitaryKind.DILATION_TYPE)
     components = []
     for cycle, span in zip(cycles, spans):
@@ -107,11 +109,12 @@ def classify_unitary(p: Presentation) -> LebesgueResult:
                       if c.kind is UnitaryKind.DILATION_TYPE
                       for s in c.V.seeds)
     ph_seeds = tuple(s for c in components for s in c.V.seeds)
+    dil_nodes = frozenset().union(*(c.span.nodes for c in components
+                                    if c.kind is UnitaryKind.DILATION_TYPE))
     return LebesgueResult(
         components=tuple(components),
         H_sing=SubspaceDesc(sing_seeds),
-        H_dil=SubspaceDesc(
-            dil_seeds, frozenset(closure(p, (s.node for s in dil_seeds))), p),
+        H_dil=SubspaceDesc(dil_seeds, dil_nodes, p),
         H_abs=SubspaceDesc(()),
         PH=SubspaceDesc(ph_seeds),
     )

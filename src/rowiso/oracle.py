@@ -502,27 +502,27 @@ def _verify_range_projection(rows: list, model: OracleModel, fam: str,
             return
 
 
-def _verify_pair_relations(rows: list, model: OracleModel) -> None:
+def _two_steps_in_basis(model: OracleModel, first, then):
+    # columns whose image under ``first``, and that image's image under
+    # ``then``, both lie in the basis
     import numpy as np
 
+    cols = model.imgs[first]
+    live = cols >= 0
+    return live & (model.imgs[then][np.where(live, cols, 0)] >= 0)
+
+
+def _verify_pair_relations(rows: list, model: OracleModel) -> None:
     pp = model.presentation
     theta = pp.theta
     S = {i: _gen(model, ("s", i)) for i in range(1, pp.m + 1)}
     T = {j: _gen(model, ("t", j)) for j in range(1, pp.n + 1)}
     basis = model.basis
     for (i, j), (i2, j2) in sorted(theta.map.items()):
-        ok = (model.imgs[("t", j)] >= 0)
-        tcols = model.imgs[("t", j)]
-        safe = tcols.copy()
-        safe[safe < 0] = 0
-        ok &= np.where(tcols >= 0, model.imgs[("s", i)][safe] >= 0, False)
-        ok2 = (model.imgs[("s", i2)] >= 0)
-        scols = model.imgs[("s", i2)]
-        safe2 = scols.copy()
-        safe2[safe2 < 0] = 0
-        ok2 &= np.where(scols >= 0, model.imgs[("t", j2)][safe2] >= 0, False)
+        ok = (_two_steps_in_basis(model, ("t", j), ("s", i))
+              & _two_steps_in_basis(model, ("s", i2), ("t", j2)))
         _check_equal(rows, f"S{i} T{j} = T{j2} S{i2}",
-                     _mul(S[i], T[j]), _mul(T[j2], S[i2]), ok & ok2, basis)
+                     _mul(S[i], T[j]), _mul(T[j2], S[i2]), ok, basis)
     # doubly-commuting displays; each sum has at most one live term per
     # column because predecessors are unique
     m1 = model.mask(forward=1, adjoint=1)

@@ -193,6 +193,9 @@ def validate_pair(pp: PairPresentation) -> ValidationReport:
 
 
 def _require_canonical(pp: PairPresentation, x: PairElem) -> None:
+    if not isinstance(x, PairElem):
+        raise ValidationError(
+            f"expected a PairElem, got {type(x).__name__} {x!r}")
     if x.node not in pp.node_index:
         raise ValidationError(f"element node {x.node!r} is not a base node")
     validate_word(x.s_prefix, pp.m)

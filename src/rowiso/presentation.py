@@ -172,6 +172,9 @@ def validate(p: Presentation) -> ValidationReport:
 
 
 def _require_canonical(p: Presentation, x: Elem) -> None:
+    if not isinstance(x, Elem):
+        raise ValidationError(
+            f"expected an Elem, got {type(x).__name__} {x!r}")
     if x.node not in p.node_index:
         raise ValidationError(f"element node {x.node!r} is not a base node")
     for letter in x.prefix:

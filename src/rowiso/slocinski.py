@@ -24,7 +24,11 @@ absorption calculus in :mod:`pair`:
 - The successor's node lies in a node-determined over-approximation
   SUCC(b); if no DEAD node is reachable from b in the SUCC digraph, no
   chain through b can ever die ("eternal" nodes, a soundness
-  certificate for unitarity that needs no f).
+  certificate for unitarity that needs no f).  If the live nodes span
+  no cycle of SUCC, every chain dies and the S-unitary part is empty.
+  Both are read off SUCC reversed, built once: one search back from
+  the DEAD nodes finds every node that is not eternal, and one peel of
+  the live nodes (Kahn's algorithm) finds whether a live cycle exists.
 
 Verdicts are exact or raise; they never guess.
 """
@@ -38,7 +42,7 @@ from .errors import ResourceExceeded, ValidationError
 from .pair import (PairElem, PairPresentation, _require_canonical,
                    _s_apply_raw, _s_pred_raw, _t_apply_raw, _t_pred_raw,
                    check_doubly_commute, enumerate_pair, mirror, mirror_elem)
-from .wold import Part, SubspaceDesc
+from .wold import Part, SubspaceDesc, _orbit_ends
 
 DEFAULT_CHAIN_BUDGET = 10_000
 
@@ -88,47 +92,32 @@ def _node_data(pp: PairPresentation) -> dict:
                         frontier.append(nxt)
             targets |= reach
         succ[b] = frozenset(targets)
-    # nodes that can reach a dead node in the SUCC digraph
+    # SUCC reversed, once: the search back from the dead nodes and the
+    # peel of the live nodes' sinks below both read it
+    preds: dict = {}
+    for b in pp.base:
+        for c in succ[b]:
+            preds.setdefault(c, set()).add(b)
     doomed = set(dead)
-    changed = True
-    while changed:
-        changed = False
-        for b in pp.base:
-            if b not in doomed and succ[b] & doomed:
+    todo = list(dead)
+    while todo:
+        for b in preds.get(todo.pop(), ()):
+            if b not in doomed:
                 doomed.add(b)
-                changed = True
+                todo.append(b)
     eternal = frozenset(b for b in pp.base if b not in doomed)
-    # acyclicity of SUCC restricted to live nodes certifies that every
-    # chain eventually dies (no element is unitary for the S-family)
-    alive = [b for b in pp.base if b not in dead]
-    index = {b: k for k, b in enumerate(alive)}
-    state = dict.fromkeys(alive, 0)
-    acyclic = True
-
-    def visit(v) -> bool:
-        stack = [(v, iter(sorted(succ[v] & set(index), key=index.get)))]
-        state[v] = 1
-        while stack:
-            cur, it = stack[-1]
-            advanced = False
-            for w in it:
-                if state[w] == 1:
-                    return False
-                if state[w] == 0:
-                    state[w] = 1
-                    stack.append((w, iter(sorted(succ[w] & set(index),
-                                                 key=index.get))))
-                    advanced = True
-                    break
-            if not advanced:
-                state[cur] = 2
-                stack.pop()
-        return True
-
-    for v in alive:
-        if state[v] == 0 and not visit(v):
-            acyclic = False
-            break
+    alive = {b for b in pp.base if b not in dead}
+    out = {b: len(succ[b] & alive) for b in alive}
+    sinks = [b for b, k in out.items() if k == 0]
+    peeled = 0
+    while sinks:
+        peeled += 1
+        for b in preds.get(sinks.pop(), ()):
+            if b in alive:
+                out[b] -= 1
+                if out[b] == 0:
+                    sinks.append(b)
+    acyclic = peeled == len(alive)
     data = {"walks": walks, "dead": dead, "succ": succ, "eternal": eternal,
             "live_succ_acyclic": acyclic}
     cache["nodes"] = data
@@ -537,24 +526,19 @@ def _single_label_drift_singular(pp: PairPresentation) -> bool:
             continue
         step[b] = endnode
         drift[b] = k - f
-    visited: set = set()
-    for b in list(step):
-        if b in visited:
+    end = _orbit_ends(step, step.get)
+    summed: set = set()
+    for b in step:
+        if end[b] != b or b in summed:
             continue
-        path = []
-        index = {}
-        cur = b
-        while cur in step and cur not in index:
-            if cur in visited:
-                break
-            index[cur] = len(path)
-            path.append(cur)
+        # b is a cycle node: sum the drift once around its cycle
+        total, cur = 0, b
+        while cur not in summed:
+            summed.add(cur)
+            total += drift[cur]
             cur = step[cur]
-        if cur in index:
-            cycle = path[index[cur]:]
-            if sum(drift[c] for c in cycle) > 0:
-                return False
-        visited.update(path)
+        if total > 0:
+            return False
     return True
 
 

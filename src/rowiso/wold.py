@@ -8,6 +8,13 @@ question: the backward chain enters the base after finitely many steps
 and then, by pigeonhole, either dies at an in-degree-0 node or loops.
 Past the prefix the chain depends on the element's node alone, so each
 part is a node set: every element whose node lies in it.
+
+Every such question is read off one walk, :func:`_orbit_ends`: it maps
+each node to where its orbit under a partial node map ends, the node
+where it dies or the first node of the cycle it enters.  Here the map
+is the backward step (a node to the source of its in-edge); the cycle
+components of :mod:`lebesgue` and the drift cycles of
+:mod:`slocinski` use the same walk.
 """
 
 from __future__ import annotations
@@ -16,7 +23,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
 
-from .presentation import Elem, Node, Presentation, _require_canonical
+from .presentation import Elem, Presentation, _require_canonical
 
 
 class Part(str, Enum):
@@ -81,29 +88,6 @@ class SubspaceDesc:
         return [x.node in nodes for x in xs]
 
 
-def closure(p: Presentation, roots) -> dict:
-    """The forward closure of the depth-zero ``roots``, node by node.
-
-    Maps each node whose backward chain (the node, then its in-edge
-    sources) reaches a root before it dies or repeats to the first root
-    it reaches.  A chain stops at the first node already decided, so
-    each node is walked once.
-    """
-    found = {r: r for r in roots}
-    dead = {None}  # a chain that reaches None has died
-    for b in p.base:
-        path, cur = {}, b
-        while cur not in found and cur not in dead and cur not in path:
-            path[cur] = None
-            hit = p.in_edge.get(cur)
-            cur = hit[0] if hit else None
-        if cur in found:
-            found.update(dict.fromkeys(path, found[cur]))
-        else:
-            dead.update(path)
-    return found
-
-
 @dataclass(frozen=True)
 class WoldResult:
     """The decomposition: two complementary parts plus shift data.
@@ -118,18 +102,40 @@ class WoldResult:
     multiplicity: int
 
 
-def _on_cycle(p: Presentation, b: Node) -> bool:
-    # the backward walk is deterministic (global in-degree <= 1), so b
-    # lies on a cycle iff the walk from b returns to b
-    cur = b
-    for _ in range(len(p.base)):
-        hit = p.in_edge.get(cur)
-        if hit is None:
-            return False
-        cur = hit[0]
-        if cur == b:
-            return True
-    return False
+def _orbit_ends(nodes, step) -> dict:
+    """Where the orbit of each node under the partial map ``step`` ends.
+
+    ``step(c)`` is the next node after c, or None where the orbit dies.
+    Maps each node of ``nodes``, and every node its orbit passes, to
+    the node where the orbit dies or to the first node of the cycle it
+    enters; a cycle node is its own end.  A walk stops at the first
+    node already decided, so ``step`` is called once per node.
+    """
+    end: dict = {}
+    for b in nodes:
+        path: dict = {}  # node -> position on this walk
+        cur = b
+        while cur not in end and cur not in path:
+            path[cur] = len(path)
+            nxt = step(cur)
+            if nxt is None:
+                end[cur] = cur
+            else:
+                cur = nxt
+        walked = list(path)
+        if cur not in end:
+            # the walk came back to cur: from there on it is a cycle
+            cycle = walked[path[cur]:]
+            end.update(zip(cycle, cycle))
+            del walked[path[cur]:]
+        end.update(dict.fromkeys(walked, end[cur]))
+    return end
+
+
+def _backward(p: Presentation):
+    # the backward step of a chain: a node to the source of its in-edge
+    in_edge = p.in_edge
+    return lambda b: in_edge[b][0] if b in in_edge else None
 
 
 def wold(p: Presentation) -> WoldResult:
@@ -137,16 +143,20 @@ def wold(p: Presentation) -> WoldResult:
 
     The unitary part is the forward closure of the base nodes lying on
     directed cycles; the shift part is the forward closure of the
-    in-degree-0 nodes.  Every canonical element belongs to exactly one.
+    in-degree-0 nodes.  Every canonical element belongs to exactly one:
+    its node's backward chain ends on a cycle node, which has an
+    in-edge, or dies at an in-degree-0 node.
     """
     p.require_valid()
-    cycle = [b for b in p.base if _on_cycle(p, b)]
+    end = _orbit_ends(p.base, _backward(p))
+    cycle = [b for b in p.base if end[b] == b and b in p.in_edge]
     free = [b for b in p.base if b not in p.in_edge]
+    unitary = frozenset(b for b in p.base if end[b] in p.in_edge)
     wandering = tuple(Elem((), b) for b in free)
     return WoldResult(
         unitary_part=SubspaceDesc(tuple(Elem((), b) for b in cycle),
-                                  frozenset(closure(p, cycle)), p),
-        shift_part=SubspaceDesc(wandering, frozenset(closure(p, free)), p),
+                                  unitary, p),
+        shift_part=SubspaceDesc(wandering, frozenset(p.base) - unitary, p),
         wandering=wandering,
         multiplicity=len(wandering),
     )
@@ -164,19 +174,11 @@ def is_row_unitary(p: Presentation) -> bool:
 def membership(p: Presentation, x: Elem) -> Part:
     """Which part a single canonical element belongs to.
 
-    Decided by the backward chase from the element's node: hitting an
-    in-degree-0 node means shift, revisiting a node means the chain is
-    eternal, hence unitary.  Runs in O(|prefix| + |base|).
+    Decided by walking the backward chain of the element's node alone:
+    dying at an in-degree-0 node means shift, entering a cycle means
+    the chain is eternal, hence unitary.  Runs in O(|prefix| + chain).
     """
     p.require_valid()
     _require_canonical(p, x)
-    cur = x.node
-    seen = set()
-    while True:
-        if cur in seen:
-            return Part.UNITARY
-        seen.add(cur)
-        hit = p.in_edge.get(cur)
-        if hit is None:
-            return Part.SHIFT
-        cur = hit[0]
+    end = _orbit_ends((x.node,), _backward(p))[x.node]
+    return Part.UNITARY if end in p.in_edge else Part.SHIFT

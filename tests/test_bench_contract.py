@@ -1,0 +1,30 @@
+"""The benchmark's calls into rowiso resolve and still give its verdicts.
+
+``perfbench`` reaches rowiso only through the names in
+``perfbench/layers.py`` ``CALLS``.  A refactor that renames or deletes
+one of them, or changes a verdict the golden records pin, breaks the
+benchmark; these tests break first.  They only read ``perfbench/``.
+"""
+
+import sys
+from pathlib import Path
+
+import pytest
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+if str(PERFBENCH) not in sys.path:
+    sys.path.insert(0, str(PERFBENCH))
+
+import golden  # noqa: E402
+import workloads  # noqa: E402
+from layers import Layers, Tracer  # noqa: E402
+
+
+@pytest.mark.parametrize("traced", (False, True), ids=("plain", "traced"))
+@pytest.mark.parametrize("workload", ("pairs-small", "pairs-wide", "singles"))
+def test_warmup_item_matches_its_golden_record(workload, traced):
+    # building the namespace resolves every name in CALLS
+    L = Layers(Tracer()) if traced else Layers()
+    item = workloads.warmup_item(workload)
+    expected = golden.load(workload)[item.key]
+    assert golden.matches(expected, item.run(L, item.data)), item.key

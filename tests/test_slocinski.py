@@ -6,6 +6,8 @@ combinations is realized on its own base node: a carries both loops
 nothing.
 """
 
+import random
+
 import pytest
 
 from rowiso.errors import ContractViolation, ResourceExceeded, ValidationError
@@ -18,9 +20,12 @@ from rowiso.pair import (
     s_pred,
     t_apply,
     t_pred,
+    validate_pair,
 )
+from rowiso.presentation import Elem
 from rowiso.slocinski import (
     Multiplicity,
+    _node_data,
     check_hypotheses,
     dead_nodes,
     joint_wandering,
@@ -135,6 +140,18 @@ class TestMembership:
         with pytest.raises(ValidationError):
             s_membership(fresh(TWIN_LOOPS), PairElem((1,), (), "b"))
 
+    def test_single_family_element_rejected(self):
+        # an Elem is refused by the pair guard, not by a missing
+        # attribute
+        x = Elem((), "b")
+        text = "expected a PairElem, got Elem <b>"
+        for call in (lambda: s_apply(FREE11, 1, x), lambda: t_pred(FREE11, x),
+                     lambda: s_membership(FREE11, x),
+                     lambda: s_in_V(FREE11, x)):
+            with pytest.raises(ValidationError) as exc:
+                call()
+            assert str(exc.value) == text
+
     def test_budget_exhaustion_raises(self):
         # two T-labels, no pumping rule; a budget of zero steps cannot
         # resolve a node that is neither dead nor eternal
@@ -207,6 +224,60 @@ class TestDeadNodes:
             FOUR_CORNERS.theta, FOUR_CORNERS.base,
             FOUR_CORNERS.t_edges, FOUR_CORNERS.s_edges)) == \
             frozenset({"b", "d"})
+
+
+def random_node_pair(rng):
+    """A random pair on up to six nodes, valid or not.
+
+    Edge targets are drawn freely, so a node may have two S- or two
+    T-in-edges, and some edges lead to the undeclared node "zz".
+    """
+    nodes = tuple("abcdef"[:rng.randint(1, 6)])
+    m, n = rng.randint(1, 2), rng.randint(1, 2)
+    targets = nodes + ("zz",)
+
+    def edges(labels):
+        density = rng.random()
+        return {(b, i): rng.choice(targets) for b in nodes
+                for i in range(1, labels + 1) if rng.random() < density}
+
+    return PairPresentation(Theta.identity(m, n), nodes, edges(m), edges(n))
+
+
+def reach(succ, start, within=None):
+    """Nodes reachable from ``start`` in the SUCC digraph, start included,
+    stepping only onto nodes of ``within`` when it is given."""
+    seen, todo = {start}, [start]
+    while todo:
+        for c in succ.get(todo.pop(), ()):
+            if c not in seen and (within is None or c in within):
+                seen.add(c)
+                todo.append(c)
+    return seen
+
+
+class TestNodeData:
+    def test_eternal_and_acyclic_match_reachability(self):
+        rng = random.Random(5003)
+        outcomes, violations = set(), set()
+        for _ in range(600):
+            pp = random_node_pair(rng)
+            violations.update(validate_pair(pp).violations)
+            data = _node_data(pp)
+            succ, dead = data["succ"], data["dead"]
+            eternal = {b for b in pp.base if not reach(succ, b) & dead}
+            assert data["eternal"] == eternal, pp
+            live = set(pp.base) - dead
+            cyclic = any(b in reach(succ, c, live)
+                         for b in live for c in succ[b] & live)
+            assert data["live_succ_acyclic"] is not cyclic, pp
+            outcomes.add((bool(eternal), cyclic))
+        # an eternal node reaches a live cycle unless its SUCC search
+        # leaves the base, so the sample meets the other three
+        assert outcomes >= {(False, False), (False, True), (True, True)}
+        # invalid pairs of both kinds were among them
+        for kind in ("has in-degree 2", "target 'zz' is not a base node"):
+            assert any(kind in v for v in violations), kind
 
 
 # -- V membership ---------------------------------------------------------------

@@ -19,7 +19,7 @@ from rowiso.presentation import (Elem, Presentation, apply, free_presentation,
                                  pred, validate)
 from rowiso.presentation import enumerate as enumerate_basis
 from rowiso.slocinski import _s_verdict, slocinski
-from rowiso.wold import (Part, SubspaceDesc, closure, is_row_unitary,
+from rowiso.wold import (Part, SubspaceDesc, _orbit_ends, is_row_unitary,
                          membership, wold)
 from rowiso.words import Theta
 
@@ -216,6 +216,18 @@ class TestMembership:
                     call()
                 assert str(exc.value) == text
 
+    def test_pair_element_rejected(self):
+        # a joint basis vector is refused by the single-family guard,
+        # not by a missing attribute
+        x = PairElem((), (), "b")
+        text = "expected an Elem, got PairElem <b>"
+        for call in (lambda: apply(FREE2, 1, x), lambda: pred(FREE2, x),
+                     lambda: membership(FREE2, x),
+                     lambda: wold(FREE2).shift_part.contains(x)):
+            with pytest.raises(ValidationError) as exc:
+                call()
+            assert str(exc.value) == text
+
     def test_none_base_node_is_invalid_input(self):
         # None is the "no edge" sentinel of the edge lookups: accepted as
         # a node, <s2|None> fell in neither Wold part and the oracle saw
@@ -231,13 +243,78 @@ class TestMembership:
         assert validate_pair(pp).violations == (f"s-family: {reserved}",)
 
 
+# -- orbit ends ---------------------------------------------------------------
+
+
+def walk_end(step, c):
+    """Where c's orbit under the dict ``step`` ends, walked on its own."""
+    path = []
+    while c not in path:
+        path.append(c)
+        if c not in step:
+            return c  # dies here
+        c = step[c]
+    return c  # the first node the orbit comes back to
+
+
+def random_partial_map(rng, size):
+    """A random partial map on ``range(size)`` and a few nodes beyond.
+
+    Targets are drawn freely, so it has self-loops, cycles with tails
+    hanging off them, several tails merging, and chains that die.
+    """
+    targets = range(size + 3)
+    return {c: rng.choice(targets) for c in range(size)
+            if rng.random() < 0.8}
+
+
+class TestOrbitEnds:
+    def test_fixed_shapes(self):
+        # 0 -> 1 -> 2 -> 1 is a tail on a two-cycle; 3 -> 4 dies at 4;
+        # 5 is a self-loop
+        step = {0: 1, 1: 2, 2: 1, 3: 4, 5: 5}
+        ends = _orbit_ends(range(6), step.get)
+        assert ends == {0: 1, 1: 1, 2: 2, 3: 4, 4: 4, 5: 5}
+
+    def test_matches_a_walk_per_node(self):
+        rng = random.Random(4111)
+        for _ in range(400):
+            size = rng.randint(0, 14)
+            step = random_partial_map(rng, size)
+            order = list(range(size))
+            rng.shuffle(order)
+            start = order[:rng.randint(0, size)]
+            ends = _orbit_ends(start, step.get)
+            for c in start:
+                assert ends[c] == walk_end(step, c), (step, start, c)
+            # every node a walk passed is decided too, and correctly
+            for c, end in ends.items():
+                assert end == walk_end(step, c), (step, start, c)
+
+    def test_each_node_stepped_at_most_once(self):
+        rng = random.Random(4112)
+        for _ in range(400):
+            size = rng.randint(0, 14)
+            step = random_partial_map(rng, size)
+            calls = dict.fromkeys(range(size + 3), 0)
+
+            def counted(c):
+                calls[c] += 1
+                return step.get(c)
+
+            order = list(range(size)) * 2  # asking twice walks nothing
+            rng.shuffle(order)
+            _orbit_ends(order, counted)
+            assert max(calls.values()) <= 1, (step, calls)
+
+
 # -- SubspaceDesc -------------------------------------------------------------
 
 
 def node_set(p, roots):
     """The forward closure of the depth-zero ``roots``, as a node set."""
     return SubspaceDesc(tuple(Elem((), b) for b in roots),
-                        frozenset(closure(p, roots)), p)
+                        frozenset(forward_nodes(p, roots)), p)
 
 
 def forward_nodes(p, roots):
