@@ -8,9 +8,10 @@ sails through; a forged twist is caught by the commutation identity.
 Run:  python3 demos/matrix_crosscheck.py
 """
 
-from rowiso.oracle import (SearchSpace, all_thetas, materialize,
-                           run_fault_injection, search, verify_relations)
+from rowiso.oracle import materialize, verify_relations
 from rowiso.pair import PairPresentation, free_pair
+from rowiso.search import (SearchSpace, all_thetas, run_fault_injection,
+                           search)
 from rowiso.words import Theta
 
 

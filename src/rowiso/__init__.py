@@ -13,9 +13,8 @@ from .errors import (ContractViolation, NotCommuting, ResourceExceeded,
 from .lebesgue import (LebesgueResult, UnitaryComponent, UnitaryKind,
                        check_commutant_reduces_sing, classify_unitary,
                        sing_membership_test)
-from .oracle import (OracleModel, Report, SearchSpace, all_thetas,
-                     fault_library, materialize, run_fault_injection, search,
-                     verify_relations, verify_subspace)
+from .oracle import (OracleModel, Report, materialize, verify_relations,
+                     verify_subspace)
 from .pair import (CommutationFailure, CommutationReport, PairElem,
                    PairPresentation, check_doubly_commute,
                    check_joint_isometry, check_theta_commute, enumerate_pair,
@@ -24,6 +23,8 @@ from .pair import (CommutationFailure, CommutationReport, PairElem,
 from .presentation import (Elem, Presentation, ValidationReport, apply,
                            free_presentation, pred, validate)
 from .presentation import enumerate as enumerate_basis
+from .search import (SearchSpace, all_thetas, fault_library,
+                     run_fault_injection, search)
 from .slocinski import (FailureWitness, HypothesisReport, ImplicationReport,
                         ImplicationRow, Multiplicity, SlocinskiResult,
                         check_hypotheses, dead_nodes, joint_wandering,
@@ -33,9 +34,9 @@ from .slocinski import (FailureWitness, HypothesisReport, ImplicationReport,
 from .wold import (Part, SubspaceDesc, WoldResult, is_row_unitary, membership,
                    wold)
 from .words import (Theta, commute_s_left, commute_s_right, commute_t_left,
-                    commute_t_right, concat, denormalize, format_word,
-                    normal_form_parts, normalize, parse_word,
-                    s_outside_to_t_outside, theta_ext, validate_word)
+                    commute_t_right, denormalize, normal_form_parts,
+                    normalize, s_outside_to_t_outside, theta_ext,
+                    validate_word)
 
 __version__ = "0.1.0"
 

@@ -2,14 +2,16 @@
 
 Everything here re-derives the basis action from the raw edge data and
 the word calculus, on purpose: the symbolic modules must never get to
-grade their own homework.  Each generator is a 0/1 partial injection on
-the canonical elements of bounded depth, held as one image index per
-column.  For a single family the image arrays are written in closed
-form: the basis is laid out layer by layer, a prefix of length at least
-one never absorbs, so each generator shifts a whole layer onto a run of
-the next one, and only the depth-zero columns consult the edges.  Pair
-arrays are filled column by column from the letter calculus.  Subspace
-claims read a description's membership once for the whole basis.
+grade their own homework, so no decider is imported here, and what
+they compute arrives as a claim passed to :func:`verify_subspace`.
+Each generator is a 0/1 partial injection on the canonical elements of
+bounded depth, held as one image index per column.  For a single
+family the image arrays are written in closed form: the basis is laid
+out layer by layer, a prefix of length at least one never absorbs, so
+each generator shifts a whole layer onto a run of the next one, and
+only the depth-zero columns consult the edges.  Pair arrays are filled
+column by column from the letter calculus.  Subspace claims read a
+description's membership once for the whole basis.
 
 An operator is a pair of integer arrays (rows, cols), one entry of
 value 1 per pair, repeated pairs adding up; every identity is built
@@ -26,30 +28,26 @@ identity when its depth plus the identity's worst-case cost stays
 within the truncation, which makes every masked comparison exact.
 
 numpy is imported inside the functions that build or read the image
-arrays: importing this module does not load it, and ``search`` runs
-without it.
+arrays: importing this module does not load it.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional, Union
 
-from .errors import ContractViolation, ResourceExceeded, ValidationError
-from .pair import (PairElem, PairPresentation, check_doubly_commute,
-                   check_joint_isometry, check_theta_commute, mirror)
-from .presentation import Elem, Presentation, apply, free_presentation
-from .slocinski import dead_nodes, s_membership, slocinski, t_membership
-from .wold import Part, SubspaceDesc, wold
-from .words import Theta, commute_s_left, commute_t_right
+from .errors import ResourceExceeded, ValidationError
+from .pair import PairElem, PairPresentation
+from .presentation import Elem, Presentation
+from .words import commute_s_left, commute_t_right
 
 if TYPE_CHECKING:
     import numpy as np
 
+    from .wold import SubspaceDesc
+
 BASIS_BUDGET = 10 ** 5
-SEARCH_BUDGET = 10 ** 7
 
 
 # ------------------------------------------------------------ model building
@@ -396,11 +394,12 @@ def _check_equal(rows: list, label: str, lhs: tuple, rhs: tuple,
 def verify_relations(model: OracleModel) -> Report:
     """Check every defining operator identity on the truncation.
 
-    Single family: S_i^T S_j = delta_ij I, sum S_i S_i^T <= I with the
-    range projection acting as the identity on the computed unitary
-    part and vanishing exactly on the computed wandering vectors.
-    Pairs additionally: the twisted commutation identity and both
-    doubly-commuting displays, term sets read off the twist.
+    Each family: S_i^T S_j = delta_ij I, and sum S_i S_i^T a diagonal
+    0/1 matrix, i.e. at most the identity.  Pairs additionally: the
+    twisted commutation identity and both doubly-commuting displays,
+    term sets read off the twist.  Which vectors the range projection
+    fixes and which it kills is a claim on a subspace, checked by
+    :func:`verify_subspace` (``unitary-on``, ``wandering``).
     """
     import numpy as np
 
@@ -432,74 +431,9 @@ def verify_relations(model: OracleModel) -> Report:
         if np.any((diag > 1) & valid):
             bad = int(np.nonzero((diag > 1) & valid)[0][0])
             rows.append(f"sum {fam}{fam}^T exceeds identity at {basis[bad]!r}")
-        try:
-            _verify_range_projection(rows, model, fam, diag, valid)
-        except (ValidationError, ContractViolation, ResourceExceeded) as exc:
-            # corrupted input can crash the symbolic side; that still
-            # counts as a caught violation, not a verifier failure
-            rows.append(f"range projection check aborted: {exc}")
     if pair:
         _verify_pair_relations(rows, model)
     return Report(tuple(rows))
-
-
-def _verify_range_projection(rows: list, model: OracleModel, fam: str,
-                             diag: np.ndarray, valid: np.ndarray) -> None:
-    import numpy as np
-
-    # the range projection must vanish exactly on wandering vectors and
-    # restrict to the identity on the unitary part
-    p = model.presentation
-    basis = model.basis
-    if not model.is_pair:
-        # wold validated p, so the basis is canonical in it and the
-        # checks run on whole columns at once
-        res = wold(p)
-        wandering = np.zeros(len(basis), dtype=bool)
-        wandering[[model.index[x] for x in res.wandering]] = True
-        unitary = np.array(res.unitary_part.contains_many(basis, p),
-                           dtype=bool)
-        has_pred = diag > 0
-        fails = (
-            (wandering & has_pred,
-             "range projection nonzero on wandering {!r}"),
-            (~wandering & ~has_pred,
-             "range projection vanishes off wandering at {!r}"),
-            (unitary & ~has_pred,
-             "range projection not identity on unitary {!r}"),
-        )
-        bad = valid & (fails[0][0] | fails[1][0] | fails[2][0])
-        if bad.any():
-            col = int(np.argmax(bad))
-            text = next(text for hit, text in fails if hit[col])
-            rows.append(text.format(basis[col]))
-        return
-
-    dead = dead_nodes(p if fam == "s" else mirror(p))
-
-    def wandering(x):
-        # the family's own letters: a wandering vector has none
-        letters = x.s_prefix if fam == "s" else x.t_prefix
-        return not letters and x.node in dead
-
-    def unitary(x):
-        verdict = (s_membership(p, x) if fam == "s"
-                   else t_membership(p, x))
-        return verdict is Part.UNITARY
-
-    for col in np.nonzero(valid)[0]:
-        x = basis[col]
-        has_pred = bool(diag[col])
-        is_wandering = wandering(x)
-        if is_wandering and has_pred:
-            rows.append(f"range projection nonzero on wandering {x!r}")
-            return
-        if not is_wandering and not has_pred:
-            rows.append(f"range projection vanishes off wandering at {x!r}")
-            return
-        if unitary(x) and not has_pred:
-            rows.append(f"range projection not identity on unitary {x!r}")
-            return
 
 
 def _two_steps_in_basis(model: OracleModel, first, then):
@@ -543,7 +477,7 @@ def _verify_pair_relations(rows: list, model: OracleModel) -> None:
 # ------------------------------------------------------------ subspace claims
 
 CLAIMS = ("S-invariant", "T-invariant", "S-reducing", "T-reducing",
-          "unitary-on", "shift-on")
+          "unitary-on", "shift-on", "wandering")
 
 
 def verify_subspace(model: OracleModel, sub: SubspaceDesc, claims,
@@ -552,11 +486,15 @@ def verify_subspace(model: OracleModel, sub: SubspaceDesc, claims,
 
     Q is the diagonal 0/1 projection of the description over the basis,
     read with one ``contains_many`` call.  Invariance and reduction are
-    commutator checks on forward-interior columns; unitary-on checks the
-    range projection fixes Q; shift-on walks each member's backward
-    chain (each column once) and demands certified death, flagging any
-    in-basis cycle.  ``family`` picks which family the unitary-on /
-    shift-on claims speak about.
+    commutator checks on forward-interior columns.  With R the range
+    projection sum G G^T of the family, on adjoint-interior columns:
+    unitary-on checks R Q = Q; wandering checks that the columns R
+    kills are exactly the members that carry no letter of the family
+    (the wandering vectors, given as a set of depth-zero vectors or as
+    the node set of a pair's dead nodes).  shift-on walks each member's
+    backward chain (each column once) and demands certified death,
+    flagging any in-basis cycle.  ``family`` picks which family the
+    unitary-on, shift-on and wandering claims speak about.
     """
     import numpy as np
 
@@ -570,6 +508,7 @@ def verify_subspace(model: OracleModel, sub: SubspaceDesc, claims,
     member = np.array(sub.contains_many(basis, model.presentation),
                       dtype=bool)
     Q = _diag(member.astype(np.int64))
+    ran = None
     for claim in sorted(set(claims)):
         fam = claim[0].lower() if claim[0] in "ST" else family
         if claim.endswith("-invariant") or claim.endswith("-reducing"):
@@ -587,15 +526,29 @@ def verify_subspace(model: OracleModel, sub: SubspaceDesc, claims,
                 if col is not None:
                     rows.append(f"{claim} fails for {fam}[{k}] at "
                                 f"column {basis[col]!r}")
-        elif claim == "unitary-on":
-            count = (model.presentation.m if fam == "s"
-                     else model.presentation.n)
-            gens = [_gen(model, (fam, k)) for k in range(1, count + 1)]
-            ran = _add([_mul(g, _tr(g)) for g in gens])
-            valid = member & model.mask(adjoint=1)
-            col = _first_bad_column(_mul(ran, Q), Q, valid)
+        elif claim in ("unitary-on", "wandering"):
+            if ran is None:
+                count = (model.presentation.m if fam == "s"
+                         else model.presentation.n)
+                gens = [_gen(model, (fam, k)) for k in range(1, count + 1)]
+                ran = _add([_mul(g, _tr(g)) for g in gens])
+            if claim == "unitary-on":
+                valid = member & model.mask(adjoint=1)
+                col = _first_bad_column(_mul(ran, Q), Q, valid)
+            else:
+                # R must kill exactly the bare members; whether it
+                # exceeds the identity elsewhere is verify_relations'
+                # business
+                attr = f"{fam}_prefix" if model.is_pair else "prefix"
+                bare = np.zeros(len(basis), dtype=bool)
+                bare[[c for c in np.flatnonzero(member).tolist()
+                      if not getattr(basis[c], attr)]] = True
+                alive = np.zeros(len(basis), dtype=bool)
+                alive[ran[1]] = True
+                bad = model.mask(adjoint=1) & (alive == bare)
+                col = int(np.argmax(bad)) if bad.any() else None
             if col is not None:
-                rows.append(f"unitary-on fails at column {basis[col]!r}")
+                rows.append(f"{claim} fails at column {basis[col]!r}")
         elif claim == "shift-on":
             rows.extend(_shift_on(model, member, fam, basis))
     return Report(tuple(rows))
@@ -633,198 +586,3 @@ def _shift_on(model: OracleModel, member: np.ndarray, fam: str,
         for col in path:
             state[col] = 2
     return []
-
-
-# ------------------------------------------------------------------- search
-
-@dataclass(frozen=True)
-class SearchSpace:
-    """Finite family of pair presentations to sweep.
-
-    Covers every base of size 1..max_base, every pair of edge maps with
-    per-family in-degree at most one, and every twist in ``thetas``.
-    """
-
-    max_base: int
-    m: int
-    n: int
-    thetas: tuple
-
-
-def all_thetas(m: int, n: int):
-    """Every bijective twist of [m] x [n], in lexicographic order."""
-    pairs = [(i, j) for i in range(1, m + 1) for j in range(1, n + 1)]
-    out = []
-    for perm in itertools.permutations(pairs):
-        out.append(Theta(m, n, dict(zip(pairs, perm))))
-    return tuple(out)
-
-
-def _edge_maps(nodes: tuple, labels: int):
-    slots = [(node, lab) for node in nodes for lab in range(1, labels + 1)]
-    options = (None,) + nodes
-    for combo in itertools.product(options, repeat=len(slots)):
-        targets = [t for t in combo if t is not None]
-        if len(targets) != len(set(targets)):
-            continue  # in-degree must stay at most one
-        yield {slot: t for slot, t in zip(slots, combo) if t is not None}
-
-
-def _space_size(space: SearchSpace) -> int:
-    total = 0
-    for k in range(1, space.max_base + 1):
-        per_family = []
-        for labels in (space.m, space.n):
-            slots = k * labels
-            count = sum(math.comb(slots, r) * math.perm(k, r)
-                        for r in range(0, min(slots, k) + 1))
-            per_family.append(count)
-        total += per_family[0] * per_family[1] * len(space.thetas)
-    return total
-
-
-def _pred_no_slocinski(pp: PairPresentation) -> bool:
-    return not slocinski(pp).exists
-
-
-def _pred_doubly_commuting(pp: PairPresentation) -> bool:
-    return check_doubly_commute(pp).ok
-
-
-def _pred_s_shift_t_unitary(pp: PairPresentation) -> bool:
-    # candidate for the triviality theorem: nontrivial space, several
-    # T-labels, T with no wandering vectors, and S a pure shift; the
-    # S-verdict depends on the node alone, so the base vectors decide
-    # the last one exactly
-    if not pp.base or pp.n < 2:
-        return False
-    if dead_nodes(mirror(pp)):
-        return False
-    return all(s_membership(pp, PairElem((), (), b)) is not Part.UNITARY
-               for b in pp.base)
-
-
-PREDICATES: dict = {
-    "no-slocinski": _pred_no_slocinski,
-    "doubly-commuting": _pred_doubly_commuting,
-    "S-shift-T-unitary": _pred_s_shift_t_unitary,
-}
-
-
-def search(space: SearchSpace, predicate: str):
-    """Exhaustively sweep a search space for a named property.
-
-    Returns, in deterministic enumeration order, every candidate that
-    is valid, theta-commuting, jointly injective on the truncated
-    basis, and satisfies the predicate.  Raises when the space exceeds
-    the candidate budget.
-    """
-    if predicate not in PREDICATES:
-        raise ValidationError(
-            f"unknown predicate {predicate!r}; "
-            f"known: {sorted(PREDICATES)}")
-    size = _space_size(space)
-    if size > SEARCH_BUDGET:
-        raise ResourceExceeded(
-            f"search space has {size} candidates, budget {SEARCH_BUDGET}")
-    test = PREDICATES[predicate]
-    hits = []
-    for k in range(1, space.max_base + 1):
-        nodes = tuple(f"b{q}" for q in range(k))
-        for theta in space.thetas:
-            for s_edges in _edge_maps(nodes, space.m):
-                for t_edges in _edge_maps(nodes, space.n):
-                    pp = PairPresentation(theta, nodes, s_edges, t_edges)
-                    if not check_theta_commute(pp).ok:
-                        continue
-                    if not check_joint_isometry(pp).ok:
-                        continue
-                    try:
-                        if test(pp):
-                            hits.append(pp)
-                    except ContractViolation:
-                        continue  # not a joint isometry beyond the window
-    return hits
-
-
-# ------------------------------------------------------------ fault library
-
-def _forge_theta(m: int, n: int, mapping: dict, inverse: dict) -> Theta:
-    # bypasses the bijectivity validation on purpose; both directions
-    # are handed in so the word calculus total-lookup still runs and
-    # the damage surfaces in the matrix identities, not in a KeyError
-    forged = object.__new__(Theta)
-    object.__setattr__(forged, "m", m)
-    object.__setattr__(forged, "n", n)
-    object.__setattr__(forged, "map", dict(mapping))
-    object.__setattr__(forged, "inverse_map", dict(inverse))
-    object.__setattr__(forged, "_key",
-                       (m, n, tuple(sorted(mapping.items()))))
-    return forged
-
-
-def fault_library():
-    """Named corruptions paired with the check that must catch each.
-
-    Every runner returns True iff the corruption was detected, either
-    by a non-ok report or by a validation error.  The suite asserts a
-    perfect score; anything less means a verifier has gone soft.
-    """
-
-    def duplicate_in_edge() -> bool:
-        p = Presentation(1, ("a", "b", "c"),
-                         {("a", 1): "c", ("b", 1): "c"})
-        return not verify_relations(materialize(p, 3)).ok
-
-    def broken_theta() -> bool:
-        theta = _forge_theta(2, 1, {(1, 1): (1, 1), (2, 1): (1, 1)},
-                             {(1, 1): (2, 1), (2, 1): (2, 1)})
-        pp = PairPresentation(theta, ("b",), {}, {})
-        return not verify_relations(materialize(pp, 3)).ok
-
-    def boundary_as_interior() -> bool:
-        p = Presentation(2, ("b",), {})
-        model = materialize(p, 2)
-        key = ("s", 1)
-        fake = model.imgs[key].copy()
-        fake[fake < 0] = 0  # lie: claim the dropped image is column 0
-        model.imgs[key] = fake
-        return not verify_relations(model).ok
-
-    def wrong_corner_seed() -> bool:
-        # a forward closure seeded on a wandering vector is the shift
-        # part, so claiming it as a unitary corner must fail
-        p = free_presentation(1)
-        sub = SubspaceDesc((Elem((), "b"),), frozenset({"b"}), p)
-        return not verify_subspace(materialize(p, 3), sub,
-                                   ("unitary-on",)).ok
-
-    def cycle_claimed_shift() -> bool:
-        # the unitary part of a cycle has eternal backward chains, so
-        # claiming it as a shift part must fail
-        p = Presentation(1, ("a", "b"), {("a", 1): "b", ("b", 1): "a"})
-        return not verify_subspace(materialize(p, 3), wold(p).unitary_part,
-                                   ("shift-on",)).ok
-
-    def non_canonical_element() -> bool:
-        p = Presentation(1, ("a", "c"), {("c", 1): "a"})
-        bad = Elem((1,), "c")  # absorbable letter: not canonical
-        try:
-            apply(p, 1, bad)
-        except ValidationError:
-            return True
-        return False
-
-    return (
-        ("duplicate-in-edge", duplicate_in_edge),
-        ("non-bijective-theta", broken_theta),
-        ("boundary-as-interior", boundary_as_interior),
-        ("non-canonical-element", non_canonical_element),
-        ("wrong-corner-seed", wrong_corner_seed),
-        ("cycle-claimed-shift", cycle_claimed_shift),
-    )
-
-
-def run_fault_injection() -> dict:
-    """Run the whole corruption library; maps name to detected flag."""
-    return {name: bool(runner()) for name, runner in fault_library()}

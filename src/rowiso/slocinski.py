@@ -260,6 +260,7 @@ def s_in_V(pp: PairPresentation, x: PairElem,
 
 def t_in_V(pp: PairPresentation, x: PairElem,
            budget: int = DEFAULT_CHAIN_BUDGET) -> bool:
+    _require_canonical(pp, x)
     return s_in_V(mirror(pp), mirror_elem(pp, x), budget)
 
 

@@ -76,7 +76,7 @@ class SubspaceDesc:
         the per-element canonical guard is skipped.
         """
         if self.nodes is None:
-            seeds = self.seeds
+            seeds = frozenset(self.seeds)
             return [x in seeds for x in xs]
         p = self.presentation
         if xs and isinstance(p, Presentation):

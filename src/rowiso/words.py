@@ -7,7 +7,7 @@ Conventions used across the whole package:
   *innermost* one, i.e. ``u = (2, 1)`` denotes the product ``S2 S1``
   and acts on a vector by applying ``S1`` first.
 * A mixed word tags each letter with its family: ``(('s', 1), ('t', 2))``
-  is the product ``S1 T2``.  Mixed words serialize as ``"s1 t2"``.
+  is the product ``S1 T2``.
 * Two families ``S1..Sm`` and ``T1..Tn`` commute along a bijection
   ``theta`` of ``[m] x [n]``:
 
@@ -218,11 +218,6 @@ def normalize(theta: Theta, word: Iterable[Letter]) -> MixedWord:
     return from_parts(w, u)
 
 
-def concat(a: Iterable[Letter], b: Iterable[Letter]) -> MixedWord:
-    """Concatenation in the free product; no rewriting is performed."""
-    return tuple(a) + tuple(b)
-
-
 def denormalize(theta: Theta, t_word: Word, s_word: Word) -> tuple[Word, Word]:
     """Convert T-outside to S-outside: ``T_w S_u = S_{u'} T_{w'}``.
 
@@ -275,28 +270,3 @@ def theta_ext(theta: Theta, k: int, l: int,
             w2, u2 = s_outside_to_t_outside(theta, u, w)
             table[(u, w)] = (u2, w2)
     return table
-
-
-# -- serialization -----------------------------------------------------------
-
-def format_word(word: Iterable[Letter]) -> str:
-    """Render a mixed word as ``"s1 s2 t1"``; empty word renders as ``"e"``."""
-    parts = [f"{kind}{index}" for kind, index in word]
-    return " ".join(parts) if parts else "e"
-
-
-def parse_word(text: str) -> MixedWord:
-    """Inverse of :func:`format_word`; accepts ``"e"`` or ``""`` as empty."""
-    text = text.strip()
-    if text in ("", "e"):
-        return ()
-    out = []
-    for chunk in text.split():
-        kind = chunk[0]
-        if kind not in ("s", "t") or not chunk[1:].isdigit():
-            raise ValidationError(f"bad letter {chunk!r} in word {text!r}")
-        index = int(chunk[1:])
-        if index < 1:
-            raise ValidationError(f"letter index in {chunk!r} must be >= 1")
-        out.append((kind, index))
-    return tuple(out)

@@ -4,12 +4,12 @@ import itertools
 
 import pytest
 
-from rowiso.oracle import _edge_maps
 from rowiso.pair import (
     PairPresentation,
     check_joint_isometry,
     check_theta_commute,
 )
+from rowiso.search import _edge_maps
 from rowiso.words import Theta
 
 

@@ -13,12 +13,7 @@ import time
 import pytest
 
 from rowiso.lebesgue import UnitaryKind, classify_unitary, sing_membership_test
-from rowiso.oracle import (
-    _edge_maps,
-    materialize,
-    run_fault_injection,
-    verify_subspace,
-)
+from rowiso.oracle import materialize, verify_subspace
 from rowiso.pair import (
     PairElem,
     check_doubly_commute,
@@ -28,6 +23,7 @@ from rowiso.pair import (
     t_pred,
 )
 from rowiso.presentation import Presentation, apply, enumerate, free_presentation, pred, validate
+from rowiso.search import _edge_maps, run_fault_injection
 from rowiso.slocinski import (
     check_hypotheses,
     dead_nodes,
@@ -36,7 +32,7 @@ from rowiso.slocinski import (
     s_shift_multiplicity,
     slocinski,
 )
-from rowiso.wold import Part, wold
+from rowiso.wold import Part, SubspaceDesc, wold
 from rowiso.words import Theta, normalize, theta_ext
 
 
@@ -79,11 +75,16 @@ def test_c1_wold_verified_exhaustively(singles):
                                ("S-reducing", "unitary-on"))
         shift = verify_subspace(model, res.shift_part,
                                 ("S-reducing", "shift-on"))
+        wandering = verify_subspace(model, SubspaceDesc(res.wandering),
+                                    ("wandering",))
         if not unit.ok:
             violations.append((p.to_dict(), unit.rows[0]))
             continue
         if not shift.ok:
             violations.append((p.to_dict(), shift.rows[0]))
+            continue
+        if not wandering.ok:
+            violations.append((p.to_dict(), wandering.rows[0]))
             continue
         for x in enumerate(p, 4):
             hits = res.unitary_part.contains(x) + res.shift_part.contains(x)

@@ -562,8 +562,9 @@ class TestColdStart:
 import contextlib, io, sys
 sys.modules["scipy"] = None
 from rowiso.cli import main
-from rowiso.oracle import materialize, run_fault_injection, verify_relations
+from rowiso.oracle import materialize, verify_relations
 from rowiso.pair import PairPresentation
+from rowiso.search import run_fault_injection
 from rowiso.words import Theta
 faults = run_fault_injection()
 assert all(faults.values()), faults

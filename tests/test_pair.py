@@ -17,7 +17,7 @@ import pytest
 
 from rowiso.cli import parse
 from rowiso.errors import ContractViolation, ValidationError
-from rowiso.oracle import _edge_maps, all_thetas
+from rowiso.search import _edge_maps, all_thetas
 from rowiso.pair import (
     CommutationFailure,
     PairElem,

@@ -147,7 +147,7 @@ class TestMembership:
         text = "expected a PairElem, got Elem <b>"
         for call in (lambda: s_apply(FREE11, 1, x), lambda: t_pred(FREE11, x),
                      lambda: s_membership(FREE11, x),
-                     lambda: s_in_V(FREE11, x)):
+                     lambda: s_in_V(FREE11, x), lambda: t_in_V(FREE11, x)):
             with pytest.raises(ValidationError) as exc:
                 call()
             assert str(exc.value) == text

@@ -19,13 +19,10 @@ from rowiso.words import (
     commute_s_right,
     commute_t_left,
     commute_t_right,
-    concat,
     denormalize,
-    format_word,
     from_parts,
     normal_form_parts,
     normalize,
-    parse_word,
     s_outside_to_t_outside,
     theta_ext,
     validate_word,
@@ -190,22 +187,10 @@ class TestConfluenceExhaustive:
                     assert_confluent(theta, word, memo)
 
 
-# -- concat -------------------------------------------------------------------
+# -- concatenation ------------------------------------------------------------
 
 
 class TestConcat:
-    def test_empty_is_identity(self):
-        w = (("s", 1), ("t", 2))
-        assert concat((), w) == w
-        assert concat(w, ()) == w
-
-    def test_no_rewriting_happens(self):
-        assert concat((("s", 1),), (("t", 2),)) == (("s", 1), ("t", 2))
-
-    def test_associative(self):
-        a, b, c = (("s", 1),), (("t", 2),), (("s", 2), ("t", 1))
-        assert concat(concat(a, b), c) == concat(a, concat(b, c))
-
     def test_normalize_is_a_monoid_morphism(self):
         # 1000 random pairs, both sides computed independently
         rng = random.Random(2024)
@@ -221,9 +206,8 @@ class TestConcat:
                       for k, i in x)
             y = tuple((rng.choice("st"), rng.randint(1, 2))
                       for _ in range(rng.randint(0, 5)))
-            lhs = normalize(theta, concat(x, y))
-            rhs = normalize(theta, concat(normalize(theta, x),
-                                          normalize(theta, y)))
+            lhs = normalize(theta, x + y)
+            rhs = normalize(theta, normalize(theta, x) + normalize(theta, y))
             assert lhs == rhs
 
 
@@ -377,33 +361,6 @@ class TestThetaExt:
     def test_negative_length_rejected(self):
         with pytest.raises(ValidationError):
             theta_ext(THETA_ID_22, -1, 0)
-
-
-# -- serialization ------------------------------------------------------------
-
-
-class TestSerialization:
-    def test_format(self):
-        assert format_word((("s", 1), ("s", 2), ("t", 1))) == "s1 s2 t1"
-        assert format_word(()) == "e"
-
-    def test_parse(self):
-        assert parse_word("s1 s2 t1") == (("s", 1), ("s", 2), ("t", 1))
-        assert parse_word("e") == ()
-        assert parse_word("") == ()
-        assert parse_word("  t12  ") == (("t", 12),)
-
-    def test_round_trip(self):
-        rng = random.Random(3)
-        for _ in range(100):
-            word = tuple((rng.choice("st"), rng.randint(1, 9))
-                         for _ in range(rng.randint(0, 8)))
-            assert parse_word(format_word(word)) == word
-
-    def test_bad_tokens_rejected(self):
-        for text in ("q1", "s", "s0", "sx", "s-1", "s1t2"):
-            with pytest.raises(ValidationError):
-                parse_word(text)
 
 
 class TestValidateWord:
