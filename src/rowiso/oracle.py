@@ -169,8 +169,9 @@ def _pair_basis_lower_bound(pp: PairPresentation, depth: int) -> int:
 def _raw_pair_basis(pp: PairPresentation, depth: int) -> tuple:
     # no closed-form count of the mixed elements (the twist moves the
     # arriving T-letter), so the walk itself stops one vector past the
-    # budget
+    # budget.  A T-letter can only absorb at a node with a t-out-edge.
     out = []
+    t_sources = {src for src, _ in pp.t_edges}
     for total in range(depth + 1):
         for t_len in range(total, -1, -1):
             for t in itertools.product(range(1, pp.n + 1), repeat=t_len):
@@ -179,7 +180,7 @@ def _raw_pair_basis(pp: PairPresentation, depth: int) -> tuple:
                     for b in pp.base:
                         if s and (b, s[-1]) in pp.s_edges:
                             continue
-                        if t:
+                        if t and b in t_sources:
                             _, arriving = commute_t_right(pp.theta, s, t[-1])
                             if (b, arriving) in pp.t_edges:
                                 continue
@@ -189,10 +190,11 @@ def _raw_pair_basis(pp: PairPresentation, depth: int) -> tuple:
     return tuple(out)
 
 
-def _raw_pair_apply(pp: PairPresentation, kind: str, lab: int,
-                    x: PairElem) -> PairElem:
+def _raw_pair_apply(pp: PairPresentation, t_sources: set, kind: str,
+                    lab: int, x: PairElem) -> PairElem:
     # re-derived from the letter calculus: commute the new letter to its
-    # slot, then greedily absorb innermost letters against the edges
+    # slot, then greedily absorb innermost letters against the edges;
+    # the T-letter is pushed only at a node in t_sources
     if kind == "s":
         t_word, new_s = commute_s_left(pp.theta, lab, x.t_prefix)
         t, s = t_word, (new_s,) + x.s_prefix
@@ -205,7 +207,7 @@ def _raw_pair_apply(pp: PairPresentation, kind: str, lab: int,
             if hit is not None:
                 node, s = hit, s[:-1]
                 continue
-        if t:
+        if t and node in t_sources:
             pushed, j2 = commute_t_right(pp.theta, s, t[-1])
             hit = pp.t_edges.get((node, j2))
             if hit is not None:
@@ -291,10 +293,12 @@ def materialize(p: Union[Presentation, PairPresentation],
     index = {x: k for k, x in enumerate(basis)}
     if pair:
         imgs = {}
+        t_sources = {src for src, _ in p.t_edges}
         for key in keys:
             arr = np.full(len(basis), -1, dtype=np.int64)
             for col, x in enumerate(basis):
-                arr[col] = index.get(_raw_pair_apply(p, key[0], key[1], x), -1)
+                arr[col] = index.get(
+                    _raw_pair_apply(p, t_sources, key[0], key[1], x), -1)
             imgs[key] = arr
         depths = np.array([x.depth for x in basis], dtype=np.int64)
     else:

@@ -25,11 +25,15 @@ from dataclasses import dataclass
 from itertools import product as _cartesian
 from typing import Iterable, NamedTuple, Optional
 
-from .errors import ContractViolation, ValidationError
+from .errors import ContractViolation, ResourceExceeded, ValidationError
 from .presentation import Node, Presentation, ValidationReport
 from .presentation import validate as _validate_family
 from .words import (Theta, Word, commute_s_left, commute_s_right,
                     commute_t_right, denormalize, validate_word)
+
+# the free-word count a pair window may reach before enumerate_pair
+# refuses it
+PAIR_WINDOW_BUDGET = 10 ** 6
 
 
 class PairElem(NamedTuple):
@@ -97,9 +101,9 @@ class PairPresentation:
     :func:`validate_pair` and :func:`check_theta_commute`.
     """
 
-    __slots__ = ("theta", "base", "s_edges", "t_edges", "node_index",
-                 "s_in", "t_in", "_s_family", "_t_family", "_key",
-                 "_report", "_commutation", "_mirror", "_cache",
+    __slots__ = ("theta", "base", "s_edges", "t_edges", "t_sources",
+                 "node_index", "s_in", "t_in", "_s_family", "_t_family",
+                 "_key", "_report", "_commutation", "_mirror", "_cache",
                  "__weakref__")
 
     def __init__(self, theta: Theta, base: Iterable[Node], s_edges: dict,
@@ -114,6 +118,9 @@ class PairPresentation:
         self.base = self._s_family.base
         self.s_edges = self._s_family.edges
         self.t_edges = self._t_family.edges
+        # the nodes a T-letter can absorb at; elsewhere no pushed letter
+        # meets an edge, so the reducers skip the push
+        self.t_sources = frozenset(src for src, _ in self.t_edges)
         self.node_index = self._s_family.node_index
         self.s_in = self._s_family.in_edge
         self.t_in = self._t_family.in_edge
@@ -203,7 +210,7 @@ def _require_canonical(pp: PairPresentation, x: PairElem) -> None:
     if x.s_prefix and (x.node, x.s_prefix[-1]) in pp.s_edges:
         raise ValidationError(
             f"element {x!r} is not canonical: S-letter absorbs")
-    if x.t_prefix:
+    if x.t_prefix and x.node in pp.t_sources:
         _, arriving = commute_t_right(pp.theta, x.s_prefix, x.t_prefix[-1])
         if (x.node, arriving) in pp.t_edges:
             raise ValidationError(
@@ -218,7 +225,7 @@ def _reduce_raw(pp: PairPresentation, t: Word, s: Word, b: Node) -> PairElem:
             b = pp.s_edges[(b, s[-1])]
             s = s[:-1]
             continue
-        if t:
+        if t and b in pp.t_sources:
             s2, j2 = commute_t_right(pp.theta, s, t[-1])
             if (b, j2) in pp.t_edges:
                 b = pp.t_edges[(b, j2)]
@@ -271,15 +278,36 @@ def t_apply(pp: PairPresentation, j: int, x: PairElem) -> PairElem:
     return _t_apply_raw(pp, j, x)
 
 
+def _free_word_bound(pp: PairPresentation, depth: int) -> int:
+    """The free words ``T_t S_s e_b`` with ``|t| + |s| <= depth``.
+
+    An upper bound on the canonical elements of that window, summed
+    layer by layer and left off once it passes the budget.
+    """
+    total = 0
+    for d in range(depth + 1):
+        total += len(pp.base) * sum(pp.n ** k * pp.m ** (d - k)
+                                    for k in range(d + 1))
+        if total > PAIR_WINDOW_BUDGET:
+            break
+    return total
+
+
 def enumerate_pair(pp: PairPresentation, depth: int) -> list[PairElem]:
     """All canonical elements of joint depth |t|+|s| <= depth.
 
     Ordered by (joint depth, |t|, t lexicographically, s
-    lexicographically, node declaration order).
+    lexicographically, node declaration order).  A window whose free
+    words number more than ``PAIR_WINDOW_BUDGET`` raises
+    ``ResourceExceeded`` before any element is built.
     """
     pp.require_valid()
     if depth < 0:
         raise ValidationError("depth must be nonnegative")
+    if _free_word_bound(pp, depth) > PAIR_WINDOW_BUDGET:
+        raise ResourceExceeded(
+            f"pair window at depth {depth} has more than "
+            f"{PAIR_WINDOW_BUDGET} free words, the budget")
     out: list[PairElem] = []
     for total in range(depth + 1):
         for t_len in range(total, -1, -1):
@@ -288,7 +316,7 @@ def enumerate_pair(pp: PairPresentation, depth: int) -> list[PairElem]:
                     for b in pp.base:
                         if s and (b, s[-1]) in pp.s_edges:
                             continue
-                        if t:
+                        if t and b in pp.t_sources:
                             _, arriving = commute_t_right(pp.theta, s, t[-1])
                             if (b, arriving) in pp.t_edges:
                                 continue
@@ -297,19 +325,44 @@ def enumerate_pair(pp: PairPresentation, depth: int) -> list[PairElem]:
 
 
 def check_theta_commute(pp: PairPresentation) -> CommutationReport:
-    """Compare ``S_i T_j`` against ``T_j' S_i'`` on base and frontier.
+    """Compare ``S_i T_j`` against ``T_j' S_i'`` where they can differ.
 
     Both sides are evaluated by deterministic one-step application that
-    never assumes the conclusion.  Checking the base plus one fresh
-    layer suffices because deeper elements live in the free region,
-    where the rewriting rule holds by construction; an independent
-    truncated-matrix check guards that locality argument downstream.
+    never assumes the conclusion.  They can differ only at a base
+    vector ``e_b`` whose node has an out-edge in both families, so only
+    those are evaluated: the report lists the failures a sweep of every
+    element would, in the same order, and a pair with no such node is
+    not swept.
+
+    Reduction absorbs innermost letters first and reaches an outer
+    letter only once the word inside it is used up, so reducing a word
+    in one go, or its inside first, gives the same element.  Let
+    ``theta(i, j) = (i', j')``; every other canonical x falls in one of
+    two cases:
+
+    - ``T_j x`` only prepends j, because x has a T-letter (canonical,
+      so its innermost one is blocked) or its node has no t-out-edge.
+      The left side then reduces ``T_j'`` in front of the word that
+      ``S_i' x`` reduces, and the right side reduces that word first.
+    - ``S_i' x`` only prepends i', because x is ``S_s e_b`` with s
+      non-empty or with no s-out-edge at b.  ``T_j'`` pushed through
+      ``S_i' S_s`` reaches b as the same letter as ``T_j`` pushed
+      through ``S_s``, leaving ``S_i`` in front of the same S-block, so
+      both sides absorb the same letters.
+
+    That the evaluated relation makes the operators commute is a
+    locality argument, which an independent truncated-matrix check
+    guards downstream.
     """
     pp.require_valid()
     if pp._commutation is not None:
         return pp._commutation
     failures = []
-    for x in enumerate_pair(pp, 1):
+    s_sources = {src for src, _ in pp.s_edges}
+    for b in pp.base:
+        if b not in pp.t_sources or b not in s_sources:
+            continue
+        x = PairElem((), (), b)
         for (i, j), (i2, j2) in sorted(pp.theta.map.items()):
             lhs = _s_apply_raw(pp, i, _t_apply_raw(pp, j, x))
             rhs = _t_apply_raw(pp, j2, _s_apply_raw(pp, i2, x))

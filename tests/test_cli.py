@@ -207,6 +207,14 @@ class TestExitCodes:
         assert code == 3
         assert "budget exceeded" in capsys.readouterr().err
 
+    def test_over_budget_doubly_window_is_three(self, tmp_path, capsys):
+        # the default window |base| + 2 = 14 of an edge-free 2x2 pair
+        # holds far more than a million free words: refused up front
+        doc = dict(TWISTED_FREE_DOC, base=[f"b{q}" for q in range(12)])
+        assert main(["check-doubly", doc_file(tmp_path, doc)]) == 3
+        assert "budget exceeded: pair window at depth 14" in \
+            capsys.readouterr().err
+
 
 # -- malformed input ---------------------------------------------------------
 

@@ -30,8 +30,8 @@ from rowiso.oracle import (
     _single_basis_size,
     _tr,
 )
-from rowiso.pair import (PairElem, PairPresentation, free_pair, mirror,
-                         s_apply, t_apply)
+from rowiso.pair import (PairElem, PairPresentation, enumerate_pair,
+                         free_pair, mirror, s_apply, t_apply)
 from rowiso.presentation import Elem, Presentation, apply, free_presentation
 from rowiso.search import (
     SearchSpace,
@@ -139,6 +139,21 @@ class TestMaterialize:
             materialize(free_pair(Theta.identity(2, 2)), 40)
         with pytest.raises(ResourceExceeded):
             materialize(free_pair(Theta.identity(1, 2)), 40)
+
+    def test_pair_model_reads_the_raw_t_edges(self):
+        # the oracle finds the nodes where a T-letter absorbs from the
+        # edges itself: blanking the pair's own set misleads the
+        # symbolic enumeration but changes no image array
+        pp = PairPresentation(ID11, ("a", "b", "c"), {("b", 1): "c"},
+                              {("a", 1): "a", ("c", 1): "b"})
+        honest = materialize(pp, 3)
+        listed = enumerate_pair(pp, 3)
+        pp.t_sources = frozenset()
+        assert enumerate_pair(pp, 3) != listed
+        blind = materialize(pp, 3)
+        assert blind.basis == honest.basis == tuple(listed)
+        for key in honest.keys:
+            assert np.array_equal(blind.imgs[key], honest.imgs[key])
 
     def test_matrix_agrees_with_symbolic_apply(self):
         model = materialize(MIXED, 3)

@@ -16,7 +16,7 @@ from itertools import permutations, product
 import pytest
 
 from rowiso.cli import parse
-from rowiso.errors import ContractViolation, ValidationError
+from rowiso.errors import ContractViolation, ResourceExceeded, ValidationError
 from rowiso.search import _edge_maps, all_thetas
 from rowiso.pair import (
     CommutationFailure,
@@ -35,11 +35,14 @@ from rowiso.pair import (
     t_apply,
     t_pred,
     validate_pair,
+    _free_word_bound,
+    _reduce_raw,
+    _s_apply_raw,
     _s_pred_raw,
     _t_pred_raw,
 )
 from rowiso.slocinski import check_hypotheses, slocinski
-from rowiso.words import Theta, commute_t_right, normalize
+from rowiso.words import Theta, commute_s_left, commute_t_right, normalize
 
 # -- congruence-closure oracle --------------------------------------------------
 
@@ -465,6 +468,166 @@ class TestThetaCommute:
     def test_report_is_cached(self):
         pp = free_pair(THETA_ID_22)
         assert check_theta_commute(pp) is check_theta_commute(pp)
+
+
+# -- full-sweep references ------------------------------------------------------
+#
+# The reducer and the commutation check without the inert-node skips:
+# every T-letter is pushed through the S-block at every node, and every
+# canonical element up to a depth is evaluated on every label pair.
+
+
+def reduce_reference(pp, t, s, b):
+    while True:
+        if s and (b, s[-1]) in pp.s_edges:
+            b = pp.s_edges[(b, s[-1])]
+            s = s[:-1]
+            continue
+        if t:
+            s2, j2 = commute_t_right(pp.theta, s, t[-1])
+            if (b, j2) in pp.t_edges:
+                b = pp.t_edges[(b, j2)]
+                s = s2
+                t = t[:-1]
+                continue
+        return PairElem(t, s, b)
+
+
+def free_words(m, n, depth):
+    # enumerate_pair's order
+    for total in range(depth + 1):
+        for t_len in range(total, -1, -1):
+            for t in product(range(1, n + 1), repeat=t_len):
+                for s in product(range(1, m + 1), repeat=total - t_len):
+                    yield t, s
+
+
+def theta_commute_reference(pp, depth=1):
+    def s_step(i, x):
+        t2, i2 = commute_s_left(pp.theta, i, x.t_prefix)
+        return reduce_reference(pp, t2, (i2,) + x.s_prefix, x.node)
+
+    def t_step(j, x):
+        return reduce_reference(pp, (j,) + x.t_prefix, x.s_prefix, x.node)
+
+    failures = []
+    for t, s in free_words(pp.m, pp.n, depth):
+        for b in pp.base:
+            x = PairElem(t, s, b)
+            if reduce_reference(pp, t, s, b) != x:
+                continue  # not canonical
+            for (i, j), (i2, j2) in sorted(pp.theta.map.items()):
+                lhs = s_step(i, t_step(j, x))
+                rhs = t_step(j2, s_step(i2, x))
+                if lhs != rhs:
+                    failures.append(CommutationFailure(
+                        "commute", x, i, j, lhs, rhs))
+    return tuple(failures)
+
+
+def _forbidden(*args, **kwargs):
+    raise AssertionError("this call should have been skipped")
+
+
+class TestInertNodes:
+    def test_random_pairs_match_the_full_sweep(self):
+        rng = random.Random(4242)
+        commuting = failing = pushes = 0
+        while commuting < 25 or failing < 25:
+            pp = random_pair(rng, max_m=3, max_n=3)
+            if not pp.t_edges:
+                continue
+            report = check_theta_commute(pp)
+            # deeper elements hold no failure either
+            assert report.failures == theta_commute_reference(pp) == \
+                theta_commute_reference(pp, 3), pp
+            if report.ok:
+                commuting += 1
+            else:
+                failing += 1
+            sources = sorted(pp.t_sources)
+            for _ in range(40):
+                # half the triples start at a node with a t-out-edge
+                b = rng.choice(sources if rng.random() < 0.5 else pp.base)
+                t = tuple(rng.randint(1, pp.n)
+                          for _ in range(rng.randint(0, 3)))
+                s = tuple(rng.randint(1, pp.m)
+                          for _ in range(rng.randint(0, 3)))
+                pushes += b in pp.t_sources and bool(t)
+                assert _reduce_raw(pp, t, s, b) == \
+                    reduce_reference(pp, t, s, b), (pp, t, s, b)
+        assert pushes > 500
+
+    def test_acceptance_candidates_match_the_full_sweep(self, pair_space):
+        for pp, _, _ in pair_space[::23]:
+            assert check_theta_commute(pp).failures == \
+                theta_commute_reference(pp) == \
+                theta_commute_reference(pp, 2), pp
+            for t, s in free_words(pp.m, pp.n, 2):
+                for b in pp.base:
+                    assert _reduce_raw(pp, t, s, b) == \
+                        reduce_reference(pp, t, s, b), (pp, t, s, b)
+
+    def test_label_pairs_evaluated_only_at_doubly_active_base_vectors(
+            self, monkeypatch):
+        # each label pair calls _s_apply_raw on T_j x, then on x itself
+        calls = []
+
+        def counting(pp, i, x):
+            calls.append(x)
+            return _s_apply_raw(pp, i, x)
+
+        monkeypatch.setattr("rowiso.pair._s_apply_raw", counting)
+        pp = PairPresentation(THETA_FLIP_22, ("a", "b", "c"),
+                              {("a", 1): "b", ("c", 2): "a"},
+                              {("a", 2): "c", ("b", 1): "b"})
+        report = check_theta_commute(pp)
+        assert report.failures == theta_commute_reference(pp)
+        # only node a has an out-edge in both families
+        assert calls[1::2] == [PairElem((), (), "a")] * 4
+
+    def test_edge_free_pair_evaluates_no_label_pair(self, monkeypatch):
+        monkeypatch.setattr("rowiso.pair._s_apply_raw", _forbidden)
+        domain = [(i, j) for i in (1, 2, 3) for j in (1, 2, 3)]
+        theta = Theta(3, 3, dict(zip(domain, domain[1:] + domain[:1])))
+        assert check_theta_commute(free_pair(theta, ("a", "b"))).ok
+
+    def test_pair_without_t_edges_never_pushes_a_t_letter(self, monkeypatch):
+        pp = PairPresentation(THETA_CYCLIC_22, ("a", "b", "c"),
+                              {("a", 1): "b", ("b", 2): "c"}, {})
+        expected = [reduce_reference(pp, t, s, b)
+                    for t, s in free_words(2, 2, 3) for b in pp.base]
+        monkeypatch.setattr("rowiso.pair.commute_t_right", _forbidden)
+        got = [_reduce_raw(pp, t, s, b)
+               for t, s in free_words(2, 2, 3) for b in pp.base]
+        assert got == expected
+        canonical = {PairElem(t, s, b) for t, s in free_words(2, 2, 3)
+                     for b in pp.base
+                     if reduce_reference(pp, t, s, b) == (t, s, b)}
+        elems = enumerate_pair(pp, 3)
+        assert len(elems) == len(canonical) and set(elems) == canonical
+        # no node has a t-out-edge, so no label pair is evaluated
+        monkeypatch.setattr("rowiso.pair._s_apply_raw", _forbidden)
+        assert check_theta_commute(pp).failures == \
+            theta_commute_reference(pp) == ()
+
+
+class TestWindowBudget:
+    def test_bound_counts_the_edge_free_window(self):
+        for m, n, base, depth in ((1, 1, "a", 5), (2, 1, "ab", 4),
+                                  (1, 3, "abc", 3), (3, 2, "ab", 3)):
+            pp = free_pair(Theta.identity(m, n), tuple(base))
+            for d in range(depth + 1):
+                assert _free_word_bound(pp, d) == len(enumerate_pair(pp, d))
+
+    def test_over_budget_window_refused_before_enumeration(self,
+                                                           monkeypatch):
+        pp = free_pair(THETA_ID_22, tuple(f"b{q}" for q in range(12)))
+        monkeypatch.setattr("rowiso.pair._cartesian", _forbidden)
+        with pytest.raises(ResourceExceeded, match="budget"):
+            enumerate_pair(pp, 14)
+        with pytest.raises(ResourceExceeded, match="budget"):
+            check_doubly_commute(pp)
 
 
 # check_doubly_commute(free_pair(THETA_CYCLIC_22)).failures, as
