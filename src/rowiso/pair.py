@@ -124,8 +124,9 @@ class PairPresentation:
         self.node_index = self._s_family.node_index
         self.s_in = self._s_family.in_edge
         self.t_in = self._t_family.in_edge
-        self._key = (theta, self.base, tuple(sorted(self.s_edges.items())),
-                     tuple(sorted(self.t_edges.items())))
+        # each family's key already holds its edges sorted
+        self._key = (theta, self.base, self._s_family._key[2],
+                     self._t_family._key[2])
         self._report: Optional[ValidationReport] = None
         self._commutation: Optional[CommutationReport] = None
         # the twin pair, or a weak reference back to the pair it mirrors
@@ -379,7 +380,15 @@ def mirror(pp: PairPresentation) -> PairPresentation:
 
     The swapped theta is ``(j, i) -> swap(theta^-1(i, j))``, which is
     exactly what turns the rule ``S_i T_j = T_j' S_i'`` into its
-    mirror-image reading.  A pair keeps its twin, and the twin keeps
+    mirror-image reading.
+
+    A pair theta-commutes iff its mirror does: both checks evaluate the
+    same ``e_b`` (the mirror keeps every node), the mirror's instance
+    for ``(j', i')`` is the pair's ``S_i T_j = T_j' S_i'`` read from the
+    other side, and the results of at most two letters correspond under
+    :func:`mirror_elem`.  Code that checked the pair skips the mirror.
+
+    A pair keeps its twin, and the twin keeps
     only a weak reference back, so the two never form a cycle and a
     dropped pair frees its twin and both caches at once.  Involutive
     while both are alive: the mirror of the mirror is the original
@@ -458,8 +467,8 @@ def _s_pred_raw(pp: PairPresentation, x: PairElem
 
 def _t_pred_raw(pp: PairPresentation, x: PairElem
                 ) -> Optional[tuple[int, PairElem]]:
-    # t_pred without the entry guards: both pp and its mirror
-    # theta-commute and x is canonical
+    # t_pred without the entry guards: pp (and so its mirror)
+    # theta-commutes and x is canonical
     t = x.t_prefix
     if t:
         # T-letters are outside, so the outer one strips directly
@@ -511,13 +520,12 @@ def t_pred(pp: PairPresentation, x: PairElem
 
     An element with T-letters loses its outermost one; for a pure-S
     element the backward walk runs on the mirror pair, where the
-    T-family plays the S role.  The guards (theta-commutation of the
-    pair and of its mirror, a canonical x) run here, once per call;
+    T-family plays the S role.  The guards (theta-commutation, which
+    covers the mirror's, and a canonical x) run here, once per call;
     internal loops call the unguarded kernel instead.
     """
     pp.require_commuting()
     _require_canonical(pp, x)
-    mirror(pp).require_commuting()
     return _t_pred_raw(pp, x)
 
 
@@ -543,8 +551,6 @@ def check_doubly_commute(pp: PairPresentation,
     theta = pp.theta
     failures = []
     try:
-        # the t-predecessors below run on the mirror pair
-        mirror(pp).require_commuting()
         for x in enumerate_pair(pp, depth):
             # a predecessor depends on x and at most one label, so each
             # is computed once, where the label-pair loop first needs
@@ -592,20 +598,17 @@ def check_doubly_commute(pp: PairPresentation,
     return report
 
 
-def check_joint_isometry(pp: PairPresentation,
-                         depth: Optional[int] = None) -> ValidationReport:
+def check_joint_isometry(pp: PairPresentation) -> ValidationReport:
     """Injectivity and range-disjointness of each family on a truncation.
 
     A pair can pass the commutation check yet fail to present two
     honest row-isometries (two basis vectors colliding under one
-    generator); this detects such collisions up to joint depth
-    ``depth`` (default |base| + 2).
+    generator); this detects such collisions among the canonical
+    elements of joint depth at most |base| + 2.
     """
     pp.require_commuting()
-    if depth is None:
-        depth = len(pp.base) + 2
     violations = []
-    elems = enumerate_pair(pp, depth)
+    elems = enumerate_pair(pp, len(pp.base) + 2)
     for name, count, fn in (("S", pp.m, _s_apply_raw),
                             ("T", pp.n, _t_apply_raw)):
         images: dict[PairElem, tuple[int, PairElem]] = {}

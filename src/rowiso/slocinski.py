@@ -3,10 +3,10 @@
 The decomposition exists iff (1) the unitary part of the S-family, taken
 over the joint basis, is closed under the T-family and its adjoint, and
 (2) the T-unitary part of what remains is closed under the S-family and
-its adjoint.  Both conditions reduce to per-element questions about
-backward predecessor chains, so the heart of this module is deciding,
-for a single basis element, whether its S-chain (or T-chain) runs
-forever.
+its adjoint.  Both conditions are decided exactly on the base vectors
+``e_b`` (see :func:`slocinski`), and each step there asks whether a
+backward predecessor chain runs forever, so the heart of this module
+is deciding that for a single basis element, by its node.
 
 Key structural facts the deciders rest on, all consequences of the
 absorption calculus in :mod:`pair`:
@@ -73,6 +73,7 @@ def _node_data(pp: PairPresentation) -> dict:
     dead = frozenset(b for b, seq in walks.items()
                      if all(c not in pp.s_in for c in seq))
     succ: dict = {}
+    closure: dict = {}  # forward t-closure, searched once per node
     for b, seq in walks.items():
         targets = set()
         for c in seq:
@@ -81,16 +82,19 @@ def _node_data(pp: PairPresentation) -> dict:
                 continue
             # the predecessor's node is somewhere in the forward
             # t-closure of the un-absorbed edge's source
-            frontier = [hit[0]]
-            reach = {hit[0]}
-            while frontier:
-                cur = frontier.pop()
-                for j in range(1, pp.n + 1):
-                    nxt = pp.t_edges.get((cur, j))
-                    if nxt is not None and nxt not in reach:
-                        reach.add(nxt)
-                        frontier.append(nxt)
-            targets |= reach
+            src = hit[0]
+            if src not in closure:
+                frontier = [src]
+                reach = {src}
+                while frontier:
+                    cur = frontier.pop()
+                    for j in range(1, pp.n + 1):
+                        nxt = pp.t_edges.get((cur, j))
+                        if nxt is not None and nxt not in reach:
+                            reach.add(nxt)
+                            frontier.append(nxt)
+                closure[src] = reach
+            targets |= closure[src]
         succ[b] = frozenset(targets)
     # SUCC reversed, once: the search back from the dead nodes and the
     # peel of the live nodes' sinks below both read it
@@ -352,25 +356,28 @@ class SlocinskiResult:
     failure_witness: Optional[FailureWitness]
 
 
-def _condition_one(pp: PairPresentation, elems) -> Optional[FailureWitness]:
+def _t_image_witness(pp: PairPresentation, x: PairElem,
+                     condition: str) -> Optional[FailureWitness]:
+    # the first T_j x that leaves the S-unitary part, for an S-unitary x
+    for j in range(1, pp.n + 1):
+        y = _t_apply_raw(pp, j, x)
+        if _s_verdict(pp, y.node) is not Part.UNITARY:
+            return FailureWitness(condition, x,
+                                  f"T_{j} maps it to {y!r}, which is S-shift")
+    return None
+
+
+def _condition_one(pp: PairPresentation) -> Optional[FailureWitness]:
     # the S-unitary part must be closed under every T_j and its adjoint;
-    # pp theta-commutes and elems are canonical, so the kernels run
-    # unguarded
-    twin_checked = False
-    for x in elems:
-        if _s_verdict(pp, x.node) is not Part.UNITARY:
+    # pp theta-commutes, so the kernels run unguarded
+    for b in pp.base:
+        if _s_verdict(pp, b) is not Part.UNITARY:
             continue
-        for j in range(1, pp.n + 1):
-            y = _t_apply_raw(pp, j, x)
-            if _s_verdict(pp, y.node) is not Part.UNITARY:
-                return FailureWitness(
-                    "unitary-part-of-S-invariant-under-T", x,
-                    f"T_{j} maps it to {y!r}, which is S-shift")
-        if not twin_checked:
-            # the mirror pair's check that t_pred makes, where the
-            # first T-predecessor needs it
-            mirror(pp).require_commuting()
-            twin_checked = True
+        x = PairElem((), (), b)
+        witness = _t_image_witness(pp, x,
+                                   "unitary-part-of-S-invariant-under-T")
+        if witness is not None:
+            return witness
         step = _t_pred_raw(pp, x)
         if (step is not None
                 and _s_verdict(pp, step[1].node) is not Part.UNITARY):
@@ -380,18 +387,17 @@ def _condition_one(pp: PairPresentation, elems) -> Optional[FailureWitness]:
     return None
 
 
-def _condition_two(pp: PairPresentation, elems) -> Optional[FailureWitness]:
+def _condition_two(pp: PairPresentation) -> Optional[FailureWitness]:
     # the T-unitary part of the S-shift part must be closed under every
     # S_i and its adjoint; staying S-shift is automatic (chains factor
     # through the original element), the T-verdict is the live question;
     # the kernels run unguarded, as in _condition_one
     twin = mirror(pp)
-    for x in elems:
-        if _s_verdict(pp, x.node) is not Part.SHIFT:
+    for b in pp.base:
+        if (_s_verdict(pp, b) is not Part.SHIFT
+                or _s_verdict(twin, b) is not Part.UNITARY):
             continue
-        twin.require_commuting()  # where the first T-verdict needs it
-        if _s_verdict(twin, x.node) is not Part.UNITARY:
-            continue
+        x = PairElem((), (), b)
         for i in range(1, pp.m + 1):
             y = _s_apply_raw(pp, i, x)
             if _s_verdict(twin, y.node) is not Part.UNITARY:
@@ -412,7 +418,6 @@ def _corner_descs(pp: PairPresentation) -> dict:
     twin = mirror(pp)
     for b in pp.base:
         s_u = _s_verdict(pp, b) is Part.UNITARY
-        twin.require_commuting()  # as in _condition_two
         t_u = _s_verdict(twin, b) is Part.UNITARY
         key = ("u" if s_u else "s") + ("u" if t_u else "s")
         corners[key].append(b)
@@ -424,38 +429,38 @@ def _corner_descs(pp: PairPresentation) -> dict:
 def slocinski(pp: PairPresentation, order: str = "st") -> SlocinskiResult:
     """Decide and assemble the four-fold decomposition.
 
-    Conditions are tested over every canonical element of joint depth
-    at most max(4, |base| + 2).  A violation found there is a genuine
-    counterexample; a clean sweep is taken as existence, leaning on the
-    node-determined structure of chains, and the matrix oracle
-    re-verifies the claimed corners independently.
+    Both closure conditions are decided exactly on the |base| base
+    vectors ``e_b``, condition one at every b and then condition two;
+    the first failure is the witness.  A sweep of every element to any
+    depth meets the base vectors first, at depth 0 in base order, and
+    returns the same witness, because a failure at an element at node
+    b implies one at ``e_b``:
+
+    - Verdicts depend on the node alone.
+    - An element carrying the other family's letters keeps its node
+      under the step in question (for condition two, read it in
+      S-outside form ``S_u T_w e_b`` with u non-empty).
+    - The T-predecessor of ``S_s e_b``, and the S-predecessor of
+      ``T_w e_b``, sit at a node that depends only on b.
+    - ``T_j S_s e_b = S_s' T_j' e_b``, and an S-step never changes an
+      S-verdict (the S-chain of ``S_i z`` runs through z); dually for
+      ``S_i T_w e_b``.
+
+    The matrix oracle re-verifies the claimed corners independently.
 
     ``order`` picks which family's Wold decomposition is taken first;
     "ts" runs the criterion with the roles swapped (the two orders may
-    genuinely disagree about the middle corners).
+    genuinely disagree about the middle corners), and a base vector is
+    its own name in the mirror pair.
     """
     if order not in ("st", "ts"):
         raise ValidationError(f"order must be 'st' or 'ts', got {order!r}")
     pp.require_commuting()
-    if order == "ts":
-        twin = mirror(pp)
-        res = slocinski(twin, "st")
-        corners = _corner_descs(pp)
-        witness = res.failure_witness
-        if witness is not None:
-            witness = FailureWitness(
-                "mirror:" + witness.condition,
-                mirror_elem(twin, witness.element), witness.detail)
-        return SlocinskiResult(
-            exists=res.exists,
-            H_uu=corners["uu"], H_us=corners["us"],
-            H_su=corners["su"], H_ss=corners["ss"],
-            failure_witness=witness)
-    depth = max(4, len(pp.base) + 2)
-    elems = enumerate_pair(pp, depth)
-    witness = _condition_one(pp, elems)
-    if witness is None:
-        witness = _condition_two(pp, elems)
+    first = mirror(pp) if order == "ts" else pp
+    witness = _condition_one(first) or _condition_two(first)
+    if witness is not None and order == "ts":
+        witness = FailureWitness("mirror:" + witness.condition,
+                                 witness.element, witness.detail)
     corners = _corner_descs(pp)
     return SlocinskiResult(
         exists=witness is None,
@@ -603,9 +608,10 @@ def verify_theorem_implications(pp: PairPresentation) -> ImplicationReport:
     """Check every theorem and standalone lemma against this pair.
 
     Conditional theorems are asserted only when their hypotheses are
-    certified; the lemmas are asserted outright (on a truncation, with
-    exact per-element verdicts).  Any violated row is a bug in either
-    this package or the structure theory, never acceptable data.
+    certified; the lemmas are asserted outright, element by element
+    over a truncation of depth max(4, |base| + 2), with exact
+    per-element verdicts.  Any violated row is a bug in either this
+    package or the structure theory, never acceptable data.
     """
     pp.require_commuting()
     hyp = check_hypotheses(pp)
@@ -628,28 +634,17 @@ def verify_theorem_implications(pp: PairPresentation) -> ImplicationReport:
     ]
     bad = None
     for x in elems:
-        if _s_verdict(pp, x.node) is not Part.UNITARY:
-            continue
-        for j in range(1, pp.n + 1):
-            y = _t_apply_raw(pp, j, x)
-            if _s_verdict(pp, y.node) is not Part.UNITARY:
-                bad = FailureWitness(
-                    "S-unitary-part-T-invariance", x,
-                    f"T_{j} maps it to {y!r}, which is S-shift")
+        if _s_verdict(pp, x.node) is Part.UNITARY:
+            bad = _t_image_witness(pp, x, "S-unitary-part-T-invariance")
+            if bad is not None:
                 break
-        if bad is not None:
-            break
     rows.append(ImplicationRow(
         "S-unitary-part-always-T-invariant", True, bad is None, bad))
     if pp.m >= 2:
         bad = None
-        twin_checked = False
         for x in elems:
             if not s_in_V(pp, x):
                 continue
-            if not twin_checked:
-                mirror(pp).require_commuting()
-                twin_checked = True
             step = _t_pred_raw(pp, x)
             if step is not None and not s_in_V(pp, step[1]):
                 bad = FailureWitness(

@@ -28,3 +28,15 @@ def test_warmup_item_matches_its_golden_record(workload, traced):
     item = workloads.warmup_item(workload)
     expected = golden.load(workload)[item.key]
     assert golden.matches(expected, item.run(L, item.data)), item.key
+
+
+def test_every_pairs_wide_item_matches_its_golden_record():
+    # the large pairs are where a decider change that skips work can
+    # change a verdict; one seed's pass draws every one of them
+    L = Layers()
+    expected = golden.load("pairs-wide")
+    items = workloads.build_items("pairs-wide", 3, expected)
+    assert len(items) == len(expected)
+    for item in items:
+        assert golden.matches(expected[item.key], item.run(L, item.data)), \
+            item.key

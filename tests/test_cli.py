@@ -44,6 +44,21 @@ COLLISION_DOC = {
     "base": ["a", "c"],
     "s_edges": [["c", 1, "a"]], "t_edges": [["a", 1, "a"]],
 }
+# honest pairs whose four-fold decomposition fails
+FAILING_A_DOC = {
+    "m": 1, "n": 3, "theta": [[1, 1, 1, 3], [1, 2, 1, 1], [1, 3, 1, 2]],
+    "base": ["n0", "n1", "n2", "n3"],
+    "s_edges": [["n3", 1, "n1"]],
+    "t_edges": [["n0", 1, "n0"], ["n0", 2, "n1"]],
+}
+FAILING_B_DOC = {
+    "m": 2, "n": 3,
+    "theta": [[1, 1, 2, 1], [1, 2, 2, 2], [1, 3, 2, 3],
+              [2, 1, 1, 1], [2, 2, 1, 3], [2, 3, 1, 2]],
+    "base": ["n0", "n1", "n2", "n3"],
+    "s_edges": [["n3", 1, "n1"], ["n3", 2, "n3"]],
+    "t_edges": [["n2", 3, "n1"]],
+}
 NONCOMMUTING_DOC = {
     "m": 1, "n": 1, "theta": [[1, 1, 1, 1]],
     "base": ["a", "b"],
@@ -193,6 +208,23 @@ class TestExitCodes:
         path = doc_file(tmp_path, COLLISION_DOC)
         assert main(["slocinski", path]) == 1
         assert "property fails" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("doc, condition, detail", [
+        (FAILING_A_DOC, "T-unitary-part-of-S-shift-closed-under-S-adjoint",
+         "its S-predecessor <n3> is T-shift"),
+        (FAILING_B_DOC, "unitary-part-of-S-closed-under-T-adjoint",
+         "its T-predecessor <n2> is S-shift"),
+    ], ids=("A", "B"))
+    def test_failing_decomposition_is_one(self, tmp_path, capsys, doc,
+                                          condition, detail):
+        path = doc_file(tmp_path, doc)
+        assert main(["slocinski", path]) == 1
+        assert "exists: false" in capsys.readouterr().out
+        assert main(["slocinski", path, "--json"]) == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["exists"] is False
+        assert payload["failure_witness"] == {
+            "condition": condition, "element": "<n1>", "detail": detail}
 
     def test_validate_reports_violations_with_one(self, tmp_path, capsys):
         bad = {"m": 1, "base": ["a"], "s_edges": [["a", 2, "a"]]}

@@ -100,7 +100,7 @@ def assert_canonical(pp, x):
 
 
 def random_pair(rng, max_nodes=3, max_m=2, max_n=2):
-    nodes = tuple("abc"[: rng.randint(1, max_nodes)])
+    nodes = tuple("abcdef"[: rng.randint(1, max_nodes)])
     m = rng.randint(1, max_m)
     n = rng.randint(1, max_n)
     domain = [(i, j) for i in range(1, m + 1) for j in range(1, n + 1)]
@@ -880,6 +880,20 @@ class TestMirror:
                 for j in range(1, pp.n + 1):
                     assert mirror_elem(pp, t_apply(pp, j, x)) == \
                         s_apply(tw, j, xm)
+
+    def test_pair_commutes_iff_its_mirror_does(self, pair_space):
+        # what lets t_pred, check_doubly_commute and the deciders skip
+        # the mirror's own guard
+        for pp, commuting, _ in pair_space:
+            assert check_theta_commute(mirror(pp)).ok == commuting, pp
+        rng = random.Random(6007)
+        verdicts = set()
+        for _ in range(3000):
+            pp = random_pair(rng, max_nodes=5, max_m=3, max_n=3)
+            ok = check_theta_commute(pp).ok
+            assert check_theta_commute(mirror(pp)).ok == ok, pp
+            verdicts.add(ok)
+        assert verdicts == {True, False}
 
     def test_mirror_elem_round_trips(self):
         for pp in commuting_pairs(373, 12):

@@ -6,16 +6,29 @@ combinations is realized on its own base node: a carries both loops
 nothing.
 """
 
+import importlib
 import random
+from collections import Counter
 
 import pytest
 
 from rowiso.errors import ContractViolation, ResourceExceeded, ValidationError
 from rowiso.pair import (
+    PAIR_WINDOW_BUDGET,
     PairElem,
     PairPresentation,
+    _free_word_bound,
+    _s_apply_raw,
+    _s_pred_raw,
+    _t_apply_raw,
+    _t_pred_raw,
+    check_doubly_commute,
+    check_joint_isometry,
+    check_theta_commute,
     enumerate_pair,
     free_pair,
+    mirror,
+    mirror_elem,
     s_apply,
     s_pred,
     t_apply,
@@ -24,8 +37,13 @@ from rowiso.pair import (
 )
 from rowiso.presentation import Elem
 from rowiso.slocinski import (
+    FailureWitness,
     Multiplicity,
+    SlocinskiResult,
+    _corner_descs,
     _node_data,
+    _s_verdict,
+    _walk_nodes,
     check_hypotheses,
     dead_nodes,
     joint_wandering,
@@ -42,6 +60,10 @@ from rowiso.wold import Part
 from rowiso.words import Theta
 
 from test_pair import commuting_pairs, honest_pairs
+
+# the package re-exports the slocinski function under the module's name
+pair_module = importlib.import_module("rowiso.pair")
+slocinski_module = importlib.import_module("rowiso.slocinski")
 
 ID11 = Theta.identity(1, 1)
 ID22 = Theta.identity(2, 2)
@@ -256,6 +278,58 @@ def reach(succ, start, within=None):
     return seen
 
 
+def node_data_reference(pp):
+    """DEAD and SUCC with a forward t-closure search for every node of
+    every backward walk, as ``_node_data`` once built them."""
+    walks = {b: _walk_nodes(pp, b) for b in pp.base}
+    dead = frozenset(b for b, seq in walks.items()
+                     if all(c not in pp.s_in for c in seq))
+    succ = {}
+    for b, seq in walks.items():
+        targets = set()
+        for c in seq:
+            hit = pp.s_in.get(c)
+            if hit is None:
+                continue
+            frontier = [hit[0]]
+            found = {hit[0]}
+            while frontier:
+                cur = frontier.pop()
+                for j in range(1, pp.n + 1):
+                    nxt = pp.t_edges.get((cur, j))
+                    if nxt is not None and nxt not in found:
+                        found.add(nxt)
+                        frontier.append(nxt)
+            targets |= found
+        succ[b] = frozenset(targets)
+    return dead, succ
+
+
+def found_chain(size):
+    """S self-loops on every node and one T-chain through them: a
+    commuting pair on which one search per walk node is cubic."""
+    nodes = tuple(f"n{k}" for k in range(size))
+    return PairPresentation(ID11, nodes, {(b, 1): b for b in nodes},
+                            dict(zip(((b, 1) for b in nodes), nodes[1:])))
+
+
+def chain_node_pair(rng):
+    """A pair whose T-family is mostly one long chain, sometimes closed
+    into a cycle, with random S-edges, valid or not."""
+    nodes = tuple(f"c{k}" for k in range(rng.randint(10, 40)))
+    order = list(nodes)
+    rng.shuffle(order)
+    t_edges = {(a, 1): b for a, b in zip(order, order[1:])}
+    if rng.random() < 0.3:
+        t_edges[(order[-1], 1)] = rng.choice(order)
+    for _ in range(rng.randint(0, 4)):
+        t_edges[(rng.choice(nodes), 2)] = rng.choice(nodes)
+    density = rng.random()
+    s_edges = {(b, 1): rng.choice(nodes) for b in nodes
+               if rng.random() < density}
+    return PairPresentation(Theta.identity(1, 2), nodes, s_edges, t_edges)
+
+
 class TestNodeData:
     def test_eternal_and_acyclic_match_reachability(self):
         rng = random.Random(5003)
@@ -278,6 +352,23 @@ class TestNodeData:
         # invalid pairs of both kinds were among them
         for kind in ("has in-degree 2", "target 'zz' is not a base node"):
             assert any(kind in v for v in violations), kind
+
+    def test_shared_closures_match_a_search_per_walk_node(self):
+        rng = random.Random(5011)
+        pairs = [found_chain(60)]
+        pairs += [chain_node_pair(rng) for _ in range(100)]
+        pairs += [random_node_pair(rng) for _ in range(300)]
+        for pp in pairs:
+            data = _node_data(pp)
+            dead, succ = node_data_reference(pp)
+            assert data["dead"] == dead, pp
+            assert data["succ"] == succ, pp
+            eternal = {b for b in pp.base if not reach(succ, b) & dead}
+            assert data["eternal"] == eternal, pp
+            live = set(pp.base) - dead
+            cyclic = any(b in reach(succ, c, live)
+                         for b in live for c in succ[b] & live)
+            assert data["live_succ_acyclic"] is not cyclic, pp
 
 
 # -- V membership ---------------------------------------------------------------
@@ -414,6 +505,215 @@ class TestSlocinski:
             corners = (res.H_uu, res.H_us, res.H_su, res.H_ss)
             for x in enumerate_pair(pp, 2):
                 assert sum(c.contains(x) for c in corners) == 1
+
+
+# -- the element sweep the base vectors replaced ----------------------------------
+
+
+# slocinski as it decided before: both conditions over every canonical
+# element up to a depth window, with the mirror's guard run where the
+# first T-verdict or T-predecessor needs it
+
+
+def sweep_condition_one(pp, elems):
+    twin_checked = False
+    for x in elems:
+        if _s_verdict(pp, x.node) is not Part.UNITARY:
+            continue
+        for j in range(1, pp.n + 1):
+            y = _t_apply_raw(pp, j, x)
+            if _s_verdict(pp, y.node) is not Part.UNITARY:
+                return FailureWitness(
+                    "unitary-part-of-S-invariant-under-T", x,
+                    f"T_{j} maps it to {y!r}, which is S-shift")
+        if not twin_checked:
+            mirror(pp).require_commuting()
+            twin_checked = True
+        step = _t_pred_raw(pp, x)
+        if (step is not None
+                and _s_verdict(pp, step[1].node) is not Part.UNITARY):
+            return FailureWitness(
+                "unitary-part-of-S-closed-under-T-adjoint", x,
+                f"its T-predecessor {step[1]!r} is S-shift")
+    return None
+
+
+def sweep_condition_two(pp, elems):
+    twin = mirror(pp)
+    for x in elems:
+        if _s_verdict(pp, x.node) is not Part.SHIFT:
+            continue
+        twin.require_commuting()
+        if _s_verdict(twin, x.node) is not Part.UNITARY:
+            continue
+        for i in range(1, pp.m + 1):
+            y = _s_apply_raw(pp, i, x)
+            if _s_verdict(twin, y.node) is not Part.UNITARY:
+                return FailureWitness(
+                    "T-unitary-part-of-S-shift-invariant-under-S", x,
+                    f"S_{i} maps it to {y!r}, which is T-shift")
+        step = _s_pred_raw(pp, x)
+        if (step is not None
+                and _s_verdict(twin, step[1].node) is not Part.UNITARY):
+            return FailureWitness(
+                "T-unitary-part-of-S-shift-closed-under-S-adjoint", x,
+                f"its S-predecessor {step[1]!r} is T-shift")
+    return None
+
+
+def slocinski_sweep(pp, order="st", depth=None):
+    """The sweep's result; ``depth`` defaults to max(4, |base| + 2)."""
+    pp.require_commuting()
+    if order == "ts":
+        twin = mirror(pp)
+        res = slocinski_sweep(twin, "st", depth)
+        witness = res.failure_witness
+        if witness is not None:
+            witness = FailureWitness(
+                "mirror:" + witness.condition,
+                mirror_elem(twin, witness.element), witness.detail)
+        corners = _corner_descs(pp)
+    else:
+        if depth is None:
+            depth = max(4, len(pp.base) + 2)
+        elems = enumerate_pair(pp, depth)
+        witness = sweep_condition_one(pp, elems)
+        if witness is None:
+            witness = sweep_condition_two(pp, elems)
+        corners = _corner_descs(pp)
+    return SlocinskiResult(
+        exists=witness is None,
+        H_uu=corners["uu"], H_us=corners["us"],
+        H_su=corners["su"], H_ss=corners["ss"],
+        failure_witness=witness)
+
+
+def decision(decide, pp, *args):
+    """The result on a fresh copy of pp, or the error's type and text;
+    corners compare by seeds and nodes."""
+    try:
+        return decide(fresh(pp), *args)
+    except (ContractViolation, ResourceExceeded) as exc:
+        return type(exc), str(exc)
+
+
+def outcome_kind(got):
+    if isinstance(got, tuple):
+        return got[0].__name__
+    return "exists" if got.exists else "witness"
+
+
+def _forbidden(*args, **kwargs):
+    raise AssertionError("slocinski enumerated a window")
+
+
+class TestBaseVectors:
+    def test_acceptance_candidates_match_the_sweep(self, pair_space):
+        kinds = Counter()
+        for pp, commuting, _ in pair_space:
+            if not commuting:
+                continue
+            for order in ("st", "ts"):
+                got = decision(slocinski, pp, order)
+                assert got == decision(slocinski_sweep, pp, order), \
+                    (pp, order)
+                kinds[order, outcome_kind(got)] += 1
+        # every commuting candidate decomposes or is refused
+        assert kinds == {("st", "exists"): 2587,
+                         ("st", "ContractViolation"): 1900,
+                         ("ts", "exists"): 2587,
+                         ("ts", "ContractViolation"): 1900}
+
+    def test_random_pairs_match_the_sweep_at_three_windows(self):
+        kinds = Counter()
+        compared = Counter()
+        for pp in commuting_pairs(11, 300, max_nodes=6, max_m=3, max_n=3):
+            old = max(4, len(pp.base) + 2)
+            for order in ("st", "ts"):
+                got = decision(slocinski, pp, order)
+                kinds[outcome_kind(got)] += 1
+                for extra in range(3):
+                    depth = old + extra
+                    if _free_word_bound(pp, depth) > SWEEP_CAP:
+                        break
+                    assert got == decision(slocinski_sweep, pp, order,
+                                           depth), (pp, order, depth)
+                    compared[extra] += 1
+        assert min(compared.values()) > 200
+        # a refusal means the pair is not jointly injective
+        assert set(kinds) == {"exists", "witness", "ContractViolation"}
+
+    def test_no_window_is_enumerated(self, monkeypatch):
+        monkeypatch.setattr(pair_module, "enumerate_pair", _forbidden)
+        monkeypatch.setattr(slocinski_module, "enumerate_pair", _forbidden)
+        # the old window here, depth 9, holds more free words than the
+        # budget allows
+        nodes = tuple(f"b{k}" for k in range(7))
+        free33 = free_pair(Theta.identity(3, 3), nodes)
+        assert _free_word_bound(free33, 9) > PAIR_WINDOW_BUDGET
+        for order in ("st", "ts"):
+            res = slocinski(free33, order)
+            assert res.exists
+            assert res.H_ss.nodes == frozenset(nodes)
+            for pp in (PAIR_A, PAIR_B):
+                assert not slocinski(fresh(pp), order).exists
+
+
+# the random pairs' windows are compared with the sweep up to this many
+# free words; larger windows cost the suite seconds each
+SWEEP_CAP = 2_000
+
+# two honest pairs whose decomposition fails: each passes the
+# theta-commutation and joint-isometry checks, and neither is doubly
+# commuting
+PAIR_A = PairPresentation(
+    Theta(1, 3, {(1, 1): (1, 3), (1, 2): (1, 1), (1, 3): (1, 2)}),
+    ("n0", "n1", "n2", "n3"), {("n3", 1): "n1"},
+    {("n0", 1): "n0", ("n0", 2): "n1"})
+PAIR_B = PairPresentation(
+    Theta(2, 3, {(1, 1): (2, 1), (1, 2): (2, 2), (1, 3): (2, 3),
+                 (2, 1): (1, 1), (2, 2): (1, 3), (2, 3): (1, 2)}),
+    ("n0", "n1", "n2", "n3"), {("n3", 1): "n1", ("n3", 2): "n3"},
+    {("n2", 3): "n1"})
+FAILURE_WITNESSES = [
+    (PAIR_A, "st", "T-unitary-part-of-S-shift-closed-under-S-adjoint",
+     "its S-predecessor <n3> is T-shift"),
+    (PAIR_A, "ts", "mirror:unitary-part-of-S-closed-under-T-adjoint",
+     "its T-predecessor <n3> is S-shift"),
+    (PAIR_B, "st", "unitary-part-of-S-closed-under-T-adjoint",
+     "its T-predecessor <n2> is S-shift"),
+    (PAIR_B, "ts", "mirror:T-unitary-part-of-S-shift-closed-under-S-adjoint",
+     "its S-predecessor <n2> is T-shift"),
+]
+
+
+class TestFailingDecomposition:
+    def test_pairs_are_honest_but_not_doubly_commuting(self):
+        for pp in (PAIR_A, PAIR_B):
+            assert check_theta_commute(pp).ok
+            assert check_joint_isometry(pp).ok
+            assert not check_doubly_commute(pp).ok
+
+    @pytest.mark.parametrize("pp, order, condition, detail",
+                             FAILURE_WITNESSES,
+                             ids=("A-st", "A-ts", "B-st", "B-ts"))
+    def test_witness_pinned(self, pp, order, condition, detail):
+        res = slocinski(fresh(pp), order)
+        assert not res.exists
+        assert res.failure_witness == FailureWitness(
+            condition, PairElem((), (), "n1"), detail)
+        assert decision(slocinski_sweep, pp, order) == res
+
+    def test_theorems_hold(self):
+        # no sufficient condition is certified, so the failure violates
+        # no theorem row
+        for pp in (PAIR_A, PAIR_B):
+            report = verify_theorem_implications(fresh(pp))
+            assert report.ok, report
+            row = {r.name: r for r in report.rows}[
+                "doubly-commuting-implies-decomposition"]
+            assert not row.hypotheses_hold
+            assert row.conclusion_holds is False
 
 
 # -- hypotheses and implications ---------------------------------------------------
