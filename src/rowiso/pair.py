@@ -294,6 +294,19 @@ def _free_word_bound(pp: PairPresentation, depth: int) -> int:
     return total
 
 
+def _require_window(pp: PairPresentation, depth: int) -> None:
+    # the refusals of a depth window, shared by enumerate_pair and
+    # check_doubly_commute, which refuses an over-budget window whether
+    # or not it ends up sweeping it
+    pp.require_valid()
+    if depth < 0:
+        raise ValidationError("depth must be nonnegative")
+    if _free_word_bound(pp, depth) > PAIR_WINDOW_BUDGET:
+        raise ResourceExceeded(
+            f"pair window at depth {depth} has more than "
+            f"{PAIR_WINDOW_BUDGET} free words, the budget")
+
+
 def enumerate_pair(pp: PairPresentation, depth: int) -> list[PairElem]:
     """All canonical elements of joint depth |t|+|s| <= depth.
 
@@ -302,13 +315,7 @@ def enumerate_pair(pp: PairPresentation, depth: int) -> list[PairElem]:
     words number more than ``PAIR_WINDOW_BUDGET`` raises
     ``ResourceExceeded`` before any element is built.
     """
-    pp.require_valid()
-    if depth < 0:
-        raise ValidationError("depth must be nonnegative")
-    if _free_word_bound(pp, depth) > PAIR_WINDOW_BUDGET:
-        raise ResourceExceeded(
-            f"pair window at depth {depth} has more than "
-            f"{PAIR_WINDOW_BUDGET} free words, the budget")
+    _require_window(pp, depth)
     out: list[PairElem] = []
     for total in range(depth + 1):
         for t_len in range(total, -1, -1):
@@ -529,29 +536,14 @@ def t_pred(pp: PairPresentation, x: PairElem
     return _t_pred_raw(pp, x)
 
 
-def check_doubly_commute(pp: PairPresentation,
-                         depth: Optional[int] = None) -> CommutationReport:
-    """Verify both adjoint-commutation displays on a truncation.
-
-    The two identities relate a generator of one family with the
-    adjoint of the other; on basis vectors each side is a basis vector
-    or zero, with at most one surviving term in the sum (predecessors
-    are unique).  Checked for every canonical element of joint depth at
-    most ``depth`` (default |base| + 2) and every label pair.
-
-    The report is cached on the pair per depth, so the default and an
-    explicit ``len(pp.base) + 2`` share one report.
-    """
-    pp.require_commuting()
-    if depth is None:
-        depth = len(pp.base) + 2
-    cache = pp._cache.setdefault("doubly", {})
-    if depth in cache:
-        return cache[depth]
+def _doubly_sweep(pp: PairPresentation, elems: Iterable[PairElem]
+                  ) -> tuple[CommutationFailure, ...]:
+    # both adjoint displays at every element of elems and every label
+    # pair, in order; pp theta-commutes and the elements are canonical
     theta = pp.theta
     failures = []
     try:
-        for x in enumerate_pair(pp, depth):
+        for x in elems:
             # a predecessor depends on x and at most one label, so each
             # is computed once, where the label-pair loop first needs
             # it: a contract violation still stops the sweep at the
@@ -593,33 +585,120 @@ def check_doubly_commute(pp: PairPresentation,
     except ContractViolation as exc:
         failures.append(CommutationFailure(
             "pred-contract", None, 0, 0, str(exc), None))
-    report = CommutationReport(tuple(failures))
-    cache[depth] = report
-    return report
+    return tuple(failures)
+
+
+def check_doubly_commute(pp: PairPresentation,
+                         depth: Optional[int] = None) -> CommutationReport:
+    """Verify both adjoint-commutation displays, decided exactly.
+
+    The two identities relate a generator of one family with the
+    adjoint of the other; on basis vectors each side is a basis vector
+    or zero, with at most one surviving term in the sum (predecessors
+    are unique).  The report is the one a sweep of every canonical
+    element of joint depth at most ``depth`` (default |base| + 2) and
+    every label pair gives, but the window is swept only to list the
+    failures of a pair that fails the rule below.
+
+    Rule: the pair is jointly isometric (:func:`check_joint_isometry`)
+    and the displays hold at every base vector ``e_b`` and at
+    ``T_l e_b`` for one b and every l.  Then they hold at every
+    element.  Joint isometry makes the predecessor kernels exact
+    adjoints that never raise, and :func:`check_theta_commute` makes
+    ``S_i T_j x = T_j' S_i' x`` hold at every x, so:
+
+    - Display one, ``T_j^* S_i x`` against ``S_k T_jk^* x``, at
+      ``x = T_l x'``.  With ``theta(i, l) = (i', l')`` the left side is
+      ``T_j^* T_l' S_i' x'``: ``S_i' x'`` at ``j = l'``, zero
+      elsewhere.  The right side is ``S_k x'`` at ``j = jk``, where
+      ``(k, jk) = theta^-1(i, l)``.  The ``S_a x'`` are distinct, so
+      the display holds at x iff ``theta(i, l) = theta^-1(i, l)``, a
+      condition on the labels alone that ``T_l e_b`` decides.
+    - Display one at an x in no T-range, where the right side is zero.
+      Such an x is ``S_s e_b`` with no t-in-edge on the backward
+      s-walk from b: the walk behind :func:`_t_pred_raw` visits the
+      same nodes for every s.  ``S_i x`` keeps the node b, and so stays
+      out of every T-range, unless ``x = e_b`` and ``S_i`` absorbs
+      there; ``e_b`` decides that case.
+    - Display two, ``S_i^* T_j x`` against ``T_k S_i2^* x``, at
+      ``x = S_l x''``.  With ``(i2, k) = theta^-1(l, j)``,
+      ``T_j S_l x'' = S_i2 T_k x''``, so both sides are ``T_k x''`` at
+      ``i = i2`` and zero elsewhere: the display always holds.  At an
+      x in no S-range it is the case above read in the mirror pair,
+      and ``e_b`` decides it.
+
+    The report is cached on the pair per depth, so the default and an
+    explicit ``len(pp.base) + 2`` share one report.  A window that
+    :func:`enumerate_pair` would refuse is refused here too, swept or
+    not.
+    """
+    pp.require_commuting()
+    if depth is None:
+        depth = len(pp.base) + 2
+    cache = pp._cache.setdefault("doubly", {})
+    if depth not in cache:
+        _require_window(pp, depth)
+        # the rule's elements: every e_b, then T_l e_b for the first b
+        probe = [PairElem((), (), b) for b in pp.base]
+        probe += [_t_apply_raw(pp, l, x) for x in probe[:1]
+                  for l in range(1, pp.n + 1)]
+        if check_joint_isometry(pp).ok and not _doubly_sweep(pp, probe):
+            failures = ()
+        else:
+            failures = _doubly_sweep(pp, enumerate_pair(pp, depth))
+        cache[depth] = CommutationReport(failures)
+    return cache[depth]
 
 
 def check_joint_isometry(pp: PairPresentation) -> ValidationReport:
-    """Injectivity and range-disjointness of each family on a truncation.
+    """Injectivity and range-disjointness of each family, decided exactly.
 
     A pair can pass the commutation check yet fail to present two
-    honest row-isometries (two basis vectors colliding under one
-    generator); this detects such collisions among the canonical
-    elements of joint depth at most |base| + 2.
+    honest row-isometries: two basis vectors collide under one family's
+    generators.  Rule: at every base vector ``e_b``, the
+    S-predecessor walk :func:`_s_pred_raw` finishes without a
+    ContractViolation in the pair and in its mirror (the walk
+    :func:`_t_pred_raw` takes at ``e_b``).  Then no two elements
+    collide at any depth and the report is empty.  Otherwise the report
+    holds one entry, the first violation's text; the T-family's is read
+    in the mirror pair, where T is the S-family.  The report is cached
+    on the pair.
+
+    Proof for S; the T-family is the S-family of the mirror pair, where
+    this pair's pure-S elements are pure T and ``_t_pred_raw`` runs.
+
+    - ``S_i x`` only prepends a letter to the S-prefix, which is
+      injective and leaves one, unless ``x = T_u e_d`` and the S-letter
+      absorbs at d.  So collisions land on pure-T elements ``T_w e_c``.
+    - A preimage of ``T_w e_c`` absorbs at the node ``p_k`` that the
+      backward t-walk from c reaches after k steps, then re-absorbs
+      those k T-letters.  So k fixes it, and for k >= 1 it is canonical,
+      and so a preimage, by a condition on ``p_k`` and ``p_(k-1)``
+      alone.  Under theta-commutation every candidate the walk builds
+      re-applies, so :func:`_s_pred_raw` raises exactly when it meets
+      two preimages.
+    - Only position 0 depends on w, so ``T_w e_c`` has no more
+      preimages than ``e_c``.
+    - The walk from ``e_c`` stops at its first revisit.  A preimage at a
+      later position k lies on a t-cycle.  The walk from ``e_(p_k)``
+      then finds one preimage at position 0 and, by the same condition,
+      another one period later, and raises.
+
+    Conversely, a raise at ``e_c`` names two preimages of ``e_c``, a
+    collision, so the rule is exact both ways.  No window is built, so
+    none is refused.
     """
     pp.require_commuting()
-    violations = []
-    elems = enumerate_pair(pp, len(pp.base) + 2)
-    for name, count, fn in (("S", pp.m, _s_apply_raw),
-                            ("T", pp.n, _t_apply_raw)):
-        images: dict[PairElem, tuple[int, PairElem]] = {}
-        for x in elems:
-            for label in range(1, count + 1):
-                y = fn(pp, label, x)
-                prev = images.get(y)
-                if prev is not None and prev != (label, x):
-                    violations.append(
-                        f"{name}-family collision: {name}_{prev[0]} "
-                        f"{prev[1]!r} == {name}_{label} {x!r} == {y!r}")
-                else:
-                    images[y] = (label, x)
-    return ValidationReport(tuple(violations))
+    cache = pp._cache
+    if "joint" not in cache:
+        violations: tuple[str, ...] = ()
+        try:
+            for name, q in (("S", pp), ("T", mirror(pp))):
+                for b in pp.base:
+                    _s_pred_raw(q, PairElem((), (), b))
+        except ContractViolation as exc:
+            where = "" if name == "S" else \
+                "T-family, read in the mirror pair: "
+            violations = (where + str(exc),)
+        cache["joint"] = ValidationReport(violations)
+    return cache["joint"]

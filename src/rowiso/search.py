@@ -9,7 +9,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .errors import ContractViolation, ResourceExceeded, ValidationError
+from .errors import ResourceExceeded, ValidationError
 from .oracle import materialize, verify_relations, verify_subspace
 from .pair import (PairElem, PairPresentation, check_doubly_commute,
                    check_joint_isometry, check_theta_commute, mirror)
@@ -101,9 +101,8 @@ def search(space: SearchSpace, predicate: str):
     """Exhaustively sweep a search space for a named property.
 
     Returns, in deterministic enumeration order, every candidate that
-    is valid, theta-commuting, jointly injective on the truncated
-    basis, and satisfies the predicate.  Raises when the space exceeds
-    the candidate budget.
+    is valid, theta-commuting, jointly isometric, and satisfies the
+    predicate.  Raises when the space exceeds the candidate budget.
     """
     if predicate not in PREDICATES:
         raise ValidationError(
@@ -125,11 +124,8 @@ def search(space: SearchSpace, predicate: str):
                         continue
                     if not check_joint_isometry(pp).ok:
                         continue
-                    try:
-                        if test(pp):
-                            hits.append(pp)
-                    except ContractViolation:
-                        continue  # not a joint isometry beyond the window
+                    if test(pp):
+                        hits.append(pp)
     return hits
 
 

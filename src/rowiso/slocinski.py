@@ -204,13 +204,13 @@ def t_membership(pp: PairPresentation, x: PairElem,
     """Wold verdict of the T-family: the mirror pair's S-verdict.
 
     The mirror pair keeps every node, so this is decided at ``x.node``
-    as in :func:`s_membership`; the guards check the mirror pair's
-    theta-commutation and that x is canonical.
+    as in :func:`s_membership`.  The guards check that x is canonical
+    and that the pair theta-commutes, which holds iff its mirror does,
+    so a failure is named in the pair's own families.
     """
-    twin = mirror(pp)
-    twin.require_commuting()
+    pp.require_commuting()
     _require_canonical(pp, x)
-    return _s_verdict(twin, x.node, budget)
+    return _s_verdict(mirror(pp), x.node, budget)
 
 
 def s_in_V(pp: PairPresentation, x: PairElem,

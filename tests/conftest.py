@@ -18,8 +18,9 @@ def pair_space():
     """All pair candidates with |base| <= 2, m,n <= 2, every twist.
 
     Each entry is (pair, commuting, injective); "injective" means
-    commuting and jointly injective on the truncated basis.  Built once
-    per session, because the joint-isometry filter is its main cost.
+    commuting and jointly isometric, as decided by the base-vector rule
+    of ``check_joint_isometry``.  Built once per session, because
+    building and checking 11,465 pairs is its main cost.
     """
     out = []
     for m in (1, 2):

@@ -11,12 +11,14 @@ import gc
 import json
 import random
 import weakref
+from collections import Counter
 from itertools import permutations, product
 
 import pytest
 
 from rowiso.cli import parse
 from rowiso.errors import ContractViolation, ResourceExceeded, ValidationError
+from rowiso.oracle import materialize, verify_relations
 from rowiso.search import _edge_maps, all_thetas
 from rowiso.pair import (
     CommutationFailure,
@@ -35,10 +37,12 @@ from rowiso.pair import (
     t_apply,
     t_pred,
     validate_pair,
+    _doubly_sweep,
     _free_word_bound,
     _reduce_raw,
     _s_apply_raw,
     _s_pred_raw,
+    _t_apply_raw,
     _t_pred_raw,
 )
 from rowiso.slocinski import check_hypotheses, slocinski
@@ -814,6 +818,17 @@ class TestJointIsometry:
     def test_free_pair_ok(self):
         assert check_joint_isometry(free_pair(THETA_ID_22)).ok
 
+    def test_collision_reported_by_the_base_vector_walk(self):
+        # one entry, the walk's own text; the mirror pair's collision
+        # is the same walk read for the T-family
+        pp = PairPresentation(THETA_ID_11, ("a", "c"),
+                              {("c", 1): "a"}, {("a", 1): "a"})
+        text = ("<a> has 2 distinct S-predecessors [(1, <c>), "
+                "(1, <t1|c>)]: the S-family is not injective on the basis")
+        assert check_joint_isometry(pp).violations == (text,)
+        assert check_joint_isometry(mirror(pp)).violations == (
+            "T-family, read in the mirror pair: " + text,)
+
     def test_random_commuting_pairs_verdicts_match_pred_behavior(self):
         for pp in commuting_pairs(359, 15):
             ok = check_joint_isometry(pp).ok
@@ -825,6 +840,113 @@ class TestJointIsometry:
             except ContractViolation:
                 saw_violation = True
             assert ok == (not saw_violation)
+
+
+# -- base-vector rules against the window sweeps ---------------------------------
+
+# the random pairs' windows are swept up to this many free words;
+# larger windows cost the suite seconds each
+SWEEP_CAP = 2_500
+
+
+def _collisions(pp, elems):
+    # the window sweep the joint rule replaces: every pair of (label,
+    # element) in elems that one family maps to the same element
+    violations = []
+    for name, count, fn in (("S", pp.m, _s_apply_raw),
+                            ("T", pp.n, _t_apply_raw)):
+        images = {}
+        for x in elems:
+            for label in range(1, count + 1):
+                y = fn(pp, label, x)
+                prev = images.get(y)
+                if prev is not None and prev != (label, x):
+                    violations.append((name, prev, (label, x), y))
+                else:
+                    images[y] = (label, x)
+    return violations
+
+
+def _isometry_row(row):
+    # the oracle rows for S_i^T S_j = delta_ij I and sum S_i S_i^T <= I,
+    # per family
+    return row.startswith(("s[", "t[", "sum "))
+
+
+class TestBaseVectorRules:
+    def test_acceptance_candidates_match_the_sweeps(self, pair_space):
+        # the joint rule is exact both ways; a failing doubly report
+        # comes from the sweep itself, so only its pass needs the
+        # sweep's confirmation.  The fixture's injective flag is the
+        # joint decider's verdict.  A failing walk names two preimages
+        # of one e_c, each within |base| letters, so depth |base|
+        # holds the collision
+        kinds = Counter()
+        for pp, commuting, injective in pair_space:
+            if not commuting:
+                continue
+            doubly = check_doubly_commute(pp).ok
+            elems = enumerate_pair(pp, len(pp.base) + 2 * injective)
+            assert injective == (not _collisions(pp, elems)), pp
+            assert not (doubly and _doubly_sweep(pp, elems)), pp
+            kinds[injective, doubly] += 1
+        assert kinds == KINDS_ON_THE_ACCEPTANCE_SPACE
+
+    def test_random_pairs_match_the_sweeps_at_two_windows(self):
+        kinds = Counter()
+        compared = Counter()
+        # the first stream leaves out one-node pairs, whose windows cost
+        # the most and cover the least; the second, with one S-label,
+        # brings windows of five and six nodes under the cap
+        pairs = [pp for pp in commuting_pairs(14, 300, max_nodes=6,
+                                              max_m=3, max_n=3)
+                 if len(pp.base) > 1]
+        pairs += commuting_pairs(16, 150, max_nodes=6, max_m=1, max_n=2)
+        for pp in pairs:
+            rule = check_joint_isometry(pp).ok
+            for extra in (0, 2):
+                depth = len(pp.base) + 2 + extra
+                if _free_word_bound(pp, depth) > SWEEP_CAP:
+                    break
+                elems = enumerate_pair(pp, depth)
+                assert rule == (not _collisions(pp, elems)), (pp, depth)
+                failures = _doubly_sweep(pp, elems)
+                assert check_doubly_commute(pp, depth).failures == \
+                    failures, (pp, depth)
+                compared[len(pp.base), extra] += 1
+                if not extra:
+                    kinds[rule, not failures] += 1
+        assert min(compared[base, 2] for base in range(1, 7)) >= 10
+        assert set(kinds) == {(False, False), (True, False), (True, True)}
+
+    def test_oracle_agrees_with_the_rules(self):
+        # the matrix oracle never calls the rules: its isometry rows
+        # fail exactly where the joint rule refuses, and a jointly
+        # isometric pair passes every relation iff it doubly commutes
+        kinds = Counter()
+        for pp in commuting_pairs(15, 120, max_nodes=4, max_m=2, max_n=2):
+            rows = verify_relations(materialize(pp, len(pp.base) + 2)).rows
+            joint = check_joint_isometry(pp).ok
+            assert joint == (not any(map(_isometry_row, rows))), (pp, rows)
+            if joint:
+                doubly = check_doubly_commute(pp).ok
+                assert doubly == (not rows), (pp, rows)
+                kinds[doubly] += 1
+        assert kinds[True] and kinds[False]
+
+    def test_passing_pairs_sweep_no_window(self, monkeypatch):
+        # six nodes with three labels a side: the default window holds
+        # 501,918 free words, none of which a passing pair may build
+        pp = free_pair(Theta.identity(3, 3), tuple(f"b{q}" for q in range(6)))
+        monkeypatch.setattr("rowiso.pair._cartesian", _forbidden)
+        assert check_joint_isometry(pp).ok
+        assert check_doubly_commute(pp).ok
+
+
+# (jointly isometric, doubly commuting) over the 4,487 commuting
+# acceptance candidates
+KINDS_ON_THE_ACCEPTANCE_SPACE = {(False, False): 2100, (True, False): 1072,
+                                 (True, True): 1315}
 
 
 # -- mirror -----------------------------------------------------------------------

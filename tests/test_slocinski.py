@@ -174,6 +174,18 @@ class TestMembership:
                 call()
             assert str(exc.value) == text
 
+    def test_non_commuting_pair_refused_in_its_own_families(self):
+        # both verdicts guard with the pair's own commutation check, so
+        # the T-verdict names the failure with S and T in their places
+        pp = PairPresentation(ID11, ("a", "b"), {("a", 1): "b"},
+                              {("a", 1): "a"})
+        text = ("pair does not theta-commute: at <a> with (i=1, j=1), "
+                "S-then-T gives <t1|b> but T-then-S gives <b>")
+        for decide in (s_membership, t_membership):
+            with pytest.raises(ContractViolation) as exc:
+                decide(fresh(pp), PairElem((), (), "a"))
+            assert str(exc.value) == text
+
     def test_budget_exhaustion_raises(self):
         # two T-labels, no pumping rule; a budget of zero steps cannot
         # resolve a node that is neither dead nor eternal
