@@ -218,7 +218,6 @@ def _cmd_validate(built, args) -> tuple:
 
 def _cmd_wold(built, args) -> tuple:
     p = _need_single(built)
-    p.require_valid()
     res = wold(p)
     payload = {
         "unitary_part": _jsonable(res.unitary_part),
@@ -232,7 +231,6 @@ def _cmd_wold(built, args) -> tuple:
 
 def _cmd_classify(built, args) -> tuple:
     p = _need_single(built)
-    p.require_valid()
     res = classify_unitary(p)
     payload = {
         "components": [
@@ -252,7 +250,6 @@ def _cmd_classify(built, args) -> tuple:
 
 def _cmd_check_commute(built, args) -> tuple:
     pp = _need_pair(built)
-    pp.require_valid()
     report = check_theta_commute(pp)
     payload = {"commuting": report.ok,
                "failures": [_jsonable(f) for f in report.failures]}
@@ -261,7 +258,6 @@ def _cmd_check_commute(built, args) -> tuple:
 
 def _cmd_check_doubly(built, args) -> tuple:
     pp = _need_pair(built)
-    pp.require_valid()
     report = check_doubly_commute(pp)
     payload = {"doubly_commuting": report.ok,
                "failures": [_jsonable(f) for f in report.failures]}
@@ -270,7 +266,6 @@ def _cmd_check_doubly(built, args) -> tuple:
 
 def _cmd_slocinski(built, args) -> tuple:
     pp = _need_pair(built)
-    pp.require_valid()
     res = slocinski(pp, order=args.order)
     hyp = check_hypotheses(pp)
     payload = {

@@ -13,9 +13,10 @@ can meet the node.  The reduction loop below mirrors that exactly, and
 predecessor computation runs it backwards.
 
 Commutation of a given pair is a verdict, not an assumption: the edge
-data may contradict theta.  Decomposition operations refuse such pairs
-with a typed error; the checks that produce the verdict only ever use
-deterministic one-step evaluation that stays well-defined either way.
+data may contradict theta.  Decomposition operations refuse such pairs,
+and pairs that are not jointly isometric, with a typed error; the checks
+that produce the verdicts only ever use deterministic one-step
+evaluation that stays well-defined either way.
 """
 
 from __future__ import annotations
@@ -472,6 +473,16 @@ def _s_pred_raw(pp: PairPresentation, x: PairElem
     return found[0]
 
 
+def _base_preds(pp: PairPresentation) -> dict:
+    # e_b's S-predecessor (or None) for each base node b, memoised on
+    # pp, which theta-commutes; a raise at any b leaves no table
+    cache = pp._cache
+    if "base_preds" not in cache:
+        cache["base_preds"] = {b: _s_pred_raw(pp, PairElem((), (), b))
+                               for b in pp.base}
+    return cache["base_preds"]
+
+
 def _t_pred_raw(pp: PairPresentation, x: PairElem
                 ) -> Optional[tuple[int, PairElem]]:
     # t_pred without the entry guards: pp (and so its mirror)
@@ -662,7 +673,8 @@ def check_joint_isometry(pp: PairPresentation) -> ValidationReport:
     collide at any depth and the report is empty.  Otherwise the report
     holds one entry, the first violation's text; the T-family's is read
     in the mirror pair, where T is the S-family.  The report is cached
-    on the pair.
+    on the pair, and each family's walks leave a table of base-vector
+    predecessors that the chain verdicts of :mod:`slocinski` read.
 
     Proof for S; the T-family is the S-family of the mirror pair, where
     this pair's pure-S elements are pure T and ``_t_pred_raw`` runs.
@@ -694,8 +706,7 @@ def check_joint_isometry(pp: PairPresentation) -> ValidationReport:
         violations: tuple[str, ...] = ()
         try:
             for name, q in (("S", pp), ("T", mirror(pp))):
-                for b in pp.base:
-                    _s_pred_raw(q, PairElem((), (), b))
+                _base_preds(q)
         except ContractViolation as exc:
             where = "" if name == "S" else \
                 "T-family, read in the mirror pair: "

@@ -8,6 +8,11 @@ its adjoint.  Both conditions are decided exactly on the base vectors
 backward predecessor chain runs forever, so the heart of this module
 is deciding that for a single basis element, by its node.
 
+The chain verdicts and :func:`slocinski` refuse a pair that is not
+jointly isometric, which has no Wold verdict, with the text of its
+:func:`check_joint_isometry` report.  They read the base-vector
+predecessors that the joint walks leave on the pair.
+
 Key structural facts the deciders rest on, all consequences of the
 absorption calculus in :mod:`pair`:
 
@@ -22,13 +27,10 @@ absorption calculus in :mod:`pair`:
   DEAD nodes (no such edge on the whole walk) are exactly where chains
   die, so b is S-shift iff its f-orbit meets a DEAD node.
 - The successor's node lies in a node-determined over-approximation
-  SUCC(b); if no DEAD node is reachable from b in the SUCC digraph, no
-  chain through b can ever die ("eternal" nodes, a soundness
-  certificate for unitarity that needs no f).  If the live nodes span
-  no cycle of SUCC, every chain dies and the S-unitary part is empty.
-  Both are read off SUCC reversed, built once: one search back from
-  the DEAD nodes finds every node that is not eternal, and one peel of
-  the live nodes (Kahn's algorithm) finds whether a live cycle exists.
+  SUCC(b).  If the live nodes span no cycle of SUCC, every chain dies
+  and the S-unitary part is empty: one peel of the live nodes (Kahn's
+  algorithm) decides it.  SUCC backs only this certificate,
+  :func:`_certified_unitary_empty`.
 
 Verdicts are exact or raise; they never guess.
 """
@@ -38,10 +40,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import ResourceExceeded, ValidationError
-from .pair import (PairElem, PairPresentation, _require_canonical,
-                   _s_apply_raw, _s_pred_raw, _t_apply_raw, _t_pred_raw,
-                   check_doubly_commute, enumerate_pair, mirror, mirror_elem)
+from .errors import ContractViolation, ResourceExceeded, ValidationError
+from .pair import (PairElem, PairPresentation, _base_preds,
+                   _require_canonical, _s_apply_raw, _s_pred_raw,
+                   _t_apply_raw, _t_pred_raw, check_doubly_commute,
+                   check_joint_isometry, enumerate_pair, mirror)
 from .wold import Part, SubspaceDesc, _orbit_ends
 
 DEFAULT_CHAIN_BUDGET = 10_000
@@ -96,20 +99,11 @@ def _node_data(pp: PairPresentation) -> dict:
                 closure[src] = reach
             targets |= closure[src]
         succ[b] = frozenset(targets)
-    # SUCC reversed, once: the search back from the dead nodes and the
-    # peel of the live nodes' sinks below both read it
+    # SUCC reversed, for the peel of the live nodes' sinks
     preds: dict = {}
     for b in pp.base:
         for c in succ[b]:
             preds.setdefault(c, set()).add(b)
-    doomed = set(dead)
-    todo = list(dead)
-    while todo:
-        for b in preds.get(todo.pop(), ()):
-            if b not in doomed:
-                doomed.add(b)
-                todo.append(b)
-    eternal = frozenset(b for b in pp.base if b not in doomed)
     alive = {b for b in pp.base if b not in dead}
     out = {b: len(succ[b] & alive) for b in alive}
     sinks = [b for b, k in out.items() if k == 0]
@@ -122,7 +116,7 @@ def _node_data(pp: PairPresentation) -> dict:
                 if out[b] == 0:
                     sinks.append(b)
     acyclic = peeled == len(alive)
-    data = {"walks": walks, "dead": dead, "succ": succ, "eternal": eternal,
+    data = {"walks": walks, "dead": dead, "succ": succ,
             "live_succ_acyclic": acyclic}
     cache["nodes"] = data
     return data
@@ -135,137 +129,126 @@ def dead_nodes(pp: PairPresentation) -> frozenset:
 
 # ------------------------------------------------------------ chain verdicts
 
-def _s_verdict(pp: PairPresentation, node,
-               budget: int = DEFAULT_CHAIN_BUDGET) -> Part:
-    # the S-verdict of every element at node, by the orbit of the node
-    # map c -> node of the S-predecessor of <c>; pp theta-commutes and
-    # node is a base node.  The map and the verdicts are memoised per
-    # node, and the map is computed only along the orbits asked about.
-    verdicts = pp._cache.setdefault("s_node_verdict", {})
-    if node in verdicts:
-        return verdicts[node]
-    data = _node_data(pp)
-    pred_node = pp._cache.setdefault("s_pred_node", {})
-    orbit: dict = {}
-    cur = node
-    for _ in range(budget):
-        # an eternal node is certified before the map is computed
-        # there, which raises where the S-family is not injective
-        if cur in verdicts:
-            verdict = verdicts[cur]
-        elif cur in orbit or cur in data["eternal"]:
-            verdict = Part.UNITARY
-        elif cur in data["dead"]:
-            verdict = Part.SHIFT
-        else:
-            orbit[cur] = None
-            if cur not in pred_node:
-                pred_node[cur] = _s_pred_raw(pp, PairElem((), (), cur))[1].node
-            cur = pred_node[cur]
-            continue
-        break
-    else:
-        raise ResourceExceeded(
-            f"S-chain from node {node!r} undecided after {budget} steps")
-    for c in (*orbit, cur):
-        verdicts[c] = verdict
-    return verdict
+def _require_jointly_isometric(pp: PairPresentation) -> None:
+    # a cached joint report was computed after the pair was found to
+    # theta-commute, so a hit stands for both guards
+    report = pp._cache.get("joint")
+    if report is None:
+        report = check_joint_isometry(pp)
+    if not report.ok:
+        raise ContractViolation(report.violations[0])
 
 
-def s_membership(pp: PairPresentation, x: PairElem,
-                 budget: int = DEFAULT_CHAIN_BUDGET) -> Part:
+def _s_verdict(pp: PairPresentation, node) -> Part:
+    # the S-verdict of every element at node, read from where the orbit
+    # of node ends under f: c -> node of e_c's S-predecessor, undefined
+    # at a DEAD node.  pp is jointly isometric; every base node is
+    # decided in one pass, memoised on the pair.
+    verdicts = pp._cache.get("s_verdict")
+    if verdicts is None:
+        f = {c: step[1].node for c, step in _base_preds(pp).items()
+             if step is not None}
+        end = _orbit_ends(pp.base, f.get)
+        verdicts = {b: Part.UNITARY if end[b] in f else Part.SHIFT
+                    for b in pp.base}
+        pp._cache["s_verdict"] = verdicts
+    return verdicts[node]
+
+
+def s_membership(pp: PairPresentation, x: PairElem) -> Part:
     """Wold verdict of the S-family at one joint basis element.
 
     UNITARY iff the backward S-chain never ends.  The verdict depends
     on ``x.node`` alone and follows the node map f, where f(c) is the
     node of the S-predecessor of the base vector at c: the orbit of
-    ``x.node`` under f is SHIFT when it meets a DEAD node, and UNITARY
-    when it meets an eternal node or comes back to a node it visited.
-    Each f(c) is computed when an orbit first reaches c, and f and the
-    verdicts are memoised per node on the pair, so an orbit also stops
-    at the first node with a known verdict.
+    ``x.node`` under f is SHIFT when it meets a DEAD node, where f has
+    no value, and UNITARY when it comes back to a node it visited, at
+    most |base| + 1 steps on.  f is the predecessor table that
+    :func:`check_joint_isometry` leaves on the pair, and one pass
+    decides and memoises every base node.
 
-    ``budget`` counts node steps: |base| + 1 of them always decide an
-    orbit, and a smaller budget may raise ResourceExceeded naming the
-    start node.  Where the S-family is not injective, the kernel's
-    ContractViolation names the base vector on the orbit at which f
-    could not be computed.
-
-    The guards (theta-commutation, a canonical x) run once, at entry;
-    the orbit walk uses the unguarded predecessor kernel.
+    The guards run once, at entry: a pair that does not theta-commute,
+    or is not jointly isometric, raises ContractViolation with the
+    first failure of its report, and x must be canonical.  On a pair
+    already checked, the pair's guard is one cache lookup.
     """
-    pp.require_commuting()
+    _require_jointly_isometric(pp)
     _require_canonical(pp, x)
-    return _s_verdict(pp, x.node, budget)
+    return _s_verdict(pp, x.node)
 
 
-def t_membership(pp: PairPresentation, x: PairElem,
-                 budget: int = DEFAULT_CHAIN_BUDGET) -> Part:
+def t_membership(pp: PairPresentation, x: PairElem) -> Part:
     """Wold verdict of the T-family: the mirror pair's S-verdict.
 
     The mirror pair keeps every node, so this is decided at ``x.node``
-    as in :func:`s_membership`.  The guards check that x is canonical
-    and that the pair theta-commutes, which holds iff its mirror does,
-    so a failure is named in the pair's own families.
+    as in :func:`s_membership`.  The guards are the pair's own, so a
+    refusal is named in the pair's families.
     """
-    pp.require_commuting()
+    _require_jointly_isometric(pp)
     _require_canonical(pp, x)
-    return _s_verdict(mirror(pp), x.node, budget)
+    return _s_verdict(mirror(pp), x.node)
 
 
-def s_in_V(pp: PairPresentation, x: PairElem,
-           budget: int = DEFAULT_CHAIN_BUDGET) -> bool:
-    """Is x on a finite S-cycle (equal to some S_w x with w nonempty)?
-
-    These elements span the finite slices the structure projection
-    keeps; everything else either dies or merely feeds a cycle.
-    Guarded once at entry, like :func:`s_membership`.
-    """
-    pp.require_commuting()
+def _s_cycle(pp: PairPresentation, x: PairElem) -> bool:
+    # s_in_V without the guards: pp is jointly isometric, x canonical
     memo = pp._cache.setdefault("s_cycle", {})
     if x in memo:
         return memo[x]
-    _require_canonical(pp, x)
     if x.s_prefix:
         # the strip step shortens the S-prefix, so the chain can never
         # come back to x
         memo[x] = False
         return False
-    data = _node_data(pp)
+    preds = _base_preds(pp)
     trail: list[PairElem] = []
     position: dict[PairElem, int] = {}
     cur = x
-    for _ in range(budget):
+    for _ in range(DEFAULT_CHAIN_BUDGET):
         if cur in position:
             k = position[cur]
-            for state in trail[:k]:
-                memo[state] = False
-            for state in trail[k:]:
-                memo[state] = True
+            memo.update(dict.fromkeys(trail[:k], False))
+            memo.update(dict.fromkeys(trail[k:], True))
             return memo[x]
         # forward applications never lengthen the T-prefix, so backward
         # chains have non-decreasing T-length; once it outgrows x's, no
-        # gathered state can ever recur
-        if len(cur.t_prefix) > len(x.t_prefix):
-            for state in trail:
-                memo[state] = False
-            return False
-        if cur.node in data["dead"]:
-            for state in trail:
-                memo[state] = False
-            memo[cur] = False
+        # gathered state can ever recur.  At a DEAD node the chain ends.
+        if len(cur.t_prefix) > len(x.t_prefix) or preds[cur.node] is None:
+            memo.update(dict.fromkeys(trail, False))
             return False
         position[cur] = len(trail)
         trail.append(cur)
         cur = _s_pred_raw(pp, cur)[1]
     raise ResourceExceeded(
-        f"S-cycle test from {x!r} undecided after {budget} steps")
+        f"S-cycle test from {x!r} undecided after "
+        f"{DEFAULT_CHAIN_BUDGET} steps")
 
 
-def t_in_V(pp: PairPresentation, x: PairElem,
-           budget: int = DEFAULT_CHAIN_BUDGET) -> bool:
+def s_in_V(pp: PairPresentation, x: PairElem) -> bool:
+    """Is x on a finite S-cycle (equal to some S_w x with w nonempty)?
+
+    These elements span the finite slices the structure projection
+    keeps; everything else either dies or merely feeds a cycle.
+    Guarded once at entry, like :func:`s_membership`.  The chain is
+    walked element by element, and can be exponentially long, so past
+    ``DEFAULT_CHAIN_BUDGET`` steps the test raises ResourceExceeded.
+    """
+    _require_jointly_isometric(pp)
     _require_canonical(pp, x)
-    return s_in_V(mirror(pp), mirror_elem(pp, x), budget)
+    return _s_cycle(pp, x)
+
+
+def t_in_V(pp: PairPresentation, x: PairElem) -> bool:
+    """Is x on a finite T-cycle?  :func:`s_in_V` for the T-family.
+
+    The strip step shortens the T-prefix, so an element with T-letters
+    is on no T-cycle.  A pure-S element ``S_s e_b`` is the pure-T
+    element ``T_s e_b`` of the mirror pair.
+    """
+    _require_jointly_isometric(pp)
+    _require_canonical(pp, x)
+    if x.t_prefix:
+        return False
+    return _s_cycle(mirror(pp), PairElem(x.s_prefix, (), x.node))
 
 
 # ------------------------------------------------------------- multiplicity
@@ -452,10 +435,13 @@ def slocinski(pp: PairPresentation, order: str = "st") -> SlocinskiResult:
     "ts" runs the criterion with the roles swapped (the two orders may
     genuinely disagree about the middle corners), and a base vector is
     its own name in the mirror pair.
+
+    A pair that is not jointly isometric is refused in either order,
+    with the pair's joint report, as in :func:`s_membership`.
     """
     if order not in ("st", "ts"):
         raise ValidationError(f"order must be 'st' or 'ts', got {order!r}")
-    pp.require_commuting()
+    _require_jointly_isometric(pp)
     first = mirror(pp) if order == "ts" else pp
     witness = _condition_one(first) or _condition_two(first)
     if witness is not None and order == "ts":

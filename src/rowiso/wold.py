@@ -23,6 +23,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
 
+from .pair import PairPresentation
+from .pair import _require_canonical as _require_pair_canonical
 from .presentation import Elem, Presentation, _require_canonical
 
 
@@ -41,9 +43,9 @@ class SubspaceDesc:
       lies in ``nodes``.  This is how the theory describes the Wold
       parts, the cycle components, ``H_dil`` and the four corners of a
       pair.  ``seeds`` are the depth-zero vectors that generate it,
-      kept for rendering.  Over a single-family ``presentation`` each
-      element is first checked to be a canonical element of a valid
-      presentation; pair elements are answered by node alone.
+      kept for rendering.  Over a ``presentation``, of one family or
+      a pair, each element is first checked to be a canonical element
+      of a valid presentation.
     - an explicit set (``nodes`` is None): the span of ``seeds`` and
       nothing else.
     """
@@ -63,27 +65,29 @@ class SubspaceDesc:
         if isinstance(p, Presentation):
             p.require_valid()
             _require_canonical(p, x)
+        elif isinstance(p, PairPresentation):
+            p.require_valid()
+            _require_pair_canonical(p, x)
         return x.node in self.nodes
 
     def contains_many(self, xs, canonical_in=None) -> list:
-        """``[self.contains(x) for x in xs]``, with the guards run once.
+        """``[self.contains(x) for x in xs]``, unless ``canonical_in``.
 
-        A non-empty ``xs`` validates the presentation before its first
-        element, so an invalid one raises as the per-element calls
-        would.  ``canonical_in`` names a presentation every element of
-        ``xs`` is canonical in, as the oracle's basis is in its own
-        presentation; when it equals this description's presentation
-        the per-element canonical guard is skipped.
+        ``canonical_in`` names a presentation every element of ``xs`` is
+        canonical in, as the oracle's basis is in its own presentation.
+        If it is this description's presentation, no element is guarded;
+        a single family is validated once, and a pair, which the oracle
+        models without validating it, not at all.
         """
         if self.nodes is None:
             seeds = frozenset(self.seeds)
             return [x in seeds for x in xs]
         p = self.presentation
-        if xs and isinstance(p, Presentation):
+        if canonical_in != p:
+            for x in xs:
+                self.contains(x)
+        elif xs and isinstance(p, Presentation):
             p.require_valid()
-            if canonical_in != p:
-                for x in xs:
-                    _require_canonical(p, x)
         nodes = self.nodes
         return [x.node in nodes for x in xs]
 

@@ -56,7 +56,7 @@ from rowiso.slocinski import (
     t_shift_multiplicity,
     verify_theorem_implications,
 )
-from rowiso.wold import Part
+from rowiso.wold import Part, SubspaceDesc
 from rowiso.words import Theta
 
 from test_pair import commuting_pairs, honest_pairs
@@ -80,8 +80,8 @@ FOUR_CORNERS = PairPresentation(
 
 
 def fresh(pp):
-    # per-presentation caches memoize verdicts; tests that probe
-    # budgets need an uncached twin
+    # per-presentation caches memoize verdicts and reports; tests that
+    # probe the guards need an uncached twin
     return PairPresentation(pp.theta, pp.base, dict(pp.s_edges),
                             dict(pp.t_edges))
 
@@ -186,15 +186,12 @@ class TestMembership:
                 decide(fresh(pp), PairElem((), (), "a"))
             assert str(exc.value) == text
 
-    def test_budget_exhaustion_raises(self):
-        # two T-labels, no pumping rule; a budget of zero steps cannot
-        # resolve a node that is neither dead nor eternal
+    def test_node_orbit_decides_without_a_budget(self):
+        # two T-labels, no pumping rule: the orbit of a node under f
+        # ends within |base| + 1 steps, so the verdict is exact
         pp = PairPresentation(Theta.identity(1, 2), ("a", "b"),
                               {("b", 1): "a"}, {})
-        with pytest.raises(ResourceExceeded):
-            s_membership(pp, PairElem((), (), "a"), budget=0)
-        # and the same question resolves exactly with a real budget
-        assert s_membership(fresh(pp), PairElem((), (), "a")) is Part.SHIFT
+        assert s_membership(pp, PairElem((), (), "a")) is Part.SHIFT
 
     def test_element_chains_agree_with_the_node_map(self, pair_space):
         # an independent reading of the verdicts: walk each element's
@@ -219,8 +216,8 @@ class TestMembership:
         assert ended and revisited
 
     def test_verdicts_do_not_depend_on_memo_order(self):
-        # every state a walk passes is memoised and a walk stops at the
-        # first known verdict, so what earlier questions left in the
+        # the verdicts, the predecessor tables and the cycle test are
+        # memoised on the pair, so what earlier questions left in the
         # memo must not change an answer or an error
         def verdicts(pp, x):
             out = []
@@ -243,6 +240,66 @@ class TestMembership:
                 assert reverse[x] == alone, (pp, x)
                 raised += any(isinstance(v, tuple) for v in alone)
         assert raised  # some sampled pairs are not jointly injective
+
+    def test_verdicts_read_the_joint_walks_table(self, monkeypatch):
+        # check_joint_isometry leaves each family's base-vector
+        # predecessors on the pair, and the node verdicts read them
+        # without another predecessor walk
+        real = pair_module._s_pred_raw
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(pair_module, "_s_pred_raw", counting)
+        monkeypatch.setattr(slocinski_module, "_s_pred_raw", counting)
+        pairs = [FOUR_CORNERS, BILATERAL, TWIN_LOOPS]
+        pairs += honest_pairs(431, 30, max_nodes=5)
+        for pp in map(fresh, pairs):
+            assert check_joint_isometry(pp).ok
+            assert calls  # the joint walks went through the counter
+            calls.clear()
+            for b in pp.base:
+                s_membership(pp, PairElem((), (), b))
+                t_membership(pp, PairElem((), (), b))
+            assert not calls, pp
+
+
+# commuting pairs whose S-family is not injective: <a> is both S_1 <c>
+# and S_1 <t1|c>, and in the second pair both S_1 <b> and S_1 <t1|b>.
+# The second is one of the acceptance candidates where a verdict that
+# skips the joint check can still answer "exists", in both orders.
+COLLISION = PairPresentation(ID11, ("a", "c"), {("c", 1): "a"},
+                             {("a", 1): "a"})
+QUIET_COLLISION = PairPresentation(
+    Theta.identity(2, 1), ("a", "b"), {("b", 1): "a", ("b", 2): "b"},
+    {("a", 1): "a"})
+
+
+class TestJointIsometryGuard:
+    @pytest.mark.parametrize("pp, text", [
+        (COLLISION, "<a> has 2 distinct S-predecessors [(1, <c>), "
+                    "(1, <t1|c>)]: the S-family is not injective on the "
+                    "basis"),
+        (QUIET_COLLISION, "<a> has 2 distinct S-predecessors [(1, <b>), "
+                          "(1, <t1|b>)]: the S-family is not injective on "
+                          "the basis"),
+    ], ids=("collision", "quiet-collision"))
+    def test_every_verdict_refuses_with_the_joint_report(self, pp, text):
+        assert check_theta_commute(pp).ok
+        assert check_joint_isometry(fresh(pp)).violations == (text,)
+        questions = [(slocinski, "st"), (slocinski, "ts")]
+        questions += [(decide, PairElem((), (), b)) for b in pp.base
+                      for decide in (s_membership, t_membership, s_in_V,
+                                     t_in_V)]
+        warm = fresh(pp)
+        for decide, arg in questions:
+            # on a cache miss, and on a pair whose report is cached
+            for q in (fresh(pp), warm):
+                with pytest.raises(ContractViolation) as exc:
+                    decide(q, arg)
+                assert str(exc.value) == text
 
 
 class TestDeadNodes:
@@ -343,7 +400,7 @@ def chain_node_pair(rng):
 
 
 class TestNodeData:
-    def test_eternal_and_acyclic_match_reachability(self):
+    def test_acyclic_matches_reachability(self):
         rng = random.Random(5003)
         outcomes, violations = set(), set()
         for _ in range(600):
@@ -351,16 +408,14 @@ class TestNodeData:
             violations.update(validate_pair(pp).violations)
             data = _node_data(pp)
             succ, dead = data["succ"], data["dead"]
-            eternal = {b for b in pp.base if not reach(succ, b) & dead}
-            assert data["eternal"] == eternal, pp
             live = set(pp.base) - dead
             cyclic = any(b in reach(succ, c, live)
                          for b in live for c in succ[b] & live)
             assert data["live_succ_acyclic"] is not cyclic, pp
-            outcomes.add((bool(eternal), cyclic))
-        # an eternal node reaches a live cycle unless its SUCC search
-        # leaves the base, so the sample meets the other three
-        assert outcomes >= {(False, False), (False, True), (True, True)}
+            outcomes.add((bool(dead), cyclic))
+        # with no dead node the live SUCC digraph has a cycle unless a
+        # search leaves the base, so the sample meets the other three
+        assert outcomes >= {(False, True), (True, False), (True, True)}
         # invalid pairs of both kinds were among them
         for kind in ("has in-degree 2", "target 'zz' is not a base node"):
             assert any(kind in v for v in violations), kind
@@ -375,8 +430,6 @@ class TestNodeData:
             dead, succ = node_data_reference(pp)
             assert data["dead"] == dead, pp
             assert data["succ"] == succ, pp
-            eternal = {b for b in pp.base if not reach(succ, b) & dead}
-            assert data["eternal"] == eternal, pp
             live = set(pp.base) - dead
             cyclic = any(b in reach(succ, c, live)
                          for b in live for c in succ[b] & live)
@@ -510,6 +563,32 @@ class TestSlocinski:
         with pytest.raises(ContractViolation):
             slocinski(pp)
 
+    def test_pair_corners_check_the_elements_they_answer(self):
+        # a pair node set guards its elements as a single-family one
+        # does: a valid pair, a pair element, labels in range, a
+        # canonical name
+        corner = slocinski(FOUR_CORNERS).H_uu
+        assert corner.contains(PairElem((), (), "a"))
+        for x, text in (
+                (PairElem((7,), (9,), "a"), "letter 9 outside alphabet 1..1"),
+                (Elem((), "a"), "expected a PairElem, got Elem <a>"),
+                (PairElem((), (1,), "a"),
+                 "element <s1|a> is not canonical: S-letter absorbs")):
+            for call in (lambda: corner.contains(x),
+                         lambda: corner.contains_many([x])):
+                with pytest.raises(ValidationError) as exc:
+                    call()
+                assert str(exc.value) == text
+        # the oracle names the presentation its basis is canonical in
+        assert corner.contains_many([PairElem((), (), "a"),
+                                     PairElem((), (), "b")],
+                                    FOUR_CORNERS) == [True, False]
+        invalid = PairPresentation(ID11, ("a",), {("a", 1): "zz"}, {})
+        desc = SubspaceDesc((PairElem((), (), "a"),), frozenset({"a"}),
+                            invalid)
+        with pytest.raises(ValidationError, match="'zz' is not a base"):
+            desc.contains(PairElem((), (), "a"))
+
     def test_random_honest_pairs_decompose(self):
         for pp in honest_pairs(419, 15):
             res = slocinski(pp)
@@ -574,8 +653,14 @@ def sweep_condition_two(pp, elems):
 
 
 def slocinski_sweep(pp, order="st", depth=None):
-    """The sweep's result; ``depth`` defaults to max(4, |base| + 2)."""
+    """The sweep's result; ``depth`` defaults to max(4, |base| + 2).
+
+    A pair that is not jointly isometric is refused with its joint
+    report, as ``slocinski`` refuses it."""
     pp.require_commuting()
+    report = check_joint_isometry(pp)
+    if not report.ok:
+        raise ContractViolation(report.violations[0])
     if order == "ts":
         twin = mirror(pp)
         res = slocinski_sweep(twin, "st", depth)
@@ -630,11 +715,12 @@ class TestBaseVectors:
                 assert got == decision(slocinski_sweep, pp, order), \
                     (pp, order)
                 kinds[order, outcome_kind(got)] += 1
-        # every commuting candidate decomposes or is refused
-        assert kinds == {("st", "exists"): 2587,
-                         ("st", "ContractViolation"): 1900,
-                         ("ts", "exists"): 2587,
-                         ("ts", "ContractViolation"): 1900}
+        # every commuting candidate decomposes or is refused, and the
+        # refused ones are exactly those that are not jointly isometric
+        assert kinds == {("st", "exists"): 2387,
+                         ("st", "ContractViolation"): 2100,
+                         ("ts", "exists"): 2387,
+                         ("ts", "ContractViolation"): 2100}
 
     def test_random_pairs_match_the_sweep_at_three_windows(self):
         kinds = Counter()

@@ -470,7 +470,8 @@ class TestContainsMany:
                 assert d.contains_many([]) == []
 
     def test_pair_elements(self):
-        # a pair description answers by node, with no guard
+        # a pair description guards as contains does, and answers its
+        # own pair's elements by node alone
         roots = (PairElem((), (), "a"), PairElem((), (), "c"))
         spot = (PairElem((), (), "b"), PairElem((1,), (), "d"))
         xs = enumerate_pair(FOUR_CORNERS, 3)
