@@ -80,13 +80,33 @@ class CommutationFailure:
     rhs: object
 
 
-@dataclass(frozen=True)
 class CommutationReport:
-    failures: tuple[CommutationFailure, ...] = ()
+    """The failed identity instances of a check, in check order.
+
+    ``ok`` holds iff there are none.  Reports compare by their
+    failures.  :func:`check_doubly_commute` returns, for a jointly
+    isometric pair that fails, a report that lists its failures on
+    demand: on the first read of ``failures``, or on a comparison,
+    after which it keeps them.  Every other report holds its failures
+    from the start.
+    """
+
+    __slots__ = ("_failures", "__weakref__")
+
+    def __init__(self, failures: Iterable[CommutationFailure] = ()):
+        self._failures = tuple(failures)
 
     @property
     def ok(self) -> bool:
-        return not self.failures
+        return not self._failures
+
+    @property
+    def failures(self) -> tuple[CommutationFailure, ...]:
+        return self._failures
+
+    def __eq__(self, other: object) -> bool:
+        return (isinstance(other, CommutationReport)
+                and self.failures == other.failures)
 
     def __repr__(self) -> str:
         if self.ok:
@@ -599,6 +619,50 @@ def _doubly_sweep(pp: PairPresentation, elems: Iterable[PairElem]
     return tuple(failures)
 
 
+def _doubly_probe(pp: PairPresentation) -> tuple:
+    # the rule's sweeps, once per pair: the failures at every e_b, and
+    # those at T_l e_b for the first b and every l
+    cache = pp._cache
+    if "doubly_probe" not in cache:
+        base = [PairElem((), (), b) for b in pp.base]
+        ends = [_t_apply_raw(pp, l, x) for x in base[:1]
+                for l in range(1, pp.n + 1)]
+        cache["doubly_probe"] = (_doubly_sweep(pp, base),
+                                 _doubly_sweep(pp, ends))
+    return cache["doubly_probe"]
+
+
+def _list_doubly(pp: PairPresentation, depth: int
+                 ) -> tuple[CommutationFailure, ...]:
+    return _doubly_sweep(pp, enumerate_pair(pp, depth))
+
+
+class _ListedOnDemand(CommutationReport):
+    # a failing report of check_doubly_commute: its failures are those
+    # of the window sweep, run on the first read and kept
+    __slots__ = ("_pp", "_depth")
+
+    def __init__(self, pp: PairPresentation, depth: int):
+        self._failures = None
+        self._pp = pp
+        self._depth = depth
+
+    @property
+    def ok(self) -> bool:
+        return False
+
+    @property
+    def failures(self) -> tuple[CommutationFailure, ...]:
+        if self._failures is None:
+            self._failures = _list_doubly(self._pp, self._depth)
+        return self._failures
+
+    def __repr__(self) -> str:
+        if self._failures is None:
+            return "CommutationReport(failing)"
+        return super().__repr__()
+
+
 def check_doubly_commute(pp: PairPresentation,
                          depth: Optional[int] = None) -> CommutationReport:
     """Verify both adjoint-commutation displays, decided exactly.
@@ -608,8 +672,10 @@ def check_doubly_commute(pp: PairPresentation,
     or zero, with at most one surviving term in the sum (predecessors
     are unique).  The report is the one a sweep of every canonical
     element of joint depth at most ``depth`` (default |base| + 2) and
-    every label pair gives, but the window is swept only to list the
-    failures of a pair that fails the rule below.
+    every label pair gives.  For a jointly isometric pair ``ok`` comes
+    from the rule below, and the window is swept only when
+    ``failures`` is read; a pair that is not jointly isometric is swept
+    at once, since its verdict depends on the window.
 
     Rule: the pair is jointly isometric (:func:`check_joint_isometry`)
     and the displays hold at every base vector ``e_b`` and at
@@ -638,8 +704,20 @@ def check_doubly_commute(pp: PairPresentation,
       x in no S-range it is the case above read in the mirror pair,
       and ``e_b`` decides it.
 
-    The report is cached on the pair per depth, so the default and an
-    explicit ``len(pp.base) + 2`` share one report.  A window that
+    The rule is exact at every depth.  The sweep's body at an element
+    depends on that element alone, and the rule's elements are
+    canonical: the ``e_b`` have depth 0 and each ``T_l e_b`` depth at
+    most 1.  If the rule holds, no element fails, so no window does.
+    If it fails at an element the window holds, the sweep meets that
+    element, or stops at a contract violation before it, and reports a
+    failure either way.  The window of depth 0 is the ``e_b`` alone, so
+    there only they count; every deeper window holds every rule element.
+
+    A failing report of a jointly isometric pair lists its failures on
+    first read and keeps them.  The report is cached on the pair per depth, so the default and an
+    explicit ``len(pp.base) + 2`` share one report; a report that lists
+    on demand holds the pair, so the pair keeps it only while a caller
+    does, and the rule's sweeps are kept once per pair.  A window that
     :func:`enumerate_pair` would refuse is refused here too, swept or
     not.
     """
@@ -647,18 +725,21 @@ def check_doubly_commute(pp: PairPresentation,
     if depth is None:
         depth = len(pp.base) + 2
     cache = pp._cache.setdefault("doubly", {})
-    if depth not in cache:
+    report = cache.get(depth)
+    if isinstance(report, weakref.ref):
+        report = report()
+    if report is None:
         _require_window(pp, depth)
-        # the rule's elements: every e_b, then T_l e_b for the first b
-        probe = [PairElem((), (), b) for b in pp.base]
-        probe += [_t_apply_raw(pp, l, x) for x in probe[:1]
-                  for l in range(1, pp.n + 1)]
-        if check_joint_isometry(pp).ok and not _doubly_sweep(pp, probe):
-            failures = ()
+        if not check_joint_isometry(pp).ok:
+            report = cache[depth] = CommutationReport(_list_doubly(pp, depth))
         else:
-            failures = _doubly_sweep(pp, enumerate_pair(pp, depth))
-        cache[depth] = CommutationReport(failures)
-    return cache[depth]
+            at_base, at_ends = _doubly_probe(pp)
+            if at_base or (depth and at_ends):
+                report = _ListedOnDemand(pp, depth)
+                cache[depth] = weakref.ref(report)
+            else:
+                report = cache[depth] = CommutationReport()
+    return report
 
 
 def check_joint_isometry(pp: PairPresentation) -> ValidationReport:

@@ -40,3 +40,20 @@ def test_every_pairs_wide_item_matches_its_golden_record():
     for item in items:
         assert golden.matches(expected[item.key], item.run(L, item.data)), \
             item.key
+
+
+def test_every_failing_doubly_candidate_matches_its_golden_record():
+    # the jointly isometric candidates that fail the doubly rule are
+    # the items whose check_doubly_commute verdict is read without
+    # sweeping a window; every one of them is run here
+    L = Layers()
+    expected = golden.load("pairs-small")
+    space = workloads.pair_space()
+    keys = [key for key, rec in expected.items()
+            if key.startswith("cand-") and rec.get("injective")
+            and not rec.get("doubly")]
+    assert len(keys) == 1072
+    for key in keys:
+        data = space[int(key[len("cand-"):])]
+        assert golden.matches(expected[key],
+                              workloads.pair_candidate(L, data)), key

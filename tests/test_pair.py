@@ -19,7 +19,7 @@ import pytest
 from rowiso.cli import parse
 from rowiso.errors import ContractViolation, ResourceExceeded, ValidationError
 from rowiso.oracle import materialize, verify_relations
-from rowiso.search import _edge_maps, all_thetas
+from rowiso.search import PREDICATES, _edge_maps, all_thetas
 from rowiso.pair import (
     CommutationFailure,
     PairElem,
@@ -867,6 +867,18 @@ def _collisions(pp, elems):
     return violations
 
 
+def _doubly_reports_match(pp, depth, elems=None):
+    # the report at depth against the sweep of its window; ok is read
+    # before failures, so it is decided before any listing
+    if elems is None:
+        elems = enumerate_pair(pp, depth)
+    failures = _doubly_sweep(pp, elems)
+    report = check_doubly_commute(pp, depth)
+    assert report.ok == (not failures), (pp, depth)
+    assert report.failures == failures, (pp, depth)
+    return failures
+
+
 def _isometry_row(row):
     # the oracle rows for S_i^T S_j = delta_ij I and sum S_i S_i^T <= I,
     # per family
@@ -875,22 +887,34 @@ def _isometry_row(row):
 
 class TestBaseVectorRules:
     def test_acceptance_candidates_match_the_sweeps(self, pair_space):
-        # the joint rule is exact both ways; a failing doubly report
-        # comes from the sweep itself, so only its pass needs the
-        # sweep's confirmation.  The fixture's injective flag is the
-        # joint decider's verdict.  A failing walk names two preimages
-        # of one e_c, each within |base| letters, so depth |base|
-        # holds the collision
+        # both rules are exact both ways: the joint verdict is the
+        # collision sweep's, the doubly verdict is the window sweep's at
+        # the default depth, and the doubly report is the sweep's at
+        # depths 0, 1 and 2.  The fixture's injective flag is the joint
+        # decider's verdict.  A failing walk names two preimages of one
+        # e_c, each within |base| letters, so depth |base| holds the
+        # collision
         kinds = Counter()
+        shallow_only = 0
         for pp, commuting, injective in pair_space:
             if not commuting:
                 continue
             doubly = check_doubly_commute(pp).ok
             elems = enumerate_pair(pp, len(pp.base) + 2 * injective)
             assert injective == (not _collisions(pp, elems)), pp
-            assert not (doubly and _doubly_sweep(pp, elems)), pp
+            passes_at_0 = not _doubly_reports_match(pp, 0)
+            _doubly_reports_match(pp, 1)
+            fails_at_2 = _doubly_reports_match(pp, 2)
+            if injective:
+                # the default window holds the depth-2 one, so only a
+                # pair clean at depth 2 needs the default sweep
+                assert doubly == (not (fails_at_2
+                                       or _doubly_sweep(pp, elems))), pp
             kinds[injective, doubly] += 1
+            shallow_only += injective and passes_at_0 and not doubly
         assert kinds == KINDS_ON_THE_ACCEPTANCE_SPACE
+        # a pair that fails only at T_l e_b passes the depth-0 window
+        assert shallow_only
 
     def test_random_pairs_match_the_sweeps_at_two_windows(self):
         kinds = Counter()
@@ -904,15 +928,16 @@ class TestBaseVectorRules:
         pairs += commuting_pairs(16, 150, max_nodes=6, max_m=1, max_n=2)
         for pp in pairs:
             rule = check_joint_isometry(pp).ok
+            for depth in (0, 1, 2):
+                if _free_word_bound(pp, depth) <= SWEEP_CAP:
+                    _doubly_reports_match(pp, depth)
             for extra in (0, 2):
                 depth = len(pp.base) + 2 + extra
                 if _free_word_bound(pp, depth) > SWEEP_CAP:
                     break
                 elems = enumerate_pair(pp, depth)
                 assert rule == (not _collisions(pp, elems)), (pp, depth)
-                failures = _doubly_sweep(pp, elems)
-                assert check_doubly_commute(pp, depth).failures == \
-                    failures, (pp, depth)
+                failures = _doubly_reports_match(pp, depth, elems)
                 compared[len(pp.base), extra] += 1
                 if not extra:
                     kinds[rule, not failures] += 1
@@ -947,6 +972,66 @@ class TestBaseVectorRules:
 # acceptance candidates
 KINDS_ON_THE_ACCEPTANCE_SPACE = {(False, False): 2100, (True, False): 1072,
                                  (True, True): 1315}
+
+
+# -- the doubly verdict without the window ---------------------------------------
+
+
+def _failing_at_a_base_vector():
+    # an acceptance candidate, jointly isometric, whose displays
+    # already fail at e_b
+    return PairPresentation(THETA_FLIP_22, ("a", "b"),
+                            {("b", 2): "a"}, {("b", 1): "a"})
+
+
+class TestDoublyVerdictWithoutWindow:
+    @pytest.mark.parametrize("build", (
+        lambda: free_pair(THETA_CYCLIC_22), _failing_at_a_base_vector),
+        ids=("cyclic-twist", "failing-at-e_b"))
+    def test_verdicts_build_no_window(self, monkeypatch, build):
+        pp = build()
+        monkeypatch.setattr("rowiso.pair._cartesian", _forbidden)
+        report = check_doubly_commute(pp)
+        assert not report.ok
+        assert not check_hypotheses(pp).doubly_commuting
+        assert not PREDICATES["doubly-commuting"](pp)
+        assert repr(report) == "CommutationReport(failing)"
+        monkeypatch.undo()
+        # the failures are listed on the first read, and kept
+        failures = report.failures
+        assert failures == _doubly_sweep(
+            pp, enumerate_pair(pp, len(pp.base) + 2))
+        assert report.failures is failures
+
+    def test_one_probe_per_pair(self, monkeypatch):
+        pp = free_pair(THETA_CYCLIC_22)
+        sweeps = []
+
+        def counted(q, elems):
+            sweeps.append(q)
+            return _doubly_sweep(q, elems)
+
+        monkeypatch.setattr("rowiso.pair._doubly_sweep", counted)
+        verdicts = [check_doubly_commute(pp, d).ok for d in range(5)]
+        # the cyclic twist fails at T_l e_b, beyond the depth-0 window
+        assert verdicts == [True, False, False, False, False]
+        assert len(sweeps) == 2
+
+    def test_dropped_failing_pair_frees_without_the_cycle_collector(self):
+        # a report that lists on demand holds its pair, and the pair's
+        # cache holds that report only weakly, so no cycle forms
+        pp = free_pair(THETA_CYCLIC_22)
+        gc.disable()
+        try:
+            report = check_doubly_commute(pp)
+            assert not report.ok
+            pair_ref = weakref.ref(pp)
+            del pp
+            assert pair_ref() is not None
+            del report
+            assert pair_ref() is None
+        finally:
+            gc.enable()
 
 
 # -- mirror -----------------------------------------------------------------------
