@@ -18,8 +18,8 @@ from .oracle import (OracleModel, Report, materialize, verify_relations,
 from .pair import (CommutationFailure, CommutationReport, PairElem,
                    PairPresentation, check_doubly_commute,
                    check_joint_isometry, check_theta_commute, enumerate_pair,
-                   free_pair, mirror, mirror_elem, reduce_elem, s_apply,
-                   s_pred, t_apply, t_pred, validate_pair)
+                   free_pair, mirror, mirror_elem, s_apply, s_pred,
+                   t_apply, t_pred, validate_pair)
 from .presentation import (Elem, Presentation, ValidationReport, apply,
                            free_presentation, pred, validate)
 from .presentation import enumerate as enumerate_basis

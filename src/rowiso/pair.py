@@ -257,22 +257,6 @@ def _reduce_raw(pp: PairPresentation, t: Word, s: Word, b: Node) -> PairElem:
         return PairElem(t, s, b)
 
 
-def reduce_elem(pp: PairPresentation, t: Word, s: Word, b: Node) -> PairElem:
-    """Canonical name of ``T_t S_s e_b``.
-
-    Repeatedly absorbs the innermost S-letter, or pushes the innermost
-    T-letter through the S-block and absorbs it, until neither applies.
-    Refuses non-commuting pairs, where canonical names are not
-    well-defined.
-    """
-    pp.require_commuting()
-    if b not in pp.node_index:
-        raise ValidationError(f"node {b!r} is not a base node")
-    s = validate_word(tuple(s), pp.m)
-    t = validate_word(tuple(t), pp.n)
-    return _reduce_raw(pp, t, s, b)
-
-
 def _s_apply_raw(pp: PairPresentation, i: int, x: PairElem) -> PairElem:
     t2, i2 = commute_s_left(pp.theta, i, x.t_prefix)
     return _reduce_raw(pp, t2, (i2,) + x.s_prefix, x.node)
@@ -315,19 +299,6 @@ def _free_word_bound(pp: PairPresentation, depth: int) -> int:
     return total
 
 
-def _require_window(pp: PairPresentation, depth: int) -> None:
-    # the refusals of a depth window, shared by enumerate_pair and
-    # check_doubly_commute, which refuses an over-budget window whether
-    # or not it ends up sweeping it
-    pp.require_valid()
-    if depth < 0:
-        raise ValidationError("depth must be nonnegative")
-    if _free_word_bound(pp, depth) > PAIR_WINDOW_BUDGET:
-        raise ResourceExceeded(
-            f"pair window at depth {depth} has more than "
-            f"{PAIR_WINDOW_BUDGET} free words, the budget")
-
-
 def enumerate_pair(pp: PairPresentation, depth: int) -> list[PairElem]:
     """All canonical elements of joint depth |t|+|s| <= depth.
 
@@ -336,7 +307,13 @@ def enumerate_pair(pp: PairPresentation, depth: int) -> list[PairElem]:
     words number more than ``PAIR_WINDOW_BUDGET`` raises
     ``ResourceExceeded`` before any element is built.
     """
-    _require_window(pp, depth)
+    pp.require_valid()
+    if depth < 0:
+        raise ValidationError("depth must be nonnegative")
+    if _free_word_bound(pp, depth) > PAIR_WINDOW_BUDGET:
+        raise ResourceExceeded(
+            f"pair window at depth {depth} has more than "
+            f"{PAIR_WINDOW_BUDGET} free words, the budget")
     out: list[PairElem] = []
     for total in range(depth + 1):
         for t_len in range(total, -1, -1):
@@ -714,22 +691,29 @@ def check_doubly_commute(pp: PairPresentation,
     there only they count; every deeper window holds every rule element.
 
     A failing report of a jointly isometric pair lists its failures on
-    first read and keeps them.  The report is cached on the pair per depth, so the default and an
-    explicit ``len(pp.base) + 2`` share one report; a report that lists
-    on demand holds the pair, so the pair keeps it only while a caller
-    does, and the rule's sweeps are kept once per pair.  A window that
-    :func:`enumerate_pair` would refuse is refused here too, swept or
-    not.
+    first read and keeps them.  The report is cached on the pair per
+    depth, so the default and an explicit ``len(pp.base) + 2`` share
+    one report; a report that lists on demand holds the pair, so the
+    pair keeps it only while a caller does, and the rule's sweeps are
+    kept once per pair.
+
+    A window is refused only where it is swept, as
+    :func:`enumerate_pair` refuses it: at once for a pair that is not
+    jointly isometric, and on the first read of ``failures`` for a
+    failing one that is.  The verdict of a jointly isometric pair, and
+    the report of a passing one, never raise ResourceExceeded.  A
+    negative depth is a ValidationError.
     """
     pp.require_commuting()
     if depth is None:
         depth = len(pp.base) + 2
+    elif depth < 0:
+        raise ValidationError("depth must be nonnegative")
     cache = pp._cache.setdefault("doubly", {})
     report = cache.get(depth)
     if isinstance(report, weakref.ref):
         report = report()
     if report is None:
-        _require_window(pp, depth)
         if not check_joint_isometry(pp).ok:
             report = cache[depth] = CommutationReport(_list_doubly(pp, depth))
         else:

@@ -14,26 +14,14 @@ import pytest
 
 from rowiso.lebesgue import UnitaryKind, classify_unitary, sing_membership_test
 from rowiso.oracle import materialize, verify_subspace
-from rowiso.pair import (
-    PairElem,
-    check_doubly_commute,
-    enumerate_pair,
-    mirror,
-    t_apply,
-    t_pred,
-)
+from rowiso.pair import check_doubly_commute
 from rowiso.presentation import Presentation, apply, enumerate, free_presentation, pred, validate
 from rowiso.search import _edge_maps, run_fault_injection
-from rowiso.slocinski import (
-    check_hypotheses,
-    dead_nodes,
-    s_in_V,
-    s_membership,
-    s_shift_multiplicity,
-    slocinski,
-)
-from rowiso.wold import Part, SubspaceDesc, wold
+from rowiso.slocinski import check_hypotheses, slocinski
+from rowiso.wold import SubspaceDesc, wold
 from rowiso.words import Theta, normalize, theta_ext
+
+from test_slocinski import lemma_violations
 
 
 def _verdict(num, slug, violations, elapsed=None, budget=None):
@@ -189,35 +177,8 @@ def test_c4_doubly_commuting_theorem(pair_space):
 def test_c5_lemma_suite(pair_space):
     violations = []
     for pp, commuting, injective in pair_space:
-        if not injective:
-            continue
-        elems = enumerate_pair(pp, 3)
-        for x in elems:
-            if s_membership(pp, x) is Part.UNITARY:
-                for j in range(1, pp.n + 1):
-                    if s_membership(pp, t_apply(pp, j, x)) is not Part.UNITARY:
-                        violations.append(
-                            (pp.to_dict(), f"T drags {x!r} off the "
-                             f"S-unitary part"))
-                        break
-        if pp.m >= 2:
-            for x in elems:
-                if s_in_V(pp, x):
-                    step = t_pred(pp, x)
-                    if step is not None and not s_in_V(pp, step[1]):
-                        violations.append(
-                            (pp.to_dict(), f"T-pred leaves the structure "
-                             f"support at {x!r}"))
-                        break
-        if pp.base and pp.n >= 2:
-            all_shift = all(
-                s_membership(pp, PairElem((), (), b)) is Part.SHIFT
-                for b in pp.base)
-            if (all_shift and s_shift_multiplicity(pp).is_finite
-                    and not dead_nodes(mirror(pp))):
-                violations.append(
-                    (pp.to_dict(), "finite-multiplicity shift against a "
-                     "row-unitary family on a nonzero space"))
+        if injective:
+            violations += lemma_violations(pp, 3)
     _verdict(5, "lemma-suite", violations)
 
 

@@ -247,6 +247,16 @@ class TestExitCodes:
         assert "budget exceeded: pair window at depth 14" in \
             capsys.readouterr().err
 
+    def test_over_budget_pair_slocinski_answers(self, tmp_path, capsys):
+        # the same pair's decomposition and hypotheses sweep no window,
+        # so they answer exactly where check-doubly's listing is refused
+        doc = dict(TWISTED_FREE_DOC, base=[f"b{q}" for q in range(12)])
+        assert main(["slocinski", doc_file(tmp_path, doc), "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["exists"] is True
+        assert payload["hypotheses"]["doubly_commuting"] is False
+        assert payload["H_ss"]["seeds"] == [f"<b{q}>" for q in range(12)]
+
 
 # -- malformed input ---------------------------------------------------------
 

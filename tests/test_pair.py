@@ -31,7 +31,6 @@ from rowiso.pair import (
     free_pair,
     mirror,
     mirror_elem,
-    reduce_elem,
     s_apply,
     s_pred,
     t_apply,
@@ -159,24 +158,24 @@ THETA_CYCLIC_22 = Theta(2, 2, {(1, 1): (1, 2), (1, 2): (2, 1),
                                (2, 1): (2, 2), (2, 2): (1, 1)})
 
 
-# -- reduce_elem ----------------------------------------------------------------
+# -- reduction ------------------------------------------------------------------
 
 
 class TestReduce:
     def test_free_pair_is_already_canonical(self):
         pp = free_pair(THETA_ID_22)
-        assert reduce_elem(pp, (1,), (2,), "b") == PairElem((1,), (2,), "b")
+        assert _reduce_raw(pp, (1,), (2,), "b") == PairElem((1,), (2,), "b")
 
     def test_both_letters_absorb(self):
         pp = PairPresentation(THETA_ID_11, ("b",),
                               {("b", 1): "b"}, {("b", 1): "b"})
-        assert reduce_elem(pp, (1,), (1,), "b") == PairElem((), (), "b")
+        assert _reduce_raw(pp, (1,), (1,), "b") == PairElem((), (), "b")
 
     def test_flip_theta_partial_absorption(self):
         # the t-letter flips while passing the s-letter and may then
         # absorb; the closure oracle pins the unique outcome
         pp = PairPresentation(THETA_FLIP_22, ("b",), {("b", 1): "b"}, {})
-        got = reduce_elem(pp, (2,), (1,), "b")
+        got = _reduce_raw(pp, (2,), (1,), "b")
         assert got == closure_canonical(pp, (2,), (1,), "b")
         assert_canonical(pp, got)
 
@@ -189,23 +188,9 @@ class TestReduce:
                 s = tuple(rng.randint(1, pp.m)
                           for _ in range(rng.randint(0, 2)))
                 b = rng.choice(pp.base)
-                got = reduce_elem(pp, t, s, b)
+                got = _reduce_raw(pp, t, s, b)
                 assert got == closure_canonical(pp, t, s, b)
                 assert_canonical(pp, got)
-
-    def test_non_commuting_pair_refused(self):
-        pp = PairPresentation(THETA_ID_11, ("a", "b"),
-                              {("a", 1): "b"}, {("a", 1): "a"})
-        assert not check_theta_commute(pp).ok
-        with pytest.raises(ContractViolation):
-            reduce_elem(pp, (1,), (1,), "a")
-
-    def test_bad_inputs(self):
-        pp = free_pair(THETA_ID_22)
-        with pytest.raises(ValidationError):
-            reduce_elem(pp, (), (), "zz")
-        with pytest.raises(ValidationError):
-            reduce_elem(pp, (3,), (), "b")
 
 
 # -- apply ----------------------------------------------------------------------
@@ -626,12 +611,21 @@ class TestWindowBudget:
 
     def test_over_budget_window_refused_before_enumeration(self,
                                                            monkeypatch):
-        pp = free_pair(THETA_ID_22, tuple(f"b{q}" for q in range(12)))
+        nodes = tuple(f"b{q}" for q in range(12))
+        pp = free_pair(THETA_ID_22, nodes)
         monkeypatch.setattr("rowiso.pair._cartesian", _forbidden)
         with pytest.raises(ResourceExceeded, match="budget"):
             enumerate_pair(pp, 14)
+        # the verdict of a jointly isometric pair sweeps no window, so it
+        # refuses none; the failures of a failing one are listed from
+        # the window, which is refused on the first read
+        assert check_doubly_commute(pp).ok
+        report = check_doubly_commute(free_pair(THETA_CYCLIC_22, nodes))
+        assert not report.ok
         with pytest.raises(ResourceExceeded, match="budget"):
-            check_doubly_commute(pp)
+            report.failures
+        with pytest.raises(ValidationError, match="nonnegative"):
+            check_doubly_commute(pp, -1)
 
 
 # check_doubly_commute(free_pair(THETA_CYCLIC_22)).failures, as

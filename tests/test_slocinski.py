@@ -6,9 +6,11 @@ combinations is realized on its own base node: a carries both loops
 nothing.
 """
 
+import ast
 import importlib
 import random
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -59,6 +61,7 @@ from rowiso.slocinski import (
 from rowiso.wold import Part, SubspaceDesc
 from rowiso.words import Theta
 
+from test_oracle import runtime_imports
 from test_pair import commuting_pairs, honest_pairs
 
 # the package re-exports the slocinski function under the module's name
@@ -742,19 +745,45 @@ class TestBaseVectors:
         assert set(kinds) == {"exists", "witness", "ContractViolation"}
 
     def test_no_window_is_enumerated(self, monkeypatch):
+        # slocinski, the hypotheses and the implication report read no
+        # window; slocinski.py imports no enumerator (TestNoWindowCode)
         monkeypatch.setattr(pair_module, "enumerate_pair", _forbidden)
-        monkeypatch.setattr(slocinski_module, "enumerate_pair", _forbidden)
-        # the old window here, depth 9, holds more free words than the
-        # budget allows
-        nodes = tuple(f"b{k}" for k in range(7))
-        free33 = free_pair(Theta.identity(3, 3), nodes)
-        assert _free_word_bound(free33, 9) > PAIR_WINDOW_BUDGET
-        for order in ("st", "ts"):
-            res = slocinski(free33, order)
-            assert res.exists
-            assert res.H_ss.nodes == frozenset(nodes)
-            for pp in (PAIR_A, PAIR_B):
+        monkeypatch.setattr(pair_module, "_cartesian", _forbidden)
+        for size in (7, 12, 50):
+            # the old window here, depth |base| + 2, holds more free
+            # words than the budget allows
+            nodes = tuple(f"b{k}" for k in range(size))
+            free33 = free_pair(Theta.identity(3, 3), nodes)
+            assert _free_word_bound(free33, size + 2) > PAIR_WINDOW_BUDGET
+            for order in ("st", "ts"):
+                res = slocinski(free33, order)
+                assert res.exists
+                assert res.H_ss.nodes == frozenset(nodes)
+            assert check_hypotheses(free33).doubly_commuting
+            assert verify_theorem_implications(free33).ok
+        for pp in (PAIR_A, PAIR_B):
+            for order in ("st", "ts"):
                 assert not slocinski(fresh(pp), order).exists
+            assert not check_hypotheses(fresh(pp)).doubly_commuting
+            assert verify_theorem_implications(fresh(pp)).ok
+
+
+class TestNoWindowCode:
+    # the deciders read base vectors and their predecessors, so the
+    # window enumerator and the forward kernels stay out of the module
+    BANNED = {"enumerate_pair", "_s_apply_raw", "_t_apply_raw"}
+
+    def test_slocinski_imports_no_window_code(self):
+        path = Path(slocinski_module.__file__)
+        seen = False
+        for module, names in runtime_imports(ast.parse(path.read_text())):
+            if module.split(".")[0] != "pair":
+                continue
+            assert names is not None, "slocinski imports the pair module"
+            assert not self.BANNED & set(names), \
+                f"slocinski imports {sorted(self.BANNED & set(names))}"
+            seen = True
+        assert seen
 
 
 # the random pairs' windows are compared with the sweep up to this many
@@ -852,21 +881,67 @@ class TestHypotheses:
         assert not hyp.s_unitary_singular
 
 
+def lemma_violations(pp, depth):
+    """The standalone lemmas, element by element over a depth window.
+
+    pp is jointly isometric.  Each unitary part is invariant under the
+    other family: the S-unitary part under T, and the T-unitary part
+    under S, read as the first in ``mirror(pp)``.  With m >= 2 the
+    S-cycle slice is closed under the T-adjoint.  A finite-multiplicity
+    S-shift against a row-unitary T-family lives on the zero space.
+    """
+    violations = []
+    for q, (s_name, t_name) in ((pp, "ST"), (mirror(pp), "TS")):
+        for x in enumerate_pair(q, depth):
+            if s_membership(q, x) is Part.UNITARY:
+                for j in range(1, q.n + 1):
+                    if s_membership(q, t_apply(q, j, x)) is not Part.UNITARY:
+                        violations.append(
+                            (pp.to_dict(), f"{t_name} drags {x!r} off the "
+                             f"{s_name}-unitary part"))
+                        break
+    if pp.m >= 2:
+        for x in enumerate_pair(pp, depth):
+            if s_in_V(pp, x):
+                step = t_pred(pp, x)
+                if step is not None and not s_in_V(pp, step[1]):
+                    violations.append(
+                        (pp.to_dict(), f"T-pred leaves the structure "
+                         f"support at {x!r}"))
+                    break
+    if pp.base and pp.n >= 2:
+        all_shift = all(
+            s_membership(pp, PairElem((), (), b)) is Part.SHIFT
+            for b in pp.base)
+        if (all_shift and s_shift_multiplicity(pp).is_finite
+                and not dead_nodes(mirror(pp))):
+            violations.append(
+                (pp.to_dict(), "finite-multiplicity shift against a "
+                 "row-unitary family on a nonzero space"))
+    return violations
+
+
 class TestImplications:
     def test_all_fixtures_pass(self):
         for pp in (FOUR_CORNERS, BILATERAL, TWIN_LOOPS, FREE11, FREE22):
             report = verify_theorem_implications(pp)
             assert report.ok, report
+            assert lemma_violations(pp, max(4, len(pp.base) + 2)) == []
 
     def test_random_honest_pairs_pass(self):
         for pp in honest_pairs(421, 15):
             assert verify_theorem_implications(pp).ok
+            assert lemma_violations(pp, max(4, len(pp.base) + 2)) == []
 
     def test_row_names_cover_the_statements(self):
-        names = {row.name for row in
-                 verify_theorem_implications(FOUR_CORNERS).rows}
-        assert "doubly-commuting-implies-decomposition" in names
-        assert "S-unitary-part-always-T-invariant" in names
+        names = [row.name for row in
+                 verify_theorem_implications(FOUR_CORNERS).rows]
+        assert names == [
+            "doubly-commuting-implies-decomposition",
+            "singular-unitary-parts-imply-decomposition",
+            "singular-S-with-finite-shift-implies-decomposition",
+            "finite-S-shift-against-T-row-unitary-forces-zero-space",
+        ]
 
     def test_empty_base_forces_zero_space_row(self):
         pp = free_pair(Theta.identity(1, 2), base=())
