@@ -27,10 +27,9 @@ from .search import (SearchSpace, all_thetas, fault_library,
                      run_fault_injection, search)
 from .slocinski import (FailureWitness, HypothesisReport, ImplicationReport,
                         ImplicationRow, Multiplicity, SlocinskiResult,
-                        check_hypotheses, dead_nodes, joint_wandering,
-                        s_in_V, s_membership, s_shift_multiplicity, slocinski,
-                        t_in_V, t_membership, t_shift_multiplicity,
-                        verify_theorem_implications)
+                        check_hypotheses, dead_nodes, s_in_V, s_membership,
+                        s_shift_multiplicity, slocinski, t_in_V, t_membership,
+                        t_shift_multiplicity, verify_theorem_implications)
 from .wold import (Part, SubspaceDesc, WoldResult, is_row_unitary, membership,
                    wold)
 from .words import (Theta, commute_s_left, commute_s_right, commute_t_left,

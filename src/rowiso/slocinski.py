@@ -296,19 +296,6 @@ def t_shift_multiplicity(pp: PairPresentation) -> Multiplicity:
     return s_shift_multiplicity(mirror(pp))
 
 
-def joint_wandering(pp: PairPresentation) -> tuple[PairElem, ...]:
-    """Base vectors wandering for both families at once.
-
-    The doubly-shift corner of the decomposition is the free orbit of
-    exactly these vectors.
-    """
-    pp.require_commuting()
-    dead_s = dead_nodes(pp)
-    dead_t = dead_nodes(mirror(pp))
-    return tuple(PairElem((), (), b) for b in pp.base
-                 if b in dead_s and b in dead_t)
-
-
 # ------------------------------------------------------------- decomposition
 
 @dataclass(frozen=True)

@@ -57,3 +57,15 @@ def test_every_failing_doubly_candidate_matches_its_golden_record():
         data = space[int(key[len("cand-"):])]
         assert golden.matches(expected[key],
                               workloads.pair_candidate(L, data)), key
+
+
+def test_every_singles_item_matches_its_golden_record():
+    # the oracle's block products decide oracle_ok on every single
+    # presentation; the three seeds' thirds together run all of them
+    L = Layers()
+    expected = golden.load("singles")
+    assert len(expected) == 1091
+    space = workloads.single_space()
+    for key, rec in expected.items():
+        data = space[int(key[len("single-"):])]
+        assert golden.matches(rec, workloads.single_item(L, data)), key

@@ -22,17 +22,21 @@ from rowiso.oracle import (
     verify_relations,
     verify_subspace,
     _add,
-    _first_bad_column,
+    _diag,
+    _first_bad_columns,
     _mul,
     _pair_basis_lower_bound,
     _raw_pair_basis,
     _raw_single_basis,
+    _shift_on,
     _single_basis_size,
     _tr,
 )
-from rowiso.pair import (PairElem, PairPresentation, enumerate_pair,
-                         free_pair, mirror, s_apply, t_apply)
+from rowiso.pair import (PairElem, PairPresentation, check_joint_isometry,
+                         enumerate_pair, free_pair, mirror, s_apply, t_apply,
+                         validate_pair)
 from rowiso.presentation import Elem, Presentation, apply, free_presentation
+from rowiso.presentation import enumerate as enumerate_basis
 from rowiso.search import (
     SearchSpace,
     _edge_maps,
@@ -300,8 +304,45 @@ class TestOperatorKernels:
             mask = rng.integers(0, 2, n).astype(bool)
             bad = np.flatnonzero(
                 (dense(a, n) != dense(b, n)).any(axis=0) & mask)
-            want = int(bad[0]) if len(bad) else None
-            assert _first_bad_column(a, b, mask) == want
+            want = {(0, 0): int(bad[0])} if len(bad) else {}
+            assert _first_bad_columns(a, b, mask, n, n) == want
+
+    def test_block_comparator_matches_dense_blocks(self):
+        rng = np.random.default_rng(1039)
+        for trial in range(400):
+            size = int(rng.integers(1, 5))
+            height = size * int(rng.integers(1, 4))
+            width = size * int(rng.integers(1, 4))
+
+            def op(k):
+                return (rng.integers(0, height, k, dtype=np.int64),
+                        rng.integers(0, width, k, dtype=np.int64))
+
+            a = op(int(rng.integers(0, 2 * width)))
+            if trial % 3 == 0:  # equal sides, entries in another order
+                order = rng.permutation(len(a[0]))
+                b = (a[0][order], a[1][order])
+            else:
+                b = op(int(rng.integers(0, 2 * width)))
+            if trial % 2:
+                mask = rng.integers(0, 2, width).astype(bool)
+            else:
+                mask = np.ones(width, dtype=bool)
+            da, db = (np.zeros((height, width), dtype=np.int64)
+                      for _ in range(2))
+            np.add.at(da, a, 1)
+            np.add.at(db, b, 1)
+            want = {}
+            for r in range(height // size):
+                for c in range(width // size):
+                    cells = np.s_[r * size:(r + 1) * size,
+                                  c * size:(c + 1) * size]
+                    bad = np.flatnonzero((da[cells] != db[cells]).any(axis=0)
+                                         & mask[c * size:(c + 1) * size])
+                    if len(bad):
+                        want[(r, c)] = int(bad[0])
+            got = _first_bad_columns(a, b, mask, size, height)
+            assert list(got.items()) == list(want.items()), trial
 
 
 # -- relation checks ---------------------------------------------------------
@@ -349,6 +390,234 @@ class TestVerifyRelations:
         p = Presentation(1, ("a", "b", "c"), {("a", 1): "c", ("b", 1): "c"})
         bad = verify_relations(materialize(p, 3))
         assert "violations" in repr(bad)
+
+
+# -- the per-identity reference ---------------------------------------------
+#
+# The oracle checks each identity family as one block product.  These
+# are the loops it replaced, one product and one comparison per label,
+# label pair or twist entry; the batched reports must equal theirs row
+# for row.
+
+
+def ref_gen(model, key):
+    img = model.imgs[key]
+    cols = np.flatnonzero(img >= 0)
+    return img[cols], cols
+
+
+def ref_first_bad_column(lhs, rhs, mask):
+    n = len(mask)
+    keys = np.concatenate((lhs[1] * n + lhs[0], rhs[1] * n + rhs[0]))
+    uniq, inv = np.unique(keys, return_inverse=True)
+    split = len(lhs[0])
+    net = (np.bincount(inv[:split], minlength=len(uniq))
+           - np.bincount(inv[split:], minlength=len(uniq)))
+    cols = uniq[net != 0] // n
+    cols = cols[mask[cols]]
+    return int(cols.min()) if len(cols) else None
+
+
+def ref_check(rows, label, lhs, rhs, mask, basis):
+    col = ref_first_bad_column(lhs, rhs, mask)
+    if col is not None:
+        rows.append(f"{label}: differs at column {basis[col]!r}")
+
+
+def ref_two_steps(model, first, then):
+    cols = model.imgs[first]
+    live = cols >= 0
+    return live & (model.imgs[then][np.where(live, cols, 0)] >= 0)
+
+
+def reference_relations(model) -> tuple:
+    rows = []
+    p, basis = model.presentation, model.basis
+    n = len(basis)
+    eye = _diag(np.ones(n, dtype=np.int64))
+    zero = _add([])
+    pair = model.is_pair
+    for fam, count in [("s", p.m)] + ([("t", p.n)] if pair else []):
+        gens = [ref_gen(model, (fam, k)) for k in range(1, count + 1)]
+        in_img = [model.imgs[(fam, k)] >= 0 for k in range(1, count + 1)]
+        for i in range(count):
+            for j in range(count):
+                ref_check(rows, f"{fam}[{i+1}]^T {fam}[{j+1}]",
+                          _mul(_tr(gens[i]), gens[j]),
+                          eye if i == j else zero, in_img[j], basis)
+        diag = sum(np.bincount(model.imgs[(fam, k)][in_img[k - 1]],
+                               minlength=n)
+                   for k in range(1, count + 1))
+        valid = model.mask(adjoint=1) if pair else np.ones(n, dtype=bool)
+        if np.any((diag > 1) & valid):
+            bad = int(np.nonzero((diag > 1) & valid)[0][0])
+            rows.append(f"sum {fam}{fam}^T exceeds identity at {basis[bad]!r}")
+    if not pair:
+        return tuple(rows)
+    theta = p.theta
+    S = {i: ref_gen(model, ("s", i)) for i in range(1, p.m + 1)}
+    T = {j: ref_gen(model, ("t", j)) for j in range(1, p.n + 1)}
+    for (i, j), (i2, j2) in sorted(theta.map.items()):
+        ok = (ref_two_steps(model, ("t", j), ("s", i))
+              & ref_two_steps(model, ("s", i2), ("t", j2)))
+        ref_check(rows, f"S{i} T{j} = T{j2} S{i2}",
+                  _mul(S[i], T[j]), _mul(T[j2], S[i2]), ok, basis)
+    m1 = model.mask(forward=1, adjoint=1)
+    for i in range(1, p.m + 1):
+        for j in range(1, p.n + 1):
+            rhs = _add([_mul(S[k], _tr(T[jk]))
+                        for (k, jj), (ii, jk) in sorted(theta.map.items())
+                        if jj == j and ii == i])
+            ref_check(rows, f"T{j}^T S{i} display", _mul(_tr(T[j]), S[i]),
+                      rhs, m1, basis)
+            rhs2 = _add([_mul(T[k], _tr(S[ik]))
+                         for (ii, k), (ik, jj) in sorted(theta.map.items())
+                         if ii == i and jj == j])
+            ref_check(rows, f"S{i}^T T{j} display", _mul(_tr(S[i]), T[j]),
+                      rhs2, m1, basis)
+    return tuple(rows)
+
+
+def reference_subspace(model, sub, claims, family="s") -> tuple:
+    rows = []
+    p, basis = model.presentation, model.basis
+    member = np.array(sub.contains_many(basis, p), dtype=bool)
+    Q = _diag(member.astype(np.int64))
+    ran = None
+    for claim in sorted(set(claims)):
+        fam = claim[0].lower() if claim[0] in "ST" else family
+        count = p.m if fam == "s" else p.n
+        if claim.endswith("-invariant") or claim.endswith("-reducing"):
+            for k in range(1, count + 1):
+                G = ref_gen(model, (fam, k))
+                GQ = _mul(G, Q)
+                if claim.endswith("-invariant"):
+                    lhs, rhs = GQ, _mul(Q, GQ)
+                else:
+                    lhs, rhs = _mul(Q, G), GQ
+                col = ref_first_bad_column(lhs, rhs,
+                                           model.imgs[(fam, k)] >= 0)
+                if col is not None:
+                    rows.append(f"{claim} fails for {fam}[{k}] at "
+                                f"column {basis[col]!r}")
+        elif claim in ("unitary-on", "wandering"):
+            if ran is None:
+                ran = _add([_mul(g, _tr(g)) for g in
+                            (ref_gen(model, (fam, k))
+                             for k in range(1, count + 1))])
+            if claim == "unitary-on":
+                col = ref_first_bad_column(
+                    _mul(ran, Q), Q, member & model.mask(adjoint=1))
+            else:
+                attr = f"{fam}_prefix" if model.is_pair else "prefix"
+                bare = np.zeros(len(basis), dtype=bool)
+                bare[[c for c in np.flatnonzero(member).tolist()
+                      if not getattr(basis[c], attr)]] = True
+                alive = np.zeros(len(basis), dtype=bool)
+                alive[ran[1]] = True
+                bad = model.mask(adjoint=1) & (alive == bare)
+                col = int(np.argmax(bad)) if bad.any() else None
+            if col is not None:
+                rows.append(f"{claim} fails at column {basis[col]!r}")
+        elif claim == "shift-on":
+            rows.extend(_shift_on(model, member, fam, basis))
+    return tuple(rows)
+
+
+SINGLE_CLAIMS = ("S-invariant", "S-reducing", "unitary-on", "shift-on",
+                 "wandering")
+PAIR_CLAIMS = ("S-invariant", "T-invariant", "S-reducing", "T-reducing",
+               "unitary-on", "shift-on", "wandering")
+FAMILY_CLAIMS = ("unitary-on", "shift-on", "wandering")
+
+
+def single_claims(p, rng) -> list:
+    """(description, claims, family): the unitary part, a node set, and
+    a random explicit set of two vectors, each with every claim."""
+    elems = enumerate_basis(p, 2)
+    spot = SubspaceDesc(tuple(rng.sample(elems, min(2, len(elems)))))
+    return [(sub, SINGLE_CLAIMS, "s")
+            for sub in (wold(p).unitary_part, spot)]
+
+
+def pair_claims(pp) -> list:
+    """Every claim for both families on an explicit set of base vectors,
+    on each family's dead nodes of a valid pair (the T-family's needs a
+    bijective twist), and on the four corners of a jointly isometric
+    one."""
+    subs = [SubspaceDesc(tuple(PairElem((), (), b) for b in pp.base[::2]))]
+    if validate_pair(pp).ok:
+        subs.append(SubspaceDesc((), dead_nodes(pp), pp))
+    if validate_pair(pp).ok and bijective(pp.theta):
+        subs.append(SubspaceDesc((), dead_nodes(mirror(pp)), pp))
+        if check_joint_isometry(pp).ok:
+            res = slocinski(pp)
+            subs += [res.H_uu, res.H_us, res.H_su, res.H_ss]
+    # only the family-less claims read ``family``
+    return [(sub, claims, family) for sub in subs
+            for claims, family in ((PAIR_CLAIMS, "s"), (FAMILY_CLAIMS, "t"))]
+
+
+def bijective(theta) -> bool:
+    # a forged twist has no mirror
+    return len(set(theta.map.values())) == len(theta.map)
+
+
+def corrupt_one_entry(model, rng) -> None:
+    """Replace one generator's array by a copy with one entry moved."""
+    key = rng.choice(model.keys)
+    fake = model.imgs[key].copy()
+    col = rng.randrange(len(fake))
+    fake[col] = rng.choice([r for r in range(-1, len(fake))
+                            if r != fake[col]])
+    model.imgs[key] = fake
+
+
+class TestBatchedMatchesReference:
+    def assert_same(self, model, claims):
+        assert verify_relations(model).rows == reference_relations(model)
+        for sub, names, family in claims:
+            assert verify_subspace(model, sub, names, family).rows == \
+                reference_subspace(model, sub, names, family), \
+                (model.presentation, sub, family)
+
+    def test_every_single_presentation_clean_and_corrupted(self):
+        rng = random.Random(1049)
+        failing = 0
+        for p in single_space():
+            claims = single_claims(p, rng)
+            model = materialize(p, 3)
+            self.assert_same(model, claims)
+            corrupt_one_entry(model, rng)
+            self.assert_same(model, claims)
+            failing += not verify_relations(model).ok
+        assert failing > 500  # the corruptions do reach the reports
+
+    def test_named_pairs_and_the_forged_theta(self):
+        forged = PairPresentation(
+            _forge_theta(2, 1, {(1, 1): (1, 1), (2, 1): (1, 1)},
+                         {(1, 1): (2, 1), (2, 1): (2, 1)}), ("b",), {}, {})
+        pairs = [FOUR_CORNERS, BILATERAL, IN_DEGREE_2_PAIR, forged]
+        pairs += [free_pair(theta) for theta in all_thetas(2, 2)]
+        rng = random.Random(1051)
+        for pp in pairs:
+            claims = pair_claims(pp)
+            model = materialize(pp, 3)
+            self.assert_same(model, claims)
+            corrupt_one_entry(model, rng)
+            self.assert_same(model, claims)
+
+    def test_random_honest_pairs(self):
+        rng = random.Random(1061)
+        failing = 0
+        for pp in honest_pairs(1063, 200):
+            claims = pair_claims(pp)
+            model = materialize(pp, 3)
+            self.assert_same(model, claims)
+            corrupt_one_entry(model, rng)
+            self.assert_same(model, claims)
+            failing += not verify_relations(model).ok
+        assert failing > 100
 
 
 # -- independence ------------------------------------------------------------
@@ -509,6 +778,16 @@ class TestVerifySubspace:
             verify_subspace(model, full, ("invariant",))
         with pytest.raises(ValidationError):
             verify_subspace(model, full, ("unitary-on",), family="x")
+
+    def test_t_claims_on_a_single_family_rejected(self):
+        model = materialize(FREE2, 2)
+        full = full_space(FREE2)
+        for claims, family in ((("T-invariant",), "s"),
+                               (("S-reducing", "shift-on"), "t")):
+            with pytest.raises(ValidationError):
+                verify_subspace(model, full, claims, family)
+        # a family-less claim reads the family only when it is named
+        assert verify_subspace(model, full, ("S-reducing",), "t").ok
 
 
 # -- pinned report rows ------------------------------------------------------
