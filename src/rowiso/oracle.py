@@ -9,9 +9,12 @@ bounded depth, held as one image index per column.  For a single
 family the image arrays are written in closed form: the basis is laid
 out layer by layer, a prefix of length at least one never absorbs, so
 each generator shifts a whole layer onto a run of the next one, and
-only the depth-zero columns consult the edges.  Pair arrays are filled
-column by column from the letter calculus.  Subspace claims read a
-description's membership once for the whole basis.
+only the depth-zero columns consult the edges.  A pair's basis and
+arrays are computed on integer word codes: shortlex codes per family,
+and twist tables filled from the one-letter moves of the word calculus
+give each column's new letter and every absorption step, for all
+columns and generators at once.  Subspace claims read a description's
+membership once for the whole basis.
 
 An operator is a pair of integer arrays (rows, cols), one entry of
 value 1 per pair, repeated pairs adding up; every identity is built
@@ -162,7 +165,7 @@ def _single_images(p: Presentation, depth: int) -> tuple:
 
 
 def _pair_basis_lower_bound(pp: PairPresentation, depth: int) -> int:
-    """A lower bound on ``len(_raw_pair_basis(pp, depth))``.
+    """A lower bound on the size of a pair's truncated basis.
 
     The pure-S elements and the pure-T elements (the T-letter arrives
     unchanged through an empty S-block) are each counted by the
@@ -174,54 +177,226 @@ def _pair_basis_lower_bound(pp: PairPresentation, depth: int) -> int:
             + _single_basis_size(pp._t_family, depth) - len(pp.base))
 
 
-def _raw_pair_basis(pp: PairPresentation, depth: int) -> tuple:
-    # no closed-form count of the mixed elements (the twist moves the
-    # arriving T-letter), so the walk itself stops one vector past the
-    # budget.  A T-letter can only absorb at a node with a t-out-edge.
-    out = []
-    t_sources = {src for src, _ in pp.t_edges}
-    for total in range(depth + 1):
-        for t_len in range(total, -1, -1):
-            for t in itertools.product(range(1, pp.n + 1), repeat=t_len):
-                for s in itertools.product(range(1, pp.m + 1),
-                                           repeat=total - t_len):
-                    for b in pp.base:
-                        if s and (b, s[-1]) in pp.s_edges:
-                            continue
-                        if t and b in t_sources:
-                            _, arriving = commute_t_right(pp.theta, s, t[-1])
-                            if (b, arriving) in pp.t_edges:
-                                continue
-                        out.append(PairElem(t, s, b))
-                        if len(out) > BASIS_BUDGET:
-                            raise _over_budget(depth)
-    return tuple(out)
+class _Words:
+    """Shortlex codes of the words of length at most ``top`` in k letters.
+
+    A word's code counts the shorter words, then adds its lexicographic
+    rank among the words of its length, so codes order words by length
+    and then letter by letter, and prepending letter a to a word w adds
+    ``a * k^|w|`` to its code.  ``length``, ``last`` (0 for the empty
+    word) and ``head`` (the code without the last letter) are int32
+    tables indexed by code.
+    """
+
+    def __init__(self, k: int, top: int):
+        import numpy as np
+
+        self.k, self.top = k, top
+        self.powers = k ** np.arange(top + 1, dtype=np.int64)
+        self.offsets = np.concatenate(([0], np.cumsum(self.powers)))
+        self.size = int(self.offsets[-1])
+        self.length = np.repeat(np.arange(top + 1, dtype=np.int32),
+                                self.powers)
+        rank = np.arange(self.size) - self.offsets[self.length]
+        self.last = (rank % k + 1).astype(np.int32)
+        self.head = (self.offsets[self.length - 1]
+                     + rank // k).astype(np.int32)
+        self.last[0] = self.head[0] = 0  # the empty word
+
+    def tuples(self, codes: np.ndarray) -> list:
+        """The words named by ``codes``, as tuples of letters."""
+        import numpy as np
+
+        uniq, at = np.unique(codes, return_inverse=True)
+        lengths = self.length[uniq]
+        rank = uniq - self.offsets[lengths]
+        # letter q of a word of length L is rank // k^(L-1-q) % k + 1
+        shift = np.maximum(lengths[:, None] - 1 - np.arange(self.top), 0)
+        letters = rank[:, None] // self.powers[shift] % self.k + 1
+        names = [tuple(row[:n]) for row, n in zip(letters.tolist(),
+                                                   lengths.tolist())]
+        return list(map(names.__getitem__, at.tolist()))
 
 
-def _raw_pair_apply(pp: PairPresentation, t_sources: set, kind: str,
-                    lab: int, x: PairElem) -> PairElem:
-    # re-derived from the letter calculus: commute the new letter to its
-    # slot, then greedily absorb innermost letters against the edges;
-    # the T-letter is pushed only at a node in t_sources
-    if kind == "s":
-        t_word, new_s = commute_s_left(pp.theta, lab, x.t_prefix)
-        t, s = t_word, (new_s,) + x.s_prefix
-    else:
-        t, s = (lab,) + x.t_prefix, x.s_prefix
-    node = x.node
+def _twist(words: _Words, carries: int, move) -> tuple:
+    """Push a letter of the other family through each word, outer end first.
+
+    ``move(f, c)`` is the one-letter move of carry c through letter f:
+    the letter left in f's place and the carry that goes on.  Returns
+    two tables indexed by (word code, carry): the rewritten word's code
+    and the carry that comes out at the inner end.  Carry 0 stands for
+    no letter and leaves the word as it is.  The words of length L are
+    each first letter f, in order, before every word of length L - 1,
+    so a level is read off the level below.
+    """
+    import numpy as np
+
+    emit = np.zeros((words.k, carries), dtype=np.int64)
+    turn = np.zeros((words.k, carries), dtype=np.int64)
+    for f in range(words.k):
+        for c in range(carries):
+            (emit[f, c],), turn[f, c] = move(f + 1, c + 1)
+    word = np.empty((words.size, carries + 1), dtype=np.int32)
+    out = np.empty((words.size, carries + 1), dtype=np.int32)
+    word[:, 0], out[:, 0] = np.arange(words.size), 0
+    word[0], out[0] = 0, np.arange(carries + 1)
+    for length in range(1, words.top + 1):
+        tails = slice(words.offsets[length - 1], words.offsets[length])
+        level = slice(words.offsets[length], words.offsets[length + 1])
+        for table, add in ((word, emit[:, :, None]
+                            * words.powers[length - 1]), (out, 0)):
+            # (f, c, tail) -> (f, tail, c): the level's rows in code order
+            table[level, 1:] = (table[tails].T[turn] + add).transpose(
+                0, 2, 1).reshape(-1, carries)
+    return word, out
+
+
+class _PairTables:
+    """A pair's word codes, twist tables and edge tables, from raw data.
+
+    Nodes get ids in order of first appearance in the base, then in the
+    edges.  Per family, ``edge[node, letter]`` is the id of the node the
+    letter absorbs into, -2 for an edge to ``None`` (a key of the edge
+    dict, so the canonical rule sees it, that absorbs nothing) and -1
+    for no edge; letter 0 has no edge.  A family with no free slot at a
+    base node has only the empty word in the basis, so its word table
+    stops at length 1, the most one application prepends.  Otherwise it
+    stops at ``depth``: a word one letter longer arises only when a
+    letter is prepended to a pure word of length ``depth``, whose
+    innermost letter absorbs nothing, so that image is out of the basis.
+    """
+
+    def __init__(self, pp: PairPresentation, depth: int):
+        import numpy as np
+
+        ids: dict = {}
+        for b in pp.base:
+            ids.setdefault(b, len(ids))
+        for edges in (pp.s_edges, pp.t_edges):
+            for (src, _), dst in edges.items():
+                ids.setdefault(src, len(ids))
+                if dst is not None:
+                    ids.setdefault(dst, len(ids))
+        self.nodes = np.array([ids[b] for b in pp.base], dtype=np.int32)
+        self.node_count = len(ids)
+        tables = []
+        for edges, count in ((pp.s_edges, pp.m), (pp.t_edges, pp.n)):
+            edge = np.full((len(ids), count + 1), -1, dtype=np.int32)
+            for (src, label), dst in edges.items():
+                if 1 <= label <= count:
+                    edge[ids[src], label] = -2 if dst is None else ids[dst]
+            free = (edge[self.nodes, 1:] == -1).any()
+            tables += [edge, _Words(count, depth if free else 1)]
+        self.s_edge, self.s_words, self.t_edge, self.t_words = tables
+        theta = pp.theta
+        self.t_through_s = _twist(self.s_words, pp.n, lambda f, c:
+                                  commute_t_right(theta, (f,), c))
+        self.s_through_t = _twist(self.t_words, pp.m, lambda f, c:
+                                  commute_s_left(theta, c, (f,)))
+
+    def keys(self, t: np.ndarray, s: np.ndarray,
+             node: np.ndarray) -> np.ndarray:
+        import numpy as np
+
+        return ((t.astype(np.int64) * self.s_words.size + s)
+                * self.node_count + node)
+
+
+def _pair_basis_codes(tables: _PairTables, depth: int) -> tuple:
+    """The canonical (T-code, S-code, base position) triples, in order.
+
+    One block per T-length: its T-words times the S-canonical (S-word,
+    position) pairs short enough, kept when the innermost T-letter,
+    pushed through the S-word, has no edge at the node.  The exact
+    count is checked against the budget after each block.  The order
+    is by depth, then longer T-word first, then T-word, S-word and base
+    position, the order of the canonical walk: each block comes out in
+    (T-word, S-word, position) order, so one stable sort by (depth,
+    T-length) suffices.
+    """
+    import numpy as np
+
+    sw, tw = tables.s_words, tables.t_words
+    # (S-code, position) where the S-word's last letter has no edge;
+    # letter 0, the empty word's, has none anywhere
+    s, pos = np.nonzero(tables.s_edge[tables.nodes].T[sw.last] == -1)
+    arrive = tables.t_through_s[1]
+    blocks, count = [], 0
+    for t_len in range(tw.top + 1):
+        short = int(np.searchsorted(
+            s, sw.offsets[min(depth - t_len, sw.top) + 1]))
+        words = int(tw.powers[t_len])
+        ti, si = np.divmod(np.arange(words * short), short)
+        bt, bs, bpos = ti + tw.offsets[t_len], s[si], pos[si]
+        if t_len:
+            keep = tables.t_edge[tables.nodes[bpos],
+                                 arrive[bs, tw.last[bt]]] == -1
+            bt, bs, bpos = bt[keep], bs[keep], bpos[keep]
+        count += len(bt)
+        if count > BASIS_BUDGET:
+            raise _over_budget(depth)
+        blocks.append((bt, bs, bpos))
+    t, s, pos = (np.concatenate(part) for part in zip(*blocks))
+    t_len = tw.length[t]
+    order = np.argsort((t_len + sw.length[s]) * (depth + 2) - t_len,
+                       kind="stable")
+    return t[order], s[order], pos[order]
+
+
+def _pair_images(pp: PairPresentation, tables: _PairTables, t: np.ndarray,
+                 s: np.ndarray, pos: np.ndarray) -> dict:
+    """Every generator's image array, all generators in one stack.
+
+    Each column gets its letter prepended (an S-letter after crossing
+    the T-word), then the absorption cascade runs as masked steps until
+    no column moves: the innermost S-letter absorbs when it has an edge
+    at the node, and otherwise the innermost T-letter, pushed through
+    the S-word, absorbs when the pushed letter has one.  Each image's
+    row is found by ``searchsorted`` on the sorted basis keys; an image
+    outside the basis, or whose word outgrew its table, gets -1.
+    """
+    import numpy as np
+
+    sw, tw = tables.s_words, tables.t_words
+    t_word, s_letter = tables.s_through_t
+    T = np.concatenate([t_word[t, i] for i in range(1, pp.m + 1)]
+                       + [t + j * tw.powers[tw.length[t]]
+                          for j in range(1, pp.n + 1)])
+    S = np.concatenate([s + s_letter[t, i] * sw.powers[sw.length[s]]
+                        for i in range(1, pp.m + 1)] + [s] * pp.n)
+    at = np.flatnonzero((T < tw.size) & (S < sw.size))
+    T, S = T[at].astype(np.int32), S[at].astype(np.int32)
+    X = np.tile(tables.nodes[pos], pp.m + pp.n)[at]
+    pushed, arrive = tables.t_through_s
+    ends, keys = [], []
     while True:
-        if s:
-            hit = pp.s_edges.get((node, s[-1]))
-            if hit is not None:
-                node, s = hit, s[:-1]
-                continue
-        if t and node in t_sources:
-            pushed, j2 = commute_t_right(pp.theta, s, t[-1])
-            hit = pp.t_edges.get((node, j2))
-            if hit is not None:
-                node, t, s = hit, t[:-1], pushed
-                continue
-        return PairElem(t, s, node)
+        by_s = tables.s_edge[X, sw.last[S]]
+        j = tw.last[T]
+        to = np.where(by_s < 0, tables.t_edge[X, arrive[S, j]], by_s)
+        stop = to < 0
+        ends.append(at[stop])
+        keys.append(tables.keys(T[stop], S[stop], X[stop]))
+        if stop.all():
+            break
+        go = ~stop
+        on_s = by_s[go] >= 0
+        at, T, S, X, j = at[go], T[go], S[go], to[go], j[go]
+        T = np.where(on_s, T, tw.head[T])
+        S = np.where(on_s, sw.head[S], pushed[S, j])
+    basis_keys = tables.keys(t, s, tables.nodes[pos])
+    order = np.argsort(basis_keys, kind="stable")
+    basis_keys = basis_keys[order]
+    ends, keys = np.concatenate(ends), np.concatenate(keys)
+    # a node declared twice names one element twice: as in a dict from
+    # element to row, the last one counts
+    found = np.searchsorted(basis_keys, keys, side="right") - 1
+    hit = found >= 0
+    hit[hit] = basis_keys[found[hit]] == keys[hit]
+    rows = np.full((pp.m + pp.n, len(t)), -1, dtype=np.int64)
+    rows.ravel()[ends[hit]] = order[found[hit]]
+    gens = [("s", i) for i in range(1, pp.m + 1)] + \
+        [("t", j) for j in range(1, pp.n + 1)]
+    return dict(zip(gens, rows))
 
 
 @dataclass
@@ -230,11 +405,14 @@ class OracleModel:
 
     ``imgs[key]`` holds, per column, the row index of the image or -1
     when the image falls outside the basis (a boundary column).  It is
-    the generator's 0/1 matrix, and every identity is computed from it;
-    ``interior`` flags vectors whose every generator image is in-basis.
-    ``depths`` holds each column's depth.  A single family's basis is
-    ordered by layer (prefix length), which is what lets
-    ``materialize`` write its arrays in closed form.
+    the generator's 0/1 matrix, and every identity is computed from it.
+    ``interior`` flags the columns whose every generator image is in
+    the basis; it is read off the arrays when asked, so it follows a
+    replaced array.  ``depths`` holds each column's depth.  A single
+    family's basis is ordered by layer (prefix length), which is what
+    lets ``materialize`` write its arrays in closed form; a pair's is
+    ordered by depth, longer T-word first, then by T-word, S-word and
+    base position.
 
     The image arrays are read-only.  To corrupt a model, replace an
     array: the operators the verifiers build from the arrays are
@@ -248,18 +426,21 @@ class OracleModel:
     imgs: dict
     depths: np.ndarray
     adjoint_cost: int
-    interior: np.ndarray = field(init=False)
     _memo: dict = field(init=False, default_factory=dict, repr=False,
                         compare=False)
 
     def __post_init__(self):
+        for key in self.keys:
+            self.imgs[key].flags.writeable = False
+
+    @property
+    def interior(self) -> np.ndarray:
         import numpy as np
 
         good = np.ones(len(self.basis), dtype=bool)
         for key in self.keys:
-            self.imgs[key].flags.writeable = False
             good &= self.imgs[key] >= 0
-        self.interior = good
+        return good
 
     @property
     def is_pair(self) -> bool:
@@ -280,43 +461,39 @@ def materialize(p: Union[Presentation, PairPresentation],
     corruption instead of hiding it.  A single family's arrays come in
     closed form from the layer layout (``_single_images``): ``S_i``
     maps layer L >= 1 onto a run of layer L + 1, and only the |base|
-    depth-zero columns are looked up in the edges.  A pair's arrays
-    apply the letter calculus to every column.  A truncation over
-    ``BASIS_BUDGET`` vectors raises ``ResourceExceeded`` before the
-    basis is built past the budget and before numpy is loaded.
+    depth-zero columns are looked up in the edges.  A pair's basis and
+    arrays are computed on integer word codes (``_pair_basis_codes``,
+    ``_pair_images``).  A truncation over ``BASIS_BUDGET`` vectors
+    raises ``ResourceExceeded`` before any basis element is built, and
+    before numpy is loaded when a closed-form count (a pair's lower
+    bound) is already over the budget.
     """
     if depth < 1:
         raise ValidationError(f"depth must be at least 1, got {depth}")
-    pair = isinstance(p, PairPresentation)
-    if pair:
+    if isinstance(p, PairPresentation):
         if _pair_basis_lower_bound(p, depth) > BASIS_BUDGET:
             raise _over_budget(depth)
-        basis = _raw_pair_basis(p, depth)
-        keys = tuple(("s", i) for i in range(1, p.m + 1)) + \
-            tuple(("t", j) for j in range(1, p.n + 1))
+        import numpy as np
+
+        tables = _PairTables(p, depth)
+        t, s, pos = _pair_basis_codes(tables, depth)
+        t_names = tables.t_words.tuples(t)
+        s_names = tables.s_words.tuples(s)
+        # tuple.__new__ builds each named tuple from its three fields
+        # without the field-wise constructor, about twice as fast
+        basis = tuple(map(tuple.__new__, itertools.repeat(PairElem), zip(
+            t_names, s_names, map(p.base.__getitem__, pos.tolist()))))
+        imgs = _pair_images(p, tables, t, s, pos)
+        depths = (tables.t_words.length[t]
+                  + tables.s_words.length[s]).astype(np.int64)
         adj = max(0, len(p.base) - 1)
     else:
         if _single_basis_size(p, depth) > BASIS_BUDGET:
             raise _over_budget(depth)
         basis = _raw_single_basis(p, depth)
-        keys = tuple(("s", i) for i in range(1, p.m + 1))
-        adj = 0
-    import numpy as np
-
-    if pair:
-        index = {x: k for k, x in enumerate(basis)}
-        imgs = {}
-        t_sources = {src for src, _ in p.t_edges}
-        for key in keys:
-            arr = np.full(len(basis), -1, dtype=np.int64)
-            for col, x in enumerate(basis):
-                arr[col] = index.get(
-                    _raw_pair_apply(p, t_sources, key[0], key[1], x), -1)
-            imgs[key] = arr
-        depths = np.array([x.depth for x in basis], dtype=np.int64)
-    else:
         imgs, depths = _single_images(p, depth)
-    return OracleModel(p, depth, basis, keys, imgs, depths, adj)
+        adj = 0
+    return OracleModel(p, depth, basis, tuple(imgs), imgs, depths, adj)
 
 
 # ---------------------------------------------------------------- operators

@@ -239,13 +239,20 @@ class TestExitCodes:
         assert code == 3
         assert "budget exceeded" in capsys.readouterr().err
 
-    def test_over_budget_doubly_window_is_three(self, tmp_path, capsys):
+    def test_over_budget_doubly_window_gives_the_verdict(self, tmp_path,
+                                                         capsys):
         # the default window |base| + 2 = 14 of an edge-free 2x2 pair
-        # holds far more than a million free words: refused up front
+        # holds far more than a million free words: the failure listing
+        # is refused up front, the exact verdict is not
         doc = dict(TWISTED_FREE_DOC, base=[f"b{q}" for q in range(12)])
-        assert main(["check-doubly", doc_file(tmp_path, doc)]) == 3
+        assert main(["check-doubly", doc_file(tmp_path, doc)]) == 1
         assert "budget exceeded: pair window at depth 14" in \
             capsys.readouterr().err
+        assert main(["check-doubly", doc_file(tmp_path, doc), "--json"]) == 1
+        out = capsys.readouterr()
+        assert json.loads(out.out) == {"doubly_commuting": False,
+                                       "failures": None}
+        assert "budget exceeded: pair window at depth 14" in out.err
 
     def test_over_budget_pair_slocinski_answers(self, tmp_path, capsys):
         # the same pair's decomposition and hypotheses sweep no window,

@@ -25,8 +25,8 @@ from rowiso.oracle import (
     _diag,
     _first_bad_columns,
     _mul,
+    _PairTables,
     _pair_basis_lower_bound,
-    _raw_pair_basis,
     _raw_single_basis,
     _shift_on,
     _single_basis_size,
@@ -48,9 +48,9 @@ from rowiso.search import (
 )
 from rowiso.slocinski import dead_nodes, slocinski
 from rowiso.wold import SubspaceDesc, wold
-from rowiso.words import Theta
+from rowiso.words import Theta, commute_s_left, commute_t_right
 
-from test_pair import honest_pairs
+from test_pair import THETA_CYCLIC_22, honest_pairs, random_pair
 from test_presentation import random_presentation
 
 import random
@@ -80,6 +80,17 @@ class TestMaterialize:
             # depth-2 columns fall off the truncation
             assert int((model.imgs[("s", i)] >= 0).sum()) == 3
         assert int(model.interior.sum()) == 3
+
+    def test_interior_follows_a_replaced_array(self):
+        model = materialize(FREE2, 2)
+        fake = model.imgs[("s", 1)].copy()
+        fake[fake < 0] = 0  # the boundary lie of the fault library
+        model.imgs[("s", 1)] = fake
+        assert model.interior.tolist() == \
+            (model.imgs[("s", 2)] >= 0).tolist()
+        assert int(model.interior.sum()) == 3
+        model.imgs[("s", 2)] = fake
+        assert model.interior.all()
 
     def test_self_loop_is_the_identity_matrix(self):
         model = materialize(SELF_LOOP, 3)
@@ -129,16 +140,16 @@ class TestMaterialize:
         cases += list(honest_pairs(1019, 6))
         for pp in cases:
             for depth in range(1, 5):
-                basis = _raw_pair_basis(pp, depth)
+                basis = materialize(pp, depth).basis
                 pure = sum(not x.t_prefix or not x.s_prefix for x in basis)
                 assert _pair_basis_lower_bound(pp, depth) == pure, \
                     (pp, depth)
 
     def test_pair_over_budget_refused_without_the_walk(self, monkeypatch):
-        def walk(pp, depth):
-            raise AssertionError("the basis walk ran")
+        def tables(pp, depth):
+            raise AssertionError("the word tables were built")
 
-        monkeypatch.setattr("rowiso.oracle._raw_pair_basis", walk)
+        monkeypatch.setattr("rowiso.oracle._PairTables", tables)
         with pytest.raises(ResourceExceeded):
             materialize(free_pair(Theta.identity(2, 2)), 40)
         with pytest.raises(ResourceExceeded):
@@ -274,6 +285,183 @@ class TestClosedFormImages:
         assert model.basis == (Elem((), "b"),)
         assert model.imgs[("s", 1)].tolist() == [0]
         assert model.depths.tolist() == [0]
+
+
+# -- pair arrays from word codes ---------------------------------------------
+
+
+def reference_pair_basis(pp: PairPresentation, depth: int) -> list:
+    """The canonical walk the word codes replace, in its order."""
+    out = []
+    t_sources = {src for src, _ in pp.t_edges}
+    for total in range(depth + 1):
+        for t_len in range(total, -1, -1):
+            for t in itertools.product(range(1, pp.n + 1), repeat=t_len):
+                for s in itertools.product(range(1, pp.m + 1),
+                                           repeat=total - t_len):
+                    for b in pp.base:
+                        if s and (b, s[-1]) in pp.s_edges:
+                            continue
+                        if t and b in t_sources:
+                            _, arriving = commute_t_right(pp.theta, s, t[-1])
+                            if (b, arriving) in pp.t_edges:
+                                continue
+                        out.append(PairElem(t, s, b))
+    return out
+
+
+def reference_pair_apply(pp: PairPresentation, t_sources: set, kind: str,
+                         lab: int, x: PairElem) -> PairElem:
+    """One generator on one column: commute the new letter to its slot,
+    then greedily absorb innermost letters against the raw edges; the
+    T-letter is pushed only at a node in ``t_sources``."""
+    if kind == "s":
+        t, new_s = commute_s_left(pp.theta, lab, x.t_prefix)
+        s = (new_s,) + x.s_prefix
+    else:
+        t, s = (lab,) + x.t_prefix, x.s_prefix
+    node = x.node
+    while True:
+        if s:
+            hit = pp.s_edges.get((node, s[-1]))
+            if hit is not None:
+                node, s = hit, s[:-1]
+                continue
+        if t and node in t_sources:
+            pushed, j2 = commute_t_right(pp.theta, s, t[-1])
+            hit = pp.t_edges.get((node, j2))
+            if hit is not None:
+                node, t, s = hit, t[:-1], pushed
+                continue
+        return PairElem(t, s, node)
+
+
+def reference_pair_model(pp: PairPresentation, depth: int) -> tuple:
+    """Basis, image arrays and depths of a pair, column by column."""
+    basis = reference_pair_basis(pp, depth)
+    index = {x: k for k, x in enumerate(basis)}
+    keys = [("s", i) for i in range(1, pp.m + 1)] + \
+        [("t", j) for j in range(1, pp.n + 1)]
+    t_sources = {src for src, _ in pp.t_edges}
+    imgs = {key: [index.get(reference_pair_apply(pp, t_sources, *key, x), -1)
+                  for x in basis] for key in keys}
+    return tuple(basis), imgs, [x.depth for x in basis]
+
+
+def absorbing_pair() -> PairPresentation:
+    # every slot of both families has an edge: an invalid pair whose
+    # basis is its two nodes at every depth
+    edges = {("a", 1): "a", ("a", 2): "b", ("b", 1): "b", ("b", 2): "a"}
+    return PairPresentation(Theta.identity(2, 2), ("a", "b"), edges, edges)
+
+
+CORRUPTED_PAIRS = {
+    "duplicate-in-edge": PairPresentation(
+        Theta(2, 1, {(1, 1): (2, 1), (2, 1): (1, 1)}), ("a", "b", "c"),
+        {("a", 1): "c", ("b", 2): "c"}, {("a", 1): "b", ("c", 1): "b"}),
+    "forged-theta": PairPresentation(
+        _forge_theta(2, 2, {(1, 1): (1, 1), (1, 2): (1, 1), (2, 1): (2, 2),
+                            (2, 2): (1, 2)},
+                     {(1, 1): (2, 1), (1, 2): (1, 2), (2, 1): (2, 1),
+                      (2, 2): (1, 1)}),
+        ("a", "b"), {("a", 2): "b"}, {("b", 1): "a"}),
+    "target-outside-base": PairPresentation(
+        THETA_CYCLIC_22, ("a", "b"), {("a", 1): "z", ("z", 2): "b"},
+        {("b", 2): "z", ("z", 1): "a"}),
+    "edge-to-none": PairPresentation(
+        Theta.identity(2, 1), ("a", "b"), {("a", 1): None},
+        {("b", 1): "a"}),
+    "node-declared-twice": PairPresentation(
+        Theta(2, 1, {(1, 1): (2, 1), (2, 1): (1, 1)}), ("a", "b", "a"),
+        {("b", 2): "a"}, {("a", 1): "b"}),
+    "label-outside": PairPresentation(
+        THETA_CYCLIC_22, ("a", "b"), {("a", 3): "b", ("b", 0): "a"},
+        {("a", 1): "b"}),
+    "absorbing": absorbing_pair(),
+}
+
+
+class TestPairCodesMatchReference:
+    def assert_matches_reference(self, pp, depth):
+        model = materialize(pp, depth)
+        basis, imgs, depths = reference_pair_model(pp, depth)
+        assert model.basis == basis, (pp, depth)
+        assert model.keys == tuple(imgs)
+        for key, want in imgs.items():
+            assert model.imgs[key].dtype == np.int64
+            assert model.imgs[key].tolist() == want, (pp, depth, key)
+        assert model.depths.dtype == np.int64
+        assert model.depths.tolist() == depths
+
+    def test_every_fifth_acceptance_candidate(self, pair_space):
+        for pp, _, _ in pair_space[::5]:
+            self.assert_matches_reference(pp, 4)
+
+    def test_random_pairs(self):
+        rng = random.Random(1097)
+        for _ in range(1000):
+            pp = random_pair(rng, max_nodes=5, max_m=3, max_n=3)
+            self.assert_matches_reference(pp, min(len(pp.base) + 2, 4))
+
+    def test_named_and_free_pairs(self):
+        pairs = [FOUR_CORNERS, BILATERAL, IN_DEGREE_2_PAIR,
+                 free_pair(Theta.identity(1, 3))]
+        pairs += [free_pair(theta) for theta in all_thetas(2, 2)]
+        for pp in pairs:
+            for depth in (1, 2, 4):
+                self.assert_matches_reference(pp, depth)
+
+    @pytest.mark.parametrize("name", sorted(CORRUPTED_PAIRS))
+    def test_corrupted_pairs(self, name):
+        for depth in range(1, 6):
+            self.assert_matches_reference(CORRUPTED_PAIRS[name], depth)
+
+    def test_twist_tables_are_the_letter_calculus(self):
+        thetas = [THETA_CYCLIC_22, Theta.identity(1, 3),
+                  Theta(3, 2, dict(zip(
+                      itertools.product((1, 2, 3), (1, 2)),
+                      [(2, 2), (3, 1), (1, 1), (3, 2), (1, 2), (2, 1)]))),
+                  CORRUPTED_PAIRS["forged-theta"].theta]
+        for theta in thetas:
+            tables = _PairTables(free_pair(theta), 4)
+            for words, (word, carry), step, count in (
+                    (tables.s_words, tables.t_through_s,
+                     lambda w, c: commute_t_right(theta, w, c), theta.n),
+                    (tables.t_words, tables.s_through_t,
+                     lambda w, c: commute_s_left(theta, c, w),
+                     theta.m)):
+                codes = np.arange(words.size)
+                names = words.tuples(codes)
+                assert len(set(names)) == words.size
+                assert max(map(len, names)) == 4
+                for c in range(1, count + 1):
+                    got = zip(words.tuples(word[:, c]), carry[:, c].tolist())
+                    assert list(got) == [step(w, c) for w in names], theta
+
+    def test_exact_count_refused_before_any_element(self, monkeypatch):
+        # lower bound 1,001, exact count 125,751
+        pp = free_pair(ID11)
+        assert _pair_basis_lower_bound(pp, 500) == 1001
+
+        def no_elements(*args):
+            raise AssertionError("a basis element was built")
+
+        # any use of PairElem now fails, so the refusal must come first
+        monkeypatch.setattr("rowiso.oracle.PairElem", no_elements)
+        start = time.perf_counter()
+        with pytest.raises(ResourceExceeded):
+            materialize(pp, 500)
+        assert time.perf_counter() - start < 0.5
+
+    def test_absorbing_pair_stays_cheap(self):
+        # the canonical walk grows about 4x per unit of depth here
+        start = time.perf_counter()
+        model = materialize(absorbing_pair(), 40)
+        assert time.perf_counter() - start < 1
+        basis, imgs, depths = reference_pair_model(absorbing_pair(), 3)
+        assert model.basis == basis == (PairElem((), (), "a"),
+                                        PairElem((), (), "b"))
+        assert {key: arr.tolist() for key, arr in model.imgs.items()} == imgs
 
 
 # -- operator kernels --------------------------------------------------------
