@@ -14,9 +14,16 @@ Exit codes: 0 the property holds / success, 1 the property fails (not
 commuting, no decomposition, oracle violation), 2 invalid input, 3
 resource budget exceeded.
 
-Only the ``oracle`` subcommand loads numpy, and only once its truncation
-passes the closed-form size check (exact for a single family, a lower
-bound for a pair); every other subcommand runs without it.
+Each subcommand loads only the rowiso modules it runs.  This module
+imports ``errors`` and ``presentation``; :func:`build_parser` adds
+``search``, whose module names the ``--property`` choices and imports
+no decider; :func:`parse` adds ``words`` and ``pair`` for a pair
+document; each handler imports its deciders in its own body.  So
+single-family ``validate`` loads nothing more, ``classify`` adds
+``wold`` and ``lebesgue`` but no ``pair``, ``search`` loads no
+``oracle``, and only the ``oracle`` subcommand loads numpy, once its
+truncation passes the closed-form size check (exact for a single
+family, a lower bound for a pair).
 """
 
 from __future__ import annotations
@@ -26,19 +33,13 @@ import enum
 import json
 import sys
 from dataclasses import fields, is_dataclass
+from typing import TYPE_CHECKING
 
 from .errors import ContractViolation, ResourceExceeded, ValidationError
-from .lebesgue import classify_unitary
-from .oracle import materialize, verify_relations, verify_subspace
-from .pair import (PairElem, PairPresentation, check_doubly_commute,
-                   check_theta_commute, mirror, validate_pair)
 from .presentation import Elem, Presentation, validate
-from .search import PREDICATES, SearchSpace, all_thetas, search
-from .slocinski import (check_hypotheses, dead_nodes, s_membership,
-                        s_shift_multiplicity, slocinski, t_membership,
-                        t_shift_multiplicity)
-from .wold import Part, SubspaceDesc, is_row_unitary, wold
-from .words import Theta
+
+if TYPE_CHECKING:
+    from .pair import PairPresentation
 
 _DOC_KEYS = {"m", "n", "theta", "base", "s_edges", "t_edges"}
 
@@ -83,6 +84,8 @@ def parse(text: str) -> Presentation | PairPresentation:
         if "t_edges" in raw:
             raise ValidationError("t_edges requires n")
     else:
+        from .words import Theta
+
         rows = raw["theta"]
         if (not isinstance(rows, list)
                 or any(not isinstance(r, list) or len(r) != 4 for r in rows)):
@@ -108,21 +111,31 @@ def parse(text: str) -> Presentation | PairPresentation:
             family[(src, lab)] = dst
     if n is None:
         return Presentation(raw["m"], base, edges["s_edges"])
+    from .pair import PairPresentation
+
     return PairPresentation(theta, base, edges["s_edges"], edges["t_edges"])
 
 
 # ---------------------------------------------------------------- rendering
+
+def _loaded(module: str, name: str) -> tuple:
+    """``(cls,)`` for the class ``name`` of a rowiso module already
+    loaded, else ``()``: no object is an instance of a class that was
+    never defined, so rendering loads no module to test for one."""
+    loaded = sys.modules.get(f"{__package__}.{module}")
+    return (getattr(loaded, name),) if loaded else ()
+
 
 def _jsonable(obj):
     if obj is None or isinstance(obj, (bool, int, str)):
         return obj
     if isinstance(obj, enum.Enum):
         return obj.value
-    if isinstance(obj, (Elem, PairElem)):
+    if isinstance(obj, (Elem, *_loaded("pair", "PairElem"))):
         return repr(obj)
-    if isinstance(obj, Theta):
+    if isinstance(obj, _loaded("words", "Theta")):
         return [list(q) for q in obj.to_quadruples()]
-    if isinstance(obj, SubspaceDesc):
+    if isinstance(obj, _loaded("wold", "SubspaceDesc")):
         mode = "explicit-finite" if obj.nodes is None else "forward-closure"
         return {"mode": mode, "seeds": [_jsonable(s) for s in obj.seeds]}
     if is_dataclass(obj) and not isinstance(obj, type):
@@ -192,32 +205,38 @@ def export_dot(p: Presentation | PairPresentation) -> str:
 
 
 # -------------------------------------------------------------- subcommands
+# parse builds a Presentation or a PairPresentation, so a document that
+# is not a Presentation is a pair
 
 def _need_pair(built) -> PairPresentation:
-    if not isinstance(built, PairPresentation):
+    if isinstance(built, Presentation):
         raise ValidationError("this subcommand needs a pair document "
                               "(keys n, theta)")
     return built
 
 
 def _need_single(built) -> Presentation:
-    if isinstance(built, PairPresentation):
+    if not isinstance(built, Presentation):
         raise ValidationError("this subcommand needs a single-family "
                               "document (no n/theta keys)")
     return built
 
 
 def _cmd_validate(built, args) -> tuple:
-    if isinstance(built, PairPresentation):
-        report = validate_pair(built)
-    else:
+    if isinstance(built, Presentation):
         report = validate(built)
+    else:
+        from .pair import validate_pair
+
+        report = validate_pair(built)
     payload = {"valid": report.ok,
                "violations": [_jsonable(v) for v in report.violations]}
     return (0 if report.ok else 1), payload
 
 
 def _cmd_wold(built, args) -> tuple:
+    from .wold import is_row_unitary, wold
+
     p = _need_single(built)
     res = wold(p)
     payload = {
@@ -231,6 +250,8 @@ def _cmd_wold(built, args) -> tuple:
 
 
 def _cmd_classify(built, args) -> tuple:
+    from .lebesgue import classify_unitary
+
     p = _need_single(built)
     res = classify_unitary(p)
     payload = {
@@ -250,6 +271,8 @@ def _cmd_classify(built, args) -> tuple:
 
 
 def _cmd_check_commute(built, args) -> tuple:
+    from .pair import check_theta_commute
+
     pp = _need_pair(built)
     report = check_theta_commute(pp)
     payload = {"commuting": report.ok,
@@ -258,6 +281,8 @@ def _cmd_check_commute(built, args) -> tuple:
 
 
 def _cmd_check_doubly(built, args) -> tuple:
+    from .pair import check_doubly_commute
+
     pp = _need_pair(built)
     report = check_doubly_commute(pp)
     payload = {"doubly_commuting": report.ok, "failures": []}
@@ -273,6 +298,9 @@ def _cmd_check_doubly(built, args) -> tuple:
 
 
 def _cmd_slocinski(built, args) -> tuple:
+    from .slocinski import (check_hypotheses, s_shift_multiplicity,
+                            slocinski, t_shift_multiplicity)
+
     pp = _need_pair(built)
     res = slocinski(pp, order=args.order)
     hyp = check_hypotheses(pp)
@@ -295,10 +323,15 @@ def _cmd_slocinski(built, args) -> tuple:
 def _oracle_claims(built) -> list:
     """(description, claim, family) for each family's wandering vectors
     and unitary part; a pair's are node sets, its verdicts per node."""
+    from .wold import Part, SubspaceDesc, wold
+
     if isinstance(built, Presentation):
         res = wold(built)
         return [(SubspaceDesc(res.wandering), "wandering", "s"),
                 (res.unitary_part, "unitary-on", "s")]
+    from .pair import PairElem, mirror
+    from .slocinski import dead_nodes, s_membership, t_membership
+
     claims = []
     for fam, twin, verdict in (("s", built, s_membership),
                                ("t", mirror(built), t_membership)):
@@ -314,6 +347,14 @@ def _oracle_claims(built) -> list:
 
 
 def _cmd_oracle(built, args) -> tuple:
+    from .oracle import materialize, verify_relations, verify_subspace
+
+    # compile the modules of _oracle_claims before materialize loads
+    # numpy: compiled after it, their parser memory adds to numpy's in
+    # the process's peak RSS
+    from .wold import wold  # noqa: F401
+    if not isinstance(built, Presentation):
+        from .slocinski import slocinski  # noqa: F401
     built.require_valid()
     depth = (args.depth if args.depth is not None
              else max(4, len(built.base) + 2))
@@ -334,6 +375,9 @@ def _cmd_oracle(built, args) -> tuple:
 
 
 def _cmd_search(args) -> tuple:
+    from .search import SearchSpace, all_thetas, search
+    from .words import Theta
+
     thetas = (all_thetas(args.m, args.n) if args.theta_all
               else (Theta.identity(args.m, args.n),))
     space = SearchSpace(args.max_base, args.m, args.n, thetas)
@@ -365,6 +409,8 @@ def _read_input(args) -> str:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from .search import PREDICATES
+
     top = argparse.ArgumentParser(
         prog="rowiso",
         description="permutative row-isometries: decompositions, "

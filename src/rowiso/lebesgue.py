@@ -19,10 +19,7 @@ from typing import Optional
 from .errors import ContractViolation, NotCommuting, ValidationError
 from .presentation import Elem, Node, Presentation
 from .presentation import _apply_raw, _require_canonical
-from .pair import (PairElem, PairPresentation, check_theta_commute, t_apply,
-                   t_pred)
 from .wold import SubspaceDesc, _backward, _orbit_ends
-from .words import Theta
 
 
 class UnitaryKind(str, Enum):
@@ -169,6 +166,10 @@ def check_commutant_reduces_sing(p: Presentation, N: Presentation) -> bool:
     return contradicts the structure theory and fails the property
     suite.
     """
+    from .pair import (PairElem, PairPresentation, check_theta_commute,
+                       t_apply, t_pred)
+    from .words import Theta
+
     p.require_valid()
     N.require_valid()
     if N.m != 1:

@@ -179,6 +179,9 @@ class PairPresentation:
         if not report.ok:
             raise ValidationError(report.violations[0])
 
+    def require_canonical(self, x: PairElem) -> None:
+        _require_canonical(self, x)
+
     def require_commuting(self) -> None:
         report = check_theta_commute(self)
         if not report.ok:

@@ -16,10 +16,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product as _cartesian
-from typing import Iterable, NamedTuple, Optional
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional
 
 from .errors import ValidationError
-from .words import Word
+
+if TYPE_CHECKING:
+    from .words import Word
 
 # the basis walker below is named enumerate; keep the builtin reachable
 _builtin_enumerate = enumerate

@@ -1,6 +1,9 @@
 """Exhaustive sweeps over small pair presentations, and the fault library.
 
 Both call the symbolic deciders, so neither may live in the oracle.
+Each function imports the modules it runs, so importing this module,
+as the command line does for the names in :data:`PREDICATES`, loads no
+decider.
 """
 
 from __future__ import annotations
@@ -8,15 +11,13 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from .errors import ResourceExceeded, ValidationError
-from .oracle import materialize, verify_relations, verify_subspace
-from .pair import (PairElem, PairPresentation, check_doubly_commute,
-                   check_joint_isometry, check_theta_commute, mirror)
-from .presentation import Elem, Presentation, apply, free_presentation
-from .slocinski import dead_nodes, s_membership, slocinski
-from .wold import Part, SubspaceDesc, wold
-from .words import Theta
+
+if TYPE_CHECKING:
+    from .pair import PairPresentation
+    from .words import Theta
 
 SEARCH_BUDGET = 10 ** 7
 
@@ -39,6 +40,8 @@ class SearchSpace:
 
 def all_thetas(m: int, n: int):
     """Every bijective twist of [m] x [n], in lexicographic order."""
+    from .words import Theta
+
     pairs = [(i, j) for i in range(1, m + 1) for j in range(1, n + 1)]
     out = []
     for perm in itertools.permutations(pairs):
@@ -70,14 +73,22 @@ def _space_size(space: SearchSpace) -> int:
 
 
 def _pred_no_slocinski(pp: PairPresentation) -> bool:
+    from .slocinski import slocinski
+
     return not slocinski(pp).exists
 
 
 def _pred_doubly_commuting(pp: PairPresentation) -> bool:
+    from .pair import check_doubly_commute
+
     return check_doubly_commute(pp).ok
 
 
 def _pred_s_shift_t_unitary(pp: PairPresentation) -> bool:
+    from .pair import PairElem, mirror
+    from .slocinski import dead_nodes, s_membership
+    from .wold import Part
+
     # candidate for the triviality theorem: nontrivial space, several
     # T-labels, T with no wandering vectors, and S a pure shift; the
     # S-verdict depends on the node alone, so the base vectors decide
@@ -104,6 +115,9 @@ def search(space: SearchSpace, predicate: str):
     is valid, theta-commuting, jointly isometric, and satisfies the
     predicate.  Raises when the space exceeds the candidate budget.
     """
+    from .pair import (PairPresentation, check_joint_isometry,
+                       check_theta_commute)
+
     if predicate not in PREDICATES:
         raise ValidationError(
             f"unknown predicate {predicate!r}; "
@@ -135,6 +149,8 @@ def _forge_theta(m: int, n: int, mapping: dict, inverse: dict) -> Theta:
     # bypasses the bijectivity validation on purpose; both directions
     # are handed in so the word calculus total-lookup still runs and
     # the damage surfaces in the matrix identities, not in a KeyError
+    from .words import Theta
+
     forged = object.__new__(Theta)
     object.__setattr__(forged, "m", m)
     object.__setattr__(forged, "n", n)
@@ -152,6 +168,10 @@ def fault_library():
     by a non-ok report or by a validation error.  The suite asserts a
     perfect score; anything less means a verifier has gone soft.
     """
+    from .oracle import materialize, verify_relations, verify_subspace
+    from .pair import PairPresentation
+    from .presentation import Elem, Presentation, apply, free_presentation
+    from .wold import SubspaceDesc, wold
 
     def duplicate_in_edge() -> bool:
         p = Presentation(1, ("a", "b", "c"),

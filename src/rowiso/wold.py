@@ -23,8 +23,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
 
-from .pair import PairPresentation
-from .pair import _require_canonical as _require_pair_canonical
 from .presentation import Elem, Presentation, _require_canonical
 
 
@@ -65,9 +63,11 @@ class SubspaceDesc:
         if isinstance(p, Presentation):
             p.require_valid()
             _require_canonical(p, x)
-        elif isinstance(p, PairPresentation):
+        elif p is not None:
+            # a pair, guarded through its method so that this module
+            # does not import pair
             p.require_valid()
-            _require_pair_canonical(p, x)
+            p.require_canonical(x)
         return x.node in self.nodes
 
     def contains_many(self, xs, canonical_in=None) -> list:

@@ -416,6 +416,21 @@ class TestSubcommands:
         assert payload["candidates"] == 4
         assert len(payload["hits"]) == 4
 
+    def test_property_choices_are_the_predicates(self, capsys):
+        from rowiso.search import PREDICATES
+
+        with pytest.raises(SystemExit) as exc:
+            main(["search", "--help"])
+        assert exc.value.code == 0
+        assert "{" + ",".join(sorted(PREDICATES)) + "}" in \
+            capsys.readouterr().out
+        with pytest.raises(SystemExit) as exc:
+            main(["search", "--max-base", "1", "--m", "1", "--n", "1",
+                  "--property", "unknown"])
+        assert exc.value.code == 2
+        assert ", ".join(map(repr, sorted(PREDICATES))) in \
+            capsys.readouterr().err
+
     def test_export_dot_to_stdout(self, tmp_path, capsys):
         assert main(["export-dot", doc_file(tmp_path, FOUR_CORNERS_DOC)]) == 0
         out = capsys.readouterr().out
@@ -554,8 +569,8 @@ class TestJsonOutput:
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
-# runs in a fresh interpreter: after each step, record the exit code and
-# which of numpy/scipy are loaded
+# runs in a fresh interpreter: after each step, record the exit code,
+# which of numpy/scipy are loaded and which rowiso modules
 COLD_PROBE = """
 import contextlib, io, json, sys
 
@@ -563,18 +578,46 @@ def heavy():
     return sorted({name.split(".")[0] for name in sys.modules}
                   & {"numpy", "scipy"})
 
+def ours():
+    return sorted(name for name in sys.modules
+                  if name.split(".")[0] == "rowiso")
+
 steps = []
 import rowiso
-steps.append(["import rowiso", None, heavy()])
+steps.append(["import rowiso", None, heavy(), ours()])
 import rowiso.cli
-steps.append(["import rowiso.cli", None, heavy()])
+steps.append(["import rowiso.cli", None, heavy(), ours()])
 for argv in json.loads(sys.argv[1]):
     sink = io.StringIO()
     with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
         code = rowiso.cli.main(argv)
-    steps.append([argv[0], code, heavy()])
+    steps.append([argv[0], code, heavy(), ours()])
 print(json.dumps(steps))
 """
+
+# importing the cli loads the package, errors and presentation; parsing
+# the arguments adds search, whose module names the --property choices
+# and imports no decider
+CLI_IMPORTS = {"rowiso", "rowiso.cli", "rowiso.errors",
+               "rowiso.presentation"}
+# (id, argv, exit code, what the subcommand loads beyond those four
+# and search)
+MODULE_TABLE = [
+    ("validate-single", ["validate", "cycle"], 0, set()),
+    ("validate-pair", ["validate", "corners"], 0, {"words", "pair"}),
+    ("wold", ["wold", "cycle"], 0, {"wold"}),
+    ("classify", ["classify", "cycle"], 0, {"wold", "lebesgue"}),
+    ("check-commute", ["check-commute", "corners"], 0, {"words", "pair"}),
+    ("check-doubly", ["check-doubly", "corners"], 0, {"words", "pair"}),
+    ("slocinski", ["slocinski", "corners"], 0,
+     {"words", "pair", "wold", "slocinski"}),
+    # the oracle imports the pair's data types; the claims come from wold
+    ("oracle", ["oracle", "cycle"], 0, {"words", "pair", "oracle", "wold"}),
+    ("search", ["search", "--max-base", "1", "--m", "1", "--n", "1",
+                "--property", "doubly-commuting"], 0, {"words", "pair"}),
+    ("export-dot", ["export-dot", "corners"], 0, {"words", "pair"}),
+    ("invalid", ["validate", "invalid"], 2, set()),
+]
 
 
 def cold_run(runs: list) -> list:
@@ -607,10 +650,27 @@ class TestColdStart:
             ["oracle", free3, "--depth", "11"],
         ]
         steps = cold_run(symbolic + [["oracle", cycle]])
-        *light, (label, code, heavy) = steps
+        *light, (label, code, heavy, _) = steps
         assert [step[1] for step in light] == [None, None] + [0] * 8 + [3]
         assert [step for step in light if step[2]] == []
         assert (label, code, heavy) == ("oracle", 0, ["numpy"])
+
+    @pytest.mark.parametrize("argv,exit_code,extra",
+                             [row[1:] for row in MODULE_TABLE],
+                             ids=[row[0] for row in MODULE_TABLE])
+    def test_each_subcommand_loads_its_modules(self, tmp_path, argv,
+                                               exit_code, extra):
+        docs = {"cycle": CYCLE_DOC, "corners": FOUR_CORNERS_DOC,
+                "invalid": {"m": 1, "base": ["a"], "s_edges": [],
+                            "colour": "red"}}
+        argv = [doc_file(tmp_path, docs[a], f"{a}.json") if a in docs
+                else a for a in argv]
+        package, cli, run = cold_run([argv])
+        assert package[3] == ["rowiso"]
+        assert set(cli[3]) == CLI_IMPORTS
+        assert run[1] == exit_code
+        assert set(run[3]) == CLI_IMPORTS | {f"rowiso.{m}"
+                                             for m in {"search", *extra}}
 
     def test_the_oracle_runs_without_scipy(self, tmp_path):
         # scipy made unimportable: the fault library, a pair model and
