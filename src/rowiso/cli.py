@@ -15,9 +15,9 @@ commuting, no decomposition, oracle violation), 2 invalid input, 3
 resource budget exceeded.
 
 Each subcommand loads only the rowiso modules it runs.  This module
-imports ``errors`` and ``presentation``; :func:`build_parser` adds
-``search``, whose module names the ``--property`` choices and imports
-no decider; :func:`parse` adds ``words`` and ``pair`` for a pair
+imports ``errors``, ``presentation`` and ``properties``, which names
+the ``--property`` choices, so that only ``search`` loads
+:mod:`rowiso.search`; :func:`parse` adds ``words`` and ``pair`` for a pair
 document; each handler imports its deciders in its own body.  So
 single-family ``validate`` loads nothing more, ``classify`` adds
 ``wold`` and ``lebesgue`` but no ``pair``, ``search`` loads no
@@ -37,6 +37,7 @@ from typing import TYPE_CHECKING
 
 from .errors import ContractViolation, ResourceExceeded, ValidationError
 from .presentation import Elem, Presentation, validate
+from .properties import PROPERTIES
 
 if TYPE_CHECKING:
     from .pair import PairPresentation
@@ -409,8 +410,6 @@ def _read_input(args) -> str:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    from .search import PREDICATES
-
     top = argparse.ArgumentParser(
         prog="rowiso",
         description="permutative row-isometries: decompositions, "
@@ -442,7 +441,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--theta-all", action="store_true",
                      help="sweep every bijective twist, not just identity")
     sub.add_argument("--property", required=True,
-                     choices=sorted(PREDICATES))
+                     choices=sorted(PROPERTIES))
     sub.add_argument("--json", action="store_true")
     file_sub("export-dot", "Graphviz rendering of the edge graphs")
     return top

@@ -39,7 +39,9 @@ identity when its depth plus the identity's worst-case cost stays
 within the truncation, which makes every masked comparison exact.
 
 numpy is imported inside the functions that build or read the image
-arrays: importing this module does not load it.
+arrays, and ``pair`` and ``words`` inside the pair path: importing this
+module loads none of them, and a single family never loads the pair
+modules.
 """
 
 from __future__ import annotations
@@ -49,13 +51,12 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Union
 
 from .errors import ResourceExceeded, ValidationError
-from .pair import PairElem, PairPresentation
 from .presentation import Elem, Presentation
-from .words import commute_s_left, commute_t_right
 
 if TYPE_CHECKING:
     import numpy as np
 
+    from .pair import PairPresentation
     from .wold import SubspaceDesc
 
 BASIS_BUDGET = 10 ** 5
@@ -102,15 +103,19 @@ def _raw_single_basis(p: Presentation, depth: int) -> tuple:
     # deliberately not presentation.enumerate: corrupted inputs must
     # still materialize so the matrix checks can expose them
     free = _free_nodes(p)
-    out = [Elem((), b) for b in p.base]
+    fields = [((), b) for b in p.base]
     heads = [()]
-    for _ in range(depth):
+    for length in range(1, depth + 1):
         if not any(free):
             break  # every deeper layer is empty
-        out.extend(Elem(head + (i,), b) for head in heads
-                   for i, nodes in enumerate(free, 1) for b in nodes)
-        heads = [head + (i,) for head in heads for i in range(1, p.m + 1)]
-    return tuple(out)
+        if length > 1:
+            heads = [head + (i,) for head in heads
+                     for i in range(1, p.m + 1)]
+        fields += [(head + (i,), b) for head in heads
+                   for i, nodes in enumerate(free, 1) for b in nodes]
+    # tuple.__new__ builds each named tuple from its two fields without
+    # the field-wise constructor, about twice as fast
+    return tuple(map(tuple.__new__, itertools.repeat(Elem), fields))
 
 
 def _single_images(p: Presentation, depth: int) -> tuple:
@@ -288,6 +293,8 @@ class _PairTables:
             free = (edge[self.nodes, 1:] == -1).any()
             tables += [edge, _Words(count, depth if free else 1)]
         self.s_edge, self.s_words, self.t_edge, self.t_words = tables
+        from .words import commute_s_left, commute_t_right
+
         theta = pp.theta
         self.t_through_s = _twist(self.s_words, pp.n, lambda f, c:
                                   commute_t_right(theta, (f,), c))
@@ -444,7 +451,7 @@ class OracleModel:
 
     @property
     def is_pair(self) -> bool:
-        return isinstance(self.presentation, PairPresentation)
+        return not isinstance(self.presentation, Presentation)
 
     def mask(self, forward: int = 0, adjoint: int = 0) -> np.ndarray:
         """Columns interior to an identity with the given op counts."""
@@ -470,10 +477,12 @@ def materialize(p: Union[Presentation, PairPresentation],
     """
     if depth < 1:
         raise ValidationError(f"depth must be at least 1, got {depth}")
-    if isinstance(p, PairPresentation):
+    if not isinstance(p, Presentation):
         if _pair_basis_lower_bound(p, depth) > BASIS_BUDGET:
             raise _over_budget(depth)
         import numpy as np
+
+        from .pair import PairElem
 
         tables = _PairTables(p, depth)
         t, s, pos = _pair_basis_codes(tables, depth)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product as _cartesian
+from itertools import repeat
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional
 
 from .errors import ValidationError
@@ -81,7 +82,7 @@ class Presentation:
     """
 
     __slots__ = ("m", "base", "edges", "node_index", "in_edge", "_key",
-                 "_report")
+                 "_report", "_listing")
 
     def __init__(self, m: int, base: Iterable[Node], edges: dict):
         if not isinstance(m, int) or isinstance(m, bool):
@@ -103,6 +104,8 @@ class Presentation:
         self.in_edge = in_edge
         self._key = (m, self.base, tuple(sorted(normalized.items())))
         self._report: Optional[ValidationReport] = None
+        # enumerate's listing and the end of each depth in it
+        self._listing: Optional[tuple[list, list]] = None
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Presentation) and self._key == other._key
@@ -115,8 +118,10 @@ class Presentation:
                 f"edges={self.edges!r})")
 
     def require_valid(self) -> None:
-        report = validate(self)
-        if not report.ok:
+        report = self._report
+        if report is None:
+            report = validate(self)
+        if report.violations:
             raise ValidationError(report.violations[0])
 
     def to_dict(self) -> dict:
@@ -180,6 +185,8 @@ def _require_canonical(p: Presentation, x: Elem) -> None:
     if x.node not in p.node_index:
         raise ValidationError(f"element node {x.node!r} is not a base node")
     for letter in x.prefix:
+        if not isinstance(letter, int) or isinstance(letter, bool):
+            raise ValidationError(f"letter {letter!r} is not an integer")
         if not 1 <= letter <= p.m:
             raise ValidationError(
                 f"element prefix letter {letter} outside 1..{p.m}")
@@ -229,18 +236,35 @@ def enumerate(p: Presentation, depth: int) -> list[Elem]:
 
     Ordered by (prefix length, prefix lexicographically, declaration
     order of the node); the listing at depth d is a prefix of the
-    listing at depth d+1.
+    listing at depth d+1.  So one listing is kept on the presentation,
+    grown to the deepest depth asked for, and each call returns a new
+    list sliced from it; the listing lives as long as the presentation.
     """
     p.require_valid()
     if depth < 0:
         raise ValidationError("depth must be nonnegative")
-    out: list[Elem] = []
-    for length in range(depth + 1):
-        if length == 0:
-            out.extend(Elem((), b) for b in p.base)
-            continue
-        for prefix in _cartesian(range(1, p.m + 1), repeat=length):
-            for b in p.base:
-                if (b, prefix[-1]) not in p.edges:
-                    out.append(Elem(prefix, b))
-    return out
+    listing = p._listing
+    if listing is None or depth >= len(listing[1]):
+        # grown on a copy and stored whole: a published listing is never
+        # changed, so no caller sees one without its depth ends
+        out, ends = ([], []) if listing is None else map(list, listing)
+        # per label i, in base order, the nodes where S_i does not absorb
+        free = [[b for b in p.base if (b, i) not in p.edges]
+                for i in range(1, p.m + 1)]
+        for length in range(len(ends), depth + 1):
+            if length == 0:
+                out += _elems(zip(repeat(()), p.base))
+            elif any(free):
+                out += _elems([(prefix, b) for prefix in _cartesian(
+                    range(1, p.m + 1), repeat=length)
+                    for b in free[prefix[-1] - 1]])
+            ends.append(len(out))
+        listing = p._listing = (out, ends)
+    out, ends = listing
+    return out[:ends[depth]]
+
+
+def _elems(fields: Iterable[tuple]) -> list[Elem]:
+    # tuple.__new__ builds each named tuple from its two fields without
+    # the field-wise constructor, about twice as fast
+    return list(map(tuple.__new__, repeat(Elem), fields))

@@ -1,9 +1,10 @@
 """Exhaustive sweeps over small pair presentations, and the fault library.
 
 Both call the symbolic deciders, so neither may live in the oracle.
-Each function imports the modules it runs, so importing this module,
-as the command line does for the names in :data:`PREDICATES`, loads no
-decider.
+Each function imports the modules it runs, so importing this module
+loads no decider.  :data:`PREDICATES` is keyed by the names in
+:data:`rowiso.properties.PROPERTIES`, which the command line reads
+without importing this module.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .errors import ResourceExceeded, ValidationError
+from .properties import PROPERTIES
 
 if TYPE_CHECKING:
     from .pair import PairPresentation
@@ -101,11 +103,8 @@ def _pred_s_shift_t_unitary(pp: PairPresentation) -> bool:
                for b in pp.base)
 
 
-PREDICATES: dict = {
-    "no-slocinski": _pred_no_slocinski,
-    "doubly-commuting": _pred_doubly_commuting,
-    "S-shift-T-unitary": _pred_s_shift_t_unitary,
-}
+PREDICATES: dict = dict(zip(PROPERTIES, (
+    _pred_no_slocinski, _pred_doubly_commuting, _pred_s_shift_t_unitary)))
 
 
 def search(space: SearchSpace, predicate: str):

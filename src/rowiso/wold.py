@@ -57,12 +57,32 @@ class SubspaceDesc:
         return not self.seeds
 
     def contains(self, x) -> bool:
+        """Does the described span contain the basis vector ``x``?
+
+        Over a presentation, every element given is guarded: it must be
+        a canonical element of a valid presentation, or the call raises.
+        """
         if self.nodes is None:
             return x in self.seeds
         p = self.presentation
         if isinstance(p, Presentation):
-            p.require_valid()
-            _require_canonical(p, x)
+            # the guards' checks on a clean report, inlined: what passes
+            # here passes them, and the rest goes through them to be
+            # refused with their own error
+            report = p._report
+            ok = (type(x) is Elem and report is not None
+                  and not report.violations and x.node in p.node_index)
+            if ok:
+                prefix, m = x.prefix, p.m
+                for letter in prefix:
+                    if type(letter) is not int or not 0 < letter <= m:
+                        ok = False
+                        break
+                else:
+                    ok = not prefix or (x.node, prefix[-1]) not in p.edges
+            if not ok:
+                p.require_valid()
+                _require_canonical(p, x)
         elif p is not None:
             # a pair, guarded through its method so that this module
             # does not import pair

@@ -417,8 +417,10 @@ class TestSubcommands:
         assert len(payload["hits"]) == 4
 
     def test_property_choices_are_the_predicates(self, capsys):
+        from rowiso.properties import PROPERTIES
         from rowiso.search import PREDICATES
 
+        assert tuple(PREDICATES) == PROPERTIES
         with pytest.raises(SystemExit) as exc:
             main(["search", "--help"])
         assert exc.value.code == 0
@@ -595,13 +597,11 @@ for argv in json.loads(sys.argv[1]):
 print(json.dumps(steps))
 """
 
-# importing the cli loads the package, errors and presentation; parsing
-# the arguments adds search, whose module names the --property choices
-# and imports no decider
+# importing the cli loads the package, errors, presentation and
+# properties, which names the --property choices
 CLI_IMPORTS = {"rowiso", "rowiso.cli", "rowiso.errors",
-               "rowiso.presentation"}
-# (id, argv, exit code, what the subcommand loads beyond those four
-# and search)
+               "rowiso.presentation", "rowiso.properties"}
+# (id, argv, exit code, what the subcommand loads beyond those five)
 MODULE_TABLE = [
     ("validate-single", ["validate", "cycle"], 0, set()),
     ("validate-pair", ["validate", "corners"], 0, {"words", "pair"}),
@@ -611,10 +611,11 @@ MODULE_TABLE = [
     ("check-doubly", ["check-doubly", "corners"], 0, {"words", "pair"}),
     ("slocinski", ["slocinski", "corners"], 0,
      {"words", "pair", "wold", "slocinski"}),
-    # the oracle imports the pair's data types; the claims come from wold
-    ("oracle", ["oracle", "cycle"], 0, {"words", "pair", "oracle", "wold"}),
+    # the claims come from wold; a single family needs no pair module
+    ("oracle", ["oracle", "cycle"], 0, {"oracle", "wold"}),
     ("search", ["search", "--max-base", "1", "--m", "1", "--n", "1",
-                "--property", "doubly-commuting"], 0, {"words", "pair"}),
+                "--property", "doubly-commuting"], 0,
+     {"search", "words", "pair"}),
     ("export-dot", ["export-dot", "corners"], 0, {"words", "pair"}),
     ("invalid", ["validate", "invalid"], 2, set()),
 ]
@@ -669,8 +670,7 @@ class TestColdStart:
         assert package[3] == ["rowiso"]
         assert set(cli[3]) == CLI_IMPORTS
         assert run[1] == exit_code
-        assert set(run[3]) == CLI_IMPORTS | {f"rowiso.{m}"
-                                             for m in {"search", *extra}}
+        assert set(run[3]) == CLI_IMPORTS | {f"rowiso.{m}" for m in extra}
 
     def test_the_oracle_runs_without_scipy(self, tmp_path):
         # scipy made unimportable: the fault library, a pair model and

@@ -446,8 +446,9 @@ class TestPairCodesMatchReference:
         def no_elements(*args):
             raise AssertionError("a basis element was built")
 
-        # any use of PairElem now fails, so the refusal must come first
-        monkeypatch.setattr("rowiso.oracle.PairElem", no_elements)
+        # any use of PairElem now fails, so the refusal must come first;
+        # the oracle reads the name from its home module
+        monkeypatch.setattr("rowiso.pair.PairElem", no_elements)
         start = time.perf_counter()
         with pytest.raises(ResourceExceeded):
             materialize(pp, 500)

@@ -255,6 +255,72 @@ class TestEnumerate:
         assert enumerate_basis(Presentation(2, (), {}), 3) == []
 
 
+def reference_enumerate(p, depth):
+    """``presentation.enumerate`` before it kept one listing per
+    presentation: every layer built afresh on each call."""
+    p.require_valid()
+    if depth < 0:
+        raise ValidationError("depth must be nonnegative")
+    out = []
+    for length in range(depth + 1):
+        if length == 0:
+            out.extend(Elem((), b) for b in p.base)
+            continue
+        for prefix in product(range(1, p.m + 1), repeat=length):
+            for b in p.base:
+                if (b, prefix[-1]) not in p.edges:
+                    out.append(Elem(prefix, b))
+    return out
+
+
+class TestKeptListing:
+    def test_every_small_presentation_in_any_depth_order(self):
+        from test_oracle import single_space  # it imports this module
+
+        for p in single_space():
+            for depth in (4, 2, 0, 5, 3):
+                got = enumerate_basis(p, depth)
+                assert got == reference_enumerate(p, depth), (p, depth)
+                assert all(type(x) is Elem for x in got)
+
+    def test_mutating_a_result_changes_no_later_one(self):
+        for p in (FREE2, CHAIN, SELF_LOOP_2):
+            want = {d: reference_enumerate(p, d) for d in range(4)}
+            deep = enumerate_basis(p, 3)
+            deep[0] = Elem((9,), "zz")
+            deep.append(Elem((), "zz"))
+            assert enumerate_basis(p, 3) == want[3]
+            shallow = enumerate_basis(p, 1)
+            shallow.clear()
+            for d in (1, 3, 2, 0):
+                assert enumerate_basis(p, d) == want[d]
+
+    def test_negative_depth_raises_after_a_kept_listing(self):
+        p = Presentation(2, ("b", "c"), {("b", 2): "c"})
+        assert enumerate_basis(p, 3) == reference_enumerate(p, 3)
+        for depth in (-1, -5):
+            with pytest.raises(ValidationError,
+                               match="depth must be nonnegative"):
+                enumerate_basis(p, depth)
+        assert enumerate_basis(p, 2) == reference_enumerate(p, 2)
+
+    def test_invalid_presentation_refused_every_time(self):
+        p = Presentation(1, ("a", "b", "c"), {("a", 1): "c", ("b", 1): "c"})
+        for _ in range(2):
+            with pytest.raises(ValidationError, match="in-degree 2"):
+                enumerate_basis(p, 2)
+
+    def test_the_listing_is_the_presentation_s_own(self):
+        p = Presentation(2, ("b", "c"), {("b", 2): "c"})
+        twin = Presentation(2, ("b", "c"), {("b", 2): "c"})
+        assert p == twin
+        enumerate_basis(p, 3)
+        # an equal presentation builds its own, so nothing outlives the
+        # presentation that asked for it
+        assert twin._listing is None
+        assert enumerate_basis(twin, 3) == enumerate_basis(p, 3)
+
+
 # -- structure ----------------------------------------------------------------
 
 

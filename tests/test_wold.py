@@ -12,7 +12,8 @@ import random
 import pytest
 
 from rowiso.errors import ValidationError
-from rowiso.lebesgue import UnitaryKind, classify_unitary
+from rowiso.lebesgue import (UnitaryKind, classify_unitary,
+                             sing_membership_test)
 from rowiso.pair import (PairElem, PairPresentation, enumerate_pair, mirror,
                          validate_pair)
 from rowiso.presentation import (Elem, Presentation, apply, free_presentation,
@@ -506,3 +507,121 @@ class TestContainsMany:
                                      "letter 1 absorbs at 'c'")
             assert assert_batch_matches(d, xs) == want
             assert assert_batch_matches(d, xs, q) == want
+
+
+# -- the inline guard of contains -------------------------------------------
+
+
+def reference_require_valid(p):
+    """``Presentation.require_valid`` before ``contains`` inlined it."""
+    report = validate(p)
+    if not report.ok:
+        raise ValidationError(report.violations[0])
+
+
+def reference_require_canonical(p, x):
+    """``presentation._require_canonical`` before ``contains`` inlined it.
+
+    Letters are only range-checked here; a non-integer letter is refused
+    since, and ``TestNonIntegerLetters`` pins that refusal.
+    """
+    if not isinstance(x, Elem):
+        raise ValidationError(
+            f"expected an Elem, got {type(x).__name__} {x!r}")
+    if x.node not in p.node_index:
+        raise ValidationError(f"element node {x.node!r} is not a base node")
+    for letter in x.prefix:
+        if not 1 <= letter <= p.m:
+            raise ValidationError(
+                f"element prefix letter {letter} outside 1..{p.m}")
+    if x.prefix and (x.node, x.prefix[-1]) in p.edges:
+        raise ValidationError(f"element {x!r} is not canonical: "
+                              f"letter {x.prefix[-1]} absorbs at {x.node!r}")
+
+
+def reference_guard(p, x):
+    reference_require_valid(p)
+    reference_require_canonical(p, x)
+
+
+# (presentation data, elements the guards refuse on it)
+REFUSED = [
+    ((2, ("a", "b"), {("a", 1): "b"}),
+     [((), "a"),                        # a plain tuple
+      PairElem((), (), "a"),
+      Elem((), "z"),                    # an unknown node
+      Elem((0,), "a"),                  # letter 0
+      Elem((3,), "b"),                  # letter m + 1
+      Elem((3, 1), "b"),                # letter m + 1, not the last one
+      Elem((1,), "a"),                  # the last letter absorbs
+      Elem((2, 1), "a")]),
+    # invalid presentations: every element is refused, a canonical one too
+    ((1, ("a", "a"), {}), [Elem((), "a"), Elem((1,), "a"), ((), "a")]),
+    ((1, ("a", "b", "c"), {("a", 1): "c", ("b", 1): "c"}),
+     [Elem((), "a"), Elem((1,), "a"), Elem((), "z"), ((), "a")]),
+]
+
+
+class TestInlineGuardMatchesReference:
+    def entry_points(self, p, x):
+        d = SubspaceDesc((Elem((), p.base[0]),), frozenset(p.base[:1]), p)
+        return {
+            "contains": lambda: d.contains(x),
+            "contains_many": lambda: d.contains_many([x]),
+            "contains_many after a good element":
+                lambda: d.contains_many([Elem((), p.base[0]), x]),
+            "apply": lambda: apply(p, 1, x),
+            "pred": lambda: pred(p, x),
+        }
+
+    def test_every_refusal_keeps_its_type_and_message(self):
+        for data, elems in REFUSED:
+            for x in elems:
+                want = outcome(lambda: reference_guard(Presentation(*data), x))
+                assert want[0] is ValidationError, (data, x)
+                # on a fresh presentation, and on one whose report is
+                # already cached
+                for fresh in (True, False):
+                    p = Presentation(*data)
+                    if not fresh:
+                        validate(p)
+                    for name, call in self.entry_points(p, x).items():
+                        assert outcome(call) == want, (data, x, name, fresh)
+
+    def test_canonical_elements_are_answered_by_node(self):
+        for p in single_space()[::7]:
+            roots = p.base[::2]
+            nodes = frozenset(roots)
+            fresh = SubspaceDesc((), nodes, Presentation(p.m, p.base,
+                                                         dict(p.edges)))
+            d = SubspaceDesc((), nodes, p)
+            for x in enumerate_basis(p, 3):
+                reference_guard(p, x)
+                assert d.contains(x) == fresh.contains(x) == (x.node in nodes)
+
+
+class TestNonIntegerLetters:
+    # a letter that is not an int, or is a bool, is refused as the pair
+    # guard refuses it through words.validate_word; both elements were
+    # accepted before, since 1 <= 1.5 <= 2 and True == 1
+    P = Presentation(2, ("a", "b"), {("a", 1): "b"})
+    CASES = [(Elem((1.5,), "a"), "letter 1.5 is not an integer"),
+             (Elem((True,), "b"), "letter True is not an integer"),
+             (Elem((2, True), "b"), "letter True is not an integer")]
+
+    def entry_points(self, x):
+        p = self.P
+        d = SubspaceDesc((Elem((), "a"),), frozenset(p.base), p)
+        return {
+            "contains": lambda: d.contains(x),
+            "contains_many": lambda: d.contains_many([x]),
+            "apply": lambda: apply(p, 2, x),
+            "pred": lambda: pred(p, x),
+            "membership": lambda: membership(p, x),
+            "sing_membership_test": lambda: sing_membership_test(p, x, 3),
+        }
+
+    def test_every_entry_point_refuses(self):
+        for x, text in self.CASES:
+            for name, call in self.entry_points(x).items():
+                assert outcome(call) == (ValidationError, text), (x, name)
