@@ -76,8 +76,16 @@ def classify_unitary(p: Presentation) -> LebesgueResult:
     """Split the unitary part into its cycle components and summands.
 
     A node lies in the component of the cycle its backward chain ends on.
+    The result depends on ``p`` alone, so it is computed once and kept
+    on the presentation, for as long as the presentation lives.
     """
     p.require_valid()
+    if p._lebesgue is None:
+        p._lebesgue = _classify(p)
+    return p._lebesgue
+
+
+def _classify(p: Presentation) -> LebesgueResult:
     end = _orbit_ends(p.base, _backward(p))
     cycles = []
     index: dict[Node, int] = {}  # cycle node -> position of its cycle

@@ -13,21 +13,30 @@ only the depth-zero columns consult the edges.  A pair's basis and
 arrays are computed on integer word codes: shortlex codes per family,
 and twist tables filled from the one-letter moves of the word calculus
 give each column's new letter and every absorption step, for all
-columns and generators at once.  Subspace claims read a description's
-membership once for the whole basis.
+columns and generators at once.  A pair's columns are named
+(``PairElem``) only when read: the length of the basis names none, a
+report names the columns it cites, and a membership test names all of
+them once.  Subspace claims read a description's membership once for
+the whole basis.
 
-An operator is a pair of integer arrays (rows, cols), one entry of
-value 1 per pair, repeated pairs adding up; every identity is built
-from transpose, product and sum on that form and compared column by
-column with integer counts.  There are no floats and no tolerances.
-Each identity family is one block operator: a family G_1..G_m is a
-row isometry exactly when its row operator ``V = [G_1 ... G_m]`` from
-H^m to H satisfies ``V^T V = I``, which is every ``G_i^T G_j = delta_ij
-I`` at once, and ``V V^T = sum G_i G_i^T`` is its range projection.
-Subspace claims compare Q with V, the twisted commutation rows and
-both doubly-commuting displays are the blocks of one product per
-side, and one comparison reports the first differing column of each
-block, so a family costs one product, not one per label pair.
+Every identity is computed from the image arrays themselves, with
+integer counts: there are no floats, no tolerances, and nothing is
+built ahead of a check or kept between checks, so a replaced array is
+what the next check reads.  A product whose left factor is a
+generator is a gather, ``img_a[img_b]``: the twisted commutation rows,
+the ``S_k T_jk^T`` terms of both doubly-commuting displays, and
+invariance and reduction, which compare the images of members with
+membership.  A family G_1..G_m is a row isometry exactly when its row
+operator ``V = [G_1 ... G_m]`` from H^m to H satisfies ``V^T V = I``,
+which is every ``G_i^T G_j = delta_ij I`` at once, and its range
+projection ``V V^T = sum G_i G_i^T`` is the diagonal matrix of how
+many columns the family sends to each row: one ``bincount`` decides
+the isometry rows, ``sum G G^T``, ``unitary-on`` and ``wandering``,
+and only the images counted twice are grouped to find each failing
+block (i, j).  Only a display's left side, an adjoint times a
+generator (``T_j^T S_i``, ``S_i^T T_j``), is a join on entry lists
+(``_mul``); all displays are blocks of one such product, compared
+with the sum of their terms in one comparison.
 
 Truncation discipline: a truncated isometry is defective at the
 boundary, so each identity is asserted only on its own interior mask.
@@ -47,7 +56,8 @@ modules.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Union
 
 from .errors import ResourceExceeded, ValidationError
@@ -406,6 +416,60 @@ def _pair_images(pp: PairPresentation, tables: _PairTables, t: np.ndarray,
     return dict(zip(gens, rows))
 
 
+class _PairBasis(Sequence):
+    """A pair's basis vectors, named only when read.
+
+    Column k is ``PairElem(T-word t[k], S-word s[k], base[pos[k]])``.
+    The length needs no name; an index names one column; iterating
+    names every column at once and keeps the names.  It equals the
+    tuple of its names.
+    """
+
+    def __init__(self, t_words: _Words, s_words: _Words, t: np.ndarray,
+                 s: np.ndarray, pos: np.ndarray, base: tuple):
+        self.t_words, self.s_words = t_words, s_words
+        self.t, self.s, self.pos, self.base = t, s, pos, base
+        self._names = None
+
+    def __len__(self) -> int:
+        return len(self.t)
+
+    def __getitem__(self, k):
+        if self._names is None and not isinstance(k, slice):
+            k = range(len(self.t))[k]  # an int, in range
+            return self._decode(slice(k, k + 1))[0]
+        return self._all()[k]
+
+    def __iter__(self):
+        return iter(self._all())
+
+    def _all(self) -> tuple:
+        if self._names is None:
+            self._names = self._decode(slice(None))
+        return self._names
+
+    def _decode(self, cols: slice) -> tuple:
+        from .pair import PairElem
+
+        t_names = self.t_words.tuples(self.t[cols])
+        s_names = self.s_words.tuples(self.s[cols])
+        nodes = map(self.base.__getitem__, self.pos[cols].tolist())
+        # tuple.__new__ builds each named tuple from its three fields
+        # without the field-wise constructor, about twice as fast
+        return tuple(map(tuple.__new__, itertools.repeat(PairElem),
+                         zip(t_names, s_names, nodes)))
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, (tuple, _PairBasis)):
+            return len(self) == len(other) and self._all() == tuple(other)
+        return NotImplemented
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return repr(self._all())
+
+
 @dataclass
 class OracleModel:
     """Every generator of a depth-d truncation as an image array.
@@ -414,27 +478,29 @@ class OracleModel:
     when the image falls outside the basis (a boundary column).  It is
     the generator's 0/1 matrix, and every identity is computed from it.
     ``interior`` flags the columns whose every generator image is in
-    the basis; it is read off the arrays when asked, so it follows a
-    replaced array.  ``depths`` holds each column's depth.  A single
-    family's basis is ordered by layer (prefix length), which is what
-    lets ``materialize`` write its arrays in closed form; a pair's is
-    ordered by depth, longer T-word first, then by T-word, S-word and
-    base position.
+    the basis.  ``depths`` holds each column's depth and
+    ``letters[fam]`` how many letters of family ``fam`` its name
+    carries.  A single family's basis is a tuple ordered by layer
+    (prefix length), which is what lets ``materialize`` write its
+    arrays in closed form.  A pair's is ordered by depth, longer T-word
+    first, then by T-word, S-word and base position, and is a lazy
+    sequence over the word codes: its length names nothing, and a
+    column gets its ``PairElem`` name only when it is read, as the
+    verifiers read the columns they report.
 
     The image arrays are read-only.  To corrupt a model, replace an
-    array: the operators the verifiers build from the arrays are
-    memoised per model and rebuilt when an array is replaced.
+    array: nothing is built from the arrays ahead of a check, so every
+    check reads the array in place.
     """
 
     presentation: object
     depth: int
-    basis: tuple
+    basis: Sequence
     keys: tuple
     imgs: dict
     depths: np.ndarray
+    letters: dict
     adjoint_cost: int
-    _memo: dict = field(init=False, default_factory=dict, repr=False,
-                        compare=False)
 
     def __post_init__(self):
         for key in self.keys:
@@ -482,57 +548,108 @@ def materialize(p: Union[Presentation, PairPresentation],
             raise _over_budget(depth)
         import numpy as np
 
-        from .pair import PairElem
-
         tables = _PairTables(p, depth)
         t, s, pos = _pair_basis_codes(tables, depth)
-        t_names = tables.t_words.tuples(t)
-        s_names = tables.s_words.tuples(s)
-        # tuple.__new__ builds each named tuple from its three fields
-        # without the field-wise constructor, about twice as fast
-        basis = tuple(map(tuple.__new__, itertools.repeat(PairElem), zip(
-            t_names, s_names, map(p.base.__getitem__, pos.tolist()))))
+        basis = _PairBasis(tables.t_words, tables.s_words, t, s, pos, p.base)
         imgs = _pair_images(p, tables, t, s, pos)
-        depths = (tables.t_words.length[t]
-                  + tables.s_words.length[s]).astype(np.int64)
+        letters = {"s": tables.s_words.length[s],
+                   "t": tables.t_words.length[t]}
+        depths = (letters["s"] + letters["t"]).astype(np.int64)
         adj = max(0, len(p.base) - 1)
     else:
         if _single_basis_size(p, depth) > BASIS_BUDGET:
             raise _over_budget(depth)
         basis = _raw_single_basis(p, depth)
         imgs, depths = _single_images(p, depth)
+        letters = {"s": depths}
         adj = 0
-    return OracleModel(p, depth, basis, tuple(imgs), imgs, depths, adj)
+    return OracleModel(p, depth, basis, tuple(imgs), imgs, depths, letters,
+                       adj)
 
 
-# ---------------------------------------------------------------- operators
+# ------------------------------------------------------------------ kernels
 #
-# An operator is a pair (rows, cols) of int64 arrays: one entry of value
-# 1 at each (rows[k], cols[k]), repeated pairs adding up.  A block
-# operator over H^r x H^c, n = |basis|, puts entry (i, j) of its block
-# (R, C) at (R*n + i, C*n + j).
-
-def _memo_of(model: OracleModel) -> dict:
-    # operators built from the image arrays, kept while no array has
-    # been replaced since they were built
-    arrays = [model.imgs[key] for key in model.keys]
-    memo = model._memo
-    cached = memo.get("arrays")
-    if cached is None or any(a is not b for a, b in zip(cached, arrays)):
-        memo.clear()
-        memo["arrays"] = arrays
-    return memo
+# A generator is the partial map its image array stores: column c goes
+# to row img[c], or leaves the basis when img[c] is -1.  A family's
+# arrays are stacked into one (count, n) array, row k - 1 for label k.
+# Where a product needs the entries themselves, an operator is a pair
+# (rows, cols) of int64 arrays: one entry of value 1 at each (rows[k],
+# cols[k]), repeated pairs adding up.  A block operator over H^r x H^c,
+# n = |basis|, puts entry (i, j) of its block (R, C) at (R*n + i, C*n +
+# j).
 
 
-def _gen(model: OracleModel, key: tuple) -> tuple:
+def _family(model: OracleModel, fam: str) -> np.ndarray:
     import numpy as np
 
-    memo = _memo_of(model)
-    if key not in memo:
-        img = model.imgs[key]
-        cols = np.flatnonzero(img >= 0)
-        memo[key] = (img[cols], cols)
-    return memo[key]
+    arrays = [model.imgs[key] for key in model.keys if key[0] == fam]
+    return np.array(arrays, dtype=np.int64).reshape(len(arrays),
+                                                    len(model.depths))
+
+
+def _compose(outer: np.ndarray, inner: np.ndarray) -> np.ndarray:
+    """The image array of ``outer inner``: a gather, row by row.
+
+    ``outer[inner[c]]`` where ``inner[c]`` is in the basis, -1 where
+    either step leaves it; stacks compose row k with row k.
+    """
+    import numpy as np
+
+    return np.where(inner >= 0, np.take_along_axis(outer, inner, axis=-1),
+                    -1)
+
+
+def _image_counts(stack: np.ndarray, n: int) -> np.ndarray:
+    """The diagonal of ``sum G G^T`` over the stacked generators.
+
+    ``G G^T`` puts, at (r, r'), the number of columns G sends to both r
+    and r', so the sum is diagonal and its entry r counts the columns
+    the family sends to r: one ``bincount``.
+    """
+    import numpy as np
+
+    return np.bincount(stack[stack >= 0], minlength=n)
+
+
+def _isometry_defects(stack: np.ndarray, counts: np.ndarray) -> dict:
+    """Where ``V^T V`` differs from the identity, by block.
+
+    V is the row operator ``[G_1 ... G_count]``.  Column c of block j
+    of ``V^T V`` holds, in row block i, every column a with ``G_i e_a =
+    G_j e_c``.  On a column ``G_j`` keeps in the basis that is ``e_c``
+    in block j and nothing else unless ``counts`` (the image counts)
+    says its image is shared, so only the shared images are grouped.
+    Maps each failing (i, j), in order, to its first column, as
+    ``_first_bad_columns`` does.
+    """
+    import numpy as np
+
+    shared = counts[stack] > 1
+    shared &= stack >= 0
+    if not shared.any():
+        return {}
+    k, c = np.nonzero(shared)  # by block, then column
+    values, group = np.unique(stack[k, c], return_inverse=True)
+    count = len(stack)
+    per_block = np.zeros((len(values), count), dtype=np.int64)
+    np.add.at(per_block, (group, k), 1)
+    # the other columns sharing entry e's image, per row block
+    others = per_block[group] - (np.arange(count) == k[:, None])
+    bad = {}
+    for i in range(count):
+        for j in range(count):
+            hit = (k == j) & (others[:, i] > 0)
+            if hit.any():
+                bad[(i, j)] = int(c[np.argmax(hit)])
+    return bad
+
+
+def _block_entries(stack: np.ndarray, n: int) -> tuple:
+    """The block-diagonal operator with row d of ``stack`` at block d."""
+    import numpy as np
+
+    d, cols = np.nonzero(stack >= 0)
+    return stack[d, cols] + d * n, cols + d * n
 
 
 def _tr(a: tuple) -> tuple:
@@ -559,64 +676,6 @@ def _mul(a: tuple, b: tuple) -> tuple:
     rows = a[0][order[a_at]]
     del a_at, order
     return rows, b[1][np.repeat(np.arange(len(runs)), runs)]
-
-
-def _add(ops: list) -> tuple:
-    import numpy as np
-
-    empty = np.zeros(0, dtype=np.int64)
-    return (np.concatenate([empty] + [o[0] for o in ops]),
-            np.concatenate([empty] + [o[1] for o in ops]))
-
-
-def _diag(counts: np.ndarray) -> tuple:
-    import numpy as np
-
-    at = np.repeat(np.arange(len(counts)), counts)
-    return at, at
-
-
-def _blocks(model: OracleModel, blocks) -> tuple:
-    """The block operator with a generator at each listed block.
-
-    ``blocks`` yields ``(R, C, key, adjoint)``: block (R, C) holds the
-    generator ``key``, transposed when ``adjoint``; blocks listed twice
-    add up.
-    """
-    n = len(model.basis)
-    ops = []
-    for r, c, key, adjoint in blocks:
-        g = _gen(model, key)
-        rows, cols = _tr(g) if adjoint else g
-        ops.append((rows + r * n, cols + c * n))
-    return _add(ops)
-
-
-def _row_operator(model: OracleModel, fam: str) -> tuple:
-    """``V = [G_1 ... G_count]`` of a family and its live columns.
-
-    V maps H^count to H; column c of block k is live when ``G_k e_c``
-    is in the basis.
-    """
-    import numpy as np
-
-    memo = _memo_of(model)
-    if ("row", fam) not in memo:
-        keys = [key for key in model.keys if key[0] == fam]
-        memo[("row", fam)] = (
-            _blocks(model, [(0, k, key, False)
-                            for k, key in enumerate(keys)]),
-            np.concatenate([model.imgs[key] >= 0 for key in keys]))
-    return memo[("row", fam)]
-
-
-def _range_projection(model: OracleModel, fam: str) -> tuple:
-    """``V V^T``, the sum of ``G G^T`` over the family."""
-    memo = _memo_of(model)
-    if ("ran", fam) not in memo:
-        V, _ = _row_operator(model, fam)
-        memo[("ran", fam)] = _mul(V, _tr(V))
-    return memo[("ran", fam)]
 
 
 def _sorted_keys(op: tuple, mask: np.ndarray, rows: int) -> np.ndarray:
@@ -679,102 +738,95 @@ def verify_relations(model: OracleModel) -> Report:
     Each family is a row isometry: its row operator ``V = [G_1 ...
     G_count]`` satisfies ``V^T V = I`` on H^count, which is G_i^T G_j =
     delta_ij I block by block, and ``V V^T = sum G_i G_i^T`` is at most
-    the identity (it is diagonal by construction, each column of an
-    image array holding at most one entry).  Pairs additionally: the
-    twisted commutation identity and both doubly-commuting displays,
-    term sets read off the twist.  Which vectors the range projection
-    fixes and which it kills is a claim on a subspace, checked by
-    :func:`verify_subspace` (``unitary-on``, ``wandering``).
+    the identity.  Both read one ``bincount`` of the family's images:
+    ``V V^T`` is its diagonal, and ``V^T V`` differs from I only at
+    the columns whose image is counted more than once.  Pairs
+    additionally: the twisted commutation identity and both
+    doubly-commuting displays, term sets read off the twist.  Which
+    vectors the range projection fixes and which it kills is a claim
+    on a subspace, checked by :func:`verify_subspace` (``unitary-on``,
+    ``wandering``).
     """
     import numpy as np
 
     rows: list = []
-    p = model.presentation
     basis = model.basis
     n = len(basis)
     pair = model.is_pair
-    families = [("s", p.m)] + ([("t", p.n)] if pair else [])
-    for fam, count in families:
-        V, live = _row_operator(model, fam)
+    for fam in ("s", "t") if pair else ("s",):
+        stack = _family(model, fam)
+        counts = _image_counts(stack, n)
         # adjoint rows are exact wherever the forward image is in-basis,
         # no extra cost
-        eye = _diag(np.ones(count * n, dtype=np.int64))
-        bad = _first_bad_columns(_mul(_tr(V), V), eye, live, n, count * n)
+        bad = _isometry_defects(stack, counts)
         rows.extend(f"{fam}[{i+1}]^T {fam}[{j+1}]: differs at column "
                     f"{basis[col]!r}" for (i, j), col in bad.items())
-        # sum G G^T is diagonal, each column holding at most one entry
-        diag = np.bincount(V[0], minlength=n)
-        valid = model.mask(adjoint=1) if pair else np.ones(n, dtype=bool)
-        if np.any((diag > 1) & valid):
-            bad = int(np.nonzero((diag > 1) & valid)[0][0])
+        over = counts > 1
+        if pair:
+            over &= model.mask(adjoint=1)
+        if over.any():
+            bad = int(np.argmax(over))
             rows.append(f"sum {fam}{fam}^T exceeds identity at {basis[bad]!r}")
     if pair:
         _verify_pair_relations(rows, model)
     return Report(tuple(rows))
 
 
-def _two_steps_in_basis(model: OracleModel, first, then):
-    # columns whose image under ``first``, and that image's image under
-    # ``then``, both lie in the basis
-    import numpy as np
-
-    cols = model.imgs[first]
-    live = cols >= 0
-    return live & (model.imgs[then][np.where(live, cols, 0)] >= 0)
-
-
 def _verify_pair_relations(rows: list, model: OracleModel) -> None:
-    """The twisted commutation rows and both displays, as one comparison.
+    """The twisted commutation rows, then both displays per label pair.
 
-    Block b of both sides is one identity: first one per twist entry,
-    then the two displays of each label pair (i, j).  Each side is a
-    product of two block operators; a display's terms are summed
-    through one middle block per twist entry that contributes it.
+    Every forward product is a gather: ``S_i T_j`` and ``T_j2 S_i2``
+    are composed image arrays, compared on the columns where both stay
+    in the basis, and each display term ``S_k T_jk^T`` (or ``T_k
+    S_ik^T``) sends ``T_jk e_a`` to ``S_k e_a``.  Only a display's left
+    side, an adjoint times a generator, is a join (``_mul``), so the
+    displays are compared as block operators, block d holding one
+    display, with one comparison for all of them.
     """
     import numpy as np
 
     pp = model.presentation
+    basis = model.basis
+    n = len(basis)
+    S, T = _family(model, "s"), _family(model, "t")
     entries = sorted(pp.theta.map.items())
-    labels, masks = [], []
-    lhs_a, lhs_b, rhs_a, rhs_b = [], [], [], []
-    for b, ((i, j), (i2, j2)) in enumerate(entries):
-        labels.append(f"S{i} T{j} = T{j2} S{i2}")
-        masks.append(_two_steps_in_basis(model, ("t", j), ("s", i))
-                     & _two_steps_in_basis(model, ("s", i2), ("t", j2)))
-        lhs_a.append((b, b, ("s", i), False))
-        lhs_b.append((b, b, ("t", j), False))
-        rhs_a.append((b, b, ("t", j2), False))
-        rhs_b.append((b, b, ("s", i2), False))
-    # doubly-commuting displays; each sum has at most one live term per
-    # column because predecessors are unique
-    m1 = model.mask(forward=1, adjoint=1)
-    one, two = {}, {}
-    for i in range(1, pp.m + 1):
-        for j in range(1, pp.n + 1):
-            one[(i, j)], two[(i, j)] = b1, b2 = len(labels), len(labels) + 1
-            labels += [f"T{j}^T S{i} display", f"S{i}^T T{j} display"]
-            masks += [m1, m1]
-            lhs_a += [(b1, b1, ("t", j), True), (b2, b2, ("s", i), True)]
-            lhs_b += [(b1, b1, ("s", i), False), (b2, b2, ("t", j), False)]
-    mid = len(entries)
+    i, j, i2, j2 = np.array([a + b for a, b in entries],
+                            dtype=np.int64).reshape(-1, 4).T - 1
+    lhs = _compose(S[i], T[j])
+    rhs = _compose(T[j2], S[i2])
+    bad = (lhs >= 0) & (rhs >= 0) & (lhs != rhs)
+    for e in np.flatnonzero(bad.any(axis=1)).tolist():
+        (a, b), (a2, b2) = entries[e]
+        rows.append(f"S{a} T{b} = T{b2} S{a2}: differs at column "
+                    f"{basis[int(np.argmax(bad[e]))]!r}")
+    # doubly-commuting displays, block d holding one; G stacks S over T.
+    # Each sum has at most one live term per column because
+    # predecessors are unique
+    G = np.concatenate((S, T))
+    t_row = pp.m - 1  # T_k is row t_row + k of G
+    labels, left, right, one, two = [], [], [], {}, {}
+    for a in range(1, pp.m + 1):
+        for b in range(1, pp.n + 1):
+            one[(a, b)], two[(a, b)] = len(labels), len(labels) + 1
+            labels += [f"T{b}^T S{a} display", f"S{a}^T T{b} display"]
+            left += [(t_row + b, a - 1), (a - 1, t_row + b)]
     for (k, jj), (ii, jk) in entries:  # S_k T_jk^T in T_jj^T S_ii
         if (ii, jj) in one:
-            rhs_a.append((one[(ii, jj)], mid, ("s", k), False))
-            rhs_b.append((mid, one[(ii, jj)], ("t", jk), True))
-            mid += 1
+            right.append((one[(ii, jj)], k - 1, t_row + jk))
     for (ii, k), (ik, jj) in entries:  # T_k S_ik^T in S_ii^T T_jj
         if (ii, jj) in two:
-            rhs_a.append((two[(ii, jj)], mid, ("t", k), False))
-            rhs_b.append((mid, two[(ii, jj)], ("s", ik), True))
-            mid += 1
-    n = len(model.basis)
-    lhs = _mul(_blocks(model, lhs_a), _blocks(model, lhs_b))
-    rhs = _mul(_blocks(model, rhs_a), _blocks(model, rhs_b))
-    # both sides are block diagonal, so each difference is in a block (b, b)
-    bad = _first_bad_columns(lhs, rhs, np.concatenate(masks), n,
-                             len(labels) * n)
-    rows.extend(f"{labels[b]}: differs at column {model.basis[col]!r}"
-                for (_, b), col in bad.items())
+            right.append((two[(ii, jj)], t_row + k, ik - 1))
+    adj, fwd = np.array(left, dtype=np.int64).reshape(-1, 2).T
+    lhs = _mul(_tr(_block_entries(G[adj], n)), _block_entries(G[fwd], n))
+    d, fwd, adj = np.array(right, dtype=np.int64).reshape(-1, 3).T
+    # a term sends T_jk e_a to S_k e_a: a gather on the shared column a
+    term, col = np.nonzero((G[fwd] >= 0) & (G[adj] >= 0))
+    rhs = (G[fwd[term], col] + d[term] * n, G[adj[term], col] + d[term] * n)
+    mask = np.tile(model.mask(forward=1, adjoint=1), len(labels))
+    # both sides are block diagonal, so each difference is in a block (d, d)
+    bad = _first_bad_columns(lhs, rhs, mask, n, len(labels) * n)
+    rows.extend(f"{labels[d]}: differs at column {basis[col]!r}"
+                for (_, d), col in bad.items())
 
 
 # ------------------------------------------------------------ subspace claims
@@ -792,12 +844,15 @@ def verify_subspace(model: OracleModel, sub: SubspaceDesc, claims,
     commutator checks against the family's row operator V, on its
     forward-interior columns: invariance compares ``V Q^count`` with
     ``Q V Q^count``, reduction ``Q V`` with ``V Q^count``, where
-    ``Q^count`` is Q on each of V's blocks.  With R = V V^T the range
-    projection of the family, on adjoint-interior columns: unitary-on
-    checks R Q = Q; wandering checks that the columns R kills are
-    exactly the members that carry no letter of the family (the
-    wandering vectors, given as a set of depth-zero vectors or as the
-    node set of a pair's dead nodes).  shift-on walks each member's
+    ``Q^count`` is Q on each of V's blocks; both read, per forward
+    column, whether it and its image are members (a gather).  With R =
+    V V^T the range projection of the family, the diagonal of image
+    counts, on adjoint-interior columns: unitary-on checks R Q = Q;
+    wandering checks that the columns R kills are exactly the members
+    whose name carries no letter of the family (read off
+    ``model.letters``; the wandering vectors, given as a set of
+    depth-zero vectors or as the node set of a pair's dead nodes).
+    shift-on walks each member's
     backward chain (each column once) and demands certified death,
     flagging any in-basis cycle.  ``family`` picks which family the
     unitary-on, shift-on and wandering claims speak about.
@@ -818,41 +873,36 @@ def verify_subspace(model: OracleModel, sub: SubspaceDesc, claims,
     n = len(basis)
     member = np.array(sub.contains_many(basis, model.presentation),
                       dtype=bool)
-    Q = _diag(member.astype(np.int64))
     for claim in sorted(set(claims)):
         fam = claim[0].lower() if claim[0] in "ST" else family
         if claim.endswith("-invariant") or claim.endswith("-reducing"):
-            V, live = _row_operator(model, fam)
-            count = (model.presentation.m if fam == "s"
-                     else model.presentation.n)
-            VQ = _mul(V, _diag(np.tile(member, count).astype(np.int64)))
+            # column c of block k: V Q^count holds G_k e_c when c is a
+            # member, Q V when its image is, Q V Q^count when both are
+            stack = _family(model, fam)
+            live = stack >= 0
+            moved = member[stack]
             if claim.endswith("-invariant"):
-                lhs, rhs = VQ, _mul(Q, VQ)
+                bad = live & member & ~moved
             else:
-                lhs, rhs = _mul(Q, V), VQ
-            bad = _first_bad_columns(lhs, rhs, live, n, n)
+                bad = live & (moved != member)
             rows.extend(f"{claim} fails for {fam}[{k+1}] at column "
-                        f"{basis[col]!r}" for (_, k), col in bad.items())
+                        f"{basis[int(np.argmax(bad[k]))]!r}"
+                        for k in np.flatnonzero(bad.any(axis=1)).tolist())
         elif claim in ("unitary-on", "wandering"):
-            ran = _range_projection(model, fam)
+            # R Q = Q on member column c exactly when R's diagonal is 1
+            # there
+            counts = _image_counts(_family(model, fam), n)
             if claim == "unitary-on":
-                valid = member & model.mask(adjoint=1)
-                col = _first_bad_columns(_mul(ran, Q), Q, valid, n,
-                                         n).get((0, 0))
+                bad = member & model.mask(adjoint=1) & (counts != 1)
             else:
-                # R must kill exactly the bare members; whether it
-                # exceeds the identity elsewhere is verify_relations'
-                # business
-                attr = f"{fam}_prefix" if model.is_pair else "prefix"
-                bare = np.zeros(n, dtype=bool)
-                bare[[c for c in np.flatnonzero(member).tolist()
-                      if not getattr(basis[c], attr)]] = True
-                alive = np.zeros(n, dtype=bool)
-                alive[ran[1]] = True
-                bad = model.mask(adjoint=1) & (alive == bare)
-                col = int(np.argmax(bad)) if bad.any() else None
-            if col is not None:
-                rows.append(f"{claim} fails at column {basis[col]!r}")
+                # R must kill exactly the members whose name carries no
+                # letter of the family; whether it exceeds the identity
+                # elsewhere is verify_relations' business
+                bare = member & (model.letters[fam] == 0)
+                bad = model.mask(adjoint=1) & ((counts > 0) == bare)
+            if bad.any():
+                rows.append(f"{claim} fails at column "
+                            f"{basis[int(np.argmax(bad))]!r}")
         elif claim == "shift-on":
             rows.extend(_shift_on(model, member, fam, basis))
     return Report(tuple(rows))

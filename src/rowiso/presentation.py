@@ -82,7 +82,7 @@ class Presentation:
     """
 
     __slots__ = ("m", "base", "edges", "node_index", "in_edge", "_key",
-                 "_report", "_listing")
+                 "_report", "_listing", "_lebesgue")
 
     def __init__(self, m: int, base: Iterable[Node], edges: dict):
         if not isinstance(m, int) or isinstance(m, bool):
@@ -106,6 +106,10 @@ class Presentation:
         self._report: Optional[ValidationReport] = None
         # enumerate's listing and the end of each depth in it
         self._listing: Optional[tuple[list, list]] = None
+        # lebesgue.classify_unitary's result; its node-set descriptions
+        # hold this presentation, so once classified the two are freed
+        # together by the cycle collector
+        self._lebesgue = None
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Presentation) and self._key == other._key

@@ -5,11 +5,13 @@ complements are checked by direct forward search rather than by
 trusting the classifier's labels.
 """
 
+import dataclasses
 import random
 from itertools import product
 
 import pytest
 
+import rowiso.lebesgue
 from rowiso.errors import ContractViolation, NotCommuting, ValidationError
 from rowiso.lebesgue import (
     UnitaryKind,
@@ -19,7 +21,7 @@ from rowiso.lebesgue import (
 )
 from rowiso.presentation import Elem, Presentation, apply, free_presentation, pred
 from rowiso.presentation import enumerate as enumerate_basis
-from rowiso.wold import wold
+from rowiso.wold import SubspaceDesc, wold
 
 from test_presentation import random_presentation
 
@@ -222,6 +224,42 @@ class TestSingMembership:
     def test_zero_depth_never_cross_validates(self):
         # depth 0 performs no orbit steps; exact answer still returned
         assert sing_membership_test(LOOP2, Elem((), "b"), 0) is False
+
+    def test_each_presentation_is_classified_once(self, monkeypatch):
+        calls = []
+        real = rowiso.lebesgue._classify
+        monkeypatch.setattr(rowiso.lebesgue, "_classify",
+                            lambda p: calls.append(p) or real(p))
+        first = Presentation(1, ("a", "b", "c"),
+                             {("a", 1): "b", ("b", 1): "a"})
+        for _ in range(3):
+            for x in (Elem((), "a"), Elem((), "b")):
+                assert sing_membership_test(first, x, 4)
+        assert classify_unitary(first) is classify_unitary(first)
+        assert calls == [first]
+        # an equal presentation is another object, with its own result
+        twin = Presentation(1, ("a", "b", "c"),
+                            {("a", 1): "b", ("b", 1): "a"})
+        assert classify_unitary(twin) == classify_unitary(first)
+        assert len(calls) == 2 and calls[1] is twin
+
+    def test_a_kept_result_is_still_cross_checked(self):
+        # the orbit check runs on every call: a kept classification that
+        # calls the dilation slice singular is caught at depth |base|+1
+        p = Presentation(2, ("b",), {("b", 1): "b"})
+        res = classify_unitary(p)
+        p._lebesgue = dataclasses.replace(
+            res, H_sing=SubspaceDesc((Elem((), "b"),)))
+        with pytest.raises(ContractViolation):
+            sing_membership_test(p, Elem((), "b"), 2)
+
+    def test_guards_run_on_every_call(self):
+        bad = Presentation(1, ("a", "b"), {("a", 1): "b", ("b", 1): "b"})
+        for _ in range(2):
+            with pytest.raises(ValidationError):
+                classify_unitary(bad)
+            with pytest.raises(ValidationError):
+                sing_membership_test(TWO_CYCLE, Elem((1,), "a"), 3)
 
 
 # -- check_commutant_reduces_sing -----------------------------------------------

@@ -21,10 +21,13 @@ from rowiso.oracle import (
     materialize,
     verify_relations,
     verify_subspace,
-    _add,
-    _diag,
+    _block_entries,
+    _compose,
     _first_bad_columns,
+    _image_counts,
+    _isometry_defects,
     _mul,
+    _PairBasis,
     _PairTables,
     _pair_basis_lower_bound,
     _raw_single_basis,
@@ -465,6 +468,81 @@ class TestPairCodesMatchReference:
         assert {key: arr.tolist() for key, arr in model.imgs.items()} == imgs
 
 
+# -- lazy pair names ---------------------------------------------------------
+
+
+def eager_pair_basis(basis: _PairBasis) -> tuple:
+    """The names ``materialize`` used to build for every column up front."""
+    return tuple(PairElem(tw, sw, basis.base[k]) for tw, sw, k in zip(
+        basis.t_words.tuples(basis.t), basis.s_words.tuples(basis.s),
+        basis.pos.tolist()))
+
+
+@pytest.fixture
+def decoded(monkeypatch):
+    """The columns a pair basis names, in order, across every model."""
+    seen = []
+    real = _PairBasis._decode
+
+    def counting(self, cols):
+        seen.extend(range(len(self.t))[cols])
+        return real(self, cols)
+
+    monkeypatch.setattr(_PairBasis, "_decode", counting)
+    return seen
+
+
+class TestLazyPairBasis:
+    def assert_names(self, pp, depth, probes=(0, 1, -2, -1)):
+        basis = materialize(pp, depth).basis
+        want = eager_pair_basis(basis)
+        assert len(basis) == len(want)
+        # one column at a time before the bulk naming, then from it
+        for k in probes:
+            if -len(want) <= k < len(want):
+                assert basis[k] == want[k], (pp, depth, k)
+        assert tuple(basis) == want == basis, (pp, depth)
+        assert basis[-1] == want[-1] and basis[1:3] == want[1:3]
+
+    def test_every_acceptance_candidate(self, pair_space):
+        for pp, _, _ in pair_space:
+            self.assert_names(pp, 3, probes=(-1,))
+
+    def test_random_pairs(self):
+        rng = random.Random(1103)
+        for _ in range(300):
+            pp = random_pair(rng, max_nodes=5, max_m=3, max_n=3)
+            self.assert_names(pp, min(len(pp.base) + 2, 4))
+
+    def test_node_declared_twice(self):
+        for depth in range(1, 6):
+            self.assert_names(CORRUPTED_PAIRS["node-declared-twice"], depth)
+
+    def test_length_and_a_passing_check_name_nothing(self, decoded):
+        for pp in (FOUR_CORNERS, BILATERAL, free_pair(Theta.identity(2, 2))):
+            model = materialize(pp, 4)
+            assert len(model.basis) == len(reference_pair_basis(pp, 4))
+            assert verify_relations(model).ok
+        assert decoded == []
+
+    def test_a_failing_report_names_only_its_columns(self, decoded):
+        for pp in (IN_DEGREE_2_PAIR, CORRUPTED_PAIRS["forged-theta"]):
+            model = materialize(pp, 3)
+            names = reference_pair_basis(pp, 3)
+            rows = verify_relations(model).rows
+            assert rows and len(decoded) == len(rows)
+            for row, col in zip(rows, decoded):
+                assert row.endswith(f" {names[col]!r}")
+            decoded.clear()
+
+    def test_indexing_refuses_what_a_tuple_refuses(self):
+        basis = materialize(FOUR_CORNERS, 2).basis
+        for k in (len(basis), -len(basis) - 1):
+            with pytest.raises(IndexError):
+                basis[k]
+        assert basis != list(basis) and basis != tuple(basis)[:-1]
+
+
 # -- operator kernels --------------------------------------------------------
 
 
@@ -472,6 +550,12 @@ def dense(op, n):
     out = np.zeros((n, n), dtype=np.int64)
     np.add.at(out, (op[0], op[1]), 1)
     return out
+
+
+def partial_map(img, n):
+    # the 0/1 matrix of an image array: entry (img[c], c) where img[c] >= 0
+    cols = np.flatnonzero(img >= 0)
+    return dense((img[cols], cols), n)
 
 
 class TestOperatorKernels:
@@ -495,6 +579,43 @@ class TestOperatorKernels:
                 (dense(a, n) != dense(b, n)).any(axis=0) & mask)
             want = {(0, 0): int(bad[0])} if len(bad) else {}
             assert _first_bad_columns(a, b, mask, n, n) == want
+        # the image-array kernels, on stacks of partial maps: injective
+        # in even trials and arbitrary in odd ones
+        rng = np.random.default_rng(1109)
+        for trial in range(400):
+            n = int(rng.integers(1, 7))
+            count = int(rng.integers(1, 4))
+            if trial % 2 == 0:  # distinct rows below n, the rest -1
+                rows = rng.permutation(count * n)
+                rows[(rows >= n) | (rng.random(count * n) < 0.3)] = -1
+                stack = rows.reshape(count, n)
+            else:
+                stack = rng.integers(-1, n, (count, n), dtype=np.int64)
+            G = [partial_map(row, n) for row in stack]
+            other = rng.integers(-1, n, (count, n), dtype=np.int64)
+            got = _compose(stack, other)
+            for k in range(count):
+                want = G[k] @ partial_map(other[k], n)
+                assert (partial_map(got[k], n) == want).all(), trial
+            counts = _image_counts(stack, n)
+            assert (np.diag(counts) == sum(g @ g.T for g in G)).all()
+            V = np.hstack(G)
+            gram, eye = V.T @ V, np.eye(count * n, dtype=np.int64)
+            want = {}
+            for i in range(count):
+                for j in range(count):
+                    cells = np.s_[i * n:(i + 1) * n, j * n:(j + 1) * n]
+                    bad = np.flatnonzero((gram[cells] != eye[cells]).any(
+                        axis=0) & (stack[j] >= 0))
+                    if len(bad):
+                        want[(i, j)] = int(bad[0])
+            got = _isometry_defects(stack, counts)
+            assert list(got.items()) == list(want.items()), trial
+            blocks = np.zeros((count * n, count * n), dtype=np.int64)
+            for k in range(count):
+                blocks[k * n:(k + 1) * n, k * n:(k + 1) * n] = G[k]
+            assert (dense(_block_entries(stack, n), count * n)
+                    == blocks).all()
 
     def test_block_comparator_matches_dense_blocks(self):
         rng = np.random.default_rng(1039)
@@ -587,6 +708,19 @@ class TestVerifyRelations:
 # are the loops it replaced, one product and one comparison per label,
 # label pair or twist entry; the batched reports must equal theirs row
 # for row.
+
+
+def _add(ops):
+    # the sum of operators: every entry of each
+    empty = np.zeros(0, dtype=np.int64)
+    return (np.concatenate([empty] + [o[0] for o in ops]),
+            np.concatenate([empty] + [o[1] for o in ops]))
+
+
+def _diag(counts):
+    # the diagonal operator with entry counts[c] at (c, c)
+    at = np.repeat(np.arange(len(counts)), counts)
+    return at, at
 
 
 def ref_gen(model, key):
