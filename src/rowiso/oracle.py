@@ -6,18 +6,18 @@ grade their own homework, so no decider is imported here, and what
 they compute arrives as a claim passed to :func:`verify_subspace`.
 Each generator is a 0/1 partial injection on the canonical elements of
 bounded depth, held as one image index per column.  For a single
-family the image arrays are written in closed form: the basis is laid
-out layer by layer, a prefix of length at least one never absorbs, so
-each generator shifts a whole layer onto a run of the next one, and
-only the depth-zero columns consult the edges.  A pair's basis and
-arrays are computed on integer word codes: shortlex codes per family,
-and twist tables filled from the one-letter moves of the word calculus
-give each column's new letter and every absorption step, for all
-columns and generators at once.  A pair's columns are named
-(``PairElem``) only when read: the length of the basis names none, a
-report names the columns it cites, and a membership test names all of
-them once.  Subspace claims read a description's membership once for
-the whole basis.
+family the basis and image arrays are written in closed form: the
+basis is laid out layer by layer, a prefix of length at least one
+never absorbs, so each generator shifts a whole layer onto a run of
+the next one, and only the depth-zero columns consult the edges.  A
+pair's basis and arrays are computed on integer word codes: shortlex
+codes per family, and twist tables filled from the one-letter moves of
+the word calculus give each column's new letter and every absorption
+step, for all columns and generators at once.  A column is a word
+code per family and a base position, named only when read: a report
+names the columns it cites.  A node set over the model's own
+presentation is read per base node and gathered by base position;
+any other description is asked about every column, by name.
 
 Every identity is computed from the image arrays themselves, with
 integer counts: there are no floats, no tolerances, and nothing is
@@ -55,6 +55,7 @@ modules.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -80,21 +81,21 @@ def _over_budget(depth: int) -> ResourceExceeded:
         f"vectors, the budget")
 
 
-def _free_nodes(p: Presentation) -> list:
-    # per label i, in base order, the nodes where S_i does not absorb
-    return [[b for b in p.base if (b, i) not in p.edges]
+def _free_slots(p: Presentation) -> list:
+    # per label i, the base positions where S_i does not absorb
+    return [[q for q, b in enumerate(p.base) if (b, i) not in p.edges]
             for i in range(1, p.m + 1)]
 
 
 def _single_basis_size(p: Presentation, depth: int) -> int:
-    """``len(_raw_single_basis(p, depth))``, counted without building it.
+    """The size of a single family's truncated basis, counted in closed form.
 
     A prefix of length L >= 1 ending in letter i sits on node b unless
     (b, i) is an edge, so the count is |base| + sum over L = 1..depth
     of m^(L-1) * #{(b, i) not in edges}.  The sum stops once it passes
     the budget, so a deep truncation costs no more than a shallow one.
     """
-    total, layer = len(p.base), sum(map(len, _free_nodes(p)))
+    total, layer = len(p.base), sum(map(len, _free_slots(p)))
     for _ in range(depth):
         if not layer or total > BASIS_BUDGET:
             break
@@ -103,59 +104,32 @@ def _single_basis_size(p: Presentation, depth: int) -> int:
     return total
 
 
-def _raw_single_basis(p: Presentation, depth: int) -> tuple:
-    """Every element of prefix length at most ``depth``, layer by layer.
+def _single_model(p: Presentation, depth: int) -> tuple:
+    """A single family's basis, image arrays and column depths.
 
-    Layer L >= 1 lists, for each head of length L - 1 in lexicographic
-    order and each last letter i, the nodes where letter i does not
-    absorb: each head owns a block of ``sum_i |free_i|`` columns.
-    """
-    # deliberately not presentation.enumerate: corrupted inputs must
-    # still materialize so the matrix checks can expose them
-    free = _free_nodes(p)
-    fields = [((), b) for b in p.base]
-    heads = [()]
-    for length in range(1, depth + 1):
-        if not any(free):
-            break  # every deeper layer is empty
-        if length > 1:
-            heads = [head + (i,) for head in heads
-                     for i in range(1, p.m + 1)]
-        fields += [(head + (i,), b) for head in heads
-                   for i, nodes in enumerate(free, 1) for b in nodes]
-    # tuple.__new__ builds each named tuple from its two fields without
-    # the field-wise constructor, about twice as fast
-    return tuple(map(tuple.__new__, itertools.repeat(Elem), fields))
-
-
-def _single_images(p: Presentation, depth: int) -> tuple:
-    """Each generator's image array and the column depths, in closed form.
-
-    A prefix of length L >= 1 never absorbs, so ``S_i`` maps layer L of
-    ``_raw_single_basis`` onto the i-th of m equal runs of layer L + 1,
-    column for column: ``offset[L+1] + (i-1)*size[L] + arange(size[L])``.
-    Only the |base| depth-zero columns are looked up in ``p.edges``.  A
-    node declared twice appears twice in each run, and its row is its
-    last occurrence, as in the model's index.
+    Layer 0 is the base.  Layer L >= 1 lists, for each head of length
+    L - 1 in lexicographic order and each last letter i, the base
+    positions where letter i does not absorb: each head owns a block of
+    ``width = sum_i |free_i|`` columns, so each column's word code is
+    closed-form.  A prefix of length L >= 1 never absorbs, so ``S_i``
+    maps layer L onto the i-th of m equal runs of layer L + 1, column
+    for column: ``offset[L+1] + (i-1)*size[L] + arange(size[L])``.  Only
+    the |base| depth-zero columns are looked up in ``p.edges``.  A node
+    declared twice appears twice in each run; its row is its last one.
     """
     import numpy as np
 
-    free = _free_nodes(p)
+    free = _free_slots(p)
     last = []  # per label: node -> its last position in the block
     rep = []   # per block position: the row that names the same element
-    for nodes in free:
-        at = {b: len(rep) + k for k, b in enumerate(nodes)}
+    for slots in free:
+        at = {p.base[q]: len(rep) + k for k, q in enumerate(slots)}
         last.append(at)
-        rep.extend(at[b] for b in nodes)
+        rep.extend(at[p.base[q]] for q in slots)
     width = len(rep)
-    sizes = [len(p.base)]
-    for length in range(1, depth + 1):
-        if not width:
-            break
-        sizes.append(width * p.m ** (length - 1))
-    offsets = [0]
-    for size in sizes:
-        offsets.append(offsets[-1] + size)
+    sizes = [len(p.base)] + [width * p.m ** (length - 1) for length in
+                             range(1, depth + 1) if width]
+    offsets = list(itertools.accumulate(sizes, initial=0))
     # the rows naming layer L's columns, relative to the layer's start,
     # are a prefix of this array for every L >= 1
     named = (np.arange(sizes[-2] // width if len(sizes) > 2 else 0,
@@ -175,8 +149,19 @@ def _single_images(p: Presentation, depth: int) -> tuple:
             arr[offsets[length]:offsets[length + 1]] = (
                 offsets[length + 1] + (i - 1) * size + named[:size])
         imgs[("s", i)] = arr
+    # past the base, the columns run through the heads in code order,
+    # one block each, and the word head + (i,) has code m * head + i
+    heads = np.arange((offsets[-1] - offsets[1]) // max(width, 1))
+    letter = np.repeat(np.arange(1, p.m + 1), list(map(len, free)))
+    slot = np.array([q for slots in free for q in slots], dtype=np.int64)
+    codes = (heads[:, None] * p.m + letter).ravel()
+    pos = np.broadcast_to(slot, (len(heads), width)).ravel()
+    basis = _LazyBasis(
+        Elem, (_Words(max(p.m, 1), len(sizes) - 1),),
+        (np.concatenate((np.zeros(len(p.base), dtype=np.int64), codes)),),
+        np.concatenate((np.arange(len(p.base)), pos)), p.base)
     depths = np.repeat(np.arange(len(sizes), dtype=np.int64), sizes)
-    return imgs, depths
+    return basis, imgs, depths
 
 
 def _pair_basis_lower_bound(pp: PairPresentation, depth: int) -> int:
@@ -200,7 +185,8 @@ class _Words:
     and then letter by letter, and prepending letter a to a word w adds
     ``a * k^|w|`` to its code.  ``length``, ``last`` (0 for the empty
     word) and ``head`` (the code without the last letter) are int32
-    tables indexed by code.
+    tables indexed by code, built on first use: naming words needs none
+    of them, so a single family's basis never builds them.
     """
 
     def __init__(self, k: int, top: int):
@@ -210,20 +196,29 @@ class _Words:
         self.powers = k ** np.arange(top + 1, dtype=np.int64)
         self.offsets = np.concatenate(([0], np.cumsum(self.powers)))
         self.size = int(self.offsets[-1])
-        self.length = np.repeat(np.arange(top + 1, dtype=np.int32),
-                                self.powers)
-        rank = np.arange(self.size) - self.offsets[self.length]
-        self.last = (rank % k + 1).astype(np.int32)
-        self.head = (self.offsets[self.length - 1]
-                     + rank // k).astype(np.int32)
-        self.last[0] = self.head[0] = 0  # the empty word
+
+    @functools.cached_property
+    def _tables(self) -> tuple:
+        import numpy as np
+
+        length = np.repeat(np.arange(self.top + 1, dtype=np.int32),
+                           self.powers)
+        rank = np.arange(self.size) - self.offsets[length]
+        last = (rank % self.k + 1).astype(np.int32)
+        head = (self.offsets[length - 1] + rank // self.k).astype(np.int32)
+        last[0] = head[0] = 0  # the empty word
+        return length, last, head
+
+    length = property(lambda self: self._tables[0])
+    last = property(lambda self: self._tables[1])
+    head = property(lambda self: self._tables[2])
 
     def tuples(self, codes: np.ndarray) -> list:
         """The words named by ``codes``, as tuples of letters."""
         import numpy as np
 
         uniq, at = np.unique(codes, return_inverse=True)
-        lengths = self.length[uniq]
+        lengths = np.searchsorted(self.offsets, uniq, side="right") - 1
         rank = uniq - self.offsets[lengths]
         # letter q of a word of length L is rank // k^(L-1-q) % k + 1
         shift = np.maximum(lengths[:, None] - 1 - np.arange(self.top), 0)
@@ -416,27 +411,28 @@ def _pair_images(pp: PairPresentation, tables: _PairTables, t: np.ndarray,
     return dict(zip(gens, rows))
 
 
-class _PairBasis(Sequence):
-    """A pair's basis vectors, named only when read.
+class _LazyBasis(Sequence):
+    """Basis vectors, named only when read.
 
-    Column k is ``PairElem(T-word t[k], S-word s[k], base[pos[k]])``.
-    The length needs no name; an index names one column; iterating
-    names every column at once and keeps the names.  It equals the
-    tuple of its names.
+    Column k is ``kind(*words, base[pos[k]])`` with one word per family,
+    ``words[f]`` naming its code ``codes[f][k]``: the prefix of an
+    ``Elem``, the T-word and S-word of a ``PairElem``.  The length needs
+    no name; an index names one column; iterating names every column at
+    once and keeps the names.  It equals the tuple of its names.
     """
 
-    def __init__(self, t_words: _Words, s_words: _Words, t: np.ndarray,
-                 s: np.ndarray, pos: np.ndarray, base: tuple):
-        self.t_words, self.s_words = t_words, s_words
-        self.t, self.s, self.pos, self.base = t, s, pos, base
+    def __init__(self, kind: type, words: tuple, codes: tuple,
+                 pos: np.ndarray, base: tuple):
+        self.kind, self.words, self.codes = kind, words, codes
+        self.pos, self.base = pos, base
         self._names = None
 
     def __len__(self) -> int:
-        return len(self.t)
+        return len(self.pos)
 
     def __getitem__(self, k):
         if self._names is None and not isinstance(k, slice):
-            k = range(len(self.t))[k]  # an int, in range
+            k = range(len(self))[k]  # an int, in range
             return self._decode(slice(k, k + 1))[0]
         return self._all()[k]
 
@@ -449,18 +445,15 @@ class _PairBasis(Sequence):
         return self._names
 
     def _decode(self, cols: slice) -> tuple:
-        from .pair import PairElem
-
-        t_names = self.t_words.tuples(self.t[cols])
-        s_names = self.s_words.tuples(self.s[cols])
+        names = [w.tuples(c[cols]) for w, c in zip(self.words, self.codes)]
         nodes = map(self.base.__getitem__, self.pos[cols].tolist())
-        # tuple.__new__ builds each named tuple from its three fields
-        # without the field-wise constructor, about twice as fast
-        return tuple(map(tuple.__new__, itertools.repeat(PairElem),
-                         zip(t_names, s_names, nodes)))
+        # tuple.__new__ builds each named tuple from its fields without
+        # the field-wise constructor, about twice as fast
+        return tuple(map(tuple.__new__, itertools.repeat(self.kind),
+                         zip(*names, nodes)))
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (tuple, _PairBasis)):
+        if isinstance(other, (tuple, _LazyBasis)):
             return len(self) == len(other) and self._all() == tuple(other)
         return NotImplemented
 
@@ -480,13 +473,13 @@ class OracleModel:
     ``interior`` flags the columns whose every generator image is in
     the basis.  ``depths`` holds each column's depth and
     ``letters[fam]`` how many letters of family ``fam`` its name
-    carries.  A single family's basis is a tuple ordered by layer
-    (prefix length), which is what lets ``materialize`` write its
-    arrays in closed form.  A pair's is ordered by depth, longer T-word
-    first, then by T-word, S-word and base position, and is a lazy
-    sequence over the word codes: its length names nothing, and a
-    column gets its ``PairElem`` name only when it is read, as the
-    verifiers read the columns they report.
+    carries.  The basis is a lazy sequence over word codes and base
+    positions (``_LazyBasis``): its length names nothing, and a column
+    gets its name only when it is read, as the verifiers read the
+    columns they report.  A single family's is ordered by layer (prefix
+    length), which is what lets ``materialize`` write it in closed
+    form; a pair's by depth, longer T-word first, then by T-word,
+    S-word and base position.
 
     The image arrays are read-only.  To corrupt a model, replace an
     array: nothing is built from the arrays ahead of a check, so every
@@ -531,15 +524,15 @@ def materialize(p: Union[Presentation, PairPresentation],
 
     The action is recomputed from the raw edge dictionaries, so a
     corrupted presentation materializes to matrices that expose the
-    corruption instead of hiding it.  A single family's arrays come in
-    closed form from the layer layout (``_single_images``): ``S_i``
-    maps layer L >= 1 onto a run of layer L + 1, and only the |base|
-    depth-zero columns are looked up in the edges.  A pair's basis and
-    arrays are computed on integer word codes (``_pair_basis_codes``,
-    ``_pair_images``).  A truncation over ``BASIS_BUDGET`` vectors
-    raises ``ResourceExceeded`` before any basis element is built, and
-    before numpy is loaded when a closed-form count (a pair's lower
-    bound) is already over the budget.
+    corruption instead of hiding it.  A single family's basis and arrays
+    come in closed form from the layer layout (``_single_model``):
+    ``S_i`` maps layer L >= 1 onto a run of layer L + 1, and only the
+    |base| depth-zero columns are looked up in the edges.  A pair's
+    basis and arrays are computed on integer word codes
+    (``_pair_basis_codes``, ``_pair_images``).  A truncation over
+    ``BASIS_BUDGET`` vectors raises ``ResourceExceeded`` before any
+    basis element is built, and before numpy is loaded when a
+    closed-form count (a pair's lower bound) is already over the budget.
     """
     if depth < 1:
         raise ValidationError(f"depth must be at least 1, got {depth}")
@@ -548,9 +541,12 @@ def materialize(p: Union[Presentation, PairPresentation],
             raise _over_budget(depth)
         import numpy as np
 
+        from .pair import PairElem
+
         tables = _PairTables(p, depth)
         t, s, pos = _pair_basis_codes(tables, depth)
-        basis = _PairBasis(tables.t_words, tables.s_words, t, s, pos, p.base)
+        basis = _LazyBasis(PairElem, (tables.t_words, tables.s_words),
+                           (t, s), pos, p.base)
         imgs = _pair_images(p, tables, t, s, pos)
         letters = {"s": tables.s_words.length[s],
                    "t": tables.t_words.length[t]}
@@ -559,8 +555,7 @@ def materialize(p: Union[Presentation, PairPresentation],
     else:
         if _single_basis_size(p, depth) > BASIS_BUDGET:
             raise _over_budget(depth)
-        basis = _raw_single_basis(p, depth)
-        imgs, depths = _single_images(p, depth)
+        basis, imgs, depths = _single_model(p, depth)
         letters = {"s": depths}
         adj = 0
     return OracleModel(p, depth, basis, tuple(imgs), imgs, depths, letters,
@@ -839,23 +834,25 @@ def verify_subspace(model: OracleModel, sub: SubspaceDesc, claims,
                     family: str = "s") -> Report:
     """Check subspace claims as exact matrix identities.
 
-    Q is the diagonal 0/1 projection of the description over the basis,
-    read with one ``contains_many`` call.  Invariance and reduction are
-    commutator checks against the family's row operator V, on its
-    forward-interior columns: invariance compares ``V Q^count`` with
-    ``Q V Q^count``, reduction ``Q V`` with ``V Q^count``, where
-    ``Q^count`` is Q on each of V's blocks; both read, per forward
-    column, whether it and its image are members (a gather).  With R =
-    V V^T the range projection of the family, the diagonal of image
-    counts, on adjoint-interior columns: unitary-on checks R Q = Q;
-    wandering checks that the columns R kills are exactly the members
-    whose name carries no letter of the family (read off
-    ``model.letters``; the wandering vectors, given as a set of
-    depth-zero vectors or as the node set of a pair's dead nodes).
-    shift-on walks each member's
-    backward chain (each column once) and demands certified death,
-    flagging any in-basis cycle.  ``family`` picks which family the
-    unitary-on, shift-on and wandering claims speak about.
+    Q is the diagonal 0/1 projection of the description over the basis:
+    a node set over the model's own presentation answers per base node
+    (``base_membership``), gathered by each column's base position, and
+    any other description per named column (``contains_many``).
+    Invariance and reduction are commutator checks against the family's
+    row operator V, on its forward-interior columns: invariance compares
+    ``V Q^count`` with ``Q V Q^count``, reduction ``Q V`` with
+    ``V Q^count``, where ``Q^count`` is Q on each of V's blocks; both
+    read, per forward column, whether it and its image are members (a
+    gather).  With R = V V^T the range projection of the family, the
+    diagonal of image counts, on adjoint-interior columns: unitary-on
+    checks R Q = Q; wandering checks that the columns R kills are
+    exactly the members whose name carries no letter of the family
+    (read off ``model.letters``; the wandering vectors, given as a set
+    of depth-zero vectors or as the node set of a pair's dead nodes).
+    shift-on walks each member's backward chain (each column once) and
+    demands certified death, flagging any in-basis cycle.  ``family``
+    picks which family the unitary-on, shift-on and wandering claims
+    speak about.
     """
     import numpy as np
 
@@ -871,8 +868,11 @@ def verify_subspace(model: OracleModel, sub: SubspaceDesc, claims,
         raise ValidationError("a single family has no T-family claims")
     basis = model.basis
     n = len(basis)
-    member = np.array(sub.contains_many(basis, model.presentation),
-                      dtype=bool)
+    answers = sub.base_membership(model.presentation)
+    if answers is None:
+        member = np.array(sub.contains_many(basis), dtype=bool)
+    else:
+        member = np.array(answers, dtype=bool)[basis.pos]
     for claim in sorted(set(claims)):
         fam = claim[0].lower() if claim[0] in "ST" else family
         if claim.endswith("-invariant") or claim.endswith("-reducing"):

@@ -104,8 +104,8 @@ class Presentation:
         self.in_edge = in_edge
         self._key = (m, self.base, tuple(sorted(normalized.items())))
         self._report: Optional[ValidationReport] = None
-        # enumerate's listing and the end of each depth in it
-        self._listing: Optional[tuple[list, list]] = None
+        # enumerate's listing, each depth's end in it, its objects' ids
+        self._listing: Optional[tuple[list, list, set]] = None
         # lebesgue.classify_unitary's result; its node-set descriptions
         # hold this presentation, so once classified the two are freed
         # together by the cycle collector
@@ -122,9 +122,7 @@ class Presentation:
                 f"edges={self.edges!r})")
 
     def require_valid(self) -> None:
-        report = self._report
-        if report is None:
-            report = validate(self)
+        report = self._report or validate(self)
         if report.violations:
             raise ValidationError(report.violations[0])
 
@@ -183,6 +181,9 @@ def validate(p: Presentation) -> ValidationReport:
 
 
 def _require_canonical(p: Presentation, x: Elem) -> None:
+    # enumerate built its listing's objects canonical in the valid p
+    if p._listing is not None and id(x) in p._listing[2]:
+        return
     if not isinstance(x, Elem):
         raise ValidationError(
             f"expected an Elem, got {type(x).__name__} {x!r}")
@@ -251,7 +252,7 @@ def enumerate(p: Presentation, depth: int) -> list[Elem]:
     if listing is None or depth >= len(listing[1]):
         # grown on a copy and stored whole: a published listing is never
         # changed, so no caller sees one without its depth ends
-        out, ends = ([], []) if listing is None else map(list, listing)
+        out, ends = ([], []) if listing is None else map(list, listing[:2])
         # per label i, in base order, the nodes where S_i does not absorb
         free = [[b for b in p.base if (b, i) not in p.edges]
                 for i in range(1, p.m + 1)]
@@ -263,9 +264,8 @@ def enumerate(p: Presentation, depth: int) -> list[Elem]:
                     range(1, p.m + 1), repeat=length)
                     for b in free[prefix[-1] - 1]])
             ends.append(len(out))
-        listing = p._listing = (out, ends)
-    out, ends = listing
-    return out[:ends[depth]]
+        listing = p._listing = (out, ends, set(map(id, out)))
+    return listing[0][:listing[1][depth]]
 
 
 def _elems(fields: Iterable[tuple]) -> list[Elem]:

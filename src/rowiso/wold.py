@@ -61,28 +61,32 @@ class SubspaceDesc:
 
         Over a presentation, every element given is guarded: it must be
         a canonical element of a valid presentation, or the call raises.
+        An element object of the presentation's own ``enumerate``
+        listing passed the guards when it was built.
         """
         if self.nodes is None:
             return x in self.seeds
         p = self.presentation
         if isinstance(p, Presentation):
-            # the guards' checks on a clean report, inlined: what passes
-            # here passes them, and the rest goes through them to be
-            # refused with their own error
-            report = p._report
-            ok = (type(x) is Elem and report is not None
-                  and not report.violations and x.node in p.node_index)
-            if ok:
-                prefix, m = x.prefix, p.m
-                for letter in prefix:
-                    if type(letter) is not int or not 0 < letter <= m:
-                        ok = False
-                        break
-                else:
-                    ok = not prefix or (x.node, prefix[-1]) not in p.edges
-            if not ok:
-                p.require_valid()
-                _require_canonical(p, x)
+            listing = p._listing
+            if listing is None or id(x) not in listing[2]:
+                # the guards' checks on a clean report, inlined: what
+                # passes here passes them, and the rest goes through
+                # them to be refused with their own error
+                report = p._report
+                ok = (type(x) is Elem and report is not None
+                      and not report.violations and x.node in p.node_index)
+                if ok:
+                    prefix, m = x.prefix, p.m
+                    for letter in prefix:
+                        if type(letter) is not int or not 0 < letter <= m:
+                            ok = False
+                            break
+                    else:
+                        ok = not prefix or (x.node, prefix[-1]) not in p.edges
+                if not ok:
+                    p.require_valid()
+                    _require_canonical(p, x)
         elif p is not None:
             # a pair, guarded through its method so that this module
             # does not import pair
@@ -90,26 +94,28 @@ class SubspaceDesc:
             p.require_canonical(x)
         return x.node in self.nodes
 
-    def contains_many(self, xs, canonical_in=None) -> list:
-        """``[self.contains(x) for x in xs]``, unless ``canonical_in``.
-
-        ``canonical_in`` names a presentation every element of ``xs`` is
-        canonical in, as the oracle's basis is in its own presentation.
-        If it is this description's presentation, no element is guarded;
-        a single family is validated once, and a pair, which the oracle
-        models without validating it, not at all.
-        """
+    def contains_many(self, xs) -> list:
+        """``[self.contains(x) for x in xs]``, an explicit set hashed once."""
         if self.nodes is None:
             seeds = frozenset(self.seeds)
             return [x in seeds for x in xs]
-        p = self.presentation
-        if canonical_in != p:
-            for x in xs:
-                self.contains(x)
-        elif xs and isinstance(p, Presentation):
+        return [self.contains(x) for x in xs]
+
+    def base_membership(self, p) -> Optional[list]:
+        """Whether the span holds the elements of each base node of ``p``.
+
+        Only a node set over ``p``, or over a presentation equal to it,
+        answers by base node, in base order; any other description
+        returns None, and each element must be asked.  A single family
+        is validated first, as :meth:`contains` would on any of its
+        elements, so not when it has no base node; a pair, which the
+        oracle models without validating it, not at all.
+        """
+        if self.nodes is None or self.presentation != p:
+            return None
+        if isinstance(p, Presentation) and p.base:
             p.require_valid()
-        nodes = self.nodes
-        return [x.node in nodes for x in xs]
+        return [b in self.nodes for b in p.base]
 
 
 @dataclass(frozen=True)

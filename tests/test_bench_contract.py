@@ -59,6 +59,20 @@ def test_every_failing_doubly_candidate_matches_its_golden_record():
                               workloads.pair_candidate(L, data)), key
 
 
+def test_every_oracle_checked_pair_matches_its_golden_record():
+    # the doubly-commuting candidates that decompose are the items whose
+    # corners the oracle reads by base node; every one of them is run
+    L = Layers()
+    expected = golden.load("pairs-small")
+    space = workloads.pair_space()
+    keys = [key for key, rec in expected.items() if "oracle_ok" in rec]
+    assert len(keys) == 1315
+    for key in keys:
+        data = space[int(key[len("cand-"):])]
+        assert golden.matches(expected[key],
+                              workloads.pair_candidate(L, data)), key
+
+
 def test_every_singles_item_matches_its_golden_record():
     # the oracle's block products decide oracle_ok on every single
     # presentation; the three seeds' thirds together run all of them

@@ -26,11 +26,10 @@ from rowiso.oracle import (
     _first_bad_columns,
     _image_counts,
     _isometry_defects,
+    _LazyBasis,
     _mul,
-    _PairBasis,
     _PairTables,
     _pair_basis_lower_bound,
-    _raw_single_basis,
     _shift_on,
     _single_basis_size,
     _tr,
@@ -220,15 +219,34 @@ def _raw_single_apply(edges: dict, m: int, i: int, x: Elem) -> Elem:
     return Elem((i,) + x.prefix, x.node)
 
 
+def _raw_single_basis(p: Presentation, depth: int) -> tuple:
+    """Every element of prefix length at most ``depth``, layer by layer.
+
+    Layer L >= 1 lists, for each head of length L - 1 in lexicographic
+    order and each last letter i, the nodes where letter i does not
+    absorb: each head owns a block of ``sum_i |free_i|`` columns.  These
+    are the names ``materialize`` once built for every column up front;
+    deliberately not ``presentation.enumerate``, which refuses the
+    corrupted presentations the oracle must still materialize.
+    """
+    free = [[b for b in p.base if (b, i) not in p.edges]
+            for i in range(1, p.m + 1)]
+    basis = [Elem((), b) for b in p.base]
+    heads = [()]
+    for length in range(1, depth + 1):
+        if not any(free):
+            break  # every deeper layer is empty
+        if length > 1:
+            heads = [head + (i,) for head in heads
+                     for i in range(1, p.m + 1)]
+        basis += [Elem(head + (i,), b) for head in heads
+                  for i, nodes in enumerate(free, 1) for b in nodes]
+    return tuple(basis)
+
+
 def reference_single_model(p: Presentation, depth: int) -> tuple:
     """Basis, image arrays and depths of a single family, column by column."""
-    basis = []
-    for length in range(depth + 1):
-        for prefix in itertools.product(range(1, p.m + 1), repeat=length):
-            for b in p.base:
-                if prefix and (b, prefix[-1]) in p.edges:
-                    continue
-                basis.append(Elem(prefix, b))
+    basis = _raw_single_basis(p, depth)
     index = {x: k for k, x in enumerate(basis)}
     imgs = {("s", i): [index.get(_raw_single_apply(p.edges, p.m, i, x), -1)
                        for x in basis]
@@ -265,7 +283,8 @@ class TestClosedFormImages:
     def assert_matches_reference(self, p, depth):
         model = materialize(p, depth)
         basis, imgs, depths = reference_single_model(p, depth)
-        assert model.basis == basis
+        # the names are TestLazySingleBasis' business
+        assert len(model.basis) == len(basis)
         assert model.keys == tuple(imgs)
         for key, want in imgs.items():
             assert model.imgs[key].dtype == np.int64
@@ -471,24 +490,24 @@ class TestPairCodesMatchReference:
 # -- lazy pair names ---------------------------------------------------------
 
 
-def eager_pair_basis(basis: _PairBasis) -> tuple:
+def eager_pair_basis(basis: _LazyBasis) -> tuple:
     """The names ``materialize`` used to build for every column up front."""
+    (t_words, s_words), (t, s) = basis.words, basis.codes
     return tuple(PairElem(tw, sw, basis.base[k]) for tw, sw, k in zip(
-        basis.t_words.tuples(basis.t), basis.s_words.tuples(basis.s),
-        basis.pos.tolist()))
+        t_words.tuples(t), s_words.tuples(s), basis.pos.tolist()))
 
 
 @pytest.fixture
 def decoded(monkeypatch):
-    """The columns a pair basis names, in order, across every model."""
+    """The columns a lazy basis names, in order, across every model."""
     seen = []
-    real = _PairBasis._decode
+    real = _LazyBasis._decode
 
     def counting(self, cols):
-        seen.extend(range(len(self.t))[cols])
+        seen.extend(range(len(self))[cols])
         return real(self, cols)
 
-    monkeypatch.setattr(_PairBasis, "_decode", counting)
+    monkeypatch.setattr(_LazyBasis, "_decode", counting)
     return seen
 
 
@@ -541,6 +560,85 @@ class TestLazyPairBasis:
             with pytest.raises(IndexError):
                 basis[k]
         assert basis != list(basis) and basis != tuple(basis)[:-1]
+
+
+# -- lazy single-family names -------------------------------------------------
+
+
+class TestLazySingleBasis:
+    def assert_names(self, p, depth, probes=(0, 1, -2, -1)):
+        basis = materialize(p, depth).basis
+        want = _raw_single_basis(p, depth)
+        assert len(basis) == len(want)
+        # one column at a time before the bulk naming, then from it
+        for k in probes:
+            if -len(want) <= k < len(want):
+                assert basis[k] == want[k], (p, depth, k)
+        assert tuple(basis) == want == basis, (p, depth)
+        assert all(type(x) is Elem for x in basis)
+
+    def test_every_small_presentation_at_depths_one_to_five(self):
+        for p in single_space():
+            for depth in range(1, 6):
+                self.assert_names(p, depth, probes=(-1,))
+
+    @pytest.mark.parametrize("name", sorted(CORRUPTED_SINGLES))
+    def test_corrupted_presentations(self, name):
+        # the node declared twice among them
+        for depth in range(1, 6):
+            self.assert_names(CORRUPTED_SINGLES[name], depth)
+
+    def test_length_and_passing_checks_name_nothing(self, decoded):
+        twin = Presentation(MIXED.m, MIXED.base, dict(MIXED.edges))
+        for p in (FREE2, SELF_LOOP, TWO_CYCLE, MIXED):
+            model = materialize(p, 4)
+            assert len(model.basis) == len(_raw_single_basis(p, 4))
+            assert verify_relations(model).ok
+            res = wold(p)
+            for part, claim in ((res.unitary_part, "unitary-on"),
+                                (res.shift_part, "shift-on")):
+                assert verify_subspace(model, part, ("S-reducing",
+                                                     claim)).ok
+        # a node set over an equal presentation is read by node too
+        model = materialize(twin, 4)
+        assert verify_subspace(model, full_space(MIXED), ("S-invariant",)).ok
+        assert decoded == []
+
+    def test_a_failing_report_names_only_its_columns(self, decoded):
+        cases = [(CORRUPTED_SINGLES["duplicate-in-edge"], None),
+                 (TWO_CYCLE, full_space(TWO_CYCLE)),
+                 (MIXED, SubspaceDesc((Elem((), "a"),), frozenset("a"),
+                                      MIXED))]
+        for p, sub in cases:
+            model = materialize(p, 3)
+            names = _raw_single_basis(p, 3)
+            if sub is None:
+                rows = verify_relations(model).rows
+            else:
+                rows = verify_subspace(model, sub, ("S-invariant",
+                                                    "shift-on")).rows
+            assert rows and len(decoded) == len(rows)
+            for row, col in zip(rows, decoded):
+                assert row.endswith(f" {names[col]!r}")
+            decoded.clear()
+
+
+def test_pair_corner_claims_name_no_column(decoded):
+    # a pair's corners are node sets over the model's own pair, read by
+    # base node; a failing claim names only the column it cites
+    model = materialize(FOUR_CORNERS, 4)
+    res = slocinski(FOUR_CORNERS)
+    for name, s_claim, t_claim in (("H_uu", "unitary-on", "unitary-on"),
+                                   ("H_us", "unitary-on", "shift-on"),
+                                   ("H_su", "shift-on", "unitary-on"),
+                                   ("H_ss", "shift-on", "shift-on")):
+        corner = getattr(res, name)
+        assert verify_subspace(model, corner, (
+            "S-reducing", "T-reducing", s_claim)).ok
+        assert verify_subspace(model, corner, (t_claim,), family="t").ok
+    assert decoded == []
+    report = verify_subspace(model, res.H_ss, ("unitary-on",))
+    assert len(report.rows) == len(decoded) == 1
 
 
 # -- operator kernels --------------------------------------------------------
@@ -804,7 +902,13 @@ def reference_relations(model) -> tuple:
 def reference_subspace(model, sub, claims, family="s") -> tuple:
     rows = []
     p, basis = model.presentation, model.basis
-    member = np.array(sub.contains_many(basis, p), dtype=bool)
+    if sub.nodes is not None and sub.presentation == p:
+        # the model's own elements are read by node, once validated
+        if isinstance(p, Presentation) and basis:
+            p.require_valid()
+        member = np.array([x.node in sub.nodes for x in basis], dtype=bool)
+    else:
+        member = np.array(sub.contains_many(basis), dtype=bool)
     Q = _diag(member.astype(np.int64))
     ran = None
     for claim in sorted(set(claims)):

@@ -594,10 +594,9 @@ class TestSlocinski:
                 with pytest.raises(ValidationError) as exc:
                     call()
                 assert str(exc.value) == text
-        # the oracle names the presentation its basis is canonical in
-        assert corner.contains_many([PairElem((), (), "a"),
-                                     PairElem((), (), "b")],
-                                    FOUR_CORNERS) == [True, False]
+        # the oracle reads its own pair's corners by base node
+        assert corner.base_membership(FOUR_CORNERS) == [True, False, False,
+                                                         False]
         invalid = PairPresentation(ID11, ("a",), {("a", 1): "zz"}, {})
         desc = SubspaceDesc((PairElem((), (), "a"),), frozenset({"a"}),
                             invalid)

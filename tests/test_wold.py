@@ -14,6 +14,7 @@ import pytest
 from rowiso.errors import ValidationError
 from rowiso.lebesgue import (UnitaryKind, classify_unitary,
                              sing_membership_test)
+from rowiso.oracle import materialize, verify_subspace
 from rowiso.pair import (PairElem, PairPresentation, enumerate_pair, mirror,
                          validate_pair)
 from rowiso.presentation import (Elem, Presentation, apply, free_presentation,
@@ -438,10 +439,18 @@ def outcome(call):
         return type(exc), str(exc)
 
 
-def assert_batch_matches(d, xs, canonical_in=None):
+def assert_batch_matches(d, xs):
     want = outcome(lambda: [d.contains(x) for x in xs])
-    assert outcome(lambda: d.contains_many(xs, canonical_in)) == want
+    assert outcome(lambda: d.contains_many(xs)) == want
     return want
+
+
+def by_node(d, p, xs):
+    """What ``d.base_membership(p)`` answers for ``xs``, read by node."""
+    answers = d.base_membership(p)
+    if answers is None:
+        return None
+    return [answers[p.base.index(x.node)] for x in xs]
 
 
 class TestContainsMany:
@@ -465,9 +474,11 @@ class TestContainsMany:
             for d in descs:
                 want = assert_batch_matches(d, xs)
                 assert isinstance(want, list)
-                # the guard skipped for the presentation's own elements
-                assert d.contains_many(xs, p) == want
-                assert d.contains_many(xs, twin) == want
+                # a node set answers the presentation's own elements,
+                # and an equal twin's, once per base node
+                for q in (p, twin):
+                    got = by_node(d, q, xs)
+                    assert got == (None if d.nodes is None else want)
                 assert d.contains_many([]) == []
 
     def test_pair_elements(self):
@@ -481,19 +492,46 @@ class TestContainsMany:
                   SubspaceDesc(spot),
                   SubspaceDesc(full, frozenset(FOUR_CORNERS.base),
                                FOUR_CORNERS)):
-            want = assert_batch_matches(d, xs, FOUR_CORNERS)
-            assert want == d.contains_many(xs)
+            want = assert_batch_matches(d, xs)
+            got = by_node(d, FOUR_CORNERS, xs)
+            assert got == (None if d.nodes is None else want)
             assert True in want
+
+    def test_a_pair_read_by_node_is_not_validated(self):
+        # the oracle models a pair without validating it
+        bad = PairPresentation(Theta.identity(1, 1), ("a", "b", "c"),
+                               {("a", 1): "c", ("b", 1): "c"}, {})
+        assert not validate_pair(bad).ok
+        d = SubspaceDesc((PairElem((), (), "a"),), frozenset("ac"), bad)
+        assert d.base_membership(bad) == [True, False, True]
+        assert outcome(lambda: d.contains(PairElem((), (), "a")))[0] \
+            is ValidationError
 
     def test_invalid_presentation_raises_as_contains_does(self):
         bad = Presentation(1, ("a", "b", "c"), {("a", 1): "c", ("b", 1): "c"})
         d = node_set(bad, ("a",))
         xs = [Elem((), "a"), Elem((), "b"), Elem((1,), "a")]
         want = (ValidationError, "node 'c' has in-degree 2: ('a',1), ('b',1)")
-        assert assert_batch_matches(d, xs, bad) == want
+        assert assert_batch_matches(d, xs) == want
         # a seed is no exception: the guard runs before the node test
-        assert assert_batch_matches(d, xs[:1], bad) == want
-        assert d.contains_many([], bad) == []
+        assert assert_batch_matches(d, xs[:1]) == want
+        # read by node, the presentation is validated once
+        assert outcome(lambda: d.base_membership(bad)) == want
+        model = materialize(bad, 2)
+        assert outcome(lambda: verify_subspace(model, d, ("S-reducing",))) \
+            == want
+        assert d.contains_many([]) == []
+
+    def test_an_empty_basis_validates_nothing(self):
+        # no base node, so no element to guard: the invalid presentation
+        # is not refused
+        bad = Presentation(1, (), {("a", 1): "b"})
+        assert not validate(bad).ok
+        d = SubspaceDesc((), frozenset(), bad)
+        assert d.base_membership(bad) == []
+        model = materialize(bad, 3)
+        assert len(model.basis) == 0
+        assert verify_subspace(model, d, ("S-reducing", "unitary-on")).ok
 
     def test_foreign_element_raises_as_contains_does(self):
         # <s1|c> is canonical in the edge-free family, not where letter
@@ -501,12 +539,16 @@ class TestContainsMany:
         p = Presentation(1, ("a", "c"), {("c", 1): "a"})
         q = Presentation(1, ("a", "c"), {})
         xs = enumerate_basis(q, 2)
+        model = materialize(q, 2)
         for root in ("a", "c"):
             d = node_set(p, (root,))
             want = (ValidationError, "element <s1|c> is not canonical: "
                                      "letter 1 absorbs at 'c'")
             assert assert_batch_matches(d, xs) == want
-            assert assert_batch_matches(d, xs, q) == want
+            # over a foreign presentation every element is guarded
+            assert d.base_membership(q) is None
+            assert outcome(lambda: verify_subspace(
+                model, d, ("S-reducing",))) == want
 
 
 # -- the inline guard of contains -------------------------------------------
@@ -625,3 +667,87 @@ class TestNonIntegerLetters:
         for x, text in self.CASES:
             for name, call in self.entry_points(x).items():
                 assert outcome(call) == (ValidationError, text), (x, name)
+
+
+# -- enumerate's own elements ------------------------------------------------
+
+
+class LookupCount(dict):
+    """A node index that counts the guards' membership tests on it."""
+
+    hits = 0
+
+    def __contains__(self, key):
+        self.hits += 1
+        return super().__contains__(key)
+
+
+class TestCertifiedListing:
+    # enumerate's own element objects are accepted without the guards;
+    # any other object takes them, however equal it is to a listed one
+    P = (2, ("a", "b"), {("a", 1): "b"})
+
+    def entry_points(self, p, x):
+        d = SubspaceDesc((Elem((), "b"),), frozenset(p.base), p)
+        return {
+            "contains": lambda: d.contains(x),
+            "contains_many": lambda: d.contains_many([x]),
+            "apply": lambda: apply(p, p.m, x),
+            "pred": lambda: pred(p, x),
+            "membership": lambda: membership(p, x),
+        }
+
+    def test_an_equal_element_is_refused_as_before(self):
+        cases = [(Elem((True,), "b"), "letter True is not an integer"),
+                 (Elem((1.0,), "b"), "letter 1.0 is not an integer"),
+                 (Elem((2, True), "b"), "letter True is not an integer")]
+        for x, text in cases:
+            p = Presentation(*self.P)
+            listed = enumerate_basis(p, 3)
+            # equal to a listed element, and of the same hash
+            assert x in set(listed)
+            calls = self.entry_points(p, x)
+            calls["sing_membership_test"] = \
+                lambda: sing_membership_test(p, x, 3)
+            for name, call in calls.items():
+                assert outcome(call) == (ValidationError, text), (x, name)
+
+    def test_listed_objects_skip_the_guards_after_a_regrowth(self):
+        p = Presentation(*self.P)
+        shallow = enumerate_basis(p, 2)
+        deep = enumerate_basis(p, 5)  # regrows the listing
+        assert len(deep) > len(shallow)
+        p.node_index = lookups = LookupCount(p.node_index)
+        for x in shallow + deep:
+            for call in self.entry_points(p, x).values():
+                call()
+        assert lookups.hits == 0
+        # a rebuilt element is another object: it takes the guards, and
+        # gets the same answers
+        for x in shallow:
+            twin = Elem(tuple(list(x.prefix)), x.node)
+            calls = self.entry_points(p, twin)
+            for name, call in self.entry_points(p, x).items():
+                before = lookups.hits
+                assert calls[name]() == call()
+                assert lookups.hits > before, (x, name)
+
+    def test_a_listing_vouches_only_for_its_own_presentation(self):
+        p1 = Presentation(1, ("a", "c"), {})
+        p2 = Presentation(1, ("a", "c"), {("c", 1): "a"})
+        x = enumerate_basis(p1, 2)[3]
+        assert x == Elem((1,), "c")
+        enumerate_basis(p2, 2)  # p2 keeps a listing of its own
+        want = (ValidationError, "element <s1|c> is not canonical: "
+                                 "letter 1 absorbs at 'c'")
+        for name, call in self.entry_points(p2, x).items():
+            assert outcome(call) == want, name
+        # an equal presentation guards it, and accepts it
+        twin = Presentation(1, ("a", "c"), {})
+        enumerate_basis(twin, 2)
+        twin.node_index = lookups = LookupCount(twin.node_index)
+        for name, call in self.entry_points(twin, x).items():
+            before = lookups.hits
+            call()
+            assert lookups.hits > before, name
+        assert SubspaceDesc((), frozenset("c"), twin).contains(x)
