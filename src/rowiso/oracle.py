@@ -59,7 +59,7 @@ import functools
 import itertools
 from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Union
+from typing import TYPE_CHECKING, Optional, Union
 
 from .errors import ResourceExceeded, ValidationError
 from .presentation import Elem, Presentation
@@ -444,7 +444,19 @@ class _LazyBasis(Sequence):
             self._names = self._decode(slice(None))
         return self._names
 
-    def _decode(self, cols: slice) -> tuple:
+    def names(self, cols) -> dict:
+        """Each distinct column of ``cols`` mapped to its name, every one
+        named in one decode."""
+        import numpy as np
+
+        cols = sorted(set(cols))
+        if not cols:
+            return {}
+        if self._names is not None:
+            return {k: self._names[k] for k in cols}
+        return dict(zip(cols, self._decode(np.array(cols, dtype=np.int64))))
+
+    def _decode(self, cols) -> tuple:
         names = [w.tuples(c[cols]) for w, c in zip(self.words, self.codes)]
         nodes = map(self.base.__getitem__, self.pos[cols].tolist())
         # tuple.__new__ builds each named tuple from its fields without
@@ -574,6 +586,11 @@ def materialize(p: Union[Presentation, PairPresentation],
 # j).
 
 
+def _images(model: OracleModel, fam: str) -> list:
+    """The family's image arrays as they are, never copied into a stack."""
+    return [model.imgs[key] for key in model.keys if key[0] == fam]
+
+
 def _family(model: OracleModel, fam: str) -> np.ndarray:
     import numpy as np
 
@@ -594,49 +611,67 @@ def _compose(outer: np.ndarray, inner: np.ndarray) -> np.ndarray:
                     -1)
 
 
-def _image_counts(stack: np.ndarray, n: int) -> np.ndarray:
-    """The diagonal of ``sum G G^T`` over the stacked generators.
+def _image_counts(stack, n: int) -> np.ndarray:
+    """The diagonal of ``sum G G^T`` over the generators' image arrays.
 
     ``G G^T`` puts, at (r, r'), the number of columns G sends to both r
     and r', so the sum is diagonal and its entry r counts the columns
-    the family sends to r: one ``bincount``.
+    the family sends to r: one ``bincount`` per generator.
     """
     import numpy as np
 
-    return np.bincount(stack[stack >= 0], minlength=n)
+    counts = np.zeros(n + 1, dtype=np.int64)
+    for row in stack:
+        # shifted by one, a column outside the basis counts in bin 0
+        counts += np.bincount(row + 1, minlength=n + 1)
+    return counts[1:]
 
 
-def _isometry_defects(stack: np.ndarray, counts: np.ndarray) -> dict:
+def _isometry_defects(stack, counts: np.ndarray) -> dict:
     """Where ``V^T V`` differs from the identity, by block.
 
-    V is the row operator ``[G_1 ... G_count]``.  Column c of block j
-    of ``V^T V`` holds, in row block i, every column a with ``G_i e_a =
-    G_j e_c``.  On a column ``G_j`` keeps in the basis that is ``e_c``
-    in block j and nothing else unless ``counts`` (the image counts)
-    says its image is shared, so only the shared images are grouped.
+    V is the row operator ``[G_1 ... G_count]``, given by its
+    generators' image arrays.  Column c of block j of ``V^T V`` holds,
+    in row block i, every column a with ``G_i e_a = G_j e_c``.  On a
+    column ``G_j`` keeps in the basis that is ``e_c`` in block j and
+    nothing else unless ``counts`` (the image counts) says its image is
+    shared, so only the entries with a shared image are read: two of
+    them with one image, in blocks i and j, put (i, j) at the column of
+    the one in block j.
     Maps each failing (i, j), in order, to its first column, as
     ``_first_bad_columns`` does.
     """
     import numpy as np
 
-    shared = counts[stack] > 1
-    shared &= stack >= 0
+    shared = counts > 1
     if not shared.any():
         return {}
-    k, c = np.nonzero(shared)  # by block, then column
-    values, group = np.unique(stack[k, c], return_inverse=True)
+    k, c, image = [], [], []
+    for block, row in enumerate(stack):
+        cols = np.flatnonzero(shared[row] & (row >= 0))
+        k.append(np.full(len(cols), block))
+        c.append(cols)
+        image.append(row[cols])
+    k, c, image = map(np.concatenate, (k, c, image))
+    # group the entries by image; entry e then meets every entry e2 of
+    # its group, in a run of pairs as long as the group
+    order = np.argsort(image)
+    k, c, image = k[order], c[order], image[order]
+    starts = np.flatnonzero(np.r_[True, image[1:] != image[:-1]])
+    sizes = np.diff(np.r_[starts, len(image)])
+    size = np.repeat(sizes, sizes)  # per entry, its group's size
+    e = np.repeat(np.arange(len(k)), size)
+    run = np.repeat(np.cumsum(size) - size, size)  # where e's run starts
+    e2 = np.repeat(np.repeat(starts, sizes), size) + np.arange(len(e)) - run
+    keep = e != e2
     count = len(stack)
-    per_block = np.zeros((len(values), count), dtype=np.int64)
-    np.add.at(per_block, (group, k), 1)
-    # the other columns sharing entry e's image, per row block
-    others = per_block[group] - (np.arange(count) == k[:, None])
-    bad = {}
-    for i in range(count):
-        for j in range(count):
-            hit = (k == j) & (others[:, i] > 0)
-            if hit.any():
-                bad[(i, j)] = int(c[np.argmax(hit)])
-    return bad
+    key = k[e2[keep]] * count + k[e[keep]]  # (i, j) = (e2's block, e's)
+    col = c[e[keep]]
+    first = np.lexsort((col, key))
+    key, col = key[first], col[first]
+    head = np.r_[True, key[1:] != key[:-1]]
+    return {divmod(a, count): b for a, b in zip(key[head].tolist(),
+                                                col[head].tolist())}
 
 
 def _block_entries(stack: np.ndarray, n: int) -> tuple:
@@ -744,30 +779,41 @@ def verify_relations(model: OracleModel) -> Report:
     """
     import numpy as np
 
-    rows: list = []
-    basis = model.basis
-    n = len(basis)
+    cited: list = []
+    n = len(model.basis)
     pair = model.is_pair
     for fam in ("s", "t") if pair else ("s",):
-        stack = _family(model, fam)
-        counts = _image_counts(stack, n)
+        images = _images(model, fam)
+        counts = _image_counts(images, n)
         # adjoint rows are exact wherever the forward image is in-basis,
         # no extra cost
-        bad = _isometry_defects(stack, counts)
-        rows.extend(f"{fam}[{i+1}]^T {fam}[{j+1}]: differs at column "
-                    f"{basis[col]!r}" for (i, j), col in bad.items())
+        bad = _isometry_defects(images, counts)
+        cited.extend((f"{fam}[{i+1}]^T {fam}[{j+1}]: differs at column ",
+                      col) for (i, j), col in bad.items())
         over = counts > 1
         if pair:
             over &= model.mask(adjoint=1)
         if over.any():
-            bad = int(np.argmax(over))
-            rows.append(f"sum {fam}{fam}^T exceeds identity at {basis[bad]!r}")
+            cited.append((f"sum {fam}{fam}^T exceeds identity at ",
+                          int(np.argmax(over))))
     if pair:
-        _verify_pair_relations(rows, model)
-    return Report(tuple(rows))
+        _verify_pair_relations(cited, model)
+    return _report(model.basis, cited)
 
 
-def _verify_pair_relations(rows: list, model: OracleModel) -> None:
+def _report(basis: _LazyBasis, cited: list) -> Report:
+    """The rows ``text + repr(name)`` for each cited ``(text, column)``.
+
+    Every distinct column is named once, all of them in one decode.
+    """
+    if not cited:
+        return Report(())
+    shown = {col: repr(x) for col, x in
+             basis.names(col for _, col in cited).items()}
+    return Report(tuple(text + shown[col] for text, col in cited))
+
+
+def _verify_pair_relations(cited: list, model: OracleModel) -> None:
     """The twisted commutation rows, then both displays per label pair.
 
     Every forward product is a gather: ``S_i T_j`` and ``T_j2 S_i2``
@@ -781,8 +827,7 @@ def _verify_pair_relations(rows: list, model: OracleModel) -> None:
     import numpy as np
 
     pp = model.presentation
-    basis = model.basis
-    n = len(basis)
+    n = len(model.basis)
     S, T = _family(model, "s"), _family(model, "t")
     entries = sorted(pp.theta.map.items())
     i, j, i2, j2 = np.array([a + b for a, b in entries],
@@ -792,8 +837,8 @@ def _verify_pair_relations(rows: list, model: OracleModel) -> None:
     bad = (lhs >= 0) & (rhs >= 0) & (lhs != rhs)
     for e in np.flatnonzero(bad.any(axis=1)).tolist():
         (a, b), (a2, b2) = entries[e]
-        rows.append(f"S{a} T{b} = T{b2} S{a2}: differs at column "
-                    f"{basis[int(np.argmax(bad[e]))]!r}")
+        cited.append((f"S{a} T{b} = T{b2} S{a2}: differs at column ",
+                      int(np.argmax(bad[e]))))
     # doubly-commuting displays, block d holding one; G stacks S over T.
     # Each sum has at most one live term per column because
     # predecessors are unique
@@ -820,8 +865,8 @@ def _verify_pair_relations(rows: list, model: OracleModel) -> None:
     mask = np.tile(model.mask(forward=1, adjoint=1), len(labels))
     # both sides are block diagonal, so each difference is in a block (d, d)
     bad = _first_bad_columns(lhs, rhs, mask, n, len(labels) * n)
-    rows.extend(f"{labels[d]}: differs at column {basis[col]!r}"
-                for (_, d), col in bad.items())
+    cited.extend((f"{labels[d]}: differs at column ", col)
+                 for (_, d), col in bad.items())
 
 
 # ------------------------------------------------------------ subspace claims
@@ -849,14 +894,15 @@ def verify_subspace(model: OracleModel, sub: SubspaceDesc, claims,
     exactly the members whose name carries no letter of the family
     (read off ``model.letters``; the wandering vectors, given as a set
     of depth-zero vectors or as the node set of a pair's dead nodes).
-    shift-on walks each member's backward chain (each column once) and
-    demands certified death, flagging any in-basis cycle.  ``family``
-    picks which family the unitary-on, shift-on and wandering claims
-    speak about.
+    shift-on follows every member's backward chain at once, by pointer
+    doubling (``_shift_on``), and demands certified death, flagging any
+    in-basis cycle.  ``family`` picks which family the unitary-on,
+    shift-on and wandering claims speak about.  The report names each
+    column it cites once, all of them in one decode.
     """
     import numpy as np
 
-    rows: list = []
+    cited: list = []
     unknown = set(claims) - set(CLAIMS)
     if unknown:
         raise ValidationError(f"unknown claims: {sorted(unknown)}")
@@ -885,13 +931,13 @@ def verify_subspace(model: OracleModel, sub: SubspaceDesc, claims,
                 bad = live & member & ~moved
             else:
                 bad = live & (moved != member)
-            rows.extend(f"{claim} fails for {fam}[{k+1}] at column "
-                        f"{basis[int(np.argmax(bad[k]))]!r}"
-                        for k in np.flatnonzero(bad.any(axis=1)).tolist())
+            cited.extend((f"{claim} fails for {fam}[{k+1}] at column ",
+                          int(np.argmax(bad[k])))
+                         for k in np.flatnonzero(bad.any(axis=1)).tolist())
         elif claim in ("unitary-on", "wandering"):
             # R Q = Q on member column c exactly when R's diagonal is 1
             # there
-            counts = _image_counts(_family(model, fam), n)
+            counts = _image_counts(_images(model, fam), n)
             if claim == "unitary-on":
                 bad = member & model.mask(adjoint=1) & (counts != 1)
             else:
@@ -901,42 +947,42 @@ def verify_subspace(model: OracleModel, sub: SubspaceDesc, claims,
                 bare = member & (model.letters[fam] == 0)
                 bad = model.mask(adjoint=1) & ((counts > 0) == bare)
             if bad.any():
-                rows.append(f"{claim} fails at column "
-                            f"{basis[int(np.argmax(bad))]!r}")
+                cited.append((f"{claim} fails at column ",
+                              int(np.argmax(bad))))
         elif claim == "shift-on":
-            rows.extend(_shift_on(model, member, fam, basis))
-    return Report(tuple(rows))
+            start = _shift_on(model, member, fam)
+            if start is not None:
+                cited.append(("shift-on fails: cycle through ", start))
+    return _report(basis, cited)
 
 
-def _shift_on(model: OracleModel, member: np.ndarray, fam: str,
-              basis: tuple) -> list:
+def _shift_on(model: OracleModel, member: np.ndarray,
+              fam: str) -> Optional[int]:
+    """The first member column whose backward chain never stops.
+
+    A chain steps from a column to its predecessor, and stops at a
+    column with none (certified death) or at one whose true predecessor
+    may lie outside the basis (not adjoint-interior).  With the stops
+    sent to a sentinel column that maps to itself, ``jump`` squared
+    ``k`` times takes ``2^k`` steps at once; a chain that stops does so
+    within n steps, so ``ceil(log2(n + 1)) = n.bit_length()``
+    squarings leave on a column other than the sentinel exactly the
+    chains that run forever, through an in-basis cycle.  None when
+    there is no such member.
+    """
     import numpy as np
 
-    # backward chains must die; every step is trusted only while the
-    # current vector's true predecessor is guaranteed in-basis
     count = model.presentation.m if fam == "s" else model.presentation.n
-    n = len(basis)
+    n = len(member)
     pred = np.full(n, -1, dtype=np.int64)
     for k in range(1, count + 1):
         arr = model.imgs[(fam, k)]
         cols = np.nonzero(arr >= 0)[0]
         pred[arr[cols]] = cols
-    pred = pred.tolist()
-    safe = model.mask(adjoint=1).tolist()
-    # a column's chain is its predecessor's chain one step longer, so
-    # each column is walked once; state 1 marks the current walk, state
-    # 2 a column whose chain dies or leaves the safe columns
-    state = [0] * n
-    for start in np.flatnonzero(member).tolist():
-        cur, path = start, []
-        while safe[cur] and state[cur] != 2:
-            if state[cur] == 1:
-                return [f"shift-on fails: cycle through {basis[start]!r}"]
-            state[cur] = 1
-            path.append(cur)
-            cur = pred[cur]
-            if cur < 0:
-                break  # certified death
-        for col in path:
-            state[col] = 2
-    return []
+    jump = np.full(n + 1, n, dtype=np.int64)
+    go = model.mask(adjoint=1) & (pred >= 0)
+    jump[:n][go] = pred[go]
+    for _ in range(n.bit_length()):
+        jump = jump[jump]
+    bad = member & (jump[:n] != n)
+    return int(np.argmax(bad)) if bad.any() else None

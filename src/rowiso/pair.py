@@ -17,6 +17,13 @@ data may contradict theta.  Decomposition operations refuse such pairs,
 and pairs that are not jointly isometric, with a typed error; the checks
 that produce the verdicts only ever use deterministic one-step
 evaluation that stays well-defined either way.
+
+Every entry point that takes an element guards it once, at entry.  The
+objects of the pair's own :func:`enumerate_pair` listing were built
+canonical and pass at once; any other element takes one inline check,
+and only one that fails it runs the full checks, which refuse it with
+ValidationError.  Internal loops call the unguarded kernels instead,
+which take irreducible elements: fixed points of the reduction.
 """
 
 from __future__ import annotations
@@ -225,11 +232,39 @@ def validate_pair(pp: PairPresentation) -> ValidationReport:
 
 
 def _require_canonical(pp: PairPresentation, x: PairElem) -> None:
+    # the objects of the pair's own listing were built canonical
+    listing = pp._cache.get("listing")
+    if listing is not None and id(x) in listing[2]:
+        return
+    # the checks below on a well-formed element, inlined: what passes
+    # here passes them, and the rest goes through them to be refused
+    # with their own error
+    try:
+        if type(x) is PairElem:
+            t, s, b = x
+            if (type(t) is tuple and type(s) is tuple and b in pp.node_index
+                    and _letters_in(t, pp.n) and _letters_in(s, pp.m)
+                    and not (s and (b, s[-1]) in pp.s_edges)
+                    and not (t and b in pp.t_sources and (
+                        b, commute_t_right(pp.theta, s, t[-1])[1])
+                        in pp.t_edges)):
+                return
+    except TypeError:  # an unhashable node
+        pass
     if not isinstance(x, PairElem):
         raise ValidationError(
             f"expected a PairElem, got {type(x).__name__} {x!r}")
-    if x.node not in pp.node_index:
+    try:
+        declared = x.node in pp.node_index
+    except TypeError:
+        raise ValidationError(
+            f"element node {x.node!r} is not hashable") from None
+    if not declared:
         raise ValidationError(f"element node {x.node!r} is not a base node")
+    for word, family in ((x.s_prefix, "S"), (x.t_prefix, "T")):
+        if not isinstance(word, tuple):
+            raise ValidationError(
+                f"element {family}-word {word!r} is not a tuple")
     validate_word(x.s_prefix, pp.m)
     validate_word(x.t_prefix, pp.n)
     if x.s_prefix and (x.node, x.s_prefix[-1]) in pp.s_edges:
@@ -240,6 +275,14 @@ def _require_canonical(pp: PairPresentation, x: PairElem) -> None:
         if (x.node, arriving) in pp.t_edges:
             raise ValidationError(
                 f"element {x!r} is not canonical: T-letter absorbs")
+
+
+def _letters_in(word: tuple, size: int) -> bool:
+    # every letter an int (not a bool) in 1..size
+    for letter in word:
+        if type(letter) is not int or not 0 < letter <= size:
+            return False
+    return True
 
 
 def _reduce_raw(pp: PairPresentation, t: Word, s: Word, b: Node) -> PairElem:
@@ -266,7 +309,12 @@ def _s_apply_raw(pp: PairPresentation, i: int, x: PairElem) -> PairElem:
 
 
 def _t_apply_raw(pp: PairPresentation, j: int, x: PairElem) -> PairElem:
-    return _reduce_raw(pp, (j,) + x.t_prefix, x.s_prefix, x.node)
+    # x is irreducible: a fixed point of _reduce_raw.  Behind a T-letter
+    # of x the fresh one stays outside its innermost T-letter, which
+    # stays blocked, so only a bare x can absorb it
+    if x.t_prefix:
+        return PairElem((j,) + x.t_prefix, x.s_prefix, x.node)
+    return _reduce_raw(pp, (j,), x.s_prefix, x.node)
 
 
 def s_apply(pp: PairPresentation, i: int, x: PairElem) -> PairElem:
@@ -279,7 +327,13 @@ def s_apply(pp: PairPresentation, i: int, x: PairElem) -> PairElem:
 
 
 def t_apply(pp: PairPresentation, j: int, x: PairElem) -> PairElem:
-    """The image ``T_j x`` as a canonical element."""
+    """The image ``T_j x`` as a canonical element.
+
+    x is guarded once: an object of the pair's own listing passes at
+    once, and any other element takes one inline check.  Behind a
+    T-letter of x, whose innermost one stays blocked, ``T_j`` only
+    prepends j; only an x without T-letters is reduced.
+    """
     pp.require_commuting()
     if not 1 <= j <= pp.n:
         raise ValidationError(f"T-label {j} outside 1..{pp.n}")
@@ -306,31 +360,44 @@ def enumerate_pair(pp: PairPresentation, depth: int) -> list[PairElem]:
     """All canonical elements of joint depth |t|+|s| <= depth.
 
     Ordered by (joint depth, |t|, t lexicographically, s
-    lexicographically, node declaration order).  A window whose free
-    words number more than ``PAIR_WINDOW_BUDGET`` raises
+    lexicographically, node declaration order); the listing at depth d
+    is a prefix of the listing at depth d+1.  So one listing is kept on
+    the pair, grown to the deepest depth asked for, and each call
+    returns a new list sliced from it.  The listing holds its objects
+    and records their ids, and the guards accept one of those objects
+    at once; any other element takes one inline check.  A window whose
+    free words number more than ``PAIR_WINDOW_BUDGET`` raises
     ``ResourceExceeded`` before any element is built.
     """
     pp.require_valid()
     if depth < 0:
         raise ValidationError("depth must be nonnegative")
-    if _free_word_bound(pp, depth) > PAIR_WINDOW_BUDGET:
-        raise ResourceExceeded(
-            f"pair window at depth {depth} has more than "
-            f"{PAIR_WINDOW_BUDGET} free words, the budget")
-    out: list[PairElem] = []
-    for total in range(depth + 1):
-        for t_len in range(total, -1, -1):
-            for t in _cartesian(range(1, pp.n + 1), repeat=t_len):
-                for s in _cartesian(range(1, pp.m + 1), repeat=total - t_len):
-                    for b in pp.base:
-                        if s and (b, s[-1]) in pp.s_edges:
-                            continue
-                        if t and b in pp.t_sources:
-                            _, arriving = commute_t_right(pp.theta, s, t[-1])
-                            if (b, arriving) in pp.t_edges:
+    listing = pp._cache.get("listing")
+    if listing is None or depth >= len(listing[1]):
+        if _free_word_bound(pp, depth) > PAIR_WINDOW_BUDGET:
+            raise ResourceExceeded(
+                f"pair window at depth {depth} has more than "
+                f"{PAIR_WINDOW_BUDGET} free words, the budget")
+        # grown on a copy and stored whole, as presentation.enumerate
+        # grows its listing
+        out, ends = ([], []) if listing is None else map(list, listing[:2])
+        for total in range(len(ends), depth + 1):
+            for t_len in range(total, -1, -1):
+                for t in _cartesian(range(1, pp.n + 1), repeat=t_len):
+                    for s in _cartesian(range(1, pp.m + 1),
+                                        repeat=total - t_len):
+                        for b in pp.base:
+                            if s and (b, s[-1]) in pp.s_edges:
                                 continue
-                        out.append(PairElem(t, s, b))
-    return out
+                            if t and b in pp.t_sources:
+                                _, arriving = commute_t_right(pp.theta, s,
+                                                              t[-1])
+                                if (b, arriving) in pp.t_edges:
+                                    continue
+                            out.append(PairElem(t, s, b))
+            ends.append(len(out))
+        listing = pp._cache["listing"] = (out, ends, set(map(id, out)))
+    return listing[0][:listing[1][depth]]
 
 
 def check_theta_commute(pp: PairPresentation) -> CommutationReport:
@@ -486,11 +553,12 @@ def _base_preds(pp: PairPresentation) -> dict:
 def _t_pred_raw(pp: PairPresentation, x: PairElem
                 ) -> Optional[tuple[int, PairElem]]:
     # t_pred without the entry guards: pp (and so its mirror)
-    # theta-commutes and x is canonical
+    # theta-commutes and x is canonical, so irreducible
     t = x.t_prefix
     if t:
-        # T-letters are outside, so the outer one strips directly
-        y = _reduce_raw(pp, t[1:], x.s_prefix, x.node)
+        # T-letters are outside, so the outer one strips directly; the
+        # rest keeps x's blocked innermost letters, and so is canonical
+        y = PairElem(t[1:], x.s_prefix, x.node)
         if _t_apply_raw(pp, t[0], y) != x:
             raise ContractViolation(
                 f"stripping the outer T-letter of {x!r} does not invert: "

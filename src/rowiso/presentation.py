@@ -187,8 +187,15 @@ def _require_canonical(p: Presentation, x: Elem) -> None:
     if not isinstance(x, Elem):
         raise ValidationError(
             f"expected an Elem, got {type(x).__name__} {x!r}")
-    if x.node not in p.node_index:
+    try:
+        declared = x.node in p.node_index
+    except TypeError:
+        raise ValidationError(
+            f"element node {x.node!r} is not hashable") from None
+    if not declared:
         raise ValidationError(f"element node {x.node!r} is not a base node")
+    if not isinstance(x.prefix, tuple):
+        raise ValidationError(f"element prefix {x.prefix!r} is not a tuple")
     for letter in x.prefix:
         if not isinstance(letter, int) or isinstance(letter, bool):
             raise ValidationError(f"letter {letter!r} is not an integer")

@@ -171,7 +171,9 @@ def s_membership(pp: PairPresentation, x: PairElem) -> Part:
     The guards run once, at entry: a pair that does not theta-commute,
     or is not jointly isometric, raises ContractViolation with the
     first failure of its report, and x must be canonical.  On a pair
-    already checked, the pair's guard is one cache lookup.
+    already checked, the pair's guard is one cache lookup; an object of
+    the pair's own :func:`enumerate_pair` listing passes the element
+    guard at once, and any other element takes one inline check.
     """
     _require_jointly_isometric(pp)
     _require_canonical(pp, x)

@@ -74,8 +74,13 @@ class SubspaceDesc:
                 # passes here passes them, and the rest goes through
                 # them to be refused with their own error
                 report = p._report
-                ok = (type(x) is Elem and report is not None
-                      and not report.violations and x.node in p.node_index)
+                try:
+                    ok = (type(x) is Elem and report is not None
+                          and not report.violations
+                          and type(x.prefix) is tuple
+                          and x.node in p.node_index)
+                except TypeError:  # an unhashable node
+                    ok = False
                 if ok:
                     prefix, m = x.prefix, p.m
                     for letter in prefix:

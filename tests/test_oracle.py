@@ -9,6 +9,7 @@ whose decomposition is known node by node.
 import ast
 import itertools
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -34,9 +35,9 @@ from rowiso.oracle import (
     _single_basis_size,
     _tr,
 )
-from rowiso.pair import (PairElem, PairPresentation, check_joint_isometry,
-                         enumerate_pair, free_pair, mirror, s_apply, t_apply,
-                         validate_pair)
+from rowiso.pair import (PairElem, PairPresentation, check_doubly_commute,
+                         check_joint_isometry, enumerate_pair, free_pair,
+                         mirror, s_apply, t_apply, validate_pair)
 from rowiso.presentation import Elem, Presentation, apply, free_presentation
 from rowiso.presentation import enumerate as enumerate_basis
 from rowiso.search import (
@@ -161,13 +162,16 @@ class TestMaterialize:
         # the oracle finds the nodes where a T-letter absorbs from the
         # edges itself: blanking the pair's own set misleads the
         # symbolic enumeration but changes no image array
-        pp = PairPresentation(ID11, ("a", "b", "c"), {("b", 1): "c"},
-                              {("a", 1): "a", ("c", 1): "b"})
+        data = (ID11, ("a", "b", "c"), {("b", 1): "c"},
+                {("a", 1): "a", ("c", 1): "b"})
+        pp = PairPresentation(*data)
         honest = materialize(pp, 3)
         listed = enumerate_pair(pp, 3)
-        pp.t_sources = frozenset()
-        assert enumerate_pair(pp, 3) != listed
-        blind = materialize(pp, 3)
+        # a fresh, equal pair: pp keeps the listing it built
+        misled = PairPresentation(*data)
+        misled.t_sources = frozenset()
+        assert enumerate_pair(misled, 3) != listed
+        blind = materialize(misled, 3)
         assert blind.basis == honest.basis == tuple(listed)
         for key in honest.keys:
             assert np.array_equal(blind.imgs[key], honest.imgs[key])
@@ -504,11 +508,21 @@ def decoded(monkeypatch):
     real = _LazyBasis._decode
 
     def counting(self, cols):
-        seen.extend(range(len(self))[cols])
+        seen.extend(np.arange(len(self))[cols].tolist())
         return real(self, cols)
 
     monkeypatch.setattr(_LazyBasis, "_decode", counting)
     return seen
+
+
+def assert_names_only_cited(rows, decoded, names):
+    """A failing report names each column its rows cite, once each."""
+    assert rows and decoded == sorted(set(decoded))
+    shown = [f" {names[col]!r}" for col in decoded]
+    for row in rows:
+        assert any(row.endswith(s) for s in shown), row
+    for s in shown:
+        assert any(row.endswith(s) for row in rows), s
 
 
 class TestLazyPairBasis:
@@ -549,9 +563,7 @@ class TestLazyPairBasis:
             model = materialize(pp, 3)
             names = reference_pair_basis(pp, 3)
             rows = verify_relations(model).rows
-            assert rows and len(decoded) == len(rows)
-            for row, col in zip(rows, decoded):
-                assert row.endswith(f" {names[col]!r}")
+            assert_names_only_cited(rows, decoded, names)
             decoded.clear()
 
     def test_indexing_refuses_what_a_tuple_refuses(self):
@@ -617,9 +629,7 @@ class TestLazySingleBasis:
             else:
                 rows = verify_subspace(model, sub, ("S-invariant",
                                                     "shift-on")).rows
-            assert rows and len(decoded) == len(rows)
-            for row, col in zip(rows, decoded):
-                assert row.endswith(f" {names[col]!r}")
+            assert_names_only_cited(rows, decoded, names)
             decoded.clear()
 
 
@@ -947,8 +957,43 @@ def reference_subspace(model, sub, claims, family="s") -> tuple:
             if col is not None:
                 rows.append(f"{claim} fails at column {basis[col]!r}")
         elif claim == "shift-on":
-            rows.extend(_shift_on(model, member, fam, basis))
+            rows.extend(reference_shift_on(model, member, fam, basis))
     return tuple(rows)
+
+
+def reference_shift_on(model, member, fam, basis) -> list:
+    """``oracle._shift_on`` as a walk over each member's chain, in Python.
+
+    The oracle's pointer doubling must report the same row.
+    """
+    # backward chains must die; every step is trusted only while the
+    # current vector's true predecessor is guaranteed in-basis
+    count = model.presentation.m if fam == "s" else model.presentation.n
+    n = len(basis)
+    pred = np.full(n, -1, dtype=np.int64)
+    for k in range(1, count + 1):
+        arr = model.imgs[(fam, k)]
+        cols = np.nonzero(arr >= 0)[0]
+        pred[arr[cols]] = cols
+    pred = pred.tolist()
+    safe = model.mask(adjoint=1).tolist()
+    # a column's chain is its predecessor's chain one step longer, so
+    # each column is walked once; state 1 marks the current walk, state
+    # 2 a column whose chain dies or leaves the safe columns
+    state = [0] * n
+    for start in np.flatnonzero(member).tolist():
+        cur, path = start, []
+        while safe[cur] and state[cur] != 2:
+            if state[cur] == 1:
+                return [f"shift-on fails: cycle through {basis[start]!r}"]
+            state[cur] = 1
+            path.append(cur)
+            cur = pred[cur]
+            if cur < 0:
+                break  # certified death
+        for col in path:
+            state[col] = 2
+    return []
 
 
 SINGLE_CLAIMS = ("S-invariant", "S-reducing", "unitary-on", "shift-on",
@@ -1418,3 +1463,160 @@ class TestFaultInjection:
         # and the matrix identities expose the forgery downstream
         pp = PairPresentation(forged, ("b",), {}, {})
         assert not verify_relations(materialize(pp, 3)).ok
+
+
+# -- shift-on by pointer doubling ----------------------------------------------
+
+
+def assert_shift_on_matches_walk(model, member, fam="s"):
+    col = _shift_on(model, member, fam)
+    got = [] if col is None else \
+        [f"shift-on fails: cycle through {model.basis[col]!r}"]
+    assert got == reference_shift_on(model, member, fam, model.basis), \
+        (model.presentation, model.depth, fam)
+
+
+def node_members(model, sub) -> np.ndarray:
+    """The member columns of a node set over the model's own presentation."""
+    answers = sub.base_membership(model.presentation)
+    return np.array(answers, dtype=bool)[model.basis.pos]
+
+
+class TestShiftOnMatchesTheWalk:
+    def test_every_single_presentation_at_depths_one_to_five(self):
+        for p in single_space():
+            res = wold(p)
+            for depth in range(1, 6):
+                model = materialize(p, depth)
+                assert_shift_on_matches_walk(
+                    model, np.ones(len(model.basis), dtype=bool))
+                for part in (res.unitary_part, res.shift_part):
+                    assert_shift_on_matches_walk(model,
+                                                 node_members(model, part))
+
+    def test_corrupted_presentations(self):
+        rng = np.random.default_rng(1213)
+        for p in CORRUPTED_SINGLES.values():
+            for depth in range(1, 6):
+                model = materialize(p, depth)
+                n = len(model.basis)
+                for member in (np.ones(n, dtype=bool), rng.random(n) < 0.5):
+                    assert_shift_on_matches_walk(model, member)
+
+    def test_the_cycle_claimed_as_a_shift(self):
+        # the case of the fault library's "cycle-claimed-shift"
+        p = Presentation(1, ("a", "b"), {("a", 1): "b", ("b", 1): "a"})
+        model = materialize(p, 3)
+        member = node_members(model, wold(p).unitary_part)
+        assert _shift_on(model, member, "s") == 0
+        assert_shift_on_matches_walk(model, member)
+
+    def test_pair_corners_of_the_oracle_checked_candidates(self, pair_space):
+        checked = 0
+        for pp, _, injective in pair_space:
+            if not injective or not check_doubly_commute(pp).ok:
+                continue
+            res = slocinski(pp)
+            if not res.exists:
+                continue
+            model = materialize(pp, 4)
+            for corner in (res.H_uu, res.H_us, res.H_su, res.H_ss):
+                member = node_members(model, corner)
+                for fam in ("s", "t"):
+                    assert_shift_on_matches_walk(model, member, fam)
+            checked += 1
+        assert checked > 1000
+
+
+# -- isometry defects on a family with many labels ----------------------------
+
+
+def reference_isometry_defects(stack, counts) -> dict:
+    """``oracle._isometry_defects`` with dense per-image block counts and
+    a loop over every (i, j); the oracle's version must match it."""
+    shared = counts[stack] > 1
+    shared &= stack >= 0
+    if not shared.any():
+        return {}
+    k, c = np.nonzero(shared)  # by block, then column
+    values, group = np.unique(stack[k, c], return_inverse=True)
+    count = len(stack)
+    per_block = np.zeros((len(values), count), dtype=np.int64)
+    np.add.at(per_block, (group, k), 1)
+    # the other columns sharing entry e's image, per row block
+    others = per_block[group] - (np.arange(count) == k[:, None])
+    bad = {}
+    for i in range(count):
+        for j in range(count):
+            hit = (k == j) & (others[:, i] > 0)
+            if hit.any():
+                bad[(i, j)] = int(c[np.argmax(hit)])
+    return bad
+
+
+def collapsing_family(labels: int) -> Presentation:
+    """One node every label but the first sends back to itself."""
+    return Presentation(labels, ("b",),
+                        {("b", i): "b" for i in range(2, labels + 1)})
+
+
+@pytest.fixture
+def word_decodes(monkeypatch):
+    """How many times a basis decodes words, across every model."""
+    calls = []
+    real = rowiso.oracle._Words.tuples
+
+    def counting(self, codes):
+        calls.append(len(codes))
+        return real(self, codes)
+
+    monkeypatch.setattr(rowiso.oracle._Words, "tuples", counting)
+    return calls
+
+
+class TestIsometryDefects:
+    def test_match_the_dense_reference_on_corrupted_models(self):
+        models = [materialize(p, depth) for p in CORRUPTED_SINGLES.values()
+                  for depth in (2, 4)]
+        models += [materialize(collapsing_family(40), 3)]
+        models += [materialize(pp, 3) for pp in CORRUPTED_PAIRS.values()]
+        models += [materialize(IN_DEGREE_2_PAIR, 4)]
+        for model in models:
+            for fam in ("s", "t") if model.is_pair else ("s",):
+                stack = np.array([model.imgs[key] for key in model.keys
+                                  if key[0] == fam])
+                counts = _image_counts(stack, len(model.basis))
+                want = reference_isometry_defects(stack, counts)
+                assert list(_isometry_defects(stack, counts).items()) == \
+                    list(want.items()), model.presentation
+
+    def test_a_report_decodes_its_columns_once(self, word_decodes):
+        cases = [(materialize(collapsing_family(40), 3), None),
+                 (materialize(IN_DEGREE_2_PAIR, 3), None),
+                 (materialize(CORRUPTED_PAIRS["forged-theta"], 3), None),
+                 (materialize(MIXED, 3), SubspaceDesc(
+                     (Elem((), "a"),), frozenset("a"), MIXED))]
+        for model, sub in cases:
+            if sub is None:
+                rows = verify_relations(model).rows
+            else:
+                rows = verify_subspace(model, sub, (
+                    "S-invariant", "unitary-on", "shift-on")).rows
+            # one decode names one word per family
+            assert len(rows) > 1 and len(word_decodes) == \
+                len(model.basis.words), model.presentation
+            word_decodes.clear()
+
+    def test_many_labels_cost_a_fraction_of_their_image_arrays(self):
+        # 300 labels at depth 3: 90,302 columns and 89,103 report rows
+        model = materialize(collapsing_family(300), 3)
+        image_bytes = sum(model.imgs[key].nbytes for key in model.keys)
+        tracemalloc.start()
+        try:
+            rows = verify_relations(model).rows
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(model.basis) == 90_302 and len(rows) == 89_103
+        assert rows[0] == "s[2]^T s[3]: differs at column <b>"
+        assert peak < image_bytes / 2

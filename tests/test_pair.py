@@ -42,10 +42,14 @@ from rowiso.pair import (
     _s_apply_raw,
     _s_pred_raw,
     _t_apply_raw,
+    _require_canonical,
     _t_pred_raw,
 )
-from rowiso.slocinski import check_hypotheses, slocinski
-from rowiso.words import Theta, commute_s_left, commute_t_right, normalize
+from rowiso.slocinski import (check_hypotheses, s_in_V, s_membership,
+                              slocinski, t_in_V, t_membership)
+from rowiso.wold import SubspaceDesc
+from rowiso.words import (Theta, commute_s_left, commute_t_right, normalize,
+                          validate_word)
 
 # -- congruence-closure oracle --------------------------------------------------
 
@@ -1149,3 +1153,199 @@ class TestPairData:
                               {("a", 1): "b"}, {("a", 1): "a"})
         with pytest.raises(ContractViolation):
             pp.require_commuting()
+
+
+# -- the element guard -------------------------------------------------------------
+
+
+def reference_require_canonical(pp, x):
+    """``pair._require_canonical`` before the listing and the inline check."""
+    if not isinstance(x, PairElem):
+        raise ValidationError(
+            f"expected a PairElem, got {type(x).__name__} {x!r}")
+    if x.node not in pp.node_index:
+        raise ValidationError(f"element node {x.node!r} is not a base node")
+    validate_word(x.s_prefix, pp.m)
+    validate_word(x.t_prefix, pp.n)
+    if x.s_prefix and (x.node, x.s_prefix[-1]) in pp.s_edges:
+        raise ValidationError(
+            f"element {x!r} is not canonical: S-letter absorbs")
+    if x.t_prefix and x.node in pp.t_sources:
+        _, arriving = commute_t_right(pp.theta, x.s_prefix, x.t_prefix[-1])
+        if (x.node, arriving) in pp.t_edges:
+            raise ValidationError(
+                f"element {x!r} is not canonical: T-letter absorbs")
+
+
+def outcome(call):
+    """The value of ``call()``, or the type and text of what it raised."""
+    try:
+        return call()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def guarded_calls(pp, x):
+    """Every entry point that guards a pair element, on x."""
+    part = SubspaceDesc((), frozenset(pp.base[:1]), pp)
+    return {
+        "s_apply": lambda: s_apply(pp, 1, x),
+        "t_apply": lambda: t_apply(pp, pp.n, x),
+        "s_pred": lambda: s_pred(pp, x),
+        "t_pred": lambda: t_pred(pp, x),
+        "s_membership": lambda: s_membership(pp, x),
+        "t_membership": lambda: t_membership(pp, x),
+        "s_in_V": lambda: s_in_V(pp, x),
+        "t_in_V": lambda: t_in_V(pp, x),
+        "require_canonical": lambda: pp.require_canonical(x),
+        "contains": lambda: part.contains(x),
+    }
+
+
+def mutants(pp, x):
+    """Elements near x that the guard must judge as the reference does:
+    letters of the wrong type or out of range, an absorbing innermost
+    letter of either family, foreign nodes, a plain tuple and an equal
+    copy that is another object."""
+    t, s, b = x
+    out = [PairElem(tuple(list(t)), tuple(list(s)), b), tuple(x),
+           PairElem(t, s, "z"), PairElem(t, s, 0)]
+    for bad in (True, 1.0, "1", 0):
+        out += [PairElem(t[:-1] + (bad,), s, b) if t else
+                PairElem((bad,), s, b),
+                PairElem(t, (bad,) + s[1:], b) if s else
+                PairElem(t, (bad,), b)]
+    out += [PairElem(t + (pp.n + 1,), s, b), PairElem(t, s + (pp.m + 1,), b)]
+    for i in range(1, pp.m + 1):
+        if (b, i) in pp.s_edges:
+            out.append(PairElem(t, s + (i,), b))  # S-letter absorbs
+    for j in range(1, pp.n + 1):
+        out.append(PairElem(t + (j,), s, b))  # absorbs if pushed onto an edge
+    return out
+
+
+class LookupCount(dict):
+    """A node index that counts the guard's membership tests on it."""
+
+    hits = 0
+
+    def __contains__(self, key):
+        self.hits += 1
+        return super().__contains__(key)
+
+
+class TestPairGuard:
+    def test_matches_the_reference_on_the_acceptance_windows(self,
+                                                             pair_space):
+        # every listed element and an equal copy of it; the mutants of
+        # every fourth candidate's elements
+        injective = [pp for pp, _, ok in pair_space if ok]
+        judged = refused = 0
+        for k, pp in enumerate(injective):
+            for x in enumerate_pair(pp, 3):
+                assert outcome(lambda: _require_canonical(pp, x)) is None
+                copy = PairElem(tuple(list(x.t_prefix)),
+                                tuple(list(x.s_prefix)), x.node)
+                for y in mutants(pp, x) if k % 4 == 0 else [copy]:
+                    want = outcome(lambda: reference_require_canonical(pp, y))
+                    got = outcome(lambda: _require_canonical(pp, y))
+                    assert got == want, (pp, x, y)
+                    judged += 1
+                    refused += want is not None
+        assert refused > 400_000 and judged - refused > 100_000
+
+    def test_every_entry_point_judges_as_the_reference(self, pair_space):
+        injective = [pp for pp, _, ok in pair_space if ok]
+        for pp in injective[::25]:
+            listed = {x: x for x in enumerate_pair(pp, 3)}
+            for x in enumerate_pair(pp, 2):
+                for y in mutants(pp, x):
+                    want = outcome(lambda: reference_require_canonical(pp, y))
+                    calls = guarded_calls(pp, y).items()
+                    if want is None:
+                        # accepted: the answers of the listed equal object
+                        same = guarded_calls(pp, listed[y])
+                        for name, call in calls:
+                            assert outcome(call) == outcome(same[name]), \
+                                (pp, y, name)
+                    else:
+                        for name, call in calls:
+                            assert outcome(call) == want, (pp, y, name)
+
+    def test_a_listing_vouches_only_for_its_own_pair(self):
+        for pp in honest_pairs(1201, 12, max_nodes=3):
+            listed = enumerate_pair(pp, 3)
+            twin = PairPresentation(pp.theta, pp.base, dict(pp.s_edges),
+                                    dict(pp.t_edges))
+            enumerate_pair(twin, 3)  # the twin keeps a listing of its own
+            tw = mirror(pp)
+            enumerate_pair(tw, 3)
+            counters = {}
+            for q in (pp, twin, tw):
+                q.node_index = counters[id(q)] = LookupCount(q.node_index)
+            for x in listed:
+                for q in (pp, twin, tw):
+                    before = counters[id(q)].hits
+                    got = outcome(lambda: _require_canonical(q, x))
+                    after = counters[id(q)].hits
+                    assert got == outcome(
+                        lambda: reference_require_canonical(q, x)), (q, x)
+                    if q is pp:
+                        assert after == before, x
+                    else:
+                        assert after > before, (q, x)
+
+    def test_the_listing_grows_and_keeps_its_objects(self):
+        pp = honest_pairs(1203, 1)[0]
+        shallow = enumerate_pair(pp, 2)
+        deep = enumerate_pair(pp, 4)  # regrows the listing
+        assert deep[:len(shallow)] == shallow
+        again = enumerate_pair(pp, 2)
+        assert again is not shallow
+        assert all(a is b for a, b in zip(again, deep))
+        pp.node_index = lookups = LookupCount(pp.node_index)
+        for x in deep:
+            _require_canonical(pp, x)
+        # the first listing's objects were copied into the grown one
+        for x in shallow:
+            _require_canonical(pp, x)
+        assert lookups.hits == 0
+
+    def test_kernel_shortcuts_equal_a_full_reduction(self, pair_space):
+        stripped = 0
+        for pp, _, _ in pair_space[::5]:
+            for x in enumerate_pair(pp, 3):
+                t, s, b = x
+                for j in range(1, pp.n + 1):
+                    assert _t_apply_raw(pp, j, x) == \
+                        _reduce_raw(pp, (j,) + t, s, b), (pp, x, j)
+                if t:
+                    # the outer T-letter strips on any pair, commuting
+                    # or not
+                    assert _t_pred_raw(pp, x) == \
+                        (t[0], _reduce_raw(pp, t[1:], s, b)), (pp, x)
+                    stripped += 1
+        assert stripped > 50_000
+
+
+class TestMalformedPairElements:
+    # a word that is not a tuple, or a node that cannot be hashed, is
+    # refused at the guard; before, a list word passed it and broke in
+    # a kernel, and an int word or a list node raised TypeError
+    PP = PairPresentation(THETA_ID_22, ("a", "b"), {("a", 1): "b"},
+                          {("b", 2): "a"})
+    CASES = [
+        (PairElem([1], (), "a"), "element T-word [1] is not a tuple"),
+        (PairElem((), [1, 2], "a"), "element S-word [1, 2] is not a tuple"),
+        (PairElem(5, (), "a"), "element T-word 5 is not a tuple"),
+        (PairElem((), None, "b"), "element S-word None is not a tuple"),
+        (PairElem((), (), ["a"]), "element node ['a'] is not hashable"),
+        (PairElem((1,), (2,), {}), "element node {} is not hashable"),
+    ]
+
+    @pytest.mark.parametrize("name", sorted(guarded_calls(PP, None)))
+    def test_refused_at_every_entry_point(self, name):
+        enumerate_pair(self.PP, 2)  # a listing does not change this
+        for x, text in self.CASES:
+            call = guarded_calls(self.PP, x)[name]
+            assert outcome(call) == (ValidationError, text), x

@@ -669,6 +669,41 @@ class TestNonIntegerLetters:
                 assert outcome(call) == (ValidationError, text), (x, name)
 
 
+class TestMalformedElements:
+    # a prefix that is not a tuple, or a node that cannot be hashed, is
+    # refused at the guard; before, a list prefix passed it (pred
+    # answered with a list prefix, apply failed in its kernel) and an
+    # int prefix or a list node raised TypeError
+    P = Presentation(2, ("a", "b"), {("a", 1): "b"})
+    CASES = [(Elem([1, 2], "a"), "element prefix [1, 2] is not a tuple"),
+             (Elem(5, "a"), "element prefix 5 is not a tuple"),
+             (Elem(None, "b"), "element prefix None is not a tuple"),
+             (Elem((), ["a"]), "element node ['a'] is not hashable"),
+             (Elem((1,), {}), "element node {} is not hashable")]
+
+    @staticmethod
+    def entry_points(p, x):
+        d = SubspaceDesc((Elem((), "a"),), frozenset(p.base), p)
+        return {
+            "contains": lambda: d.contains(x),
+            "contains_many": lambda: d.contains_many([x]),
+            "apply": lambda: apply(p, 2, x),
+            "pred": lambda: pred(p, x),
+            "membership": lambda: membership(p, x),
+            "sing_membership_test": lambda: sing_membership_test(p, x, 3),
+        }
+
+    @pytest.mark.parametrize("name", sorted(entry_points(P, None)))
+    def test_refused_at_every_entry_point(self, name):
+        for fresh in (True, False):
+            p = Presentation(self.P.m, self.P.base, dict(self.P.edges))
+            if not fresh:
+                enumerate_basis(p, 2)  # a clean report and a listing
+            for x, text in self.CASES:
+                call = self.entry_points(p, x)[name]
+                assert outcome(call) == (ValidationError, text), (x, fresh)
+
+
 # -- enumerate's own elements ------------------------------------------------
 
 
