@@ -594,7 +594,7 @@ def _images(model: OracleModel, fam: str) -> list:
 def _family(model: OracleModel, fam: str) -> np.ndarray:
     import numpy as np
 
-    arrays = [model.imgs[key] for key in model.keys if key[0] == fam]
+    arrays = _images(model, fam)
     return np.array(arrays, dtype=np.int64).reshape(len(arrays),
                                                     len(model.depths))
 
@@ -637,7 +637,9 @@ def _isometry_defects(stack, counts: np.ndarray) -> dict:
     nothing else unless ``counts`` (the image counts) says its image is
     shared, so only the entries with a shared image are read: two of
     them with one image, in blocks i and j, put (i, j) at the column of
-    the one in block j.
+    the one in block j.  Each image's entries are first reduced to one
+    row per block, so the pairs formed number at most the shared
+    entries times the generators.
     Maps each failing (i, j), in order, to its first column, as
     ``_first_bad_columns`` does.
     """
@@ -653,20 +655,28 @@ def _isometry_defects(stack, counts: np.ndarray) -> dict:
         c.append(cols)
         image.append(row[cols])
     k, c, image = map(np.concatenate, (k, c, image))
-    # group the entries by image; entry e then meets every entry e2 of
-    # its group, in a run of pairs as long as the group
-    order = np.argsort(image)
+    # one row per (image, block), with its entry count: a stable sort by
+    # image keeps each image's entries by block, then column, so a row's
+    # first entry holds its first column
+    order = np.argsort(image, kind="stable")
     k, c, image = k[order], c[order], image[order]
-    starts = np.flatnonzero(np.r_[True, image[1:] != image[:-1]])
-    sizes = np.diff(np.r_[starts, len(image)])
-    size = np.repeat(sizes, sizes)  # per entry, its group's size
-    e = np.repeat(np.arange(len(k)), size)
-    run = np.repeat(np.cumsum(size) - size, size)  # where e's run starts
-    e2 = np.repeat(np.repeat(starts, sizes), size) + np.arange(len(e)) - run
-    keep = e != e2
+    group = np.r_[True, image[1:] != image[:-1]]
+    head = np.flatnonzero(group | np.r_[True, k[1:] != k[:-1]])
+    entries = np.diff(np.r_[head, len(k)])
+    k, c, group = k[head], c[head], group[head]
+    # row r then meets every row r2 of its image, in a run of pairs as
+    # long as the image has rows, at most one per block; a row meets
+    # itself only when its block sends two columns to that image
+    starts = np.flatnonzero(group)
+    sizes = np.diff(np.r_[starts, len(k)])
+    size = np.repeat(sizes, sizes)  # per row, the rows of its image
+    r = np.repeat(np.arange(len(k)), size)
+    run = np.repeat(np.cumsum(size) - size, size)  # where r's run starts
+    r2 = np.repeat(np.repeat(starts, sizes), size) + np.arange(len(r)) - run
+    keep = (r != r2) | (entries[r] > 1)
     count = len(stack)
-    key = k[e2[keep]] * count + k[e[keep]]  # (i, j) = (e2's block, e's)
-    col = c[e[keep]]
+    key = k[r2[keep]] * count + k[r[keep]]  # (i, j) = (r2's block, r's)
+    col = c[r[keep]]
     first = np.lexsort((col, key))
     key, col = key[first], col[first]
     head = np.r_[True, key[1:] != key[:-1]]

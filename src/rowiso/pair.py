@@ -18,12 +18,11 @@ and pairs that are not jointly isometric, with a typed error; the checks
 that produce the verdicts only ever use deterministic one-step
 evaluation that stays well-defined either way.
 
-Every entry point that takes an element guards it once, at entry.  The
-objects of the pair's own :func:`enumerate_pair` listing were built
-canonical and pass at once; any other element takes one inline check,
-and only one that fails it runs the full checks, which refuse it with
-ValidationError.  Internal loops call the unguarded kernels instead,
-which take irreducible elements: fixed points of the reduction.
+Every entry point that takes an element guards it once, at entry, with
+one inline check; only an element that fails it runs the full checks,
+which refuse it with ValidationError.  Internal loops call the
+unguarded kernels instead, which take irreducible elements: fixed
+points of the reduction.
 """
 
 from __future__ import annotations
@@ -190,7 +189,11 @@ class PairPresentation:
         _require_canonical(self, x)
 
     def require_commuting(self) -> None:
-        report = check_theta_commute(self)
+        # a cached report was computed after the pair was validated, so
+        # a hit stands for both checks
+        report = self._commutation
+        if report is None:
+            report = check_theta_commute(self)
         if not report.ok:
             f = report.failures[0]
             raise ContractViolation(
@@ -232,22 +235,15 @@ def validate_pair(pp: PairPresentation) -> ValidationReport:
 
 
 def _require_canonical(pp: PairPresentation, x: PairElem) -> None:
-    # the objects of the pair's own listing were built canonical
-    listing = pp._cache.get("listing")
-    if listing is not None and id(x) in listing[2]:
-        return
-    # the checks below on a well-formed element, inlined: what passes
-    # here passes them, and the rest goes through them to be refused
-    # with their own error
+    # the checks below on a well-formed element, in one pass: what
+    # passes here passes them, and the rest goes through them to be
+    # refused with their own error
     try:
         if type(x) is PairElem:
             t, s, b = x
             if (type(t) is tuple and type(s) is tuple and b in pp.node_index
-                    and _letters_in(t, pp.n) and _letters_in(s, pp.m)
-                    and not (s and (b, s[-1]) in pp.s_edges)
-                    and not (t and b in pp.t_sources and (
-                        b, commute_t_right(pp.theta, s, t[-1])[1])
-                        in pp.t_edges)):
+                    and _words_in(t, s, pp.theta)
+                    and _absorbs(pp, t, s, b) is None):
                 return
     except TypeError:  # an unhashable node
         pass
@@ -267,20 +263,37 @@ def _require_canonical(pp: PairPresentation, x: PairElem) -> None:
                 f"element {family}-word {word!r} is not a tuple")
     validate_word(x.s_prefix, pp.m)
     validate_word(x.t_prefix, pp.n)
-    if x.s_prefix and (x.node, x.s_prefix[-1]) in pp.s_edges:
+    family = _absorbs(pp, *x)
+    if family is not None:
         raise ValidationError(
-            f"element {x!r} is not canonical: S-letter absorbs")
-    if x.t_prefix and x.node in pp.t_sources:
-        _, arriving = commute_t_right(pp.theta, x.s_prefix, x.t_prefix[-1])
-        if (x.node, arriving) in pp.t_edges:
-            raise ValidationError(
-                f"element {x!r} is not canonical: T-letter absorbs")
+            f"element {x!r} is not canonical: {family}-letter absorbs")
 
 
-def _letters_in(word: tuple, size: int) -> bool:
-    # every letter an int (not a bool) in 1..size
-    for letter in word:
-        if type(letter) is not int or not 0 < letter <= size:
+def _absorbs(pp: PairPresentation, t: Word, s: Word,
+             b: Node) -> Optional[str]:
+    """The family whose innermost letter absorbs in ``T_t S_s e_b``.
+
+    "S" when the innermost S-letter has an s-edge at b, else "T" when
+    the innermost T-letter, pushed rightward through s, has a t-edge at
+    b, else None: the name is canonical.
+    """
+    if s and (b, s[-1]) in pp.s_edges:
+        return "S"
+    if t and b in pp.t_sources and (
+            b, commute_t_right(pp.theta, s, t[-1])[1]) in pp.t_edges:
+        return "T"
+    return None
+
+
+def _words_in(t: tuple, s: tuple, theta: Theta) -> bool:
+    # every letter an int (not a bool), in 1..n in t and in 1..m in s
+    n = theta.n
+    for letter in t:
+        if type(letter) is not int or not 0 < letter <= n:
+            return False
+    m = theta.m
+    for letter in s:
+        if type(letter) is not int or not 0 < letter <= m:
             return False
     return True
 
@@ -304,8 +317,14 @@ def _reduce_raw(pp: PairPresentation, t: Word, s: Word, b: Node) -> PairElem:
 
 
 def _s_apply_raw(pp: PairPresentation, i: int, x: PairElem) -> PairElem:
+    # x is irreducible.  Behind an S-letter of x the fresh one stays
+    # outside its innermost S-letter, which stays blocked, and x's
+    # innermost T-letter still reaches the node as the same letter, so
+    # only an x without S-letters can absorb
     t2, i2 = commute_s_left(pp.theta, i, x.t_prefix)
-    return _reduce_raw(pp, t2, (i2,) + x.s_prefix, x.node)
+    if x.s_prefix:
+        return PairElem(t2, (i2,) + x.s_prefix, x.node)
+    return _reduce_raw(pp, t2, (i2,), x.node)
 
 
 def _t_apply_raw(pp: PairPresentation, j: int, x: PairElem) -> PairElem:
@@ -329,10 +348,9 @@ def s_apply(pp: PairPresentation, i: int, x: PairElem) -> PairElem:
 def t_apply(pp: PairPresentation, j: int, x: PairElem) -> PairElem:
     """The image ``T_j x`` as a canonical element.
 
-    x is guarded once: an object of the pair's own listing passes at
-    once, and any other element takes one inline check.  Behind a
-    T-letter of x, whose innermost one stays blocked, ``T_j`` only
-    prepends j; only an x without T-letters is reduced.
+    x is guarded once, by one inline check.  Behind a T-letter of x,
+    whose innermost one stays blocked, ``T_j`` only prepends j; only an
+    x without T-letters is reduced.
     """
     pp.require_commuting()
     if not 1 <= j <= pp.n:
@@ -360,44 +378,26 @@ def enumerate_pair(pp: PairPresentation, depth: int) -> list[PairElem]:
     """All canonical elements of joint depth |t|+|s| <= depth.
 
     Ordered by (joint depth, |t|, t lexicographically, s
-    lexicographically, node declaration order); the listing at depth d
-    is a prefix of the listing at depth d+1.  So one listing is kept on
-    the pair, grown to the deepest depth asked for, and each call
-    returns a new list sliced from it.  The listing holds its objects
-    and records their ids, and the guards accept one of those objects
-    at once; any other element takes one inline check.  A window whose
-    free words number more than ``PAIR_WINDOW_BUDGET`` raises
+    lexicographically, node declaration order).  A window whose free
+    words number more than ``PAIR_WINDOW_BUDGET`` raises
     ``ResourceExceeded`` before any element is built.
     """
     pp.require_valid()
     if depth < 0:
         raise ValidationError("depth must be nonnegative")
-    listing = pp._cache.get("listing")
-    if listing is None or depth >= len(listing[1]):
-        if _free_word_bound(pp, depth) > PAIR_WINDOW_BUDGET:
-            raise ResourceExceeded(
-                f"pair window at depth {depth} has more than "
-                f"{PAIR_WINDOW_BUDGET} free words, the budget")
-        # grown on a copy and stored whole, as presentation.enumerate
-        # grows its listing
-        out, ends = ([], []) if listing is None else map(list, listing[:2])
-        for total in range(len(ends), depth + 1):
-            for t_len in range(total, -1, -1):
-                for t in _cartesian(range(1, pp.n + 1), repeat=t_len):
-                    for s in _cartesian(range(1, pp.m + 1),
-                                        repeat=total - t_len):
-                        for b in pp.base:
-                            if s and (b, s[-1]) in pp.s_edges:
-                                continue
-                            if t and b in pp.t_sources:
-                                _, arriving = commute_t_right(pp.theta, s,
-                                                              t[-1])
-                                if (b, arriving) in pp.t_edges:
-                                    continue
+    if _free_word_bound(pp, depth) > PAIR_WINDOW_BUDGET:
+        raise ResourceExceeded(
+            f"pair window at depth {depth} has more than "
+            f"{PAIR_WINDOW_BUDGET} free words, the budget")
+    out: list[PairElem] = []
+    for total in range(depth + 1):
+        for t_len in range(total, -1, -1):
+            for t in _cartesian(range(1, pp.n + 1), repeat=t_len):
+                for s in _cartesian(range(1, pp.m + 1), repeat=total - t_len):
+                    for b in pp.base:
+                        if _absorbs(pp, t, s, b) is None:
                             out.append(PairElem(t, s, b))
-            ends.append(len(out))
-        listing = pp._cache["listing"] = (out, ends, set(map(id, out)))
-    return listing[0][:listing[1][depth]]
+    return out
 
 
 def check_theta_commute(pp: PairPresentation) -> CommutationReport:
@@ -501,7 +501,10 @@ def _s_pred_raw(pp: PairPresentation, x: PairElem
         # T_t S_i = S_i' T_t' moves the outer S-letter outside, leaving
         # T_t' S_rest e_b in T-outside form
         i0, w = commute_s_right(theta, x.t_prefix, x.s_prefix[0])
-        y = _reduce_raw(pp, w, x.s_prefix[1:], x.node)
+        # the rest keeps x's innermost S-letter, if any, which stays
+        # blocked, and its innermost T-letter reaches the node as x's
+        # does, so it is irreducible too
+        y = PairElem(w, x.s_prefix[1:], x.node)
         if _s_apply_raw(pp, i0, y) != x:
             raise ContractViolation(
                 f"stripping the outer S-letter of {x!r} does not invert: "

@@ -171,9 +171,8 @@ def s_membership(pp: PairPresentation, x: PairElem) -> Part:
     The guards run once, at entry: a pair that does not theta-commute,
     or is not jointly isometric, raises ContractViolation with the
     first failure of its report, and x must be canonical.  On a pair
-    already checked, the pair's guard is one cache lookup; an object of
-    the pair's own :func:`enumerate_pair` listing passes the element
-    guard at once, and any other element takes one inline check.
+    already checked, the pair's guard is one cache lookup, and x takes
+    one inline check.
     """
     _require_jointly_isometric(pp)
     _require_canonical(pp, x)
@@ -194,14 +193,13 @@ def t_membership(pp: PairPresentation, x: PairElem) -> Part:
 
 def _s_cycle(pp: PairPresentation, x: PairElem) -> bool:
     # s_in_V without the guards: pp is jointly isometric, x canonical
-    memo = pp._cache.setdefault("s_cycle", {})
-    if x in memo:
-        return memo[x]
     if x.s_prefix:
         # the strip step shortens the S-prefix, so the chain can never
         # come back to x
-        memo[x] = False
         return False
+    memo = pp._cache.setdefault("s_cycle", {})
+    if x in memo:
+        return memo[x]
     preds = _base_preds(pp)
     trail: list[PairElem] = []
     position: dict[PairElem, int] = {}

@@ -162,16 +162,13 @@ class TestMaterialize:
         # the oracle finds the nodes where a T-letter absorbs from the
         # edges itself: blanking the pair's own set misleads the
         # symbolic enumeration but changes no image array
-        data = (ID11, ("a", "b", "c"), {("b", 1): "c"},
-                {("a", 1): "a", ("c", 1): "b"})
-        pp = PairPresentation(*data)
+        pp = PairPresentation(ID11, ("a", "b", "c"), {("b", 1): "c"},
+                              {("a", 1): "a", ("c", 1): "b"})
         honest = materialize(pp, 3)
         listed = enumerate_pair(pp, 3)
-        # a fresh, equal pair: pp keeps the listing it built
-        misled = PairPresentation(*data)
-        misled.t_sources = frozenset()
-        assert enumerate_pair(misled, 3) != listed
-        blind = materialize(misled, 3)
+        pp.t_sources = frozenset()
+        assert enumerate_pair(pp, 3) != listed
+        blind = materialize(pp, 3)
         assert blind.basis == honest.basis == tuple(listed)
         for key in honest.keys:
             assert np.array_equal(blind.imgs[key], honest.imgs[key])
@@ -1560,6 +1557,13 @@ def collapsing_family(labels: int) -> Presentation:
                         {("b", i): "b" for i in range(2, labels + 1)})
 
 
+def absorbing_nodes(count: int, labels: int) -> Presentation:
+    """count base nodes and z, each sending letter 1 to the node z; the
+    other labels have no edges."""
+    nodes = tuple(f"x{k}" for k in range(count)) + ("z",)
+    return Presentation(labels, nodes, {(x, 1): "z" for x in nodes})
+
+
 @pytest.fixture
 def word_decodes(monkeypatch):
     """How many times a basis decodes words, across every model."""
@@ -1579,6 +1583,7 @@ class TestIsometryDefects:
         models = [materialize(p, depth) for p in CORRUPTED_SINGLES.values()
                   for depth in (2, 4)]
         models += [materialize(collapsing_family(40), 3)]
+        models += [materialize(absorbing_nodes(30, 3), 2)]
         models += [materialize(pp, 3) for pp in CORRUPTED_PAIRS.values()]
         models += [materialize(IN_DEGREE_2_PAIR, 4)]
         for model in models:
@@ -1620,3 +1625,22 @@ class TestIsometryDefects:
         assert len(model.basis) == 90_302 and len(rows) == 89_103
         assert rows[0] == "s[2]^T s[3]: differs at column <b>"
         assert peak < image_bytes / 2
+
+    def test_many_nodes_with_one_image_cost_a_fraction_of_their_arrays(self):
+        # 5,001 columns of one block share the image e_z: they are one
+        # block's row, not 5,001 squared pairs of entries
+        model = materialize(absorbing_nodes(5_000, 12), 1)
+        image_bytes = sum(model.imgs[key].nbytes for key in model.keys)
+        tracemalloc.start()
+        try:
+            rows = verify_relations(model).rows
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rows == ("s[1]^T s[1]: differs at column <x0>",
+                        "sum ss^T exceeds identity at <z>")
+        assert peak < image_bytes / 2
+        stack = np.array([model.imgs[key] for key in model.keys])
+        counts = _image_counts(stack, len(model.basis))
+        assert _isometry_defects(stack, counts) == \
+            reference_isometry_defects(stack, counts) == {(0, 0): 0}

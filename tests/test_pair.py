@@ -48,8 +48,8 @@ from rowiso.pair import (
 from rowiso.slocinski import (check_hypotheses, s_in_V, s_membership,
                               slocinski, t_in_V, t_membership)
 from rowiso.wold import SubspaceDesc
-from rowiso.words import (Theta, commute_s_left, commute_t_right, normalize,
-                          validate_word)
+from rowiso.words import (Theta, commute_s_left, commute_s_right,
+                          commute_t_right, normalize, validate_word)
 
 # -- congruence-closure oracle --------------------------------------------------
 
@@ -1159,7 +1159,7 @@ class TestPairData:
 
 
 def reference_require_canonical(pp, x):
-    """``pair._require_canonical`` before the listing and the inline check."""
+    """``pair._require_canonical`` before the inline check."""
     if not isinstance(x, PairElem):
         raise ValidationError(
             f"expected a PairElem, got {type(x).__name__} {x!r}")
@@ -1224,16 +1224,6 @@ def mutants(pp, x):
     return out
 
 
-class LookupCount(dict):
-    """A node index that counts the guard's membership tests on it."""
-
-    hits = 0
-
-    def __contains__(self, key):
-        self.hits += 1
-        return super().__contains__(key)
-
-
 class TestPairGuard:
     def test_matches_the_reference_on_the_acceptance_windows(self,
                                                              pair_space):
@@ -1272,45 +1262,6 @@ class TestPairGuard:
                         for name, call in calls:
                             assert outcome(call) == want, (pp, y, name)
 
-    def test_a_listing_vouches_only_for_its_own_pair(self):
-        for pp in honest_pairs(1201, 12, max_nodes=3):
-            listed = enumerate_pair(pp, 3)
-            twin = PairPresentation(pp.theta, pp.base, dict(pp.s_edges),
-                                    dict(pp.t_edges))
-            enumerate_pair(twin, 3)  # the twin keeps a listing of its own
-            tw = mirror(pp)
-            enumerate_pair(tw, 3)
-            counters = {}
-            for q in (pp, twin, tw):
-                q.node_index = counters[id(q)] = LookupCount(q.node_index)
-            for x in listed:
-                for q in (pp, twin, tw):
-                    before = counters[id(q)].hits
-                    got = outcome(lambda: _require_canonical(q, x))
-                    after = counters[id(q)].hits
-                    assert got == outcome(
-                        lambda: reference_require_canonical(q, x)), (q, x)
-                    if q is pp:
-                        assert after == before, x
-                    else:
-                        assert after > before, (q, x)
-
-    def test_the_listing_grows_and_keeps_its_objects(self):
-        pp = honest_pairs(1203, 1)[0]
-        shallow = enumerate_pair(pp, 2)
-        deep = enumerate_pair(pp, 4)  # regrows the listing
-        assert deep[:len(shallow)] == shallow
-        again = enumerate_pair(pp, 2)
-        assert again is not shallow
-        assert all(a is b for a, b in zip(again, deep))
-        pp.node_index = lookups = LookupCount(pp.node_index)
-        for x in deep:
-            _require_canonical(pp, x)
-        # the first listing's objects were copied into the grown one
-        for x in shallow:
-            _require_canonical(pp, x)
-        assert lookups.hits == 0
-
     def test_kernel_shortcuts_equal_a_full_reduction(self, pair_space):
         stripped = 0
         for pp, _, _ in pair_space[::5]:
@@ -1319,13 +1270,21 @@ class TestPairGuard:
                 for j in range(1, pp.n + 1):
                     assert _t_apply_raw(pp, j, x) == \
                         _reduce_raw(pp, (j,) + t, s, b), (pp, x, j)
+                for i in range(1, pp.m + 1):
+                    t2, i2 = commute_s_left(pp.theta, i, t)
+                    assert _s_apply_raw(pp, i, x) == \
+                        _reduce_raw(pp, t2, (i2,) + s, b), (pp, x, i)
+                # the outer letter strips on any pair, commuting or not
                 if t:
-                    # the outer T-letter strips on any pair, commuting
-                    # or not
                     assert _t_pred_raw(pp, x) == \
                         (t[0], _reduce_raw(pp, t[1:], s, b)), (pp, x)
                     stripped += 1
-        assert stripped > 50_000
+                if s:
+                    i0, w = commute_s_right(pp.theta, t, s[0])
+                    assert _s_pred_raw(pp, x) == \
+                        (i0, _reduce_raw(pp, w, s[1:], b)), (pp, x)
+                    stripped += 1
+        assert stripped > 100_000
 
 
 class TestMalformedPairElements:
@@ -1345,7 +1304,6 @@ class TestMalformedPairElements:
 
     @pytest.mark.parametrize("name", sorted(guarded_calls(PP, None)))
     def test_refused_at_every_entry_point(self, name):
-        enumerate_pair(self.PP, 2)  # a listing does not change this
         for x, text in self.CASES:
             call = guarded_calls(self.PP, x)[name]
             assert outcome(call) == (ValidationError, text), x
