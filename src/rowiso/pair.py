@@ -33,7 +33,7 @@ from itertools import product as _cartesian
 from typing import Iterable, NamedTuple, Optional
 
 from .errors import ContractViolation, ResourceExceeded, ValidationError
-from .presentation import Node, Presentation, ValidationReport
+from .presentation import _CLEAN, Node, Presentation, ValidationReport
 from .presentation import validate as _validate_family
 from .words import (Theta, Word, commute_s_left, commute_s_right,
                     commute_t_right, denormalize, validate_word)
@@ -130,32 +130,35 @@ class PairPresentation:
 
     __slots__ = ("theta", "base", "s_edges", "t_edges", "t_sources",
                  "node_index", "s_in", "t_in", "_s_family", "_t_family",
-                 "_key", "_report", "_commutation", "_mirror", "_cache",
+                 "_report", "_commutation", "_joint", "_mirror", "_cache",
                  "__weakref__")
 
     def __init__(self, theta: Theta, base: Iterable[Node], s_edges: dict,
                  t_edges: dict):
         if not isinstance(theta, Theta):
             raise ValidationError(f"expected a Theta, got {theta!r}")
-        self.theta = theta
         # family objects own edge normalization and in-edge maps
-        self._s_family = Presentation(theta.m, base, s_edges)
-        self._t_family = Presentation(theta.n, tuple(self._s_family.base),
-                                      t_edges)
-        self.base = self._s_family.base
-        self.s_edges = self._s_family.edges
-        self.t_edges = self._t_family.edges
+        s_family = Presentation(theta.m, base, s_edges)
+        self._bind(theta, s_family,
+                   Presentation(theta.n, s_family.base, t_edges))
+
+    def _bind(self, theta: Theta, s_family: Presentation,
+              t_family: Presentation) -> None:
+        self.theta = theta
+        self._s_family = s_family
+        self._t_family = t_family
+        self.base = s_family.base
+        self.s_edges = s_family.edges
+        self.t_edges = t_family.edges
         # the nodes a T-letter can absorb at; elsewhere no pushed letter
         # meets an edge, so the reducers skip the push
         self.t_sources = frozenset(src for src, _ in self.t_edges)
-        self.node_index = self._s_family.node_index
-        self.s_in = self._s_family.in_edge
-        self.t_in = self._t_family.in_edge
-        # each family's key already holds its edges sorted
-        self._key = (theta, self.base, self._s_family._key[2],
-                     self._t_family._key[2])
+        self.node_index = s_family.node_index
+        self.s_in = s_family.in_edge
+        self.t_in = t_family.in_edge
         self._report: Optional[ValidationReport] = None
         self._commutation: Optional[CommutationReport] = None
+        self._joint: Optional[ValidationReport] = None
         # the twin pair, or a weak reference back to the pair it mirrors
         self._mirror = None
         self._cache: dict = {}
@@ -170,10 +173,12 @@ class PairPresentation:
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, PairPresentation)
-                and self._key == other._key)
+                and self.theta == other.theta
+                and self._s_family == other._s_family
+                and self._t_family == other._t_family)
 
     def __hash__(self) -> int:
-        return hash(self._key)
+        return hash((self.theta, self._s_family, self._t_family))
 
     def __repr__(self) -> str:
         return (f"PairPresentation(m={self.m}, n={self.n}, "
@@ -223,15 +228,15 @@ def validate_pair(pp: PairPresentation) -> ValidationReport:
     """Syntactic checks for both families; violations are data."""
     if pp._report is not None:
         return pp._report
-    violations = [f"s-family: {v}"
-                  for v in _validate_family(pp._s_family).violations]
-    for v in _validate_family(pp._t_family).violations:
-        if v.startswith("base node"):
-            continue  # already reported through the s-family pass
-        violations.append(f"t-family: {v}")
-    report = ValidationReport(tuple(violations))
-    pp._report = report
-    return report
+    s_report = _validate_family(pp._s_family)
+    violations = [f"s-family: {v}" for v in s_report.violations]
+    # base node violations are already reported through the s-family
+    violations += [f"t-family: {v}"
+                   for v in _validate_family(pp._t_family).violations
+                   if not v.startswith("base node")]
+    pp._report = ValidationReport(tuple(violations)) if violations \
+        else s_report
+    return pp._report
 
 
 def _require_canonical(pp: PairPresentation, x: PairElem) -> None:
@@ -455,7 +460,10 @@ def mirror(pp: PairPresentation) -> PairPresentation:
 
     The swapped theta is ``(j, i) -> swap(theta^-1(i, j))``, which is
     exactly what turns the rule ``S_i T_j = T_j' S_i'`` into its
-    mirror-image reading.
+    mirror-image reading; the constructor refuses one that is not a
+    bijection.  The twin shares the pair's two family objects, swapped,
+    with their reports: a family is the same data whichever role it
+    plays, so a twin built from scratch would hold equal copies.
 
     A pair theta-commutes iff its mirror does: both checks evaluate the
     same ``e_b`` (the mirror keeps every node), the mirror's instance
@@ -474,8 +482,8 @@ def mirror(pp: PairPresentation) -> PairPresentation:
         twin = twin()
     if twin is None:
         mirrored = {(d, c): (b, a) for (a, b), (c, d) in pp.theta.map.items()}
-        twin = PairPresentation(Theta(pp.n, pp.m, mirrored), pp.base,
-                                dict(pp.t_edges), dict(pp.s_edges))
+        twin = PairPresentation.__new__(PairPresentation)
+        twin._bind(Theta(pp.n, pp.m, mirrored), pp._t_family, pp._s_family)
         twin._mirror = weakref.ref(pp)
         pp._mirror = twin
     return twin
@@ -840,15 +848,14 @@ def check_joint_isometry(pp: PairPresentation) -> ValidationReport:
     none is refused.
     """
     pp.require_commuting()
-    cache = pp._cache
-    if "joint" not in cache:
-        violations: tuple[str, ...] = ()
+    if pp._joint is None:
+        report = _CLEAN
         try:
             for name, q in (("S", pp), ("T", mirror(pp))):
                 _base_preds(q)
         except ContractViolation as exc:
             where = "" if name == "S" else \
                 "T-family, read in the mirror pair: "
-            violations = (where + str(exc),)
-        cache["joint"] = ValidationReport(violations)
-    return cache["joint"]
+            report = ValidationReport((where + str(exc),))
+        pp._joint = report
+    return pp._joint

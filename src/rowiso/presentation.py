@@ -24,9 +24,6 @@ from .errors import ValidationError
 if TYPE_CHECKING:
     from .words import Word
 
-# the basis walker below is named enumerate; keep the builtin reachable
-_builtin_enumerate = enumerate
-
 Node = str
 
 
@@ -81,8 +78,8 @@ class Presentation:
     first violation otherwise.
     """
 
-    __slots__ = ("m", "base", "edges", "node_index", "in_edge", "_key",
-                 "_report", "_listing", "_lebesgue")
+    __slots__ = ("m", "base", "edges", "node_index", "in_edge", "_report",
+                 "_listing", "_lebesgue")
 
     def __init__(self, m: int, base: Iterable[Node], edges: dict):
         if not isinstance(m, int) or isinstance(m, bool):
@@ -90,19 +87,17 @@ class Presentation:
         self.m = m
         self.base = tuple(base)
         normalized = {}
-        for key, target in dict(edges).items():
-            node, label = key
+        for (node, label), target in dict(edges).items():
             if not isinstance(label, int) or isinstance(label, bool):
                 raise ValidationError(f"edge label {label!r} is not an integer")
             normalized[(node, label)] = target
         self.edges = normalized
-        self.node_index = {b: k for k, b in _builtin_enumerate(self.base)}
-        in_edge: dict[Node, tuple[Node, int]] = {}
-        for (src, label), dst in sorted(normalized.items(),
-                                        key=lambda kv: str(kv)):
-            in_edge.setdefault(dst, (src, label))
-        self.in_edge = in_edge
-        self._key = (m, self.base, tuple(sorted(normalized.items())))
+        self.node_index = dict(zip(self.base, range(len(self.base))))
+        self.in_edge = {dst: key for key, dst in normalized.items()}
+        if len(self.in_edge) < len(normalized):
+            # a shared target keeps its str-first source, written last
+            self.in_edge = {dst: key for key, dst in
+                            reversed(sorted(normalized.items(), key=str))}
         self._report: Optional[ValidationReport] = None
         # enumerate's listing, each depth's end in it, its objects' ids
         self._listing: Optional[tuple[list, list, set]] = None
@@ -112,10 +107,11 @@ class Presentation:
         self._lebesgue = None
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, Presentation) and self._key == other._key
+        return (isinstance(other, Presentation) and self.m == other.m
+                and self.base == other.base and self.edges == other.edges)
 
     def __hash__(self) -> int:
-        return hash(self._key)
+        return hash((self.m, self.base, frozenset(self.edges.items())))
 
     def __repr__(self) -> str:
         return (f"Presentation(m={self.m}, base={list(self.base)!r}, "
@@ -140,15 +136,27 @@ def free_presentation(m: int, base: Iterable[Node] = ("b",)) -> Presentation:
     return Presentation(m, base, {})
 
 
+_CLEAN = ValidationReport()  # every clean presentation's report
+
+
 def validate(p: Presentation) -> ValidationReport:
     """Check the row-isometry invariants; returns all violations found.
 
     A valid presentation has every edge between declared nodes, labels
     in ``1..m``, at most one edge per (node, label), and global
-    in-degree at most one (injectivity plus disjoint ranges).
+    in-degree at most one (injectivity plus disjoint ranges).  A clean
+    one takes one pass; only a violation sorts the edges, to word it.
     """
     if p._report is not None:
         return p._report
+    index, m = p.node_index, p.m
+    # one index entry per base node, one in-edge entry per edge target
+    if (m >= 1 and len(index) == len(p.base) and None not in index
+            and len(p.in_edge) == len(p.edges)
+            and all(src in index and dst in index and 0 < label <= m
+                    for (src, label), dst in p.edges.items())):
+        p._report = _CLEAN
+        return _CLEAN
     violations = []
     if p.m < 1:
         violations.append(f"label count must be at least 1, got {p.m}")
@@ -175,9 +183,8 @@ def validate(p: Presentation) -> ValidationReport:
             violations.append(
                 f"node {dst!r} has in-degree {len(sources)}: "
                 + ", ".join(f"({s!r},{l})" for s, l in sources))
-    report = ValidationReport(tuple(violations))
-    p._report = report
-    return report
+    p._report = ValidationReport(tuple(violations))
+    return p._report
 
 
 def _require_canonical(p: Presentation, x: Elem) -> None:

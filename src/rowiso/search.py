@@ -155,8 +155,6 @@ def _forge_theta(m: int, n: int, mapping: dict, inverse: dict) -> Theta:
     object.__setattr__(forged, "n", n)
     object.__setattr__(forged, "map", dict(mapping))
     object.__setattr__(forged, "inverse_map", dict(inverse))
-    object.__setattr__(forged, "_key",
-                       (m, n, tuple(sorted(mapping.items()))))
     return forged
 
 

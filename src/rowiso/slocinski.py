@@ -131,12 +131,10 @@ def dead_nodes(pp: PairPresentation) -> frozenset:
 # ------------------------------------------------------------ chain verdicts
 
 def _require_jointly_isometric(pp: PairPresentation) -> None:
-    # a cached joint report was computed after the pair was found to
-    # theta-commute, so a hit stands for both guards
-    report = pp._cache.get("joint")
-    if report is None:
-        report = check_joint_isometry(pp)
-    if not report.ok:
+    # a kept joint report was computed after the pair was found to
+    # theta-commute, so it stands for both guards
+    report = pp._joint or check_joint_isometry(pp)
+    if report.violations:
         raise ContractViolation(report.violations[0])
 
 
@@ -171,8 +169,8 @@ def s_membership(pp: PairPresentation, x: PairElem) -> Part:
     The guards run once, at entry: a pair that does not theta-commute,
     or is not jointly isometric, raises ContractViolation with the
     first failure of its report, and x must be canonical.  On a pair
-    already checked, the pair's guard is one cache lookup, and x takes
-    one inline check.
+    already checked, the pair's guard reads its kept joint report, and x
+    takes one inline check.
     """
     _require_jointly_isometric(pp)
     _require_canonical(pp, x)

@@ -39,6 +39,9 @@ MixedWord = tuple[Letter, ...]
 
 EPSILON: Word = ()
 
+_DOMAIN = "theta domain must be all of [m] x [n]"
+_BIJECTION = "theta must be a bijection of [m] x [n]"
+
 
 def validate_word(word: Sequence[int], alphabet_size: int) -> Word:
     """Return ``word`` as a tuple after checking every letter is in range."""
@@ -57,33 +60,33 @@ class Theta:
     """A bijection of ``[m] x [n]`` driving the commutation rule.
 
     ``theta.map[(i, j)] == (i2, j2)`` encodes ``S_i T_j = T_{j2} S_{i2}``.
-    The inverse map is precomputed since the calculus needs both
-    directions equally often.
+    Keys and values are pairs of labels, each an ``int`` (not a
+    ``bool``), checked once; the inverse map, which the calculus needs
+    as often, shows by its size whether theta is a bijection.
     """
 
-    __slots__ = ("m", "n", "map", "inverse_map", "_key")
+    __slots__ = ("m", "n", "map", "inverse_map")
 
     def __init__(self, m: int, n: int, mapping: dict):
         if m < 1 or n < 1:
             raise ValidationError("alphabet sizes must be positive")
         if len(mapping) != m * n:
-            # refused before the domain set, whose size is m * n
-            raise ValidationError("theta domain must be all of [m] x [n]")
-        domain = set(_cartesian(range(1, m + 1), range(1, n + 1)))
-        pairs = {}
-        for key, value in mapping.items():
-            k = (int(key[0]), int(key[1]))
-            v = (int(value[0]), int(value[1]))
-            pairs[k] = v
-        if set(pairs) != domain:
-            raise ValidationError("theta domain must be all of [m] x [n]")
-        if set(pairs.values()) != domain:
-            raise ValidationError("theta must be a bijection of [m] x [n]")
+            raise ValidationError(_DOMAIN)
+        pairs = dict(mapping)
+        # m * n distinct keys in [m] x [n] are the domain, checked first
+        for entries, error in ((pairs, _DOMAIN), (pairs.values(), _BIJECTION)):
+            for e in entries:
+                if not (type(e) is tuple and len(e) == 2
+                        and type(e[0]) is int and 0 < e[0] <= m
+                        and type(e[1]) is int and 0 < e[1] <= n):
+                    _check_entry(e, m, n, error)
+        inverse = {v: k for k, v in pairs.items()}
+        if len(inverse) != len(pairs):
+            raise ValidationError(_BIJECTION)
         self.m = m
         self.n = n
         self.map = pairs
-        self.inverse_map = {v: k for k, v in pairs.items()}
-        self._key = (m, n, tuple(sorted(pairs.items())))
+        self.inverse_map = inverse
 
     @classmethod
     def identity(cls, m: int, n: int) -> "Theta":
@@ -115,13 +118,25 @@ class Theta:
         return all(k == v for k, v in self.map.items())
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, Theta) and self._key == other._key
+        return isinstance(other, Theta) and self.map == other.map
 
     def __hash__(self) -> int:
-        return hash(self._key)
+        return hash(frozenset(self.map.items()))
 
     def __repr__(self) -> str:
         return f"Theta(m={self.m}, n={self.n}, map={self.map!r})"
+
+
+def _check_entry(entry: object, m: int, n: int, range_error: str) -> None:
+    # a key or value that failed Theta's inline check: refuse it, or
+    # pass an int subclass
+    if not isinstance(entry, tuple) or len(entry) != 2:
+        raise ValidationError(f"theta entry {entry!r} is not a pair")
+    for label in entry:
+        if not isinstance(label, int) or isinstance(label, bool):
+            raise ValidationError(f"theta label {label!r} is not an integer")
+    if not (0 < entry[0] <= m and 0 < entry[1] <= n):
+        raise ValidationError(range_error)
 
 
 # -- single-letter moves ----------------------------------------------------

@@ -19,7 +19,8 @@ import pytest
 from rowiso.cli import parse
 from rowiso.errors import ContractViolation, ResourceExceeded, ValidationError
 from rowiso.oracle import materialize, verify_relations
-from rowiso.search import PREDICATES, _edge_maps, all_thetas
+from rowiso.presentation import Presentation
+from rowiso.search import PREDICATES, _edge_maps, _forge_theta, all_thetas
 from rowiso.pair import (
     CommutationFailure,
     PairElem,
@@ -36,6 +37,7 @@ from rowiso.pair import (
     t_apply,
     t_pred,
     validate_pair,
+    _base_preds,
     _doubly_sweep,
     _free_word_bound,
     _reduce_raw,
@@ -1107,6 +1109,70 @@ class TestMirror:
                 assert mirror_elem(tw, mirror_elem(pp, x)) == x
 
 
+def swapped_theta(theta):
+    """The mirror's theta by hand: theta(i, j) = (i', j') gives
+    (j', i') -> (j, i)."""
+    return Theta(theta.n, theta.m, {(j2, i2): (j, i) for (i, j), (i2, j2)
+                                    in theta.map.items()})
+
+
+class TestMirrorSharesTheFamilies:
+    def test_matches_a_freshly_built_mirror_on_every_candidate(
+            self, pair_space):
+        for candidate, commuting, _ in pair_space:
+            pp = PairPresentation(candidate.theta, candidate.base,
+                                  candidate.s_edges, candidate.t_edges)
+            twin = mirror(pp)
+            fresh = PairPresentation(swapped_theta(pp.theta), pp.base,
+                                     pp.t_edges, pp.s_edges)
+            assert twin == fresh and hash(twin) == hash(fresh)
+            assert (twin.node_index, twin.s_in, twin.t_in, twin.t_sources) \
+                == (fresh.node_index, fresh.s_in, fresh.t_in,
+                    fresh.t_sources)
+            assert validate_pair(twin) == validate_pair(fresh)
+            assert check_theta_commute(twin) == check_theta_commute(fresh)
+            if commuting:
+                assert outcome(lambda: check_joint_isometry(twin)) == \
+                    outcome(lambda: check_joint_isometry(fresh)), pp
+                assert outcome(lambda: _base_preds(twin)) == \
+                    outcome(lambda: _base_preds(fresh)), pp
+
+    def test_the_twin_holds_the_pairs_own_families(self, monkeypatch):
+        pp = PairPresentation(THETA_CYCLIC_22, ("a", "b"),
+                              {("a", 1): "b"}, {("b", 2): "a"})
+        report = validate_pair(pp)
+        built = []
+        init = Presentation.__init__
+        monkeypatch.setattr(Presentation, "__init__",
+                            lambda self, *a: built.append(a) or init(self, *a))
+        twin = mirror(pp)
+        assert built == []  # mirror builds no family
+        assert twin._s_family is pp._t_family
+        assert twin._t_family is pp._s_family
+        assert twin.base is pp.base
+        assert validate_pair(twin) is report  # both clean: one report
+        assert mirror(twin) is pp and mirror(mirror(pp)) is pp
+
+    def test_an_invalid_pairs_twin_reports_its_own_families(self):
+        pp = PairPresentation(THETA_ID_11, ("a", "b", "a"),
+                              {("a", 1): "b", ("b", 1): "b"},
+                              {("a", 9): "a"})
+        twin = mirror(pp)
+        fresh = PairPresentation(THETA_ID_11, pp.base, pp.t_edges,
+                                 pp.s_edges)
+        assert validate_pair(pp).violations[0].startswith("s-family: base")
+        assert validate_pair(twin) == validate_pair(fresh)
+        assert not validate_pair(twin).ok
+
+    def test_a_forged_theta_is_still_refused(self):
+        forged = _forge_theta(2, 1, {(1, 1): (1, 1), (2, 1): (1, 1)},
+                              {(1, 1): (2, 1), (2, 1): (2, 1)})
+        pp = PairPresentation(forged, ("b",), {}, {})
+        # two keys meet in the swapped map, so its domain falls short
+        with pytest.raises(ValidationError, match="theta domain must be"):
+            mirror(pp)
+
+
 # -- structure ---------------------------------------------------------------------
 
 
@@ -1147,6 +1213,29 @@ class TestPairData:
         assert x.depth == 3
         assert PairElem((), (), "b").depth == 0
         assert repr([(1, x)]) == "[(1, <t2 t1 s1|c>)]"
+
+    def test_equality_and_hash_ignore_insertion_order(self):
+        theta = dict(THETA_CYCLIC_22.map.items())
+        s_edges = {("a", 1): "b", ("b", 2): "c"}
+        t_edges = {("c", 1): "a", ("a", 2): "a"}
+        pp = PairPresentation(Theta(2, 2, theta), ("a", "b", "c"),
+                              s_edges, t_edges)
+        qq = PairPresentation(Theta(2, 2, dict(reversed(theta.items()))),
+                              ("a", "b", "c"),
+                              dict(reversed(s_edges.items())),
+                              dict(reversed(t_edges.items())))
+        assert pp == qq and hash(pp) == hash(qq)
+        assert pp != PairPresentation(Theta(2, 2, theta), ("a", "b", "c"),
+                                      t_edges, s_edges)
+        assert pp != PairPresentation(THETA_ID_22, ("a", "b", "c"),
+                                      s_edges, t_edges)
+
+    def test_node_names_that_do_not_compare(self):
+        pp = PairPresentation(THETA_ID_11, (1, "a"), {(1, 1): "a"},
+                              {(1, 1): 1})
+        assert validate_pair(pp).ok and validate_pair(mirror(pp)).ok
+        assert not check_theta_commute(pp).ok
+        assert not check_theta_commute(mirror(pp)).ok
 
     def test_require_commuting_error(self):
         pp = PairPresentation(THETA_ID_11, ("a", "b"),

@@ -14,6 +14,7 @@ import pytest
 
 from rowiso.cli import parse
 from rowiso.errors import ValidationError
+from rowiso.search import _edge_maps
 from rowiso.presentation import (
     Elem,
     Presentation,
@@ -115,6 +116,113 @@ class TestValidate:
         p = Presentation(2, ("b", "c"), {("b", 1): "c", ("b", 2): "c"})
         with pytest.raises(ValidationError):
             apply(p, 1, Elem((), "b"))
+
+
+# -- the one-pass validate ---------------------------------------------------
+
+
+def reference_validate(p):
+    """The sorted validate: every edge visited in str order."""
+    violations = []
+    if p.m < 1:
+        violations.append(f"label count must be at least 1, got {p.m}")
+    seen = set()
+    for b in p.base:
+        if b in seen:
+            violations.append(f"base node {b!r} declared twice")
+        seen.add(b)
+    if None in seen:
+        violations.append("base node None is reserved: it marks a "
+                          "missing edge")
+    in_count = {}
+    for (src, label), dst in sorted(p.edges.items(), key=str):
+        if src not in p.node_index:
+            violations.append(f"edge source {src!r} is not a base node")
+        if dst not in p.node_index:
+            violations.append(f"edge target {dst!r} is not a base node")
+        if not 1 <= label <= max(p.m, 1):
+            violations.append(f"edge label {label} outside 1..{p.m}")
+        in_count.setdefault(dst, []).append((src, label))
+    for dst, sources in sorted(in_count.items(), key=str):
+        if len(sources) > 1:
+            violations.append(
+                f"node {dst!r} has in-degree {len(sources)}: "
+                + ", ".join(f"({s!r},{l})" for s, l in sources))
+    return tuple(violations)
+
+
+def reference_in_edge(p):
+    in_edge = {}
+    for (src, label), dst in sorted(p.edges.items(), key=str):
+        in_edge.setdefault(dst, (src, label))
+    return in_edge
+
+
+def small_singles():
+    """The 1,091 single presentations with m, |base| <= 3, as data."""
+    out = [(m, tuple("abc"[:k]), dict(edges))
+           for m in (1, 2, 3) for k in (1, 2, 3)
+           for edges in _edge_maps(tuple("abc"[:k]), m)]
+    assert len(out) == 1091
+    return out
+
+
+def corruptions(m, base, edges):
+    """One copy of a presentation per way to break it."""
+    first, last = base[0], base[-1]
+    # two declared slots sent to one node, or a dangling one when the
+    # presentation has a single slot
+    slots = [(b, i) for b in base for i in range(1, m + 1)] + [("y", 1)]
+    yield "duplicate-base-node", m, base + (first,), edges
+    yield "none-node", m, base + (None,), edges
+    yield "dangling-source", m, base, {**edges, ("z", 1): first}
+    yield "dangling-target", m, base, {**edges, (last, 1): "z"}
+    yield "label-zero", m, base, {**edges, (first, 0): last}
+    yield "label-past-m", m, base, {**edges, (first, m + 1): last}
+    yield "in-degree-two", m, base, {**edges, **dict.fromkeys(slots[:2],
+                                                             last)}
+    yield "no-labels", 0, base, edges
+
+
+class TestOnePassValidate:
+    def test_matches_the_sorted_path_on_every_small_single(self):
+        clean = set()
+        for m, base, edges in small_singles():
+            p = Presentation(m, base, edges)
+            report = validate(p)
+            assert report.violations == reference_validate(p) == (), p
+            assert p.in_edge == reference_in_edge(p)
+            clean.add(id(report))
+        assert len(clean) == 1  # one shared clean report
+
+    def test_matches_the_sorted_path_on_corrupted_copies(self):
+        kinds = set()
+        for data in small_singles():
+            for kind, m, base, edges in corruptions(*data):
+                p = Presentation(m, base, edges)
+                want = reference_validate(p)
+                assert want, (kind, p)
+                assert validate(p).violations == want, (kind, p)
+                assert p.in_edge == reference_in_edge(p), (kind, p)
+                kinds.add(kind)
+        assert len(kinds) == 8
+
+    def test_a_shared_target_keeps_its_str_first_source(self):
+        # inserted last, but ("a", 2) comes first in str order
+        p = Presentation(2, ("a", "b", "c"),
+                         {("c", 1): "b", ("b", 2): "b", ("a", 2): "b"})
+        assert p.in_edge == {"b": ("a", 2)}
+        assert not validate(p).ok
+
+    def test_node_names_that_do_not_compare(self):
+        p = Presentation(2, (1, "a"), {(1, 1): "a", ("a", 2): 1})
+        assert validate(p).ok
+        assert pred(p, Elem((), "a")) == (1, Elem((), 1))
+        shared = Presentation(2, (1, "a"), {(1, 1): "a", ("a", 2): "a"})
+        # inserted last, but "(('a', 2)" comes before "((1, 1)"
+        assert shared.in_edge == {"a": ("a", 2)}
+        assert validate(shared).violations == reference_validate(shared)
+        assert p == Presentation(2, (1, "a"), {("a", 2): 1, (1, 1): "a"})
 
 
 # -- apply --------------------------------------------------------------------
@@ -331,6 +439,15 @@ class TestPresentationData:
         assert p == q
         assert hash(p) == hash(q)
         assert p != Presentation(2, ("b", "c"), {})
+
+    def test_equality_and_hash_ignore_insertion_order(self):
+        edges = {("b", 2): "c", ("c", 1): "b", ("b", 1): "b"}
+        p = Presentation(2, ("b", "c"), edges)
+        q = Presentation(2, ("b", "c"), dict(reversed(edges.items())))
+        assert list(p.edges) != list(q.edges)
+        assert p == q and hash(p) == hash(q)
+        assert p != Presentation(2, ("c", "b"), edges)
+        assert p != Presentation(3, ("b", "c"), edges)
 
     def test_dict_round_trip(self):
         doc = CHAIN.to_dict()

@@ -225,7 +225,7 @@ class TestTheta:
             Theta(2, 2, {(1, 1): (1, 1)})
 
     def test_partial_mapping_refused_without_the_domain(self):
-        # the size test runs before the m * n domain set is built
+        # the size test runs before any entry is read
         tracemalloc.start()
         try:
             with pytest.raises(ValidationError,
@@ -265,6 +265,68 @@ class TestTheta:
     def test_inverse_map(self):
         for k, v in THETA_CYCLIC.map.items():
             assert THETA_CYCLIC.inverse_map[v] == k
+
+    def test_equality_and_hash_ignore_insertion_order(self):
+        items = list(THETA_CYCLIC.map.items())
+        again = Theta(2, 2, dict(reversed(items)))
+        assert list(again.map) != list(THETA_CYCLIC.map)
+        assert again == THETA_CYCLIC
+        assert hash(again) == hash(THETA_CYCLIC)
+        assert again != THETA_SWAP_CORNERS
+
+
+# Theta(2, 1, FLIP) with one key or one value replaced; True, 2.7 and "1"
+# were taken by int() before, and a tuple of three by its first two
+FLIP = {(1, 1): (2, 1), (2, 1): (1, 1)}
+BAD_LABELS = (2.7, "1", True, None, 1.0)
+NOT_PAIRS = ((1,), (2, 1, 1), 5, "21")
+
+
+class TestThetaEntries:
+    @pytest.mark.parametrize("bad", BAD_LABELS)
+    def test_label_refused_in_a_key(self, bad):
+        with pytest.raises(ValidationError,
+                           match=f"theta label {bad!r} is not an integer"):
+            Theta(2, 1, {(1, 1): (2, 1), (2, bad): (1, 1)})
+
+    @pytest.mark.parametrize("bad", BAD_LABELS)
+    def test_label_refused_in_a_value(self, bad):
+        with pytest.raises(ValidationError,
+                           match=f"theta label {bad!r} is not an integer"):
+            Theta(2, 1, {(1, 1): (2, bad), (2, 1): (1, 1)})
+
+    @pytest.mark.parametrize("bad", NOT_PAIRS)
+    def test_entry_refused_as_a_key(self, bad):
+        with pytest.raises(ValidationError, match="is not a pair"):
+            Theta(2, 1, {(1, 1): (2, 1), bad: (1, 1)})
+
+    @pytest.mark.parametrize("bad", NOT_PAIRS + ([2, 1],))
+    def test_entry_refused_as_a_value(self, bad):
+        with pytest.raises(ValidationError, match="is not a pair"):
+            Theta(2, 1, {(1, 1): bad, (2, 1): (1, 1)})
+
+    def test_out_of_range_labels_keep_their_errors(self):
+        with pytest.raises(ValidationError, match="theta domain must be"):
+            Theta(2, 1, {(1, 1): (2, 1), (3, 1): (1, 1)})
+        with pytest.raises(ValidationError, match="theta must be a bij"):
+            Theta(2, 1, {(1, 1): (2, 0), (2, 1): (1, 1)})
+
+    def test_the_domain_is_checked_before_any_value(self):
+        # the bad value comes first in the dict, the bad key last
+        for bad_key, error in (((3, 1), "theta domain must be"),
+                               ((2, 1.0), "theta label 1.0 is not"),
+                               ((2,), "is not a pair")):
+            with pytest.raises(ValidationError, match=error):
+                Theta(2, 1, {(1, 1): (9, 9), bad_key: (1, 1)})
+        with pytest.raises(ValidationError, match="theta must be a bij"):
+            Theta(2, 1, {(1, 1): (9, 9), (2, 1): (1, 1)})
+
+    def test_an_int_subclass_is_a_label(self):
+        class Label(int):
+            pass
+
+        theta = Theta(2, 1, {(Label(1), 1): (2, Label(1)), (2, 1): (1, 1)})
+        assert theta == Theta(2, 1, FLIP)
 
 
 # -- single-letter moves ------------------------------------------------------
