@@ -23,7 +23,10 @@ single-family ``validate`` loads nothing more, ``classify`` adds
 ``wold`` and ``lebesgue`` but no ``pair``, ``search`` loads no
 ``oracle``, and only the ``oracle`` subcommand loads numpy, once its
 truncation passes the closed-form size check (exact for a single
-family, a lower bound for a pair).
+family, a lower bound for a pair).  No subcommand loads
+:mod:`dataclasses`, which pulls in :mod:`inspect` and :mod:`ast`: the
+result records are built on ``errors._Record``.  So only ``oracle``
+loads :mod:`inspect`, through numpy's own import.
 """
 
 from __future__ import annotations
@@ -32,10 +35,10 @@ import argparse
 import enum
 import json
 import sys
-from dataclasses import fields, is_dataclass
 from typing import TYPE_CHECKING
 
-from .errors import ContractViolation, ResourceExceeded, ValidationError
+from .errors import (ContractViolation, ResourceExceeded, ValidationError,
+                     _Record)
 from .presentation import Elem, Presentation, validate
 from .properties import PROPERTIES
 
@@ -139,13 +142,8 @@ def _jsonable(obj):
     if isinstance(obj, _loaded("wold", "SubspaceDesc")):
         mode = "explicit-finite" if obj.nodes is None else "forward-closure"
         return {"mode": mode, "seeds": [_jsonable(s) for s in obj.seeds]}
-    if is_dataclass(obj) and not isinstance(obj, type):
-        out = {}
-        for f in fields(obj):
-            if f.name == "presentation":
-                continue
-            out[f.name] = _jsonable(getattr(obj, f.name))
-        return out
+    if isinstance(obj, _Record):
+        return {f: _jsonable(getattr(obj, f)) for f in obj._shown}
     if isinstance(obj, (list, tuple, frozenset, set)):
         items = list(obj)
         if isinstance(obj, (set, frozenset)):

@@ -12,11 +12,11 @@ four summands.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
-from .errors import ContractViolation, NotCommuting, ValidationError
+from .errors import (ContractViolation, NotCommuting, ValidationError,
+                     _Record)
 from .presentation import Elem, Node, Presentation
 from .presentation import _apply_raw, _require_canonical
 from .wold import SubspaceDesc, _backward, _orbit_ends
@@ -27,8 +27,7 @@ class UnitaryKind(str, Enum):
     DILATION_TYPE = "dilation-type"
 
 
-@dataclass(frozen=True)
-class UnitaryComponent:
+class UnitaryComponent(_Record):
     """One cycle of the base graph together with what it generates.
 
     ``cycle`` lists (node, label) pairs tracing the directed cycle;
@@ -42,8 +41,7 @@ class UnitaryComponent:
     V: SubspaceDesc
 
 
-@dataclass(frozen=True)
-class LebesgueResult:
+class LebesgueResult(_Record):
     """All four summands of the refined decomposition of the unitary part.
 
     ``PH`` is the support of the structure projection: the singular

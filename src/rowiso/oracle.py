@@ -58,10 +58,9 @@ from __future__ import annotations
 import functools
 import itertools
 from collections.abc import Sequence
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Union
 
-from .errors import ResourceExceeded, ValidationError
+from .errors import ResourceExceeded, ValidationError, _Record
 from .presentation import Elem, Presentation
 
 if TYPE_CHECKING:
@@ -475,7 +474,6 @@ class _LazyBasis(Sequence):
         return repr(self._all())
 
 
-@dataclass
 class OracleModel:
     """Every generator of a depth-d truncation as an image array.
 
@@ -498,17 +496,18 @@ class OracleModel:
     check reads the array in place.
     """
 
-    presentation: object
-    depth: int
-    basis: Sequence
-    keys: tuple
-    imgs: dict
-    depths: np.ndarray
-    letters: dict
-    adjoint_cost: int
-
-    def __post_init__(self):
-        for key in self.keys:
+    def __init__(self, presentation: object, depth: int, basis: Sequence,
+                 keys: tuple, imgs: dict, depths: np.ndarray, letters: dict,
+                 adjoint_cost: int):
+        self.presentation = presentation
+        self.depth = depth
+        self.basis = basis
+        self.keys = keys
+        self.imgs = imgs
+        self.depths = depths
+        self.letters = letters
+        self.adjoint_cost = adjoint_cost
+        for key in keys:
             self.imgs[key].flags.writeable = False
 
     @property
@@ -755,8 +754,7 @@ def _first_bad_columns(lhs: tuple, rhs: tuple, mask: np.ndarray,
 
 # ------------------------------------------------------------------- reports
 
-@dataclass(frozen=True)
-class Report:
+class Report(_Record):
     """Outcome of a batch of exact checks; empty rows means all passed."""
 
     rows: tuple

@@ -28,12 +28,13 @@ points of the reduction.
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass
 from itertools import product as _cartesian
 from typing import Iterable, NamedTuple, Optional
 
-from .errors import ContractViolation, ResourceExceeded, ValidationError
-from .presentation import _CLEAN, Node, Presentation, ValidationReport
+from .errors import (ContractViolation, ResourceExceeded, ValidationError,
+                     _Record)
+from .presentation import (_CLEAN, Node, Presentation, ValidationReport,
+                           _edge_rows)
 from .presentation import validate as _validate_family
 from .words import (Theta, Word, commute_s_left, commute_s_right,
                     commute_t_right, denormalize, validate_word)
@@ -70,8 +71,7 @@ class PairElem(NamedTuple):
         return len(self.t_prefix) + len(self.s_prefix)
 
 
-@dataclass(frozen=True)
-class CommutationFailure:
+class CommutationFailure(_Record):
     """One failed identity instance: both sides, fully evaluated.
 
     ``lhs``/``rhs`` are canonical elements, ``None`` for the zero
@@ -212,10 +212,8 @@ class PairPresentation:
             "n": self.n,
             "theta": self.theta.to_quadruples(),
             "base": list(self.base),
-            "s_edges": [[src, label, dst]
-                        for (src, label), dst in sorted(self.s_edges.items())],
-            "t_edges": [[src, label, dst]
-                        for (src, label), dst in sorted(self.t_edges.items())],
+            "s_edges": _edge_rows(self._s_family),
+            "t_edges": _edge_rows(self._t_family),
         }
 
 
@@ -502,8 +500,22 @@ def mirror_elem(pp: PairPresentation, x: PairElem) -> PairElem:
 
 def _s_pred_raw(pp: PairPresentation, x: PairElem
                 ) -> Optional[tuple[int, PairElem]]:
-    # s_pred without the entry guards: pp theta-commutes and x is
-    # canonical.  Every candidate is still re-applied.
+    """:func:`s_pred` without the entry guards: pp theta-commutes and x
+    is canonical, so irreducible.
+
+    An x with S-letters strips its outer one, and the candidate needs
+    no re-application.  Write ``x = T_t S_i S_r e_b`` and
+    ``(i0, w) = commute_s_right(theta, t, i)``, so the candidate is
+    ``y = T_w S_r e_b``.  Re-applying ``S_i0`` runs
+    ``commute_s_left(theta, i0, w)``, which walks the same theta
+    entries back and returns ``(t, i)``: the two moves are inverse word
+    moves of one bijection.  With r non-empty that rebuilds x at once.
+    With r empty it reduces ``T_t S_i e_b``, which is x, and x's
+    innermost letters stay blocked: no s-edge ``(b, i)``, and the
+    innermost T-letter pushed through ``S_i`` has no t-edge at b.  So
+    the result is x in either case, on any pair whose theta is a
+    bijection.  Candidates of the backward walk are re-applied.
+    """
     theta = pp.theta
     if x.s_prefix:
         # T_t S_i = S_i' T_t' moves the outer S-letter outside, leaving
@@ -512,12 +524,7 @@ def _s_pred_raw(pp: PairPresentation, x: PairElem
         # the rest keeps x's innermost S-letter, if any, which stays
         # blocked, and its innermost T-letter reaches the node as x's
         # does, so it is irreducible too
-        y = PairElem(w, x.s_prefix[1:], x.node)
-        if _s_apply_raw(pp, i0, y) != x:
-            raise ContractViolation(
-                f"stripping the outer S-letter of {x!r} does not invert: "
-                f"candidate {y!r} fails re-application")
-        return i0, y
+        return i0, PairElem(w, x.s_prefix[1:], x.node)
     found: list[tuple[int, PairElem]] = []
     suffix: list[int] = []
     node = x.node
@@ -563,18 +570,22 @@ def _base_preds(pp: PairPresentation) -> dict:
 
 def _t_pred_raw(pp: PairPresentation, x: PairElem
                 ) -> Optional[tuple[int, PairElem]]:
-    # t_pred without the entry guards: pp (and so its mirror)
-    # theta-commutes and x is canonical, so irreducible
+    """:func:`t_pred` without the entry guards: pp (and so its mirror)
+    theta-commutes and x is canonical, so irreducible.
+
+    An x with T-letters strips its outer one, ``x = T_j T_r S_s e_b``
+    to ``y = T_r S_s e_b``, and the candidate needs no re-application.
+    Re-applying ``T_j`` prepends j when r is non-empty, which is x.
+    When r is empty it reduces ``T_j S_s e_b``, which is x, and x's
+    innermost letters stay blocked: no s-edge at b for the innermost
+    S-letter, and j pushed through ``S_s`` has no t-edge at b.  The
+    pure-S case runs :func:`_s_pred_raw` on the mirror pair.
+    """
     t = x.t_prefix
     if t:
         # T-letters are outside, so the outer one strips directly; the
         # rest keeps x's blocked innermost letters, and so is canonical
-        y = PairElem(t[1:], x.s_prefix, x.node)
-        if _t_apply_raw(pp, t[0], y) != x:
-            raise ContractViolation(
-                f"stripping the outer T-letter of {x!r} does not invert: "
-                f"candidate {y!r} fails re-application")
-        return t[0], y
+        return t[0], PairElem(t[1:], x.s_prefix, x.node)
     # a pure-S element is a pure-T element of the mirror pair, and so
     # is its predecessor there: the two names only swap prefixes
     res = _s_pred_raw(mirror(pp), PairElem(x.s_prefix, (), x.node))
@@ -598,10 +609,11 @@ def s_pred(pp: PairPresentation, x: PairElem
     must be the fresh S-letter itself (the T-push it displaced stays
     blocked), so these walks cover every way x can arise.
 
-    Every candidate is verified by re-applying; a candidate that fails,
-    or two distinct candidates that both verify, mean the edge data
-    contradicts theta beyond the checked region and raise
-    ContractViolation.
+    Every candidate of the backward walk is verified by re-applying; a
+    stripped letter needs no check (see :func:`_s_pred_raw`).  A
+    candidate that fails, or two distinct candidates that both verify,
+    mean the edge data contradicts theta beyond the checked region and
+    raise ContractViolation.
 
     The guards (theta-commutation, a canonical x) run here, once per
     call; internal loops call the unguarded kernel instead.

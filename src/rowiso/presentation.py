@@ -14,12 +14,11 @@ injectively on the basis and distinct generators have disjoint images.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product as _cartesian
 from itertools import repeat
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional
 
-from .errors import ValidationError
+from .errors import ValidationError, _Record
 
 if TYPE_CHECKING:
     from .words import Word
@@ -51,8 +50,7 @@ class Elem(NamedTuple):
         return len(self.prefix)
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(_Record):
     """Outcome of a structural validation; violations are data, not errors."""
 
     violations: tuple[str, ...] = ()
@@ -123,12 +121,22 @@ class Presentation:
             raise ValidationError(report.violations[0])
 
     def to_dict(self) -> dict:
-        return {
-            "m": self.m,
-            "base": list(self.base),
-            "s_edges": [[src, label, dst]
-                        for (src, label), dst in sorted(self.edges.items())],
-        }
+        return {"m": self.m, "base": list(self.base),
+                "s_edges": _edge_rows(self)}
+
+
+def _edge_rows(p: Presentation) -> list:
+    """Edge rows ``[src, label, dst]`` by source in base order, then label.
+
+    Node names are never compared with each other, so names that do not
+    compare (``1`` and ``"a"``) are written out too.  A source outside
+    the base, which only an invalid presentation has, comes last, by
+    its ``str``.
+    """
+    index, end = p.node_index, len(p.base)
+    return [[src, label, dst] for (src, label), dst in sorted(
+        p.edges.items(),
+        key=lambda e: (index.get(e[0][0], end), str(e[0][0]), e[0][1]))]
 
 
 def free_presentation(m: int, base: Iterable[Node] = ("b",)) -> Presentation:

@@ -11,10 +11,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .errors import ResourceExceeded, ValidationError
+from .errors import ResourceExceeded, ValidationError, _Record
 from .properties import PROPERTIES
 
 if TYPE_CHECKING:
@@ -26,8 +25,7 @@ SEARCH_BUDGET = 10 ** 7
 
 # ------------------------------------------------------------------- search
 
-@dataclass(frozen=True)
-class SearchSpace:
+class SearchSpace(_Record):
     """Finite family of pair presentations to sweep.
 
     Covers every base of size 1..max_base, every pair of edge maps with

@@ -39,10 +39,10 @@ Verdicts are exact or raise; they never guess.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
-from .errors import ContractViolation, ResourceExceeded, ValidationError
+from .errors import (ContractViolation, ResourceExceeded, ValidationError,
+                     _Record)
 from .pair import (PairElem, PairPresentation, _base_preds,
                    _require_canonical, _s_pred_raw, _t_pred_raw,
                    check_doubly_commute, check_joint_isometry, mirror)
@@ -252,8 +252,7 @@ def t_in_V(pp: PairPresentation, x: PairElem) -> bool:
 
 # ------------------------------------------------------------- multiplicity
 
-@dataclass(frozen=True)
-class Multiplicity:
+class Multiplicity(_Record):
     """Shift multiplicity: an exact count, or countably infinite.
 
     ``count`` is None exactly when infinite; ``generators`` lists one
@@ -296,8 +295,7 @@ def t_shift_multiplicity(pp: PairPresentation) -> Multiplicity:
 
 # ------------------------------------------------------------- decomposition
 
-@dataclass(frozen=True)
-class FailureWitness:
+class FailureWitness(_Record):
     """Which closure condition failed, at which element."""
 
     condition: str
@@ -305,8 +303,7 @@ class FailureWitness:
     detail: str
 
 
-@dataclass(frozen=True)
-class SlocinskiResult:
+class SlocinskiResult(_Record):
     """Existence verdict and the four corners, as subspace descriptions.
 
     Each corner is a node set: the base nodes whose S- and T-verdicts
@@ -435,8 +432,7 @@ def slocinski(pp: PairPresentation, order: str = "st") -> SlocinskiResult:
 
 # ----------------------------------------------------------------- theorems
 
-@dataclass(frozen=True)
-class HypothesisReport:
+class HypothesisReport(_Record):
     """Hypotheses of the sufficient-condition theorems, each certified.
 
     Flags are sound, not complete: True is only reported when the
@@ -541,8 +537,7 @@ def check_hypotheses(pp: PairPresentation) -> HypothesisReport:
     )
 
 
-@dataclass(frozen=True)
-class ImplicationRow:
+class ImplicationRow(_Record):
     name: str
     hypotheses_hold: bool
     conclusion_holds: Optional[bool]
@@ -553,8 +548,7 @@ class ImplicationRow:
         return not self.hypotheses_hold or bool(self.conclusion_holds)
 
 
-@dataclass(frozen=True)
-class ImplicationReport:
+class ImplicationReport(_Record):
     rows: tuple[ImplicationRow, ...]
 
     @property

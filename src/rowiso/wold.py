@@ -19,10 +19,10 @@ components of :mod:`lebesgue` and the drift cycles of
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
 
+from .errors import _Record
 from .presentation import Elem, Presentation, _require_canonical
 
 
@@ -31,8 +31,7 @@ class Part(str, Enum):
     SHIFT = "shift"
 
 
-@dataclass(frozen=True)
-class SubspaceDesc:
+class SubspaceDesc(_Record):
     """A decidable description of a closed span of basis vectors.
 
     Two kinds:
@@ -50,7 +49,9 @@ class SubspaceDesc:
 
     seeds: tuple
     nodes: Optional[frozenset] = None
-    presentation: object = field(repr=False, compare=False, default=None)
+    presentation: object = None
+
+    _hidden = ("presentation",)
 
     @property
     def is_empty(self) -> bool:
@@ -123,8 +124,7 @@ class SubspaceDesc:
         return [b in self.nodes for b in p.base]
 
 
-@dataclass(frozen=True)
-class WoldResult:
+class WoldResult(_Record):
     """The decomposition: two complementary parts plus shift data.
 
     ``wandering`` spans the space the shift part is built on by free

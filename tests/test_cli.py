@@ -572,13 +572,14 @@ class TestJsonOutput:
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 # runs in a fresh interpreter: after each step, record the exit code,
-# which of numpy/scipy are loaded and which rowiso modules
+# which of numpy, scipy, dataclasses and inspect are loaded and which
+# rowiso modules
 COLD_PROBE = """
 import contextlib, io, json, sys
 
 def heavy():
     return sorted({name.split(".")[0] for name in sys.modules}
-                  & {"numpy", "scipy"})
+                  & {"numpy", "scipy", "dataclasses", "inspect"})
 
 def ours():
     return sorted(name for name in sys.modules
@@ -654,7 +655,8 @@ class TestColdStart:
         *light, (label, code, heavy, _) = steps
         assert [step[1] for step in light] == [None, None] + [0] * 8 + [3]
         assert [step for step in light if step[2]] == []
-        assert (label, code, heavy) == ("oracle", 0, ["numpy"])
+        # numpy's own import loads inspect; nothing loads dataclasses
+        assert (label, code, heavy) == ("oracle", 0, ["inspect", "numpy"])
 
     @pytest.mark.parametrize("argv,exit_code,extra",
                              [row[1:] for row in MODULE_TABLE],
@@ -671,6 +673,10 @@ class TestColdStart:
         assert set(cli[3]) == CLI_IMPORTS
         assert run[1] == exit_code
         assert set(run[3]) == CLI_IMPORTS | {f"rowiso.{m}" for m in extra}
+        # no step loads dataclasses; only the oracle's numpy loads inspect
+        assert package[2] == cli[2] == []
+        assert run[2] == (["inspect", "numpy"] if argv[0] == "oracle"
+                          else [])
 
     def test_the_oracle_runs_without_scipy(self, tmp_path):
         # scipy made unimportable: the fault library, a pair model and

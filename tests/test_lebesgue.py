@@ -5,7 +5,6 @@ complements are checked by direct forward search rather than by
 trusting the classifier's labels.
 """
 
-import dataclasses
 import random
 from itertools import product
 
@@ -14,6 +13,7 @@ import pytest
 import rowiso.lebesgue
 from rowiso.errors import ContractViolation, NotCommuting, ValidationError
 from rowiso.lebesgue import (
+    LebesgueResult,
     UnitaryKind,
     check_commutant_reduces_sing,
     classify_unitary,
@@ -248,8 +248,9 @@ class TestSingMembership:
         # calls the dilation slice singular is caught at depth |base|+1
         p = Presentation(2, ("b",), {("b", 1): "b"})
         res = classify_unitary(p)
-        p._lebesgue = dataclasses.replace(
-            res, H_sing=SubspaceDesc((Elem((), "b"),)))
+        p._lebesgue = LebesgueResult(
+            res.components, SubspaceDesc((Elem((), "b"),)), res.H_dil,
+            res.H_abs, res.PH)
         with pytest.raises(ContractViolation):
             sing_membership_test(p, Elem((), "b"), 2)
 

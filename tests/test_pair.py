@@ -1198,6 +1198,17 @@ class TestPairData:
         doc = pp.to_dict()
         assert doc["theta"] == THETA_FLIP_22.to_quadruples()
         assert parse(json.dumps(doc)) == pp
+        # names that do not compare: edges by source in base order
+        pp = PairPresentation(THETA_FLIP_22, (2, "a"), {("a", 2): 2},
+                              {("a", 1): 2, (2, 1): "a"})
+        assert validate_pair(pp).ok
+        doc = pp.to_dict()
+        assert doc["s_edges"] == [["a", 2, 2]]
+        assert doc["t_edges"] == [[2, 1, "a"], ["a", 1, 2]]
+        rows = {key: {(src, label): dst for src, label, dst in doc[key]}
+                for key in ("s_edges", "t_edges")}
+        assert PairPresentation(THETA_FLIP_22, doc["base"], rows["s_edges"],
+                                rows["t_edges"]) == pp
 
     def test_elem_repr(self):
         assert repr(PairElem((), (), "b")) == "<b>"

@@ -454,6 +454,15 @@ class TestPresentationData:
         assert doc == {"m": 2, "base": ["b", "c"],
                        "s_edges": [["b", 2, "c"]]}
         assert parse(json.dumps(doc)) == CHAIN
+        # names that do not compare: edges by source in base order
+        p = Presentation(2, ("b", 1, "a"), {(1, 1): "a", ("b", 2): 1,
+                                            ("b", 1): "b"})
+        assert validate(p).ok
+        doc = p.to_dict()
+        assert doc == {"m": 2, "base": ["b", 1, "a"],
+                       "s_edges": [["b", 1, "b"], ["b", 2, 1], [1, 1, "a"]]}
+        assert Presentation(doc["m"], doc["base"], {
+            (src, label): dst for src, label, dst in doc["s_edges"]}) == p
 
     def test_duplicate_edge_row_rejected(self):
         with pytest.raises(ValidationError, match="declared twice"):
