@@ -1,4 +1,5 @@
-"""The exception taxonomy, and the record base every module shares."""
+"""The exception taxonomy, the record base every module shares, and the
+one check of a depth argument."""
 
 
 class RowisoError(Exception):
@@ -30,6 +31,17 @@ class ResourceExceeded(RowisoError):
     simulation cannot certify an answer within its budget it raises
     this instead of returning a possibly wrong result.
     """
+
+
+def _require_depth(depth: int, least: int = 0) -> None:
+    """Refuse a depth argument that is not an exact ``int`` (a ``bool``
+    or a float is not), or is below ``least``: the one check of a depth
+    at the public boundary."""
+    if type(depth) is not int:
+        raise ValidationError(f"depth must be an int, got {depth!r}")
+    if depth < least:
+        raise ValidationError(f"depth must be at least {least}, got {depth}"
+                              if least else "depth must be nonnegative")
 
 
 class _RecordType(type):

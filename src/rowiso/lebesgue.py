@@ -16,7 +16,7 @@ from enum import Enum
 from typing import Optional
 
 from .errors import (ContractViolation, NotCommuting, ValidationError,
-                     _Record)
+                     _Record, _require_depth)
 from .presentation import Elem, Node, Presentation
 from .presentation import _apply_raw, _require_canonical
 from .wold import SubspaceDesc, _backward, _orbit_ends
@@ -135,8 +135,7 @@ def sing_membership_test(p: Presentation, x: Elem, depth: int) -> bool:
     """
     p.require_valid()
     _require_canonical(p, x)
-    if depth < 0:
-        raise ValidationError("depth must be nonnegative")
+    _require_depth(depth)
     result = classify_unitary(p)
     ph = frozenset(result.PH.seeds)
     if x not in ph:

@@ -35,8 +35,8 @@ the isometry rows, ``sum G G^T``, ``unitary-on`` and ``wandering``,
 and only the images counted twice are grouped to find each failing
 block (i, j).  Only a display's left side, an adjoint times a
 generator (``T_j^T S_i``, ``S_i^T T_j``), is a join on entry lists
-(``_mul``); all displays are blocks of one such product, compared
-with the sum of their terms in one comparison.
+(``_mul``); all displays are blocks of one such product, built only on
+their kept columns and compared with their terms' sums at once.
 
 Truncation discipline: a truncated isometry is defective at the
 boundary, so each identity is asserted only on its own interior mask.
@@ -60,7 +60,7 @@ import itertools
 from collections.abc import Sequence
 from typing import TYPE_CHECKING, Optional, Union
 
-from .errors import ResourceExceeded, ValidationError, _Record
+from .errors import ResourceExceeded, ValidationError, _Record, _require_depth
 from .presentation import Elem, Presentation
 
 if TYPE_CHECKING:
@@ -544,9 +544,9 @@ def materialize(p: Union[Presentation, PairPresentation],
     ``BASIS_BUDGET`` vectors raises ``ResourceExceeded`` before any
     basis element is built, and before numpy is loaded when a
     closed-form count (a pair's lower bound) is already over the budget.
+    A depth that is not an ``int``, or is below 1, is a ValidationError.
     """
-    if depth < 1:
-        raise ValidationError(f"depth must be at least 1, got {depth}")
+    _require_depth(depth, 1)
     if not isinstance(p, Presentation):
         if _pair_basis_lower_bound(p, depth) > BASIS_BUDGET:
             raise _over_budget(depth)
@@ -683,16 +683,13 @@ def _isometry_defects(stack, counts: np.ndarray) -> dict:
                                                 col[head].tolist())}
 
 
-def _block_entries(stack: np.ndarray, n: int) -> tuple:
-    """The block-diagonal operator with row d of ``stack`` at block d."""
+def _block_entries(stack: np.ndarray, n: int, keep=True) -> tuple:
+    """The block-diagonal operator with row d of ``stack`` at block d,
+    at the entries ``keep`` marks (per column, or per entry)."""
     import numpy as np
 
-    d, cols = np.nonzero(stack >= 0)
+    d, cols = np.nonzero((stack >= 0) & keep)
     return stack[d, cols] + d * n, cols + d * n
-
-
-def _tr(a: tuple) -> tuple:
-    return a[1], a[0]
 
 
 def _mul(a: tuple, b: tuple) -> tuple:
@@ -717,35 +714,25 @@ def _mul(a: tuple, b: tuple) -> tuple:
     return rows, b[1][np.repeat(np.arange(len(runs)), runs)]
 
 
-def _sorted_keys(op: tuple, mask: np.ndarray, rows: int) -> np.ndarray:
-    keep = mask[op[1]]
-    keys = op[1][keep] * rows + op[0][keep]
-    keys.sort()
-    return keys
-
-
-def _first_bad_columns(lhs: tuple, rhs: tuple, mask: np.ndarray,
-                       size: int, rows: int) -> dict:
+def _first_bad_columns(lhs: tuple, rhs: tuple, size: int, rows: int) -> dict:
     """Where two block operators differ, by block.
 
     Maps each (row block, column block) of ``size``-wide blocks where
-    ``lhs`` and ``rhs`` differ in a column that ``mask`` keeps to the
-    first such column, counted within its block, in block order.  Row
-    indices are below ``rows``.  The sorted entry keys of the kept
-    columns are compared first, which is exact for multisets; only two
-    unequal sides are split by block.
+    ``lhs`` and ``rhs`` differ to the first column where they do,
+    counted within its block, in block order.  Row indices are below
+    ``rows``.  The sorted entry keys are compared first, which is exact
+    for multisets; only two unequal sides are split by block.
     """
     import numpy as np
 
-    left = _sorted_keys(lhs, mask, rows)
-    right = _sorted_keys(rhs, mask, rows)
+    left, right = (np.sort(op[1] * rows + op[0]) for op in (lhs, rhs))
     if len(left) == len(right) and np.array_equal(left, right):
         return {}
     uniq, inv = np.unique(np.concatenate((left, right)), return_inverse=True)
     net = (np.bincount(inv[:len(left)], minlength=len(uniq))
            - np.bincount(inv[len(left):], minlength=len(uniq)))
     cols, at = np.divmod(uniq[net != 0], rows)  # in column order
-    width = -(-len(mask) // size)  # column blocks
+    width = int(cols[-1]) // size + 1  # past the last column block cited
     cells, first = np.unique(at // size * width + cols // size,
                              return_index=True)
     return {divmod(int(cell), width): int(cols[k] % size)
@@ -830,7 +817,10 @@ def _verify_pair_relations(cited: list, model: OracleModel) -> None:
     S_ik^T``) sends ``T_jk e_a`` to ``S_k e_a``.  Only a display's left
     side, an adjoint times a generator, is a join (``_mul``), so the
     displays are compared as block operators, block d holding one
-    display, with one comparison for all of them.
+    display, with one comparison for all of them.  Both sides are built
+    on kept columns only: the generator's entries there, the adjoint's
+    at the rows those reach, and a term where its column ``T_jk e_a``
+    is kept, so the comparison masks nothing.
     """
     import numpy as np
 
@@ -847,6 +837,9 @@ def _verify_pair_relations(cited: list, model: OracleModel) -> None:
         (a, b), (a2, b2) = entries[e]
         cited.append((f"S{a} T{b} = T{b2} S{a2}: differs at column ",
                       int(np.argmax(bad[e]))))
+    kept = model.mask(forward=1, adjoint=1)
+    if not kept.any():  # no display has a column to compare
+        return
     # doubly-commuting displays, block d holding one; G stacks S over T.
     # Each sum has at most one live term per column because
     # predecessors are unique
@@ -858,6 +851,9 @@ def _verify_pair_relations(cited: list, model: OracleModel) -> None:
             one[(a, b)], two[(a, b)] = len(labels), len(labels) + 1
             labels += [f"T{b}^T S{a} display", f"S{a}^T T{b} display"]
             left += [(t_row + b, a - 1), (a - 1, t_row + b)]
+    # display one reads theta(k, jj) = (ii, jk) through inverse_map, as
+    # check_doubly_commute does; ROADMAP.md item 1 disputes that reading,
+    # and its fix waits on a benchmark change rebuilding the golden records
     for (k, jj), (ii, jk) in entries:  # S_k T_jk^T in T_jj^T S_ii
         if (ii, jj) in one:
             right.append((one[(ii, jj)], k - 1, t_row + jk))
@@ -865,14 +861,18 @@ def _verify_pair_relations(cited: list, model: OracleModel) -> None:
         if (ii, jj) in two:
             right.append((two[(ii, jj)], t_row + k, ik - 1))
     adj, fwd = np.array(left, dtype=np.int64).reshape(-1, 2).T
-    lhs = _mul(_tr(_block_entries(G[adj], n)), _block_entries(G[fwd], n))
+    F, A = _block_entries(G[fwd], n, kept), _block_entries(G[adj], n)
+    reach = np.zeros(len(labels) * n, dtype=bool)
+    reach[F[0]] = True
+    on = reach[A[0]]
+    lhs = _mul((A[1][on], A[0][on]), F)  # A^T F
     d, fwd, adj = np.array(right, dtype=np.int64).reshape(-1, 3).T
     # a term sends T_jk e_a to S_k e_a: a gather on the shared column a
-    term, col = np.nonzero((G[fwd] >= 0) & (G[adj] >= 0))
-    rhs = (G[fwd[term], col] + d[term] * n, G[adj[term], col] + d[term] * n)
-    mask = np.tile(model.mask(forward=1, adjoint=1), len(labels))
+    to = G[adj]
+    term, col = np.nonzero((G[fwd] >= 0) & (to >= 0) & kept[to])
+    rhs = (G[fwd[term], col] + d[term] * n, to[term, col] + d[term] * n)
     # both sides are block diagonal, so each difference is in a block (d, d)
-    bad = _first_bad_columns(lhs, rhs, mask, n, len(labels) * n)
+    bad = _first_bad_columns(lhs, rhs, n, len(labels) * n)
     cited.extend((f"{labels[d]}: differs at column ", col)
                  for (_, d), col in bad.items())
 

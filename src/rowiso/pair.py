@@ -32,7 +32,7 @@ from itertools import product as _cartesian
 from typing import Iterable, NamedTuple, Optional
 
 from .errors import (ContractViolation, ResourceExceeded, ValidationError,
-                     _Record)
+                     _Record, _require_depth)
 from .presentation import (_CLEAN, Node, Presentation, ValidationReport,
                            _edge_rows)
 from .presentation import validate as _validate_family
@@ -386,8 +386,7 @@ def enumerate_pair(pp: PairPresentation, depth: int) -> list[PairElem]:
     ``ResourceExceeded`` before any element is built.
     """
     pp.require_valid()
-    if depth < 0:
-        raise ValidationError("depth must be nonnegative")
+    _require_depth(depth)
     if _free_word_bound(pp, depth) > PAIR_WINDOW_BUDGET:
         raise ResourceExceeded(
             f"pair window at depth {depth} has more than "
@@ -761,7 +760,13 @@ def check_doubly_commute(pp: PairPresentation,
       elsewhere.  The right side is ``S_k x'`` at ``j = jk``, where
       ``(k, jk) = theta^-1(i, l)``.  The ``S_a x'`` are distinct, so
       the display holds at x iff ``theta(i, l) = theta^-1(i, l)``, a
-      condition on the labels alone that ``T_l e_b`` decides.
+      condition on the labels alone that ``T_l e_b`` decides.  This
+      involutivity comes from reading display one's terms through
+      ``theta.inverse_map``, as the oracle also does; it is not a
+      property of the relation.  ROADMAP.md item 1 disputes the reading
+      (from ``S_i T_l = T_l' S_i'`` the matched terms are the ``(k, l)``
+      with ``theta(i, l) = (k, j)``); its fix flips the benchmark's
+      golden records, so it waits on a benchmark change rebuilding them.
     - Display one at an x in no T-range, where the right side is zero.
       Such an x is ``S_s e_b`` with no t-in-edge on the backward
       s-walk from b: the walk behind :func:`_t_pred_raw` visits the
@@ -795,14 +800,14 @@ def check_doubly_commute(pp: PairPresentation,
     :func:`enumerate_pair` refuses it: at once for a pair that is not
     jointly isometric, and on the first read of ``failures`` for a
     failing one that is.  The verdict of a jointly isometric pair, and
-    the report of a passing one, never raise ResourceExceeded.  A
-    negative depth is a ValidationError.
+    the report of a passing one, never raise ResourceExceeded.  A depth
+    that is not an ``int``, or is negative, is a ValidationError.
     """
     pp.require_commuting()
     if depth is None:
         depth = len(pp.base) + 2
-    elif depth < 0:
-        raise ValidationError("depth must be nonnegative")
+    else:
+        _require_depth(depth)
     cache = pp._cache.setdefault("doubly", {})
     report = cache.get(depth)
     if isinstance(report, weakref.ref):

@@ -18,7 +18,7 @@ from itertools import product as _cartesian
 from itertools import repeat
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional
 
-from .errors import ValidationError, _Record
+from .errors import ValidationError, _Record, _require_depth
 
 if TYPE_CHECKING:
     from .words import Word
@@ -268,8 +268,7 @@ def enumerate(p: Presentation, depth: int) -> list[Elem]:
     list sliced from it; the listing lives as long as the presentation.
     """
     p.require_valid()
-    if depth < 0:
-        raise ValidationError("depth must be nonnegative")
+    _require_depth(depth)
     listing = p._listing
     if listing is None or depth >= len(listing[1]):
         # grown on a copy and stored whole: a published listing is never

@@ -96,19 +96,21 @@ class Theta:
     @classmethod
     def from_quadruples(cls, m: int, n: int,
                         quads: Iterable[Sequence[int]]) -> "Theta":
-        """Build from ``[i, j, i', j']`` rows, the serialized form."""
-        mapping = {}
-        for q in quads:
-            if len(q) != 4:
-                raise ValidationError(f"theta row {q!r} is not a quadruple")
-            if any(not isinstance(v, int) or isinstance(v, bool) for v in q):
-                raise ValidationError(
-                    f"theta row {q!r} has a non-integer entry")
-            key = (q[0], q[1])
-            if key in mapping:
-                raise ValidationError(f"theta maps ({q[0]},{q[1]}) twice")
-            mapping[key] = (q[2], q[3])
-        return cls(m, n, mapping)
+        """Build from ``[i, j, i', j']`` rows, the serialized form.
+
+        ``Theta`` checks each label once.  Only when it refuses, or a row
+        does not unpack into four hashable labels or repeats a key, are
+        the rows read again, to name the first bad one.
+        """
+        rows = list(quads)
+        try:
+            mapping = {(i, j): (i2, j2) for i, j, i2, j2 in rows}
+            if len(mapping) == len(rows):
+                return cls(m, n, mapping)
+        except (TypeError, ValueError, ValidationError):
+            _refuse_row(rows)
+            raise
+        _refuse_row(rows)  # a key listed twice always names its row
 
     def to_quadruples(self) -> list[list[int]]:
         return [[i, j, i2, j2] for (i, j), (i2, j2) in sorted(self.map.items())]
@@ -125,6 +127,20 @@ class Theta:
 
     def __repr__(self) -> str:
         return f"Theta(m={self.m}, n={self.n}, map={self.map!r})"
+
+
+def _refuse_row(rows: list) -> None:
+    # the first serialized row that is not four integer labels, or
+    # repeats an earlier key, in the order the rows were given
+    seen = set()
+    for q in rows:
+        if len(q) != 4:
+            raise ValidationError(f"theta row {q!r} is not a quadruple")
+        if any(not isinstance(v, int) or isinstance(v, bool) for v in q):
+            raise ValidationError(f"theta row {q!r} has a non-integer entry")
+        if (q[0], q[1]) in seen:
+            raise ValidationError(f"theta maps ({q[0]},{q[1]}) twice")
+        seen.add((q[0], q[1]))
 
 
 def _check_entry(entry: object, m: int, n: int, range_error: str) -> None:

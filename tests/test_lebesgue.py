@@ -196,6 +196,11 @@ class TestSingMembership:
         assert sing_membership_test(TWO_CYCLE, Elem((), "a"), 3)
         assert sing_membership_test(TWO_CYCLE, Elem((), "b"), 3)
 
+    def test_depth_must_be_an_int(self):
+        for depth in (2.0, "3", True, None):
+            with pytest.raises(ValidationError, match="depth must be an int"):
+                sing_membership_test(TWO_CYCLE, Elem((), "a"), depth)
+
     def test_dilation_slice_escapes(self):
         assert not sing_membership_test(LOOP2, Elem((), "b"), 2)
 

@@ -33,7 +33,6 @@ from rowiso.oracle import (
     _pair_basis_lower_bound,
     _shift_on,
     _single_basis_size,
-    _tr,
 )
 from rowiso.pair import (PairElem, PairPresentation, check_doubly_commute,
                          check_joint_isometry, enumerate_pair, free_pair,
@@ -53,7 +52,8 @@ from rowiso.slocinski import dead_nodes, slocinski
 from rowiso.wold import SubspaceDesc, wold
 from rowiso.words import Theta, commute_s_left, commute_t_right
 
-from test_pair import THETA_CYCLIC_22, honest_pairs, random_pair
+from test_pair import (THETA_CYCLIC_22, honest_pairs, product_pair,
+                       random_edges, random_pair)
 from test_presentation import random_presentation
 
 import random
@@ -76,6 +76,17 @@ BILATERAL = PairPresentation(ID11, ("b", "c"), {("b", 1): "c"},
 
 
 class TestMaterialize:
+    def test_depth_must_be_an_int(self):
+        # a float, a string or a bool is refused, never read as a number
+        for p in (FREE2, FOUR_CORNERS):
+            for depth in (2.0, "3", True, None):
+                with pytest.raises(ValidationError,
+                                   match="depth must be an int"):
+                    materialize(p, depth)
+            with pytest.raises(ValidationError, match="at least 1, got 0"):
+                materialize(p, 0)
+            assert materialize(p, 1).depth == 1
+
     def test_free_two_generator_counts(self):
         model = materialize(FREE2, 2)
         assert len(model.basis) == 7  # 1 + 2 + 4 words
@@ -663,6 +674,12 @@ def partial_map(img, n):
     return dense((img[cols], cols), n)
 
 
+def on_columns(op, mask):
+    # the entries of op in the columns mask keeps
+    keep = mask[op[1]]
+    return op[0][keep], op[1][keep]
+
+
 class TestOperatorKernels:
     def test_kernels_match_dense_integer_matrices(self):
         rng = np.random.default_rng(1031)
@@ -675,7 +692,6 @@ class TestOperatorKernels:
                         rng.integers(0, n, k, dtype=np.int64))
 
             a, b = op(), op()
-            assert (dense(_tr(a), n) == dense(a, n).T).all()
             assert (dense(_mul(a, b), n) == dense(a, n) @ dense(b, n)).all()
             assert (dense(_add([a, b]), n)
                     == dense(a, n) + dense(b, n)).all()
@@ -683,7 +699,8 @@ class TestOperatorKernels:
             bad = np.flatnonzero(
                 (dense(a, n) != dense(b, n)).any(axis=0) & mask)
             want = {(0, 0): int(bad[0])} if len(bad) else {}
-            assert _first_bad_columns(a, b, mask, n, n) == want
+            assert _first_bad_columns(on_columns(a, mask),
+                                      on_columns(b, mask), n, n) == want
         # the image-array kernels, on stacks of partial maps: injective
         # in even trials and arbitrary in odd ones
         rng = np.random.default_rng(1109)
@@ -721,6 +738,11 @@ class TestOperatorKernels:
                 blocks[k * n:(k + 1) * n, k * n:(k + 1) * n] = G[k]
             assert (dense(_block_entries(stack, n), count * n)
                     == blocks).all()
+            # kept entries: a mask per column, then one per entry
+            for keep in (rng.random(n) < 0.5, rng.random((count, n)) < 0.5):
+                kept = np.broadcast_to(keep, (count, n)).ravel()
+                assert (dense(_block_entries(stack, n, keep), count * n)
+                        == blocks * kept).all()
 
     def test_block_comparator_matches_dense_blocks(self):
         rng = np.random.default_rng(1039)
@@ -756,7 +778,8 @@ class TestOperatorKernels:
                                          & mask[c * size:(c + 1) * size])
                     if len(bad):
                         want[(r, c)] = int(bad[0])
-            got = _first_bad_columns(a, b, mask, size, height)
+            got = _first_bad_columns(on_columns(a, mask),
+                                     on_columns(b, mask), size, height)
             assert list(got.items()) == list(want.items()), trial
 
 
@@ -813,6 +836,11 @@ class TestVerifyRelations:
 # are the loops it replaced, one product and one comparison per label,
 # label pair or twist entry; the batched reports must equal theirs row
 # for row.
+
+
+def _tr(op):
+    # the transpose: every entry (r, c) moved to (c, r)
+    return op[1], op[0]
 
 
 def _add(ops):
@@ -1032,11 +1060,12 @@ def bijective(theta) -> bool:
     return len(set(theta.map.values())) == len(theta.map)
 
 
-def corrupt_one_entry(model, rng) -> None:
-    """Replace one generator's array by a copy with one entry moved."""
+def corrupt_one_entry(model, rng, cols=None) -> None:
+    """Replace one generator's array by a copy with one entry moved, at
+    one of ``cols`` when given."""
     key = rng.choice(model.keys)
     fake = model.imgs[key].copy()
-    col = rng.randrange(len(fake))
+    col = rng.randrange(len(fake)) if cols is None else rng.choice(cols)
     fake[col] = rng.choice([r for r in range(-1, len(fake))
                             if r != fake[col]])
     model.imgs[key] = fake
@@ -1087,6 +1116,59 @@ class TestBatchedMatchesReference:
             self.assert_same(model, claims)
             failing += not verify_relations(model).ok
         assert failing > 100
+
+    def assert_same_corrupted(self, model, rng) -> bool:
+        """Clean, then after one moved entry at any column and after one
+        at a kept column of the displays; whether the latter gave a
+        display row."""
+        self.assert_same(model, ())
+        kept = np.flatnonzero(model.mask(forward=1, adjoint=1)).tolist()
+        clean = dict(model.imgs)
+        corrupt_one_entry(model, rng)
+        self.assert_same(model, ())
+        if not kept:
+            return False
+        model.imgs.update(clean)
+        corrupt_one_entry(model, rng, kept)
+        self.assert_same(model, ())
+        return any("display" in row for row in verify_relations(model).rows)
+
+    def test_edge_free_pairs_keep_few_columns_or_none(self):
+        # with |base| = k the displays keep the columns of depth at most
+        # depth - k, so k + 2 keeps those of depth 2 and k - 1 keeps none
+        rng = random.Random(1069)
+        shown = 0
+        for k in (3, 4):
+            nodes = tuple(f"b{q}" for q in range(k))
+            for theta in all_thetas(2, 2):
+                pp = PairPresentation(theta, nodes, {}, {})
+                for depth in (k + 2, *range(1, k)):
+                    model = materialize(pp, depth)
+                    kept = model.mask(forward=1, adjoint=1)
+                    assert kept.sum() == ((model.depths <= 2).sum()
+                                          if depth == k + 2 else 0)
+                    shown += self.assert_same_corrupted(model, rng)
+        assert shown > 0
+
+    def test_product_pairs_keep_few_columns_or_none(self):
+        # products of two random 2-label families, |base| 1 to 400 at
+        # depths 2 and 3: from |base| 4 on no display keeps a column
+        rng = random.Random(1091)
+        shown = 0
+        for a, b in ((1, 1), (1, 2), (2, 1), (2, 2), (1, 5), (3, 4),
+                     (10, 10), (20, 20)) * 3:
+            P = Presentation(2, tuple(range(a)),
+                             random_edges(rng, tuple(range(a)), 2))
+            Q = Presentation(2, tuple(range(b)),
+                             random_edges(rng, tuple(range(b)), 2))
+            pp = product_pair(P, Q)
+            assert check_joint_isometry(pp).ok
+            for depth in (2, 3):
+                model = materialize(pp, depth)
+                if a * b >= 4:
+                    assert not model.mask(forward=1, adjoint=1).any()
+                shown += self.assert_same_corrupted(model, rng)
+        assert shown > 0
 
 
 # -- independence ------------------------------------------------------------

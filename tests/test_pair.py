@@ -116,23 +116,45 @@ def random_pair(rng, max_nodes=3, max_m=2, max_n=2):
     shuffled = list(domain)
     rng.shuffle(shuffled)
     theta = Theta(m, n, dict(zip(domain, shuffled)))
+    return PairPresentation(theta, nodes, random_edges(rng, nodes, m),
+                            random_edges(rng, nodes, n))
 
-    def pick_edges(labels):
-        edges = {}
-        taken = set()
-        slots = [(b, i) for b in nodes for i in range(1, labels + 1)]
-        rng.shuffle(slots)
-        for slot in slots:
-            if rng.random() < 0.4:
-                free = [b for b in nodes if b not in taken]
-                if not free:
-                    break
-                dst = rng.choice(free)
-                edges[slot] = dst
-                taken.add(dst)
-        return edges
 
-    return PairPresentation(theta, nodes, pick_edges(m), pick_edges(n))
+def random_edges(rng, nodes, labels) -> dict:
+    """An injective edge map: each slot, in shuffled order, gets an edge
+    with probability 0.4, to a node no edge has taken yet."""
+    edges = {}
+    taken = set()
+    slots = [(b, i) for b in nodes for i in range(1, labels + 1)]
+    rng.shuffle(slots)
+    for slot in slots:
+        if rng.random() < 0.4:
+            free = [b for b in nodes if b not in taken]
+            if not free:
+                break
+            dst = rng.choice(free)
+            edges[slot] = dst
+            taken.add(dst)
+    return edges
+
+
+def product_pair(P: Presentation, Q: Presentation) -> PairPresentation:
+    """The product of two single families, with the identity twist.
+
+    The base is every node pair (a, b); ``S_i`` moves a as P's ``S_i``
+    does and keeps b, ``T_j`` keeps a and moves b as Q's ``T_j``.  So the
+    pair is ``S (x) I`` and ``I (x) T``, which doubly commute (Slocinski,
+    Ann. Polon. Math. 37 (1980); the product 2-graphs of Kumjian and
+    Pask, New York J. Math. 6 (2000)).  Edges to ``None`` are not
+    supported.
+    """
+    base = tuple((a, b) for a in P.base for b in Q.base)
+    s_edges = {((a, b), i): (dst, b)
+               for (a, i), dst in P.edges.items() for b in Q.base}
+    t_edges = {((a, b), j): (a, dst)
+               for (b, j), dst in Q.edges.items() for a in P.base}
+    return PairPresentation(Theta.identity(P.m, Q.m), base, s_edges,
+                            t_edges)
 
 
 def commuting_pairs(seed, count, **kw):
@@ -632,6 +654,28 @@ class TestWindowBudget:
             report.failures
         with pytest.raises(ValidationError, match="nonnegative"):
             check_doubly_commute(pp, -1)
+
+
+class TestDepthArguments:
+    # a depth that is not an exact int is refused, never read as a number
+    NOT_INTS = (2.0, "3", True, None, [2])
+
+    def test_enumerate_pair(self):
+        pp = free_pair(THETA_ID_22)
+        for depth in self.NOT_INTS:
+            with pytest.raises(ValidationError, match="depth must be an int"):
+                enumerate_pair(pp, depth)
+        assert len(enumerate_pair(pp, 1)) == 5
+
+    def test_check_doubly_commute(self):
+        # None asks for the default window
+        for theta in (THETA_ID_22, THETA_CYCLIC_22):
+            pp = free_pair(theta)
+            for depth in (2.0, "3", True, [2]):
+                with pytest.raises(ValidationError,
+                                   match="depth must be an int"):
+                    check_doubly_commute(pp, depth)
+            assert check_doubly_commute(pp, 2).ok == (theta == THETA_ID_22)
 
 
 # check_doubly_commute(free_pair(THETA_CYCLIC_22)).failures, as

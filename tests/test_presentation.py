@@ -359,6 +359,14 @@ class TestEnumerate:
         with pytest.raises(ValidationError):
             enumerate_basis(FREE2, -1)
 
+    def test_depth_must_be_an_int(self):
+        # True was read as depth 1, 2.0 and "3" raised a bare TypeError
+        p = Presentation(2, ("a", "b"), {("a", 1): "b"})
+        for depth in (2.0, "3", True, None):
+            with pytest.raises(ValidationError, match="depth must be an int"):
+                enumerate_basis(p, depth)
+        assert enumerate_basis(p, 1) == brute_enumerate(p, 1)
+
     def test_empty_base(self):
         assert enumerate_basis(Presentation(2, (), {}), 3) == []
 

@@ -329,6 +329,74 @@ class TestThetaEntries:
         assert theta == Theta(2, 1, FLIP)
 
 
+def reference_from_quadruples(m, n, quads):
+    """``Theta.from_quadruples`` with its per-row type scan, as it was
+    before each entry was checked once, by ``Theta`` alone."""
+    mapping = {}
+    for q in quads:
+        if len(q) != 4:
+            raise ValidationError(f"theta row {q!r} is not a quadruple")
+        if any(not isinstance(v, int) or isinstance(v, bool) for v in q):
+            raise ValidationError(
+                f"theta row {q!r} has a non-integer entry")
+        key = (q[0], q[1])
+        if key in mapping:
+            raise ValidationError(f"theta maps ({q[0]},{q[1]}) twice")
+        mapping[key] = (q[2], q[3])
+    return Theta(m, n, mapping)
+
+
+def outcome(build, *args):
+    try:
+        return build(*args)
+    except Exception as err:  # the type and the message must match
+        return type(err), str(err)
+
+
+class TestFromQuadruples:
+    def corpus(self):
+        good = [[1, 1, 2, 1], [2, 1, 1, 1]]
+        yield 2, 1, good
+        yield 2, 1, iter(good)
+        for bad in BAD_LABELS + ([1], {}, (1,)):
+            for at in range(4):
+                for row in range(2):
+                    rows = [list(q) for q in good]
+                    rows[row][at] = bad
+                    yield 2, 1, rows
+        yield 2, 1, [[1, 1, 2, 1], [1, 1, 1, 1], [2, 1, 1, 1]]
+        yield 2, 1, [[1, 1, 2, 1], [True, 1, 1, 1]]  # equal keys
+        yield 2, 1, [[1, 1, 2, 1], [1, 1, 1, 1], [2, 1, 1.5, 1]]
+        yield 2, 1, [[1, 1, 2], [1, 1, "x", 1]]
+        yield 2, 1, [[1, 1, 2, 1], [2, 1, 1, 1, 1]]
+        yield 2, 1, [[1, 1, 2, 1]]
+        yield 2, 1, [[1, 1, 2, 1], [3, 1, 1, 1]]
+        yield 2, 1, [[1, 1, 2, 1], [2, 1, 2, 1]]
+        yield 2, 1, [[1, 1, 2, 1], 5]
+        yield 2, 1, ["1121", [2, 1, 1, 1]]
+        yield 0, 1, []
+        yield "2", 1, [[1, 1, 2, 1], [2, 1, 1, 1]]
+
+    def test_matches_the_row_scan(self):
+        for m, n, quads in self.corpus():
+            if not isinstance(quads, list):
+                assert Theta.from_quadruples(m, n, quads) == \
+                    reference_from_quadruples(m, n, [[1, 1, 2, 1],
+                                                     [2, 1, 1, 1]])
+                continue
+            assert outcome(Theta.from_quadruples, m, n, quads) == \
+                outcome(reference_from_quadruples, m, n, quads), quads
+
+    def test_a_clean_build_reads_no_row_again(self, monkeypatch):
+        def forbidden(rows):
+            raise AssertionError("rows read again")
+
+        monkeypatch.setattr("rowiso.words._refuse_row", forbidden)
+        for theta in (THETA_CYCLIC, Theta.identity(3, 2)):
+            quads = theta.to_quadruples()
+            assert Theta.from_quadruples(theta.m, theta.n, quads) == theta
+
+
 # -- single-letter moves ------------------------------------------------------
 
 
