@@ -20,23 +20,26 @@ presentation is read per base node and gathered by base position;
 any other description is asked about every column, by name.
 
 Every identity is computed from the image arrays themselves, with
-integer counts: there are no floats, no tolerances, and nothing is
-built ahead of a check or kept between checks, so a replaced array is
-what the next check reads.  A product whose left factor is a
-generator is a gather, ``img_a[img_b]``: the twisted commutation rows,
-the ``S_k T_jk^T`` terms of both doubly-commuting displays, and
-invariance and reduction, which compare the images of members with
-membership.  A family G_1..G_m is a row isometry exactly when its row
-operator ``V = [G_1 ... G_m]`` from H^m to H satisfies ``V^T V = I``,
-which is every ``G_i^T G_j = delta_ij I`` at once, and its range
-projection ``V V^T = sum G_i G_i^T`` is the diagonal matrix of how
-many columns the family sends to each row: one ``bincount`` decides
-the isometry rows, ``sum G G^T``, ``unitary-on`` and ``wandering``,
-and only the images counted twice are grouped to find each failing
-block (i, j).  Only a display's left side, an adjoint times a
-generator (``T_j^T S_i``, ``S_i^T T_j``), is a join on entry lists
-(``_mul``); all displays are blocks of one such product, built only on
-their kept columns and compared with their terms' sums at once.
+integer counts: there are no floats and no tolerances.  A model keeps
+its images as one read-only (generators x columns) stack whose row
+views are its ``imgs``; a check restacks the entries once one is not
+its view, so a replaced array is what the next check reads.  Word
+tables depend on (k, top) alone and are shared, read-only.  A product
+whose left factor is a generator is a gather, ``img_a[img_b]``: the
+twisted commutation rows, the ``S_k T_jk^T`` terms of both
+doubly-commuting displays, and invariance and reduction, which compare
+the images of members with membership.  A family G_1..G_m is a row
+isometry exactly when its row operator ``V = [G_1 ... G_m]`` from H^m
+to H satisfies ``V^T V = I``, which is every
+``G_i^T G_j = delta_ij I`` at once, and its range projection
+``V V^T = sum G_i G_i^T`` is the diagonal matrix of how many columns
+the family sends to each row: one ``bincount`` decides the isometry
+rows, ``sum G G^T``, ``unitary-on`` and ``wandering``, and only the
+images counted twice are grouped to find each failing block (i, j).
+Only a display's left side, an adjoint times a generator
+(``T_j^T S_i``, ``S_i^T T_j``), is a join on entry lists (``_mul``);
+all displays are blocks of one such product, built only on their kept
+columns and compared with their terms' sums at once.
 
 Truncation discipline: a truncated isometry is defective at the
 boundary, so each identity is asserted only on its own interior mask.
@@ -86,15 +89,16 @@ def _free_slots(p: Presentation) -> list:
             for i in range(1, p.m + 1)]
 
 
-def _single_basis_size(p: Presentation, depth: int) -> int:
+def _single_basis_size(p: Presentation, depth: int, free: list) -> int:
     """The size of a single family's truncated basis, counted in closed form.
 
     A prefix of length L >= 1 ending in letter i sits on node b unless
     (b, i) is an edge, so the count is |base| + sum over L = 1..depth
-    of m^(L-1) * #{(b, i) not in edges}.  The sum stops once it passes
-    the budget, so a deep truncation costs no more than a shallow one.
+    of m^(L-1) * #{(b, i) not in edges}, read off ``free``.  The sum
+    stops once it passes the budget, so a deep truncation costs no more
+    than a shallow one.
     """
-    total, layer = len(p.base), sum(map(len, _free_slots(p)))
+    total, layer = len(p.base), sum(map(len, free))
     for _ in range(depth):
         if not layer or total > BASIS_BUDGET:
             break
@@ -103,8 +107,8 @@ def _single_basis_size(p: Presentation, depth: int) -> int:
     return total
 
 
-def _single_model(p: Presentation, depth: int) -> tuple:
-    """A single family's basis, image arrays and column depths.
+def _single_model(p: Presentation, depth: int, free: list) -> tuple:
+    """A single family's basis, image stack and column depths.
 
     Layer 0 is the base.  Layer L >= 1 lists, for each head of length
     L - 1 in lexicographic order and each last letter i, the base
@@ -118,7 +122,6 @@ def _single_model(p: Presentation, depth: int) -> tuple:
     """
     import numpy as np
 
-    free = _free_slots(p)
     last = []  # per label: node -> its last position in the block
     rep = []   # per block position: the row that names the same element
     for slots in free:
@@ -134,20 +137,18 @@ def _single_model(p: Presentation, depth: int) -> tuple:
     named = (np.arange(sizes[-2] // width if len(sizes) > 2 else 0,
                        dtype=np.int64)[:, None] * width
              + np.array(rep, dtype=np.int64)).ravel()
-    imgs = {}
-    for i in range(1, p.m + 1):
-        arr = np.full(offsets[-1], -1, dtype=np.int64)
+    stack = np.full((p.m, offsets[-1]), -1, dtype=np.int64)
+    for i, row in enumerate(stack, 1):
         for col, b in enumerate(p.base):
             hit = p.edges.get((b, i))
             if hit is not None:
-                arr[col] = p.node_index.get(hit, -1)
+                row[col] = p.node_index.get(hit, -1)
             elif b in last[i - 1]:  # not an edge whose target is None
-                arr[col] = offsets[1] + last[i - 1][b]
-        for length in range(1, len(sizes) - 1):
-            size = sizes[length]
-            arr[offsets[length]:offsets[length + 1]] = (
-                offsets[length + 1] + (i - 1) * size + named[:size])
-        imgs[("s", i)] = arr
+                row[col] = offsets[1] + last[i - 1][b]
+    for length in range(1, len(sizes) - 1):
+        size = sizes[length]  # written in place, every label at once
+        np.add(named[:size], offsets[length + 1] + size * np.arange(
+            p.m)[:, None], out=stack[:, offsets[length]:offsets[length + 1]])
     # past the base, the columns run through the heads in code order,
     # one block each, and the word head + (i,) has code m * head + i
     heads = np.arange((offsets[-1] - offsets[1]) // max(width, 1))
@@ -156,11 +157,11 @@ def _single_model(p: Presentation, depth: int) -> tuple:
     codes = (heads[:, None] * p.m + letter).ravel()
     pos = np.broadcast_to(slot, (len(heads), width)).ravel()
     basis = _LazyBasis(
-        Elem, (_Words(max(p.m, 1), len(sizes) - 1),),
+        Elem, (_shared_words(max(p.m, 1), len(sizes) - 1),),
         (np.concatenate((np.zeros(len(p.base), dtype=np.int64), codes)),),
         np.concatenate((np.arange(len(p.base)), pos)), p.base)
     depths = np.repeat(np.arange(len(sizes), dtype=np.int64), sizes)
-    return basis, imgs, depths
+    return basis, stack, depths
 
 
 def _pair_basis_lower_bound(pp: PairPresentation, depth: int) -> int:
@@ -172,8 +173,8 @@ def _pair_basis_lower_bound(pp: PairPresentation, depth: int) -> int:
     both.  Each count is capped just past the budget, which keeps the
     sum a lower bound.
     """
-    return (_single_basis_size(pp._s_family, depth)
-            + _single_basis_size(pp._t_family, depth) - len(pp.base))
+    return sum(_single_basis_size(p, depth, _free_slots(p)) for p in
+               (pp._s_family, pp._t_family)) - len(pp.base)
 
 
 class _Words:
@@ -185,7 +186,9 @@ class _Words:
     ``a * k^|w|`` to its code.  ``length``, ``last`` (0 for the empty
     word) and ``head`` (the code without the last letter) are int32
     tables indexed by code, built on first use: naming words needs none
-    of them, so a single family's basis never builds them.
+    of them, so a single family's basis never builds them.  All arrays
+    are read-only, and ``_shared_words`` builds one per (k, top) and
+    process for every model, keeping the 16 used last.
     """
 
     def __init__(self, k: int, top: int):
@@ -195,6 +198,7 @@ class _Words:
         self.powers = k ** np.arange(top + 1, dtype=np.int64)
         self.offsets = np.concatenate(([0], np.cumsum(self.powers)))
         self.size = int(self.offsets[-1])
+        self.powers.flags.writeable = self.offsets.flags.writeable = False
 
     @functools.cached_property
     def _tables(self) -> tuple:
@@ -206,6 +210,8 @@ class _Words:
         last = (rank % self.k + 1).astype(np.int32)
         head = (self.offsets[length - 1] + rank // self.k).astype(np.int32)
         last[0] = head[0] = 0  # the empty word
+        for table in (length, last, head):
+            table.flags.writeable = False
         return length, last, head
 
     length = property(lambda self: self._tables[0])
@@ -227,37 +233,39 @@ class _Words:
         return list(map(names.__getitem__, at.tolist()))
 
 
+_shared_words = functools.lru_cache(maxsize=16)(_Words)
+
+
 def _twist(words: _Words, carries: int, move) -> tuple:
     """Push a letter of the other family through each word, outer end first.
 
     ``move(f, c)`` is the one-letter move of carry c through letter f:
     the letter left in f's place and the carry that goes on.  Returns
-    two tables indexed by (word code, carry): the rewritten word's code
-    and the carry that comes out at the inner end.  Carry 0 stands for
-    no letter and leaves the word as it is.  The words of length L are
-    each first letter f, in order, before every word of length L - 1,
-    so a level is read off the level below.
+    two tables indexed by (word code, carry), the planes of one (code,
+    carry, 2) array: the rewritten word's code and the carry that comes
+    out at the inner end.  Carry 0 stands for no letter and leaves the
+    word as it is.  The words of length L are each first letter f, in
+    order, before every word of length L - 1, so a level is read off
+    the level below, both planes at once.
     """
     import numpy as np
 
-    emit = np.zeros((words.k, carries), dtype=np.int64)
-    turn = np.zeros((words.k, carries), dtype=np.int64)
-    for f in range(words.k):
-        for c in range(carries):
-            (emit[f, c],), turn[f, c] = move(f + 1, c + 1)
-    word = np.empty((words.size, carries + 1), dtype=np.int32)
-    out = np.empty((words.size, carries + 1), dtype=np.int32)
-    word[:, 0], out[:, 0] = np.arange(words.size), 0
-    word[0], out[0] = 0, np.arange(carries + 1)
+    moves = [(*w, d) for f in range(1, words.k + 1)
+             for w, d in (move(f, c) for c in range(1, carries + 1))]
+    emit, turn = np.array(moves, dtype=np.int64).T.reshape(2, words.k, carries)
+    # per level and carry, what the word and the carry out gain
+    adds = np.zeros((words.top, words.k, 1, carries, 2), dtype=np.int32)
+    adds[..., 0] = emit[:, None] * words.powers[:words.top, None, None, None]
+    table = np.empty((words.size, carries + 1, 2), dtype=np.int32)
+    table[:, 0, 0], table[:, 0, 1] = np.arange(words.size), 0
+    table[0, :, 0], table[0, :, 1] = 0, np.arange(carries + 1)
     for length in range(1, words.top + 1):
-        tails = slice(words.offsets[length - 1], words.offsets[length])
-        level = slice(words.offsets[length], words.offsets[length + 1])
-        for table, add in ((word, emit[:, :, None]
-                            * words.powers[length - 1]), (out, 0)):
-            # (f, c, tail) -> (f, tail, c): the level's rows in code order
-            table[level, 1:] = (table[tails].T[turn] + add).transpose(
-                0, 2, 1).reshape(-1, carries)
-    return word, out
+        tails = table[words.offsets[length - 1]:words.offsets[length]]
+        level = table[words.offsets[length]:words.offsets[length + 1]]
+        # (tail, f, c) -> (f, tail, c): the level's rows in code order
+        np.add(tails[:, turn].transpose(1, 0, 2, 3), adds[length - 1],
+               out=level.reshape(words.k, -1, carries + 1, 2)[:, :, 1:])
+    return table[..., 0], table[..., 1]
 
 
 class _PairTables:
@@ -295,7 +303,7 @@ class _PairTables:
                 if 1 <= label <= count:
                     edge[ids[src], label] = -2 if dst is None else ids[dst]
             free = (edge[self.nodes, 1:] == -1).any()
-            tables += [edge, _Words(count, depth if free else 1)]
+            tables += [edge, _shared_words(count, depth if free else 1)]
         self.s_edge, self.s_words, self.t_edge, self.t_words = tables
         from .words import commute_s_left, commute_t_right
 
@@ -355,7 +363,7 @@ def _pair_basis_codes(tables: _PairTables, depth: int) -> tuple:
 
 
 def _pair_images(pp: PairPresentation, tables: _PairTables, t: np.ndarray,
-                 s: np.ndarray, pos: np.ndarray) -> dict:
+                 s: np.ndarray, pos: np.ndarray) -> np.ndarray:
     """Every generator's image array, all generators in one stack.
 
     Each column gets its letter prepended (an S-letter after crossing
@@ -405,9 +413,7 @@ def _pair_images(pp: PairPresentation, tables: _PairTables, t: np.ndarray,
     hit[hit] = basis_keys[found[hit]] == keys[hit]
     rows = np.full((pp.m + pp.n, len(t)), -1, dtype=np.int64)
     rows.ravel()[ends[hit]] = order[found[hit]]
-    gens = [("s", i) for i in range(1, pp.m + 1)] + \
-        [("t", j) for j in range(1, pp.n + 1)]
-    return dict(zip(gens, rows))
+    return rows
 
 
 class _LazyBasis(Sequence):
@@ -477,47 +483,54 @@ class _LazyBasis(Sequence):
 class OracleModel:
     """Every generator of a depth-d truncation as an image array.
 
-    ``imgs[key]`` holds, per column, the row index of the image or -1
-    when the image falls outside the basis (a boundary column).  It is
-    the generator's 0/1 matrix, and every identity is computed from it.
-    ``interior`` flags the columns whose every generator image is in
-    the basis.  ``depths`` holds each column's depth and
-    ``letters[fam]`` how many letters of family ``fam`` its name
-    carries.  The basis is a lazy sequence over word codes and base
-    positions (``_LazyBasis``): its length names nothing, and a column
-    gets its name only when it is read, as the verifiers read the
-    columns they report.  A single family's is ordered by layer (prefix
-    length), which is what lets ``materialize`` write it in closed
+    ``stack`` has a row per generator, in ``keys`` order (S-labels, then
+    T-labels), holding per column the row index of the image, or -1
+    when it falls outside the basis (a boundary column): the
+    generator's 0/1 matrix.  ``imgs[key]`` is its row's view; ``imgs``
+    given as a stack is kept, and given as a dict is stacked.
+    ``interior`` flags the columns whose every image is in the basis.
+    ``depths`` holds each column's depth and ``letters[fam]`` how many
+    letters of family ``fam`` its name carries.  The basis is a lazy
+    sequence over word codes and base positions (``_LazyBasis``): a
+    column gets its name only when it is read, as the verifiers read
+    the columns they report.  A single family's is ordered by layer
+    (prefix length), which lets ``materialize`` write it in closed
     form; a pair's by depth, longer T-word first, then by T-word,
     S-word and base position.
 
-    The image arrays are read-only.  To corrupt a model, replace an
-    array: nothing is built from the arrays ahead of a check, so every
-    check reads the array in place.
+    The stack and its views are read-only.  To corrupt a model, replace
+    an ``imgs`` entry: once one is not its view, every check restacks
+    the entries, so a replaced array is what the next check reads.
     """
 
     def __init__(self, presentation: object, depth: int, basis: Sequence,
-                 keys: tuple, imgs: dict, depths: np.ndarray, letters: dict,
-                 adjoint_cost: int):
+                 keys: tuple, imgs: Union[dict, np.ndarray],
+                 depths: np.ndarray, letters: dict, adjoint_cost: int):
+        import numpy as np
+
         self.presentation = presentation
         self.depth = depth
         self.basis = basis
         self.keys = keys
-        self.imgs = imgs
+        if isinstance(imgs, dict):  # an array per key, stacked in order
+            imgs = np.array([imgs[key] for key in keys], dtype=np.int64
+                            ).reshape(len(keys), len(depths))
+        imgs.flags.writeable = False
+        self.stack = imgs
+        self.imgs = dict(zip(keys, imgs))
+        self._views = tuple(self.imgs.values())
         self.depths = depths
         self.letters = letters
         self.adjoint_cost = adjoint_cost
-        for key in keys:
-            self.imgs[key].flags.writeable = False
+
+    def __reduce__(self):  # a copy is stacked afresh from imgs as they are
+        return OracleModel, (self.presentation, self.depth, self.basis,
+                             self.keys, dict(self.imgs), self.depths,
+                             self.letters, self.adjoint_cost)
 
     @property
     def interior(self) -> np.ndarray:
-        import numpy as np
-
-        good = np.ones(len(self.basis), dtype=bool)
-        for key in self.keys:
-            good &= self.imgs[key] >= 0
-        return good
+        return (_family(self) >= 0).all(axis=0)
 
     @property
     def is_pair(self) -> bool:
@@ -547,82 +560,78 @@ def materialize(p: Union[Presentation, PairPresentation],
     A depth that is not an ``int``, or is below 1, is a ValidationError.
     """
     _require_depth(depth, 1)
+    keys = tuple(("s", i) for i in range(1, p.m + 1))
     if not isinstance(p, Presentation):
         if _pair_basis_lower_bound(p, depth) > BASIS_BUDGET:
             raise _over_budget(depth)
-        import numpy as np
-
         from .pair import PairElem
 
         tables = _PairTables(p, depth)
         t, s, pos = _pair_basis_codes(tables, depth)
         basis = _LazyBasis(PairElem, (tables.t_words, tables.s_words),
                            (t, s), pos, p.base)
-        imgs = _pair_images(p, tables, t, s, pos)
+        stack = _pair_images(p, tables, t, s, pos)
         letters = {"s": tables.s_words.length[s],
                    "t": tables.t_words.length[t]}
-        depths = (letters["s"] + letters["t"]).astype(np.int64)
+        depths = (letters["s"] + letters["t"]).astype("int64")
         adj = max(0, len(p.base) - 1)
+        keys += tuple(("t", j) for j in range(1, p.n + 1))
     else:
-        if _single_basis_size(p, depth) > BASIS_BUDGET:
+        free = _free_slots(p)
+        if _single_basis_size(p, depth, free) > BASIS_BUDGET:
             raise _over_budget(depth)
-        basis, imgs, depths = _single_model(p, depth)
+        basis, stack, depths = _single_model(p, depth, free)
         letters = {"s": depths}
         adj = 0
-    return OracleModel(p, depth, basis, tuple(imgs), imgs, depths, letters,
-                       adj)
+    return OracleModel(p, depth, basis, keys, stack, depths, letters, adj)
 
 
 # ------------------------------------------------------------------ kernels
 #
 # A generator is the partial map its image array stores: column c goes
 # to row img[c], or leaves the basis when img[c] is -1.  A family's
-# arrays are stacked into one (count, n) array, row k - 1 for label k.
+# arrays are one (count, n) stack, row k - 1 for label k, sliced from
+# the model's stack or from its restacked ``imgs`` once one is replaced.
 # Where a product needs the entries themselves, an operator is a pair
 # (rows, cols) of int64 arrays: one entry of value 1 at each (rows[k],
 # cols[k]), repeated pairs adding up.  A block operator over H^r x H^c,
-# n = |basis|, puts entry (i, j) of its block (R, C) at (R*n + i, C*n +
-# j).
+# n = |basis|, puts entry (i, j) of block (R, C) at (R*n + i, C*n + j).
 
 
-def _images(model: OracleModel, fam: str) -> list:
-    """The family's image arrays as they are, never copied into a stack."""
-    return [model.imgs[key] for key in model.keys if key[0] == fam]
-
-
-def _family(model: OracleModel, fam: str) -> np.ndarray:
+def _family(model: OracleModel, fam: Optional[str] = None) -> np.ndarray:
+    """The stack of family ``fam``'s image arrays, or of all, S first."""
     import numpy as np
 
-    arrays = _images(model, fam)
-    return np.array(arrays, dtype=np.int64).reshape(len(arrays),
-                                                    len(model.depths))
+    stack = model.stack
+    arrays = list(map(model.imgs.__getitem__, model.keys))
+    if any(a is not b for a, b in zip(arrays, model._views)):
+        stack = np.array(arrays, dtype=np.int64).reshape(stack.shape)
+    m = model.presentation.m
+    return stack if fam is None else stack[:m] if fam == "s" else stack[m:]
 
 
 def _compose(outer: np.ndarray, inner: np.ndarray) -> np.ndarray:
-    """The image array of ``outer inner``: a gather, row by row.
-
-    ``outer[inner[c]]`` where ``inner[c]`` is in the basis, -1 where
-    either step leaves it; stacks compose row k with row k.
-    """
+    """The image arrays of ``outer[k] inner[k]``, row by row: a gather
+    where ``inner`` is in the basis, -1 where either step leaves it."""
     import numpy as np
 
-    return np.where(inner >= 0, np.take_along_axis(outer, inner, axis=-1),
-                    -1)
+    rows = np.arange(len(outer))[:, None] * outer.shape[-1]
+    return np.where(inner >= 0, outer.ravel()[inner + rows], -1)
 
 
-def _image_counts(stack, n: int) -> np.ndarray:
+def _image_counts(stack: np.ndarray, n: int) -> np.ndarray:
     """The diagonal of ``sum G G^T`` over the generators' image arrays.
 
     ``G G^T`` puts, at (r, r'), the number of columns G sends to both r
     and r', so the sum is diagonal and its entry r counts the columns
-    the family sends to r: one ``bincount`` per generator.
+    the family sends to r: one ``bincount``, in budget-sized pieces.
     """
     import numpy as np
 
     counts = np.zeros(n + 1, dtype=np.int64)
-    for row in stack:
-        # shifted by one, a column outside the basis counts in bin 0
-        counts += np.bincount(row + 1, minlength=n + 1)
+    step = max(1, BASIS_BUDGET // max(n, 1))
+    for at in range(0, len(stack), step):  # -1, shifted by one, is bin 0
+        counts += np.bincount(stack[at:at + step].ravel() + 1, minlength=n + 1)
     return counts[1:]
 
 
@@ -688,8 +697,8 @@ def _block_entries(stack: np.ndarray, n: int, keep=True) -> tuple:
     at the entries ``keep`` marks (per column, or per entry)."""
     import numpy as np
 
-    d, cols = np.nonzero((stack >= 0) & keep)
-    return stack[d, cols] + d * n, cols + d * n
+    at = np.flatnonzero((stack >= 0) & keep)  # d * n + column
+    return stack.ravel()[at] + (at - at % n), at
 
 
 def _mul(a: tuple, b: tuple) -> tuple:
@@ -778,16 +787,13 @@ def verify_relations(model: OracleModel) -> Report:
     n = len(model.basis)
     pair = model.is_pair
     for fam in ("s", "t") if pair else ("s",):
-        images = _images(model, fam)
-        counts = _image_counts(images, n)
-        # adjoint rows are exact wherever the forward image is in-basis,
-        # no extra cost
-        bad = _isometry_defects(images, counts)
+        stack = _family(model, fam)
+        counts = _image_counts(stack, n)
+        # adjoint rows are exact, at no cost, where forward images are in-basis
+        bad = _isometry_defects(stack, counts)
         cited.extend((f"{fam}[{i+1}]^T {fam}[{j+1}]: differs at column ",
                       col) for (i, j), col in bad.items())
-        over = counts > 1
-        if pair:
-            over &= model.mask(adjoint=1)
+        over = (counts > 1) & (model.mask(adjoint=1) if pair else True)
         if over.any():
             cited.append((f"sum {fam}{fam}^T exceeds identity at ",
                           int(np.argmax(over))))
@@ -826,12 +832,12 @@ def _verify_pair_relations(cited: list, model: OracleModel) -> None:
 
     pp = model.presentation
     n = len(model.basis)
-    S, T = _family(model, "s"), _family(model, "t")
+    G, t_row = _family(model), pp.m - 1  # S over T: T_k is row t_row + k
     entries = sorted(pp.theta.map.items())
     i, j, i2, j2 = np.array([a + b for a, b in entries],
                             dtype=np.int64).reshape(-1, 4).T - 1
-    lhs = _compose(S[i], T[j])
-    rhs = _compose(T[j2], S[i2])
+    lhs = _compose(G[i], G[j + pp.m])
+    rhs = _compose(G[j2 + pp.m], G[i2])
     bad = (lhs >= 0) & (rhs >= 0) & (lhs != rhs)
     for e in np.flatnonzero(bad.any(axis=1)).tolist():
         (a, b), (a2, b2) = entries[e]
@@ -840,11 +846,8 @@ def _verify_pair_relations(cited: list, model: OracleModel) -> None:
     kept = model.mask(forward=1, adjoint=1)
     if not kept.any():  # no display has a column to compare
         return
-    # doubly-commuting displays, block d holding one; G stacks S over T.
-    # Each sum has at most one live term per column because
-    # predecessors are unique
-    G = np.concatenate((S, T))
-    t_row = pp.m - 1  # T_k is row t_row + k of G
+    # doubly-commuting displays, block d holding one.  Each sum has at
+    # most one live term per column because predecessors are unique
     labels, left, right, one, two = [], [], [], {}, {}
     for a in range(1, pp.m + 1):
         for b in range(1, pp.n + 1):
@@ -861,11 +864,12 @@ def _verify_pair_relations(cited: list, model: OracleModel) -> None:
         if (ii, jj) in two:
             right.append((two[(ii, jj)], t_row + k, ik - 1))
     adj, fwd = np.array(left, dtype=np.int64).reshape(-1, 2).T
-    F, A = _block_entries(G[fwd], n, kept), _block_entries(G[adj], n)
+    F = _block_entries(G[fwd], n, kept)
     reach = np.zeros(len(labels) * n, dtype=bool)
     reach[F[0]] = True
-    on = reach[A[0]]
-    lhs = _mul((A[1][on], A[0][on]), F)  # A^T F
+    back = G[adj]  # the adjoint's entries at the rows F reaches
+    A = _block_entries(back, n, reach[back + n * np.arange(len(adj))[:, None]])
+    lhs = _mul((A[1], A[0]), F)  # A^T F
     d, fwd, adj = np.array(right, dtype=np.int64).reshape(-1, 3).T
     # a term sends T_jk e_a to S_k e_a: a gather on the shared column a
     to = G[adj]
@@ -933,8 +937,7 @@ def verify_subspace(model: OracleModel, sub: SubspaceDesc, claims,
             # column c of block k: V Q^count holds G_k e_c when c is a
             # member, Q V when its image is, Q V Q^count when both are
             stack = _family(model, fam)
-            live = stack >= 0
-            moved = member[stack]
+            live, moved = stack >= 0, member[stack]
             if claim.endswith("-invariant"):
                 bad = live & member & ~moved
             else:
@@ -943,9 +946,8 @@ def verify_subspace(model: OracleModel, sub: SubspaceDesc, claims,
                           int(np.argmax(bad[k])))
                          for k in np.flatnonzero(bad.any(axis=1)).tolist())
         elif claim in ("unitary-on", "wandering"):
-            # R Q = Q on member column c exactly when R's diagonal is 1
-            # there
-            counts = _image_counts(_images(model, fam), n)
+            # R Q = Q on member column c exactly when R's diagonal is 1 there
+            counts = _image_counts(_family(model, fam), n)
             if claim == "unitary-on":
                 bad = member & model.mask(adjoint=1) & (counts != 1)
             else:
@@ -980,13 +982,11 @@ def _shift_on(model: OracleModel, member: np.ndarray,
     """
     import numpy as np
 
-    count = model.presentation.m if fam == "s" else model.presentation.n
     n = len(member)
     pred = np.full(n, -1, dtype=np.int64)
-    for k in range(1, count + 1):
-        arr = model.imgs[(fam, k)]
-        cols = np.nonzero(arr >= 0)[0]
-        pred[arr[cols]] = cols
+    for row in _family(model, fam):  # a later label's predecessor wins
+        cols = np.flatnonzero(row >= 0)
+        pred[row[cols]] = cols
     jump = np.full(n + 1, n, dtype=np.int64)
     go = model.mask(adjoint=1) & (pred >= 0)
     jump[:n][go] = pred[go]

@@ -7,7 +7,9 @@ whose decomposition is known node by node.
 """
 
 import ast
+import copy
 import itertools
+import pickle
 import time
 import tracemalloc
 from pathlib import Path
@@ -19,12 +21,16 @@ import rowiso.oracle
 from rowiso.cli import _oracle_claims
 from rowiso.errors import ResourceExceeded, ValidationError
 from rowiso.oracle import (
+    CLAIMS,
+    OracleModel,
     materialize,
     verify_relations,
     verify_subspace,
     _block_entries,
     _compose,
+    _family,
     _first_bad_columns,
+    _free_slots,
     _image_counts,
     _isometry_defects,
     _LazyBasis,
@@ -32,7 +38,9 @@ from rowiso.oracle import (
     _PairTables,
     _pair_basis_lower_bound,
     _shift_on,
+    _shared_words,
     _single_basis_size,
+    _Words,
 )
 from rowiso.pair import (PairElem, PairPresentation, check_doubly_commute,
                          check_joint_isometry, enumerate_pair, free_pair,
@@ -142,7 +150,7 @@ class TestMaterialize:
         cases += [random_presentation(rng) for _ in range(20)]
         for p in cases:
             for depth in range(1, 6):
-                assert _single_basis_size(p, depth) == \
+                assert _single_basis_size(p, depth, _free_slots(p)) == \
                     len(_raw_single_basis(p, depth)), (p, depth)
 
     def test_pair_lower_bound_counts_the_pure_elements(self):
@@ -456,18 +464,29 @@ class TestPairCodesMatchReference:
                       itertools.product((1, 2, 3), (1, 2)),
                       [(2, 2), (3, 1), (1, 1), (3, 2), (1, 2), (2, 1)]))),
                   CORRUPTED_PAIRS["forged-theta"].theta]
-        for theta in thetas:
-            tables = _PairTables(free_pair(theta), 4)
-            for words, (word, carry), step, count in (
-                    (tables.s_words, tables.t_through_s,
+        # (pair, depth, the S-table's top, the T-table's): free pairs at
+        # depths 4 and 6, and a family absorbed at every slot, whose
+        # table stops at length 1
+        cases = [(free_pair(theta), depth, depth, depth)
+                 for theta in thetas for depth in (4, 6)]
+        for theta in thetas[:3]:
+            loops = {("b", i): "b" for i in range(1, theta.m + 1)}
+            cases += [(PairPresentation(theta, ("b",), loops, {}), 4, 1, 4),
+                      (mirror(PairPresentation(theta, ("b",), loops, {})),
+                       4, 4, 1)]
+        for pp, depth, s_top, t_top in cases:
+            theta = pp.theta
+            tables = _PairTables(pp, depth)
+            for words, top, (word, carry), step, count in (
+                    (tables.s_words, s_top, tables.t_through_s,
                      lambda w, c: commute_t_right(theta, w, c), theta.n),
-                    (tables.t_words, tables.s_through_t,
+                    (tables.t_words, t_top, tables.s_through_t,
                      lambda w, c: commute_s_left(theta, c, w),
                      theta.m)):
                 codes = np.arange(words.size)
                 names = words.tuples(codes)
                 assert len(set(names)) == words.size
-                assert max(map(len, names)) == 4
+                assert max(map(len, names)) == words.top == top
                 for c in range(1, count + 1):
                     got = zip(words.tuples(word[:, c]), carry[:, c].tolist())
                     assert list(got) == [step(w, c) for w in names], theta
@@ -1726,3 +1745,162 @@ class TestIsometryDefects:
         counts = _image_counts(stack, len(model.basis))
         assert _isometry_defects(stack, counts) == \
             reference_isometry_defects(stack, counts) == {(0, 0): 0}
+
+
+# -- shared word tables -------------------------------------------------------
+
+
+def reference_words(k: int, top: int) -> list:
+    """Every word of length at most ``top`` in k letters, in shortlex
+    order: a word's index is its code."""
+    return [w for length in range(top + 1)
+            for w in itertools.product(range(1, k + 1), repeat=length)]
+
+
+class TestSharedWordTables:
+    @pytest.mark.parametrize("build", [_Words, _shared_words])
+    def test_every_table_is_a_fresh_build(self, build):
+        for k in (1, 2, 3):
+            for top in range(9):
+                words, names = build(k, top), reference_words(k, top)
+                code = {w: c for c, w in enumerate(names)}
+                assert (words.k, words.top, words.size) == \
+                    (k, top, len(names))
+                assert words.powers.tolist() == [k ** L for L in
+                                                 range(top + 1)]
+                assert words.offsets.tolist() == [
+                    sum(k ** L for L in range(n)) for n in range(top + 2)]
+                assert words.length.tolist() == list(map(len, names))
+                assert words.last.tolist() == [w[-1] if w else 0
+                                               for w in names]
+                assert words.head.tolist() == [code[w[:-1]] if w else 0
+                                               for w in names]
+                assert words.tuples(np.arange(len(names))) == names
+                # codes in any order, repeated
+                codes = np.arange(len(names))[::-1].repeat(2)
+                assert words.tuples(codes) == [names[c] for c in codes]
+
+    def test_one_build_per_process_within_the_bound(self):
+        bound = _shared_words.cache_info().maxsize
+        assert bound == 16
+        for k in (1, 2, 3):
+            for top in range(9):
+                words = _shared_words(k, top)
+                assert _shared_words(k, top) is words
+                assert _shared_words.cache_info().currsize <= bound
+        # every model reads the shared tables
+        pair = materialize(free_pair(Theta.identity(2, 2)), 4)
+        assert pair.basis.words == (_shared_words(2, 4),) * 2
+        assert materialize(FREE2, 4).basis.words == (_shared_words(2, 4),)
+
+    def test_tables_are_read_only(self):
+        words = _shared_words(2, 3)
+        for table in (words.powers, words.offsets, words.length,
+                      words.last, words.head):
+            with pytest.raises(ValueError, match="read-only"):
+                table[0] = 7
+        assert _shared_words(2, 3).length[0] == 0
+
+
+# -- one image stack per model ------------------------------------------------
+
+
+def restacked(model) -> OracleModel:
+    """The model built afresh from its ``imgs`` as they are now: given a
+    dict, the constructor stacks the arrays."""
+    return OracleModel(model.presentation, model.depth, model.basis,
+                       model.keys, dict(model.imgs), model.depths,
+                       model.letters, model.adjoint_cost)
+
+
+def replace_one_row_per_family(model, rng) -> None:
+    # one generator per family gets a copy with two entries moved
+    n = len(model.basis)
+    for fam in ("s", "t") if model.is_pair else ("s",):
+        key = rng.choice([key for key in model.keys if key[0] == fam])
+        fake = model.imgs[key].copy()
+        for col in rng.sample(range(n), min(2, n)):
+            fake[col] = rng.choice([r for r in range(-1, n)
+                                    if r != fake[col]])
+        model.imgs[key] = fake
+
+
+class TestOneStackPerModel:
+    def test_imgs_are_the_rows_of_one_read_only_stack(self):
+        for p in (MIXED, FOUR_CORNERS, Presentation(0, ("a",), {})):
+            model = materialize(p, 3)
+            assert model.stack.dtype == np.int64
+            assert model.stack.shape == (len(model.keys), len(model.basis))
+            for k, key in enumerate(model.keys):
+                assert model.imgs[key].base is model.stack
+                assert model.imgs[key].tolist() == model.stack[k].tolist()
+            # untouched, every check reads the stack itself
+            assert _family(model) is model.stack
+            assert _family(model, "s").base is model.stack
+            for target in [model.stack] + list(model.imgs.values()):
+                with pytest.raises(ValueError, match="read-only"):
+                    target[...] = 0
+        assert model.interior.all() and not model.keys
+
+    def test_a_replaced_row_is_what_the_checks_read(self):
+        model = materialize(FOUR_CORNERS, 3)
+        fake = model.imgs[("t", 1)].copy()
+        fake[0] = 1
+        model.imgs[("t", 1)] = fake
+        stack = _family(model)
+        assert stack is not model.stack
+        assert stack.tolist() == [model.imgs[key].tolist()
+                                  for key in model.keys]
+        assert _family(model, "t").tolist() == [fake.tolist()]
+        assert restacked(model).stack.tolist() == stack.tolist()
+        fake[1] = 2  # a replaced array is read as it is at the check
+        assert _family(model, "t")[0, 1] == 2
+
+    def test_a_copy_is_stacked_afresh(self):
+        model = materialize(IN_DEGREE_2_PAIR, 3)
+        fake = model.imgs[("s", 1)].copy()
+        fake[0] = -1
+        model.imgs[("s", 1)] = fake
+        for again in (copy.deepcopy(model), pickle.loads(pickle.dumps(model))):
+            assert again.stack.tolist() == _family(model).tolist()
+            assert all(np.shares_memory(again.imgs[key], again.stack)
+                       for key in again.keys)
+            assert not again.stack.flags.writeable
+            assert verify_relations(again).rows == \
+                verify_relations(model).rows
+
+    def test_an_injected_fault_reaches_every_check(self):
+        # one replaced row per family; every report must equal the one
+        # of a model stacked afresh from the replaced arrays, and the
+        # per-key reference, and differ from the clean one somewhere
+        rng = random.Random(2801)
+        cases = [(p, single_claims(p, rng))
+                 for p in single_space()[::7]]
+        cases += [(pp, pair_claims(pp)) for pp in
+                  [FOUR_CORNERS, BILATERAL, IN_DEGREE_2_PAIR]
+                  + honest_pairs(2803, 40)]
+        reached = set()
+        for p, claims in cases:
+            model = materialize(p, 3)
+            clean = verify_relations(model).rows
+            before = {(id(sub), name, family): verify_subspace(
+                model, sub, (name,), family).rows
+                for sub, names, family in claims for name in names}
+            replace_one_row_per_family(model, rng)
+            fresh = restacked(model)
+            rows = verify_relations(model).rows
+            assert rows == verify_relations(fresh).rows == \
+                reference_relations(model), p
+            if rows != clean:
+                reached.add("relations")
+            for sub, names, family in claims:
+                for name in names:
+                    rows = verify_subspace(model, sub, (name,), family).rows
+                    assert rows == verify_subspace(
+                        fresh, sub, (name,), family).rows == \
+                        reference_subspace(model, sub, (name,), family)
+                    if rows != before[(id(sub), name, family)]:
+                        reached.add(name)
+            assert model.interior.tolist() == fresh.interior.tolist()
+        assert reached == {"relations", *CLAIMS}
+        assert all(run_fault_injection().values())
