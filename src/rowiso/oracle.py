@@ -21,25 +21,25 @@ any other description is asked about every column, by name.
 
 Every identity is computed from the image arrays themselves, with
 integer counts: there are no floats and no tolerances.  A model keeps
-its images as one read-only (generators x columns) stack whose row
-views are its ``imgs``; a check restacks the entries once one is not
-its view, so a replaced array is what the next check reads.  Word
-tables depend on (k, top) alone and are shared, read-only.  A product
-whose left factor is a generator is a gather, ``img_a[img_b]``: the
-twisted commutation rows, the ``S_k T_jk^T`` terms of both
-doubly-commuting displays, and invariance and reduction, which compare
-the images of members with membership.  A family G_1..G_m is a row
-isometry exactly when its row operator ``V = [G_1 ... G_m]`` from H^m
-to H satisfies ``V^T V = I``, which is every
-``G_i^T G_j = delta_ij I`` at once, and its range projection
-``V V^T = sum G_i G_i^T`` is the diagonal matrix of how many columns
-the family sends to each row: one ``bincount`` decides the isometry
-rows, ``sum G G^T``, ``unitary-on`` and ``wandering``, and only the
-images counted twice are grouped to find each failing block (i, j).
-Only a display's left side, an adjoint times a generator
-(``T_j^T S_i``, ``S_i^T T_j``), is a join on entry lists (``_mul``);
-all displays are blocks of one such product, built only on their kept
-columns and compared with their terms' sums at once.
+its images as one read-only (generators x columns) stack whose row views
+are its ``imgs``; a check restacks the entries once one is not its view,
+so a replaced array is what the next check reads.  Word tables depend on
+(k, top) alone and twist tables on the move table theta gives, so both
+are shared, read-only.  A product whose left factor is a generator is a
+gather, ``img_a[img_b]``: the twisted commutation rows, the
+``S_k T_jk^T`` terms of both doubly-commuting displays, and invariance
+and reduction, which compare the images of members with membership.  A
+family G_1..G_m is a row isometry exactly when its row operator
+``V = [G_1 ... G_m]`` from H^m to H satisfies ``V^T V = I``, which is
+every ``G_i^T G_j = delta_ij I`` at once, and its range projection
+``V V^T = sum G_i G_i^T`` is the diagonal matrix of how many columns the
+family sends to each row: one ``bincount`` decides the isometry rows,
+``sum G G^T``, ``unitary-on`` and ``wandering``, and only the images
+counted twice are grouped to find each failing block (i, j).  Only a
+display's left side, an adjoint times a generator (``T_j^T S_i``,
+``S_i^T T_j``), is a join on entry lists (``_mul``); all displays are
+blocks of one such product, built only on their kept columns and
+compared with their terms' sums at once.
 
 Truncation discipline: a truncated isometry is defective at the
 boundary, so each identity is asserted only on its own interior mask.
@@ -240,47 +240,59 @@ def _twist(words: _Words, carries: int, move) -> tuple:
     """Push a letter of the other family through each word, outer end first.
 
     ``move(f, c)`` is the one-letter move of carry c through letter f:
-    the letter left in f's place and the carry that goes on.  Returns
-    two tables indexed by (word code, carry), the planes of one (code,
-    carry, 2) array: the rewritten word's code and the carry that comes
-    out at the inner end.  Carry 0 stands for no letter and leaves the
-    word as it is.  The words of length L are each first letter f, in
-    order, before every word of length L - 1, so a level is read off
-    the level below, both planes at once.
+    the letter left in f's place and the carry that goes on.  Each model
+    reads its ``k * carries`` moves from its own theta.  Returns two
+    read-only tables indexed by (word code, carry), shared per move
+    table: the rewritten word's code and the carry out at the inner end.
+    """
+    return _twist_table(words.k, words.top, carries, tuple(
+        (*w, d) for f in range(1, words.k + 1)
+        for w, d in (move(f, c) for c in range(1, carries + 1))))
+
+
+@functools.lru_cache(maxsize=16)
+def _twist_table(k: int, top: int, carries: int, moves: tuple) -> tuple:
+    """``_twist``'s two tables: the planes of one read-only (code,
+    carry, 2) array, built once per move table, the 16 used last kept.
+    Carry 0 stands for no letter and leaves the word as it is.  The
+    words of length L are each first letter f, in order, before every
+    word of length L - 1, so a level is read off the level below.
     """
     import numpy as np
 
-    moves = [(*w, d) for f in range(1, words.k + 1)
-             for w, d in (move(f, c) for c in range(1, carries + 1))]
-    emit, turn = np.array(moves, dtype=np.int64).T.reshape(2, words.k, carries)
+    words = _shared_words(k, top)
+    emit, turn = np.array(moves, dtype=np.int64).T.reshape(2, k, carries)
     # per level and carry, what the word and the carry out gain
-    adds = np.zeros((words.top, words.k, 1, carries, 2), dtype=np.int32)
-    adds[..., 0] = emit[:, None] * words.powers[:words.top, None, None, None]
+    adds = np.zeros((top, k, 1, carries, 2), dtype=np.int32)
+    adds[..., 0] = emit[:, None] * words.powers[:top, None, None, None]
     table = np.empty((words.size, carries + 1, 2), dtype=np.int32)
     table[:, 0, 0], table[:, 0, 1] = np.arange(words.size), 0
     table[0, :, 0], table[0, :, 1] = 0, np.arange(carries + 1)
-    for length in range(1, words.top + 1):
+    for length in range(1, top + 1):
         tails = table[words.offsets[length - 1]:words.offsets[length]]
         level = table[words.offsets[length]:words.offsets[length + 1]]
         # (tail, f, c) -> (f, tail, c): the level's rows in code order
         np.add(tails[:, turn].transpose(1, 0, 2, 3), adds[length - 1],
-               out=level.reshape(words.k, -1, carries + 1, 2)[:, :, 1:])
+               out=level.reshape(k, -1, carries + 1, 2)[:, :, 1:])
+    table.flags.writeable = False
     return table[..., 0], table[..., 1]
 
 
 class _PairTables:
     """A pair's word codes, twist tables and edge tables, from raw data.
 
-    Nodes get ids in order of first appearance in the base, then in the
-    edges.  Per family, ``edge[node, letter]`` is the id of the node the
-    letter absorbs into, -2 for an edge to ``None`` (a key of the edge
-    dict, so the canonical rule sees it, that absorbs nothing) and -1
-    for no edge; letter 0 has no edge.  A family with no free slot at a
-    base node has only the empty word in the basis, so its word table
-    stops at length 1, the most one application prepends.  Otherwise it
-    stops at ``depth``: a word one letter longer arises only when a
-    letter is prepended to a pure word of length ``depth``, whose
-    innermost letter absorbs nothing, so that image is out of the basis.
+    Word tables are shared per (k, top) and twist tables per move table
+    that theta gives (``_twist``), all read-only.  Nodes get ids in order
+    of first appearance in the base, then in the edges.  Per family,
+    ``edge[node, letter]`` is the id of the node the letter absorbs
+    into, -2 for an edge to ``None`` (a key of the edge dict, so the
+    canonical rule sees it, that absorbs nothing) and -1 for no edge;
+    letter 0 has no edge.  A family with no free slot at a base node has
+    only the empty word in the basis, so its word table stops at length
+    1, the most one application prepends.  Otherwise it stops at
+    ``depth``: a word one letter longer arises only when a letter is
+    prepended to a pure word of length ``depth``, whose innermost letter
+    absorbs nothing, so that image is out of the basis.
     """
 
     def __init__(self, pp: PairPresentation, depth: int):
@@ -307,31 +319,23 @@ class _PairTables:
         self.s_edge, self.s_words, self.t_edge, self.t_words = tables
         from .words import commute_s_left, commute_t_right
 
-        theta = pp.theta
         self.t_through_s = _twist(self.s_words, pp.n, lambda f, c:
-                                  commute_t_right(theta, (f,), c))
+                                  commute_t_right(pp.theta, (f,), c))
         self.s_through_t = _twist(self.t_words, pp.m, lambda f, c:
-                                  commute_s_left(theta, c, (f,)))
-
-    def keys(self, t: np.ndarray, s: np.ndarray,
-             node: np.ndarray) -> np.ndarray:
-        import numpy as np
-
-        return ((t.astype(np.int64) * self.s_words.size + s)
-                * self.node_count + node)
+                                  commute_s_left(pp.theta, c, (f,)))
 
 
 def _pair_basis_codes(tables: _PairTables, depth: int) -> tuple:
     """The canonical (T-code, S-code, base position) triples, in order.
 
-    One block per T-length: its T-words times the S-canonical (S-word,
-    position) pairs short enough, kept when the innermost T-letter,
-    pushed through the S-word, has no edge at the node.  The exact
-    count is checked against the budget after each block.  The order
-    is by depth, then longer T-word first, then T-word, S-word and base
-    position, the order of the canonical walk: each block comes out in
-    (T-word, S-word, position) order, so one stable sort by (depth,
-    T-length) suffices.
+    A T-word's columns are the S-canonical (S-word, position) pairs
+    short enough for its length where its innermost T-letter, pushed
+    through the S-word, has no edge at the node.  A prefix sum per last
+    T-letter counts them, so the exact count is checked against the
+    budget before one pass builds every column, each T-word's in
+    (S-word, position) order.  A stable sort by (depth, T-length) then
+    gives the canonical walk's order: by depth, longer T-word first,
+    then T-word, S-word and base position.
     """
     import numpy as np
 
@@ -339,23 +343,21 @@ def _pair_basis_codes(tables: _PairTables, depth: int) -> tuple:
     # (S-code, position) where the S-word's last letter has no edge;
     # letter 0, the empty word's, has none anywhere
     s, pos = np.nonzero(tables.s_edge[tables.nodes].T[sw.last] == -1)
-    arrive = tables.t_through_s[1]
-    blocks, count = [], 0
-    for t_len in range(tw.top + 1):
-        short = int(np.searchsorted(
-            s, sw.offsets[min(depth - t_len, sw.top) + 1]))
-        words = int(tw.powers[t_len])
-        ti, si = np.divmod(np.arange(words * short), short)
-        bt, bs, bpos = ti + tw.offsets[t_len], s[si], pos[si]
-        if t_len:
-            keep = tables.t_edge[tables.nodes[bpos],
-                                 arrive[bs, tw.last[bt]]] == -1
-            bt, bs, bpos = bt[keep], bs[keep], bpos[keep]
-        count += len(bt)
-        if count > BASIS_BUDGET:
-            raise _over_budget(depth)
-        blocks.append((bt, bs, bpos))
-    t, s, pos = (np.concatenate(part) for part in zip(*blocks))
+    # per pair, each last T-letter (0: none) that arrives with no edge
+    free = tables.t_edge[tables.nodes[pos, None],
+                         tables.t_through_s[1][s]] == -1
+    short = np.searchsorted(s, sw.offsets[np.minimum(
+        depth - np.arange(tw.top + 1), sw.top) + 1])
+    prefix = np.vstack((np.zeros(tw.k + 1, bool), free)).cumsum(axis=0)
+    counts = prefix[short[tw.length], tw.last]  # per T-code
+    if counts.sum() > BASIS_BUDGET:
+        raise _over_budget(depth)
+    t = np.repeat(np.arange(tw.size), counts)
+    # a T-word's r-th column is the r-th pair its last letter keeps
+    rank = np.arange(len(t)) - np.repeat(np.cumsum(counts) - counts, counts)
+    kept = np.argsort(~free, axis=0, kind="stable").T
+    at = kept[tw.last[t], rank]
+    s, pos = s[at], pos[at]
     t_len = tw.length[t]
     order = np.argsort((t_len + sw.length[s]) * (depth + 2) - t_len,
                        kind="stable")
@@ -366,51 +368,47 @@ def _pair_images(pp: PairPresentation, tables: _PairTables, t: np.ndarray,
                  s: np.ndarray, pos: np.ndarray) -> np.ndarray:
     """Every generator's image array, all generators in one stack.
 
-    Each column gets its letter prepended (an S-letter after crossing
-    the T-word), then the absorption cascade runs as masked steps until
-    no column moves: the innermost S-letter absorbs when it has an edge
-    at the node, and otherwise the innermost T-letter, pushed through
-    the S-word, absorbs when the pushed letter has one.  Each image's
-    row is found by ``searchsorted`` on the sorted basis keys; an image
-    outside the basis, or whose word outgrew its table, gets -1.
+    Each column gets every generator's letter prepended at once (an
+    S-letter after crossing the T-word), then the absorption cascade
+    steps the columns still moving until none moves: the innermost
+    S-letter absorbs when it has an edge at the node, and otherwise the
+    innermost T-letter, pushed through the S-word, when the pushed
+    letter has one.  An image's row is its key's in the sorted basis
+    keys; one outside the basis, or whose word outgrew its table, gets -1.
     """
     import numpy as np
 
     sw, tw = tables.s_words, tables.t_words
     t_word, s_letter = tables.s_through_t
-    T = np.concatenate([t_word[t, i] for i in range(1, pp.m + 1)]
-                       + [t + j * tw.powers[tw.length[t]]
-                          for j in range(1, pp.n + 1)])
-    S = np.concatenate([s + s_letter[t, i] * sw.powers[sw.length[s]]
-                        for i in range(1, pp.m + 1)] + [s] * pp.n)
-    at = np.flatnonzero((T < tw.size) & (S < sw.size))
-    T, S = T[at].astype(np.int32), S[at].astype(np.int32)
-    X = np.tile(tables.nodes[pos], pp.m + pp.n)[at]
+    T = np.concatenate((t_word[t, 1:].T, t + np.arange(1, pp.n + 1)[
+        :, None] * tw.powers[tw.length[t]])).ravel()
+    S = np.concatenate((s + s_letter[t, 1:].T * sw.powers[sw.length[s]],
+                        np.broadcast_to(s, (pp.n, len(s))))).ravel()
+    ends = np.flatnonzero((T < tw.size) & (S < sw.size))
+    T, S, X = T[ends], S[ends], np.tile(tables.nodes[pos], pp.m + pp.n)[ends]
     pushed, arrive = tables.t_through_s
-    ends, keys = [], []
+    live, t_at, s_at, x_at = np.arange(len(ends)), T, S, X
     while True:
-        by_s = tables.s_edge[X, sw.last[S]]
-        j = tw.last[T]
-        to = np.where(by_s < 0, tables.t_edge[X, arrive[S, j]], by_s)
-        stop = to < 0
-        ends.append(at[stop])
-        keys.append(tables.keys(T[stop], S[stop], X[stop]))
-        if stop.all():
+        by_s = tables.s_edge[x_at, sw.last[s_at]]
+        j = tw.last[t_at]
+        to = np.where(by_s < 0, tables.t_edge[x_at, arrive[s_at, j]], by_s)
+        go = np.flatnonzero(to >= 0)
+        if not len(go):
             break
-        go = ~stop
         on_s = by_s[go] >= 0
-        at, T, S, X, j = at[go], T[go], S[go], to[go], j[go]
-        T = np.where(on_s, T, tw.head[T])
-        S = np.where(on_s, sw.head[S], pushed[S, j])
-    basis_keys = tables.keys(t, s, tables.nodes[pos])
+        live, t_at, s_at, x_at, j = live[go], t_at[go], s_at[go], to[go], j[go]
+        t_at = np.where(on_s, t_at, tw.head[t_at])
+        s_at = np.where(on_s, sw.head[s_at], pushed[s_at, j])
+        T[live], S[live], X[live] = t_at, s_at, x_at
+    # a key orders a column by T-code, S-code and node
+    basis_keys, keys = ((a * sw.size + b) * tables.node_count + c for a, b, c
+                        in ((t, s, tables.nodes[pos]), (T, S, X)))
     order = np.argsort(basis_keys, kind="stable")
     basis_keys = basis_keys[order]
-    ends, keys = np.concatenate(ends), np.concatenate(keys)
     # a node declared twice names one element twice: as in a dict from
     # element to row, the last one counts
     found = np.searchsorted(basis_keys, keys, side="right") - 1
-    hit = found >= 0
-    hit[hit] = basis_keys[found[hit]] == keys[hit]
+    hit = (found >= 0) & (basis_keys[found] == keys)
     rows = np.full((pp.m + pp.n, len(t)), -1, dtype=np.int64)
     rows.ravel()[ends[hit]] = order[found[hit]]
     return rows
@@ -915,6 +913,8 @@ def verify_subspace(model: OracleModel, sub: SubspaceDesc, claims,
     import numpy as np
 
     cited: list = []
+    if isinstance(claims, str):  # not split into its letters
+        raise ValidationError(f"claims must be a collection, got {claims!r}")
     unknown = set(claims) - set(CLAIMS)
     if unknown:
         raise ValidationError(f"unknown claims: {sorted(unknown)}")

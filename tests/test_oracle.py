@@ -37,9 +37,11 @@ from rowiso.oracle import (
     _mul,
     _PairTables,
     _pair_basis_lower_bound,
+    _pair_basis_codes,
     _shift_on,
     _shared_words,
     _single_basis_size,
+    _twist_table,
     _Words,
 )
 from rowiso.pair import (PairElem, PairPresentation, check_doubly_commute,
@@ -423,6 +425,11 @@ CORRUPTED_PAIRS = {
 }
 
 
+THETA_32 = Theta(3, 2, dict(zip(itertools.product((1, 2, 3), (1, 2)),
+                                [(2, 2), (3, 1), (1, 1), (3, 2), (1, 2),
+                                 (2, 1)])))
+
+
 class TestPairCodesMatchReference:
     def assert_matches_reference(self, pp, depth):
         model = materialize(pp, depth)
@@ -459,10 +466,7 @@ class TestPairCodesMatchReference:
             self.assert_matches_reference(CORRUPTED_PAIRS[name], depth)
 
     def test_twist_tables_are_the_letter_calculus(self):
-        thetas = [THETA_CYCLIC_22, Theta.identity(1, 3),
-                  Theta(3, 2, dict(zip(
-                      itertools.product((1, 2, 3), (1, 2)),
-                      [(2, 2), (3, 1), (1, 1), (3, 2), (1, 2), (2, 1)]))),
+        thetas = [THETA_CYCLIC_22, Theta.identity(1, 3), THETA_32,
                   CORRUPTED_PAIRS["forged-theta"].theta]
         # (pair, depth, the S-table's top, the T-table's): free pairs at
         # depths 4 and 6, and a family absorbed at every slot, whose
@@ -490,6 +494,36 @@ class TestPairCodesMatchReference:
                 for c in range(1, count + 1):
                     got = zip(words.tuples(word[:, c]), carry[:, c].tolist())
                     assert list(got) == [step(w, c) for w in names], theta
+
+    def assert_exact_count(self, monkeypatch, pp, depth):
+        # the count checked against the budget is the walk's: a budget
+        # one below it refuses, a budget equal to it builds every column
+        want = len(reference_pair_basis(pp, depth))
+        tables = _PairTables(pp, depth)
+        monkeypatch.setattr(rowiso.oracle, "BASIS_BUDGET", want - 1)
+        with pytest.raises(ResourceExceeded):
+            _pair_basis_codes(tables, depth)
+        monkeypatch.setattr(rowiso.oracle, "BASIS_BUDGET", want)
+        assert len(_pair_basis_codes(tables, depth)[0]) == want, (pp, depth)
+
+    def test_exact_count_is_the_walk_on_candidates(self, pair_space,
+                                                   monkeypatch):
+        for pp, _, _ in pair_space[::5]:
+            self.assert_exact_count(monkeypatch, pp, 4)
+
+    def test_exact_count_is_the_walk_on_random_pairs(self, monkeypatch):
+        rng = random.Random(2929)
+        for _ in range(200):
+            pp = random_pair(rng, max_nodes=5, max_m=3, max_n=3)
+            self.assert_exact_count(monkeypatch, pp,
+                                    min(len(pp.base) + 2, 4))
+
+    @pytest.mark.parametrize("name", sorted(CORRUPTED_PAIRS))
+    def test_exact_count_is_the_walk_on_corrupted_pairs(self, name,
+                                                        monkeypatch):
+        for depth in range(1, 6):
+            self.assert_exact_count(monkeypatch, CORRUPTED_PAIRS[name],
+                                    depth)
 
     def test_exact_count_refused_before_any_element(self, monkeypatch):
         # lower bound 1,001, exact count 125,751
@@ -1349,6 +1383,21 @@ class TestVerifySubspace:
         with pytest.raises(ValidationError):
             verify_subspace(model, full, ("unitary-on",), family="x")
 
+    def test_a_string_of_claims_is_refused_by_name(self):
+        model = materialize(FREE2, 2)
+        full = full_space(FREE2)
+        # a bare string would be split into its letters
+        for claims in ("unitary-on", "S-invariant", ""):
+            with pytest.raises(ValidationError, match=repr(claims)):
+                verify_subspace(model, full, claims)
+        # any other collection of names keeps working
+        want = verify_subspace(model, full, ("unitary-on", "S-invariant"))
+        assert not want.ok
+        for claims in (["unitary-on", "S-invariant"],
+                       {"unitary-on", "S-invariant"},
+                       frozenset({"unitary-on", "S-invariant"})):
+            assert verify_subspace(model, full, claims) == want
+
     def test_t_claims_on_a_single_family_rejected(self):
         model = materialize(FREE2, 2)
         full = full_space(FREE2)
@@ -1800,6 +1849,109 @@ class TestSharedWordTables:
             with pytest.raises(ValueError, match="read-only"):
                 table[0] = 7
         assert _shared_words(2, 3).length[0] == 0
+
+
+# -- shared twist tables ------------------------------------------------------
+
+
+def letter_moves(theta, family: str) -> tuple:
+    """The move table a pair's twist is keyed by, read off the letter
+    calculus: per letter f of ``family``'s words and carry c of the
+    other family, the letter left in f's place and the carry out."""
+    if family == "s":  # a T-letter pushed through S-words
+        k, carries = theta.m, theta.n
+        move = lambda f, c: commute_t_right(theta, (f,), c)
+    else:
+        k, carries = theta.n, theta.m
+        move = lambda f, c: commute_s_left(theta, c, (f,))
+    return tuple((*w, d) for f in range(1, k + 1)
+                 for w, d in (move(f, c) for c in range(1, carries + 1)))
+
+
+def acceptance_thetas() -> list:
+    return [Theta(m, n, dict(zip(grid, perm)))
+            for m in (1, 2) for n in (1, 2)
+            for grid in [list(itertools.product(range(1, m + 1),
+                                                range(1, n + 1)))]
+            for perm in itertools.permutations(grid)]
+
+
+def shared_twist_cases() -> list:
+    """(pair, depth): free pairs of every acceptance theta, the 3x2
+    theta and the forged theta at depths 1 to 6."""
+    thetas = acceptance_thetas() + [THETA_32,
+                                    CORRUPTED_PAIRS["forged-theta"].theta]
+    return [(free_pair(theta), depth)
+            for theta in thetas for depth in range(1, 7)]
+
+
+class TestSharedTwistTables:
+    def test_every_shared_table_is_a_fresh_build(self):
+        cases = shared_twist_cases()
+        assert len(cases) == 31 * 6
+        for pp, depth in cases:
+            tables = _PairTables(pp, depth)
+            for words, fam, shared in (
+                    (tables.s_words, "s", tables.t_through_s),
+                    (tables.t_words, "t", tables.s_through_t)):
+                carries = pp.n if fam == "s" else pp.m
+                fresh = _twist_table.__wrapped__(
+                    words.k, words.top, carries, letter_moves(pp.theta, fam))
+                for got, want in zip(shared, fresh):
+                    assert got.dtype == want.dtype == np.int32
+                    assert np.array_equal(got, want), (pp.theta, depth, fam)
+
+    def test_tables_are_read_only(self):
+        tables = _PairTables(free_pair(THETA_CYCLIC_22), 3)
+        for table in (*tables.t_through_s, *tables.s_through_t):
+            with pytest.raises(ValueError, match="read-only"):
+                table[1, 1] = 7
+            assert not table.base.flags.writeable  # the shared array too
+
+    def test_a_forged_theta_reads_only_its_own_table(self):
+        forged = CORRUPTED_PAIRS["forged-theta"]
+        own = {fam: letter_moves(forged.theta, fam) for fam in "st"}
+        for depth in range(1, 7):
+            honest = {}
+            for theta in acceptance_thetas():
+                if (theta.m, theta.n) == (forged.m, forged.n):
+                    tables = _PairTables(free_pair(theta), depth)
+                    honest[letter_moves(theta, "s")] = tables.t_through_s
+                    honest[letter_moves(theta, "t")] = tables.s_through_t
+            tables = _PairTables(forged, depth)
+            for fam, shared in (("s", tables.t_through_s),
+                                ("t", tables.s_through_t)):
+                # the forged moves match no honest theta's, so a table
+                # an honest pair read is never the forged pair's
+                assert own[fam] not in honest
+                assert all(shared[0] is not got[0]
+                           for got in honest.values())
+
+    def test_the_memo_stays_within_its_bound(self):
+        bound = _twist_table.cache_info().maxsize
+        assert bound == 16
+        for pp, depth in shared_twist_cases():
+            _PairTables(pp, depth)
+            assert _twist_table.cache_info().currsize <= bound
+        # one lookup per family and model, one build per key in reach
+        before = _twist_table.cache_info()
+        tables = _PairTables(free_pair(THETA_CYCLIC_22), 3)
+        again = _PairTables(free_pair(THETA_CYCLIC_22), 3)
+        assert tables.t_through_s[0] is again.t_through_s[0]
+        after = _twist_table.cache_info()
+        assert after.hits + after.misses == before.hits + before.misses + 4
+        assert after.misses - before.misses <= 2
+
+    def test_a_model_after_the_memo_cycled_is_its_walk(self):
+        pp = free_pair(THETA_CYCLIC_22)
+        first, table = materialize(pp, 3), _PairTables(pp, 3).t_through_s
+        # more distinct move tables than the bound evict the first ones
+        for theta in acceptance_thetas():
+            materialize(free_pair(theta), 3)
+        assert _twist_table.cache_info().currsize <= 16
+        assert _PairTables(pp, 3).t_through_s[0] is not table[0]
+        assert np.array_equal(materialize(pp, 3).stack, first.stack)
+        TestPairCodesMatchReference().assert_matches_reference(pp, 3)
 
 
 # -- one image stack per model ------------------------------------------------
