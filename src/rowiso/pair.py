@@ -97,7 +97,7 @@ class CommutationReport:
     from the start.
     """
 
-    __slots__ = ("_failures", "__weakref__")
+    __slots__ = ("_failures",)
 
     def __init__(self, failures: Iterable[CommutationFailure] = ()):
         self._failures = tuple(failures)
@@ -689,17 +689,19 @@ def _doubly_sweep(pp: PairPresentation, elems: Iterable[PairElem]
     return tuple(failures)
 
 
-def _doubly_probe(pp: PairPresentation) -> tuple:
-    # the rule's sweeps, once per pair: the failures at every e_b, and
-    # those at T_l e_b for the first b and every l
-    cache = pp._cache
-    if "doubly_probe" not in cache:
-        base = [PairElem((), (), b) for b in pp.base]
-        ends = [_t_apply_raw(pp, l, x) for x in base[:1]
-                for l in range(1, pp.n + 1)]
-        cache["doubly_probe"] = (_doubly_sweep(pp, base),
-                                 _doubly_sweep(pp, ends))
-    return cache["doubly_probe"]
+def _doubly_rule(pp: PairPresentation, depth: int) -> bool:
+    # the rule of check_doubly_commute, read off the base-vector
+    # predecessor tables; pp is jointly isometric
+    s, t = _base_preds(pp), _base_preds(mirror(pp))
+    for edges, table in ((pp.s_edges, t), (pp.t_edges, s)):
+        if any(table[b] is None and table[c] is not None
+               for (b, _), c in edges.items()):
+            return False
+    labels = range(1, pp.n + 1) if depth and pp.base else \
+        {step[0] for step in t.values() if step}
+    theta = pp.theta.map
+    return all(theta[theta[i, l]] == (i, l)
+               for i in range(1, pp.m + 1) for l in labels)
 
 
 def _list_doubly(pp: PairPresentation, depth: int
@@ -743,58 +745,62 @@ def check_doubly_commute(pp: PairPresentation,
     are unique).  The report is the one a sweep of every canonical
     element of joint depth at most ``depth`` (default |base| + 2) and
     every label pair gives.  For a jointly isometric pair ``ok`` comes
-    from the rule below, and the window is swept only when
-    ``failures`` is read; a pair that is not jointly isometric is swept
-    at once, since its verdict depends on the window.
+    from the rule below, read off the two base-vector predecessor
+    tables that :func:`check_joint_isometry` leaves, and the window is
+    swept only when ``failures`` is read; a pair that is not jointly
+    isometric is swept at once, since its verdict depends on the window.
 
-    Rule: the pair is jointly isometric (:func:`check_joint_isometry`)
-    and the displays hold at every base vector ``e_b`` and at
-    ``T_l e_b`` for one b and every l.  Then they hold at every
-    element.  Joint isometry makes the predecessor kernels exact
-    adjoints that never raise, and :func:`check_theta_commute` makes
-    ``S_i T_j x = T_j' S_i' x`` hold at every x, so:
+    Rule, for a jointly isometric pair.  Call b T-dead when ``e_b`` is
+    in no T-range, and S-dead when it is in no S-range.
+
+    - Node half: every S-edge ``b -> c`` with b T-dead has c T-dead,
+      and every T-edge ``b -> c`` with b S-dead has c S-dead.
+    - Label half: ``theta(theta(i, l)) = (i, l)`` for every i and every
+      l in L.  L is every T-label when ``depth >= 1`` and the base is
+      non-empty, and otherwise the labels of the base vectors'
+      T-predecessors.
+
+    Joint isometry makes the predecessor kernels exact adjoints that
+    never raise, and :func:`check_theta_commute` makes
+    ``S_i T_j x = T_j' S_i' x`` hold at every x.  Every canonical x falls
+    in one of the cases below, so the displays hold at x iff the half
+    that its case names holds there:
 
     - Display one, ``T_j^* S_i x`` against ``S_k T_jk^* x``, at
       ``x = T_l x'``.  With ``theta(i, l) = (i', l')`` the left side is
       ``T_j^* T_l' S_i' x'``: ``S_i' x'`` at ``j = l'``, zero
       elsewhere.  The right side is ``S_k x'`` at ``j = jk``, where
       ``(k, jk) = theta^-1(i, l)``.  The ``S_a x'`` are distinct, so
-      the display holds at x iff ``theta(i, l) = theta^-1(i, l)``, a
-      condition on the labels alone that ``T_l e_b`` decides.  This
-      involutivity comes from reading display one's terms through
-      ``theta.inverse_map``, as the oracle also does; it is not a
-      property of the relation.  ROADMAP.md item 1 disputes the reading
-      (from ``S_i T_l = T_l' S_i'`` the matched terms are the ``(k, l)``
-      with ``theta(i, l) = (k, j)``); its fix flips the benchmark's
-      golden records, so it waits on a benchmark change rebuilding them.
+      the display holds at x iff ``theta(i, l) = theta^-1(i, l)``: the
+      label half at l.  This involutivity comes from reading display
+      one's terms through ``theta.inverse_map``, as the oracle also
+      does; it is not a property of the relation.  ROADMAP.md item 1
+      disputes the reading (from ``S_i T_l = T_l' S_i'`` the matched
+      terms are the ``(k, l)`` with ``theta(i, l) = (k, j)``); its fix
+      flips the benchmark's golden records, so it waits on a benchmark
+      change rebuilding them.
     - Display one at an x in no T-range, where the right side is zero.
-      Such an x is ``S_s e_b`` with no t-in-edge on the backward
-      s-walk from b: the walk behind :func:`_t_pred_raw` visits the
-      same nodes for every s.  ``S_i x`` keeps the node b, and so stays
-      out of every T-range, unless ``x = e_b`` and ``S_i`` absorbs
-      there; ``e_b`` decides that case.
+      Such an x is ``S_s e_b`` with b T-dead: the walk behind
+      :func:`_t_pred_raw` visits the same nodes for every s, and finds
+      a predecessor iff it meets a t-in-edge.  ``S_i x`` keeps the node
+      b, and so stays out of every T-range, unless ``x = e_b`` and
+      ``S_i`` absorbs along an S-edge ``b -> c``, giving ``e_c``: the
+      node half for that edge.
     - Display two, ``S_i^* T_j x`` against ``T_k S_i2^* x``, at
       ``x = S_l x''``.  With ``(i2, k) = theta^-1(l, j)``,
       ``T_j S_l x'' = S_i2 T_k x''``, so both sides are ``T_k x''`` at
       ``i = i2`` and zero elsewhere: the display always holds.  At an
-      x in no S-range it is the case above read in the mirror pair,
-      and ``e_b`` decides it.
+      x in no S-range it is the case above read in the mirror pair:
+      the node half for a T-edge.
 
-    The rule is exact at every depth.  The sweep's body at an element
-    depends on that element alone, and the rule's elements are
-    canonical: the ``e_b`` have depth 0 and each ``T_l e_b`` depth at
-    most 1.  If the rule holds, no element fails, so no window does.
-    If it fails at an element the window holds, the sweep meets that
-    element, or stops at a contract violation before it, and reports a
-    failure either way.  The window of depth 0 is the ``e_b`` alone, so
-    there only they count; every deeper window holds every rule element.
-
-    A failing report of a jointly isometric pair lists its failures on
-    first read and keeps them.  The report is cached on the pair per
-    depth, so the default and an explicit ``len(pp.base) + 2`` share
-    one report; a report that lists on demand holds the pair, so the
-    pair keeps it only while a caller does, and the rule's sweeps are
-    kept once per pair.
+    The rule is exact at every depth: the sweep's body at an element
+    depends on that element alone, so a window fails iff it holds an
+    element where a half fails.  The node half fails at an ``e_b``,
+    which every window holds; the label half at l fails at the elements
+    with T-predecessor label l.  The window of depth 0 is the ``e_b``
+    alone, which have the labels of L.  A deeper window over a
+    non-empty base holds ``T_l e_b`` for one b and every l, reduced to
+    depth at most 1 and with T-predecessor label l.
 
     A window is refused only where it is swept, as
     :func:`enumerate_pair` refuses it: at once for a pair that is not
@@ -808,21 +814,11 @@ def check_doubly_commute(pp: PairPresentation,
         depth = len(pp.base) + 2
     else:
         _require_depth(depth)
-    cache = pp._cache.setdefault("doubly", {})
-    report = cache.get(depth)
-    if isinstance(report, weakref.ref):
-        report = report()
-    if report is None:
-        if not check_joint_isometry(pp).ok:
-            report = cache[depth] = CommutationReport(_list_doubly(pp, depth))
-        else:
-            at_base, at_ends = _doubly_probe(pp)
-            if at_base or (depth and at_ends):
-                report = _ListedOnDemand(pp, depth)
-                cache[depth] = weakref.ref(report)
-            else:
-                report = cache[depth] = CommutationReport()
-    return report
+    if not check_joint_isometry(pp).ok:
+        return CommutationReport(_list_doubly(pp, depth))
+    if _doubly_rule(pp, depth):
+        return CommutationReport()
+    return _ListedOnDemand(pp, depth)
 
 
 def check_joint_isometry(pp: PairPresentation) -> ValidationReport:
@@ -838,7 +834,8 @@ def check_joint_isometry(pp: PairPresentation) -> ValidationReport:
     holds one entry, the first violation's text; the T-family's is read
     in the mirror pair, where T is the S-family.  The report is cached
     on the pair, and each family's walks leave a table of base-vector
-    predecessors that the chain verdicts of :mod:`slocinski` read.
+    predecessors that :func:`check_doubly_commute` and the chain
+    verdicts of :mod:`slocinski` read.
 
     Proof for S; the T-family is the S-family of the mirror pair, where
     this pair's pure-S elements are pure T and ``_t_pred_raw`` runs.

@@ -1,7 +1,5 @@
 """Fixtures shared across test modules."""
 
-import itertools
-
 import pytest
 
 from rowiso.pair import (
@@ -9,8 +7,7 @@ from rowiso.pair import (
     check_joint_isometry,
     check_theta_commute,
 )
-from rowiso.search import _edge_maps
-from rowiso.words import Theta
+from rowiso.search import _edge_maps, all_thetas
 
 
 @pytest.fixture(scope="session")
@@ -25,9 +22,7 @@ def pair_space():
     out = []
     for m in (1, 2):
         for n in (1, 2):
-            grid = [(i, j) for i in range(1, m + 1) for j in range(1, n + 1)]
-            thetas = [Theta(m, n, dict(zip(grid, perm)))
-                      for perm in itertools.permutations(grid)]
+            thetas = all_thetas(m, n)
             for k in (1, 2):
                 nodes = tuple("ab"[:k])
                 smaps = list(_edge_maps(nodes, m))

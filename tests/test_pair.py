@@ -47,8 +47,8 @@ from rowiso.pair import (
     _require_canonical,
     _t_pred_raw,
 )
-from rowiso.slocinski import (check_hypotheses, s_in_V, s_membership,
-                              slocinski, t_in_V, t_membership)
+from rowiso.slocinski import (check_hypotheses, dead_nodes, s_in_V,
+                              s_membership, slocinski, t_in_V, t_membership)
 from rowiso.wold import SubspaceDesc
 from rowiso.words import (Theta, commute_s_left, commute_s_right,
                           commute_t_right, normalize, validate_word)
@@ -155,6 +155,16 @@ def product_pair(P: Presentation, Q: Presentation) -> PairPresentation:
                for (b, j), dst in Q.edges.items() for a in P.base}
     return PairPresentation(Theta.identity(P.m, Q.m), base, s_edges,
                             t_edges)
+
+
+def path_pair(size: int) -> PairPresentation:
+    """One label a side and the identity twist: a T-path
+    ``n0 -> ... -> n(size-1)`` and one S-edge from its end back to n0.
+    Honest, and it decomposes."""
+    nodes = tuple(f"n{k}" for k in range(size))
+    return PairPresentation(THETA_ID_11, nodes,
+                            {(nodes[-1], 1): nodes[0]},
+                            dict(zip(((b, 1) for b in nodes), nodes[1:])))
 
 
 def commuting_pairs(seed, count, **kw):
@@ -824,14 +834,13 @@ class TestDoublyCommute:
         pp = free_pair(THETA_ID_11)
         assert check_doubly_commute(pp) == check_doubly_commute(pp, 3)
 
-    def test_report_is_cached_per_depth(self):
+    def test_repeated_calls_give_equal_reports(self):
         pp = free_pair(THETA_CYCLIC_22)
         report = check_doubly_commute(pp)
-        assert check_doubly_commute(pp, len(pp.base) + 2) is report
+        assert check_doubly_commute(pp, len(pp.base) + 2) == report
         shallow = check_doubly_commute(pp, 2)
-        assert shallow is not report
         assert len(shallow.failures) < len(report.failures)
-        assert check_doubly_commute(pp, 2) is shallow
+        assert check_doubly_commute(pp, 2) == shallow
 
     def test_hypotheses_reuse_the_cached_report(self):
         pp = free_pair(THETA_CYCLIC_22)
@@ -1004,18 +1013,53 @@ class TestBaseVectorRules:
         assert kinds[True] and kinds[False]
 
     def test_passing_pairs_sweep_no_window(self, monkeypatch):
-        # six nodes with three labels a side: the default window holds
-        # 501,918 free words, none of which a passing pair may build
-        pp = free_pair(Theta.identity(3, 3), tuple(f"b{q}" for q in range(6)))
+        # no passing pair may build or sweep a window: six nodes with
+        # three labels a side, whose default window holds 501,918 free
+        # words; a product of two 2-label 60-node families; and the
+        # path pair of 1,000 nodes
+        rng = random.Random(30)
+        P, Q = (Presentation(2, nodes, random_edges(rng, nodes, 2))
+                for nodes in ([f"p{q}" for q in range(60)],
+                              [f"q{q}" for q in range(60)]))
+        pairs = (free_pair(Theta.identity(3, 3),
+                           tuple(f"b{q}" for q in range(6))),
+                 product_pair(P, Q), path_pair(1000))
         monkeypatch.setattr("rowiso.pair._cartesian", _forbidden)
-        assert check_joint_isometry(pp).ok
-        assert check_doubly_commute(pp).ok
+        monkeypatch.setattr("rowiso.pair._doubly_sweep", _forbidden)
+        for pp in pairs:
+            assert check_joint_isometry(pp).ok
+            assert check_doubly_commute(pp).ok
+
+    def test_each_half_of_the_rule_is_pinned(self, pair_space):
+        # the two halves of the doubly rule, each read its own way on
+        # the jointly isometric acceptance candidates: the node half
+        # from the chain deciders' dead nodes, and the label half, at
+        # the default depth, as the twist being an involution
+        halves = Counter()
+        for pp, _, injective in pair_space:
+            if not injective:
+                continue
+            s_dead, t_dead = dead_nodes(pp), dead_nodes(mirror(pp))
+            node = all(c in dead for edges, dead in ((pp.s_edges, t_dead),
+                                                     (pp.t_edges, s_dead))
+                       for (b, _), c in edges.items() if b in dead)
+            label = all(pp.theta.map[v] == k
+                        for k, v in pp.theta.map.items())
+            assert check_doubly_commute(pp).ok == (node and label), pp
+            halves[node, label] += 1
+        assert halves == DOUBLY_HALVES_ON_THE_ACCEPTANCE_SPACE
 
 
 # (jointly isometric, doubly commuting) over the 4,487 commuting
 # acceptance candidates
 KINDS_ON_THE_ACCEPTANCE_SPACE = {(False, False): 2100, (True, False): 1072,
                                  (True, True): 1315}
+
+# (node half holds, label half holds) over the 2,387 jointly isometric
+# acceptance candidates
+DOUBLY_HALVES_ON_THE_ACCEPTANCE_SPACE = {
+    (True, True): 1315, (True, False): 1040, (False, True): 8,
+    (False, False): 24}
 
 
 # -- the doubly verdict without the window ---------------------------------------
@@ -1047,19 +1091,12 @@ class TestDoublyVerdictWithoutWindow:
             pp, enumerate_pair(pp, len(pp.base) + 2))
         assert report.failures is failures
 
-    def test_one_probe_per_pair(self, monkeypatch):
+    def test_verdicts_run_no_sweep(self, monkeypatch):
         pp = free_pair(THETA_CYCLIC_22)
-        sweeps = []
-
-        def counted(q, elems):
-            sweeps.append(q)
-            return _doubly_sweep(q, elems)
-
-        monkeypatch.setattr("rowiso.pair._doubly_sweep", counted)
+        monkeypatch.setattr("rowiso.pair._doubly_sweep", _forbidden)
         verdicts = [check_doubly_commute(pp, d).ok for d in range(5)]
         # the cyclic twist fails at T_l e_b, beyond the depth-0 window
         assert verdicts == [True, False, False, False, False]
-        assert len(sweeps) == 2
 
     def test_dropped_failing_pair_frees_without_the_cycle_collector(self):
         # a report that lists on demand holds its pair, and the pair's
