@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import weakref
 from itertools import product as _cartesian
+from operator import itemgetter
 from typing import Iterable, NamedTuple, Optional
 
 from .errors import (ContractViolation, ResourceExceeded, ValidationError,
@@ -86,33 +87,17 @@ class CommutationFailure(_Record):
     rhs: object
 
 
-class CommutationReport:
+class CommutationReport(_Record):
     """The failed identity instances of a check, in check order.
 
-    ``ok`` holds iff there are none.  Reports compare by their
-    failures.  :func:`check_doubly_commute` returns, for a jointly
-    isometric pair that fails, a report that lists its failures on
-    demand: on the first read of ``failures``, or on a comparison,
-    after which it keeps them.  Every other report holds its failures
-    from the start.
+    ``ok`` holds iff there are none.
     """
 
-    __slots__ = ("_failures",)
-
-    def __init__(self, failures: Iterable[CommutationFailure] = ()):
-        self._failures = tuple(failures)
+    failures: tuple[CommutationFailure, ...] = ()
 
     @property
     def ok(self) -> bool:
-        return not self._failures
-
-    @property
-    def failures(self) -> tuple[CommutationFailure, ...]:
-        return self._failures
-
-    def __eq__(self, other: object) -> bool:
-        return (isinstance(other, CommutationReport)
-                and self.failures == other.failures)
+        return not self.failures
 
     def __repr__(self) -> str:
         if self.ok:
@@ -637,102 +622,63 @@ def t_pred(pp: PairPresentation, x: PairElem
     return _t_pred_raw(pp, x)
 
 
-def _doubly_sweep(pp: PairPresentation, elems: Iterable[PairElem]
-                  ) -> tuple[CommutationFailure, ...]:
-    # both adjoint displays at every element of elems and every label
-    # pair, in order; pp theta-commutes and the elements are canonical
-    theta = pp.theta
-    failures = []
-    try:
-        for x in elems:
-            # a predecessor depends on x and at most one label, so each
-            # is computed once, where the label-pair loop first needs
-            # it: a contract violation still stops the sweep at the
-            # same (x, i, j) with the same failures before it
-            s_backs = []  # S-predecessor of T_j x, at index j - 1
-            for i in range(1, pp.m + 1):
-                # T_j^* S_i x  vs  the theta-matched S_k T_jk^* x
-                t_back = _t_pred_raw(pp, _s_apply_raw(pp, i, x))
-                if i == 1:
-                    x_t_back = _t_pred_raw(pp, x)
-                for j in range(1, pp.n + 1):
-                    lhs = t_back[1] if t_back is not None and t_back[0] == j \
-                        else None
-                    rhs = None
-                    if x_t_back is not None:
-                        k, jk = theta.inverse_map[(i, x_t_back[0])]
-                        if jk == j:
-                            rhs = _s_apply_raw(pp, k, x_t_back[1])
-                    if lhs != rhs:
-                        failures.append(CommutationFailure(
-                            "t-adjoint-of-s", x, i, j, lhs, rhs))
-                    # S_i^* T_j x  vs  the theta-matched T_k S_ik^* x
-                    if i == 1:
-                        s_backs.append(
-                            _s_pred_raw(pp, _t_apply_raw(pp, j, x)))
-                        if j == 1:
-                            x_s_back = _s_pred_raw(pp, x)
-                    s_back = s_backs[j - 1]
-                    lhs = s_back[1] if s_back is not None and s_back[0] == i \
-                        else None
-                    rhs = None
-                    if x_s_back is not None:
-                        i2, k = theta.inverse_map[(x_s_back[0], j)]
-                        if i2 == i:
-                            rhs = _t_apply_raw(pp, k, x_s_back[1])
-                    if lhs != rhs:
-                        failures.append(CommutationFailure(
-                            "s-adjoint-of-t", x, i, j, lhs, rhs))
-    except ContractViolation as exc:
-        failures.append(CommutationFailure(
-            "pred-contract", None, 0, 0, str(exc), None))
-    return tuple(failures)
-
-
-def _doubly_rule(pp: PairPresentation, depth: int) -> bool:
-    # the rule of check_doubly_commute, read off the base-vector
-    # predecessor tables; pp is jointly isometric
-    s, t = _base_preds(pp), _base_preds(mirror(pp))
-    for edges, table in ((pp.s_edges, t), (pp.t_edges, s)):
-        if any(table[b] is None and table[c] is not None
-               for (b, _), c in edges.items()):
-            return False
-    labels = range(1, pp.n + 1) if depth and pp.base else \
-        {step[0] for step in t.values() if step}
-    theta = pp.theta.map
-    return all(theta[theta[i, l]] == (i, l)
-               for i in range(1, pp.m + 1) for l in labels)
-
-
-def _list_doubly(pp: PairPresentation, depth: int
-                 ) -> tuple[CommutationFailure, ...]:
-    return _doubly_sweep(pp, enumerate_pair(pp, depth))
-
-
-class _ListedOnDemand(CommutationReport):
-    # a failing report of check_doubly_commute: its failures are those
-    # of the window sweep, run on the first read and kept
-    __slots__ = ("_pp", "_depth")
-
-    def __init__(self, pp: PairPresentation, depth: int):
-        self._failures = None
-        self._pp = pp
-        self._depth = depth
-
-    @property
-    def ok(self) -> bool:
-        return False
-
-    @property
-    def failures(self) -> tuple[CommutationFailure, ...]:
-        if self._failures is None:
-            self._failures = _list_doubly(self._pp, self._depth)
-        return self._failures
-
-    def __repr__(self) -> str:
-        if self._failures is None:
-            return "CommutationReport(failing)"
-        return super().__repr__()
+def _doubly_failures(pp: PairPresentation, deep: bool
+                     ) -> tuple[CommutationFailure, ...]:
+    # both displays' failures at the witnesses of check_doubly_commute,
+    # read off the base-vector predecessor tables; pp is jointly
+    # isometric.  Each failure is keyed by the place of its element
+    # among the witnesses, then i, j and the display, the order in
+    # which a sweep of the witnesses would meet it
+    s_preds, t_preds = _base_preds(pp), _base_preds(mirror(pp))
+    index = pp.node_index
+    found = []
+    # the node half: display one at e_b, b T-dead, where an S-edge
+    # b -> c ends at a c with a T-predecessor; display two mirrored
+    for (b, i), c in pp.s_edges.items():
+        back = t_preds[c]
+        if back is not None and t_preds[b] is None:
+            j, y = back
+            found.append(((index[b], i, j, 0), CommutationFailure(
+                "t-adjoint-of-s", PairElem((), (), b), i, j,
+                PairElem((), y.t_prefix, y.node), None)))
+    for (b, j), c in pp.t_edges.items():
+        back = s_preds[c]
+        if back is not None and s_preds[b] is None:
+            i, y = back
+            found.append(((index[b], i, j, 1), CommutationFailure(
+                "s-adjoint-of-t", PairElem((), (), b), i, j, y, None)))
+    # the label half: display one at x = T_l x' fails for every i with
+    # theta(i, l) != theta^-1(i, l), at j = l' and j = jk, as
+    # (i, j, a, k): the left side S_a x' and the right side S_k x', or
+    # zero where a or k is 0
+    theta, inverse = pp.theta.map, pp.theta.inverse_map
+    bad: dict[int, list[tuple[int, int, int, int]]] = {}
+    for (i, l), (a, l2) in theta.items():
+        if theta[a, l2] != (i, l):
+            k, jk = inverse[i, l]
+            bad.setdefault(l, []).extend(
+                [(i, l2, a, k)] if l2 == jk else
+                [(i, l2, a, 0), (i, jk, 0, k)])
+    if bad:
+        # (place, x, l, x') over the witnesses with such a label l
+        xs = [(index[b], PairElem((), (), b), back[0],
+               PairElem((), back[1].t_prefix, back[1].node))
+              for b, back in t_preds.items()
+              if back is not None and back[0] in bad]
+        if deep and pp.base:
+            b0 = PairElem((), (), pp.base[0])
+            for l in bad:
+                x = _t_apply_raw(pp, l, b0)
+                if x.t_prefix:  # a base vector e_c is a witness already
+                    xs.append((len(index) + l, x, l, b0))
+        for place, x, l, x1 in xs:
+            images = [None] + [_s_apply_raw(pp, a, x1)
+                               for a in range(1, pp.m + 1)]
+            for i, j, a, k in bad[l]:
+                found.append(((place, i, j, 0), CommutationFailure(
+                    "t-adjoint-of-s", x, i, j, images[a], images[k])))
+    found.sort(key=itemgetter(0))
+    return tuple(f for _, f in found)
 
 
 def check_doubly_commute(pp: PairPresentation,
@@ -742,13 +688,22 @@ def check_doubly_commute(pp: PairPresentation,
     The two identities relate a generator of one family with the
     adjoint of the other; on basis vectors each side is a basis vector
     or zero, with at most one surviving term in the sum (predecessors
-    are unique).  The report is the one a sweep of every canonical
+    are unique).  ``ok`` is the verdict a sweep of every canonical
     element of joint depth at most ``depth`` (default |base| + 2) and
-    every label pair gives.  For a jointly isometric pair ``ok`` comes
-    from the rule below, read off the two base-vector predecessor
-    tables that :func:`check_joint_isometry` leaves, and the window is
-    swept only when ``failures`` is read; a pair that is not jointly
-    isometric is swept at once, since its verdict depends on the window.
+    every label pair gives, and no such window is built.
+
+    A pair that is not jointly isometric fails at every depth: some
+    predecessor walk raises at a base vector, which every window holds.
+    Its report holds one ``"pred-contract"`` entry, the first violation
+    of :func:`check_joint_isometry`.
+
+    A jointly isometric pair's report lists the failures at its
+    witnesses, in sweep order (element, i, j, then display one before
+    display two).  The witnesses are every ``e_b`` in base order and,
+    when ``depth >= 1`` and the base is non-empty, each ``T_l e_b0``
+    that is not a base vector, for the first base node b0 and l
+    ascending.  The failures are read off the two base-vector
+    predecessor tables that :func:`check_joint_isometry` leaves.
 
     Rule, for a jointly isometric pair.  Call b T-dead when ``e_b`` is
     in no T-range, and S-dead when it is in no S-range.
@@ -772,20 +727,22 @@ def check_doubly_commute(pp: PairPresentation,
       elsewhere.  The right side is ``S_k x'`` at ``j = jk``, where
       ``(k, jk) = theta^-1(i, l)``.  The ``S_a x'`` are distinct, so
       the display holds at x iff ``theta(i, l) = theta^-1(i, l)``: the
-      label half at l.  This involutivity comes from reading display
-      one's terms through ``theta.inverse_map``, as the oracle also
-      does; it is not a property of the relation.  ROADMAP.md item 1
-      disputes the reading (from ``S_i T_l = T_l' S_i'`` the matched
-      terms are the ``(k, l)`` with ``theta(i, l) = (k, j)``); its fix
-      flips the benchmark's golden records, so it waits on a benchmark
-      change rebuilding them.
+      label half at l.  Otherwise it fails at ``j = l'`` and at
+      ``j = jk``.  This involutivity comes from reading display one's
+      terms through ``theta.inverse_map``, as the oracle also does; it
+      is not a property of the relation.  ROADMAP.md item 1 disputes
+      the reading (from ``S_i T_l = T_l' S_i'`` the matched terms are
+      the ``(k, l)`` with ``theta(i, l) = (k, j)``); its fix flips the
+      benchmark's golden records, so it waits on a benchmark change
+      rebuilding them.
     - Display one at an x in no T-range, where the right side is zero.
       Such an x is ``S_s e_b`` with b T-dead: the walk behind
       :func:`_t_pred_raw` visits the same nodes for every s, and finds
       a predecessor iff it meets a t-in-edge.  ``S_i x`` keeps the node
       b, and so stays out of every T-range, unless ``x = e_b`` and
       ``S_i`` absorbs along an S-edge ``b -> c``, giving ``e_c``: the
-      node half for that edge.
+      node half for that edge, failing at j the label of ``e_c``'s
+      T-predecessor.
     - Display two, ``S_i^* T_j x`` against ``T_k S_i2^* x``, at
       ``x = S_l x''``.  With ``(i2, k) = theta^-1(l, j)``,
       ``T_j S_l x'' = S_i2 T_k x''``, so both sides are ``T_k x''`` at
@@ -793,32 +750,27 @@ def check_doubly_commute(pp: PairPresentation,
       x in no S-range it is the case above read in the mirror pair:
       the node half for a T-edge.
 
-    The rule is exact at every depth: the sweep's body at an element
-    depends on that element alone, so a window fails iff it holds an
-    element where a half fails.  The node half fails at an ``e_b``,
-    which every window holds; the label half at l fails at the elements
-    with T-predecessor label l.  The window of depth 0 is the ``e_b``
-    alone, which have the labels of L.  A deeper window over a
-    non-empty base holds ``T_l e_b`` for one b and every l, reduced to
-    depth at most 1 and with T-predecessor label l.
+    The witnesses fail iff the window does: the sweep's body at an
+    element depends on that element alone, so a window fails iff it
+    holds an element where a half fails.  The node half fails at an
+    ``e_b``, which every window holds; the label half at l fails at the
+    elements with T-predecessor label l.  The window of depth 0 is the
+    ``e_b`` alone, which have the labels of L.  A deeper window over a
+    non-empty base holds ``T_l e_b0`` for every l, a witness or a base
+    vector with T-predecessor label l.
 
-    A window is refused only where it is swept, as
-    :func:`enumerate_pair` refuses it: at once for a pair that is not
-    jointly isometric, and on the first read of ``failures`` for a
-    failing one that is.  The verdict of a jointly isometric pair, and
-    the report of a passing one, never raise ResourceExceeded.  A depth
-    that is not an ``int``, or is negative, is a ValidationError.
+    A depth that is not an ``int``, or is negative, is a
+    ValidationError; it only chooses the witnesses.
     """
     pp.require_commuting()
-    if depth is None:
-        depth = len(pp.base) + 2
-    else:
+    if depth is not None:
         _require_depth(depth)
-    if not check_joint_isometry(pp).ok:
-        return CommutationReport(_list_doubly(pp, depth))
-    if _doubly_rule(pp, depth):
-        return CommutationReport()
-    return _ListedOnDemand(pp, depth)
+    joint = check_joint_isometry(pp)
+    if not joint.ok:
+        return CommutationReport((CommutationFailure(
+            "pred-contract", None, 0, 0, joint.violations[0], None),))
+    # the default depth, |base| + 2, is at least 1
+    return CommutationReport(_doubly_failures(pp, depth != 0))
 
 
 def check_joint_isometry(pp: PairPresentation) -> ValidationReport:

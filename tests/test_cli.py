@@ -242,21 +242,33 @@ class TestExitCodes:
     def test_over_budget_doubly_window_gives_the_verdict(self, tmp_path,
                                                          capsys):
         # the default window |base| + 2 = 14 of an edge-free 2x2 pair
-        # holds far more than a million free words: the failure listing
-        # is refused up front, the exact verdict is not
+        # holds far more than a million free words; check-doubly builds
+        # no window, so it answers with the verdict and the failures at
+        # T_l e_b0, never with exit 3
         doc = dict(TWISTED_FREE_DOC, base=[f"b{q}" for q in range(12)])
-        assert main(["check-doubly", doc_file(tmp_path, doc)]) == 1
-        assert "budget exceeded: pair window at depth 14" in \
-            capsys.readouterr().err
-        assert main(["check-doubly", doc_file(tmp_path, doc), "--json"]) == 1
+        path = doc_file(tmp_path, doc)
+        assert main(["check-doubly", path]) == 1
         out = capsys.readouterr()
-        assert json.loads(out.out) == {"doubly_commuting": False,
-                                       "failures": None}
-        assert "budget exceeded: pair window at depth 14" in out.err
+        assert "doubly_commuting: false" in out.out and "<t1|b0>" in out.out
+        assert out.err == ""
+        assert main(["check-doubly", path, "--json"]) == 1
+        out = capsys.readouterr()
+        assert out.err == ""
+        payload = json.loads(out.out)
+        assert payload["doubly_commuting"] is False
+        assert [(f["element"], f["i"], f["j"], f["lhs"], f["rhs"])
+                for f in payload["failures"]] == [
+            ("<t1|b0>", 1, 2, "<s2|b0>", "<s1|b0>"),
+            ("<t2|b0>", 1, 1, "<s1|b0>", None),
+            ("<t2|b0>", 1, 2, None, "<s2|b0>"),
+            ("<t2|b0>", 2, 1, None, "<s1|b0>"),
+            ("<t2|b0>", 2, 2, "<s1|b0>", None)]
+        assert {f["identity"] for f in payload["failures"]} == \
+            {"t-adjoint-of-s"}
 
     def test_over_budget_pair_slocinski_answers(self, tmp_path, capsys):
-        # the same pair's decomposition and hypotheses sweep no window,
-        # so they answer exactly where check-doubly's listing is refused
+        # the same pair's decomposition and hypotheses sweep no window
+        # either, so they answer exactly
         doc = dict(TWISTED_FREE_DOC, base=[f"b{q}" for q in range(12)])
         assert main(["slocinski", doc_file(tmp_path, doc), "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)

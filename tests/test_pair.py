@@ -22,7 +22,9 @@ from rowiso.oracle import materialize, verify_relations
 from rowiso.presentation import Presentation
 from rowiso.search import PREDICATES, _edge_maps, _forge_theta, all_thetas
 from rowiso.pair import (
+    PAIR_WINDOW_BUDGET,
     CommutationFailure,
+    CommutationReport,
     PairElem,
     PairPresentation,
     check_doubly_commute,
@@ -38,7 +40,6 @@ from rowiso.pair import (
     t_pred,
     validate_pair,
     _base_preds,
-    _doubly_sweep,
     _free_word_bound,
     _reduce_raw,
     _s_apply_raw,
@@ -552,6 +553,80 @@ def theta_commute_reference(pp, depth=1):
     return tuple(failures)
 
 
+def _doubly_sweep(pp, elems):
+    # both adjoint displays at every element of elems and every label
+    # pair, in order; pp theta-commutes and the elements are canonical
+    theta = pp.theta
+    failures = []
+    try:
+        for x in elems:
+            # a predecessor depends on x and at most one label, so each
+            # is computed once, where the label-pair loop first needs
+            # it: a contract violation still stops the sweep at the
+            # same (x, i, j) with the same failures before it
+            s_backs = []  # S-predecessor of T_j x, at index j - 1
+            for i in range(1, pp.m + 1):
+                # T_j^* S_i x  vs  the theta-matched S_k T_jk^* x
+                t_back = _t_pred_raw(pp, _s_apply_raw(pp, i, x))
+                if i == 1:
+                    x_t_back = _t_pred_raw(pp, x)
+                for j in range(1, pp.n + 1):
+                    lhs = t_back[1] if t_back is not None and t_back[0] == j \
+                        else None
+                    rhs = None
+                    if x_t_back is not None:
+                        k, jk = theta.inverse_map[(i, x_t_back[0])]
+                        if jk == j:
+                            rhs = _s_apply_raw(pp, k, x_t_back[1])
+                    if lhs != rhs:
+                        failures.append(CommutationFailure(
+                            "t-adjoint-of-s", x, i, j, lhs, rhs))
+                    # S_i^* T_j x  vs  the theta-matched T_k S_ik^* x
+                    if i == 1:
+                        s_backs.append(
+                            _s_pred_raw(pp, _t_apply_raw(pp, j, x)))
+                        if j == 1:
+                            x_s_back = _s_pred_raw(pp, x)
+                    s_back = s_backs[j - 1]
+                    lhs = s_back[1] if s_back is not None and s_back[0] == i \
+                        else None
+                    rhs = None
+                    if x_s_back is not None:
+                        i2, k = theta.inverse_map[(x_s_back[0], j)]
+                        if i2 == i:
+                            rhs = _t_apply_raw(pp, k, x_s_back[1])
+                    if lhs != rhs:
+                        failures.append(CommutationFailure(
+                            "s-adjoint-of-t", x, i, j, lhs, rhs))
+    except ContractViolation as exc:
+        failures.append(CommutationFailure(
+            "pred-contract", None, 0, 0, str(exc), None))
+    return tuple(failures)
+
+
+def _witnesses(pp, depth):
+    # the elements check_doubly_commute lists a jointly isometric pair's
+    # failures at: every e_b in base order, then, at depth >= 1 over a
+    # non-empty base, each T_l e_b0 that is not a base vector
+    out = [PairElem((), (), b) for b in pp.base]
+    if depth and pp.base:
+        for l in range(1, pp.n + 1):
+            x = _t_apply_raw(pp, l, out[0])
+            if x.t_prefix:
+                out.append(x)
+    return out
+
+
+def _listed_at_the_witnesses(pp, report, depth):
+    # the report's failures: the sweep's at the witnesses for a jointly
+    # isometric pair, the joint report's first violation for any other
+    joint = check_joint_isometry(pp)
+    expected = _doubly_sweep(pp, _witnesses(pp, depth)) if joint.ok else \
+        (CommutationFailure("pred-contract", None, 0, 0,
+                            joint.violations[0], None),)
+    assert report.failures == expected, (pp, depth)
+
+
 def _forbidden(*args, **kwargs):
     raise AssertionError("this call should have been skipped")
 
@@ -654,14 +729,15 @@ class TestWindowBudget:
         monkeypatch.setattr("rowiso.pair._cartesian", _forbidden)
         with pytest.raises(ResourceExceeded, match="budget"):
             enumerate_pair(pp, 14)
-        # the verdict of a jointly isometric pair sweeps no window, so it
-        # refuses none; the failures of a failing one are listed from
-        # the window, which is refused on the first read
+        # check_doubly_commute builds no window, so it refuses none; the
+        # twisted pair fails as the one-node twist does, at T_l e_b0
         assert check_doubly_commute(pp).ok
         report = check_doubly_commute(free_pair(THETA_CYCLIC_22, nodes))
-        assert not report.ok
-        with pytest.raises(ResourceExceeded, match="budget"):
-            report.failures
+        got = [(f.identity, repr(f.element), f.i, f.j, repr(f.lhs),
+                repr(f.rhs)) for f in report.failures]
+        assert got == [tuple(v.replace("|b>", "|b0>") if type(v) is str
+                             else v for v in row)
+                       for row in CYCLIC_TWIST_FAILURES]
         with pytest.raises(ValidationError, match="nonnegative"):
             check_doubly_commute(pp, -1)
 
@@ -689,77 +765,14 @@ class TestDepthArguments:
 
 
 # check_doubly_commute(free_pair(THETA_CYCLIC_22)).failures, as
-# (identity, element, i, j, lhs, rhs) with elements by repr
+# (identity, element, i, j, lhs, rhs) with elements by repr: the
+# failures at T_1 e_b and T_2 e_b
 T_ADJ_S = "t-adjoint-of-s"
 CYCLIC_TWIST_FAILURES = [
     (T_ADJ_S, "<t1|b>", 1, 2, "<s1|b>", "<s2|b>"),
     (T_ADJ_S, "<t1|b>", 2, 2, "<s2|b>", "<s1|b>"),
     (T_ADJ_S, "<t2|b>", 1, 1, "<s2|b>", "<s1|b>"),
     (T_ADJ_S, "<t2|b>", 2, 1, "<s1|b>", "<s2|b>"),
-    (T_ADJ_S, "<t1 t1|b>", 1, 2, "<t2 s1|b>", "<t2 s2|b>"),
-    (T_ADJ_S, "<t1 t1|b>", 2, 2, "<t2 s2|b>", "<t2 s1|b>"),
-    (T_ADJ_S, "<t1 t2|b>", 1, 2, "<t1 s2|b>", "<t1 s1|b>"),
-    (T_ADJ_S, "<t1 t2|b>", 2, 2, "<t1 s1|b>", "<t1 s2|b>"),
-    (T_ADJ_S, "<t2 t1|b>", 1, 1, "<t2 s2|b>", "<t2 s1|b>"),
-    (T_ADJ_S, "<t2 t1|b>", 2, 1, "<t2 s1|b>", "<t2 s2|b>"),
-    (T_ADJ_S, "<t2 t2|b>", 1, 1, "<t1 s1|b>", "<t1 s2|b>"),
-    (T_ADJ_S, "<t2 t2|b>", 2, 1, "<t1 s2|b>", "<t1 s1|b>"),
-    (T_ADJ_S, "<t1 s1|b>", 1, 2, "<s1 s1|b>", "<s2 s1|b>"),
-    (T_ADJ_S, "<t1 s1|b>", 2, 2, "<s2 s1|b>", "<s1 s1|b>"),
-    (T_ADJ_S, "<t1 s2|b>", 1, 2, "<s1 s2|b>", "<s2 s2|b>"),
-    (T_ADJ_S, "<t1 s2|b>", 2, 2, "<s2 s2|b>", "<s1 s2|b>"),
-    (T_ADJ_S, "<t2 s1|b>", 1, 1, "<s2 s1|b>", "<s1 s1|b>"),
-    (T_ADJ_S, "<t2 s1|b>", 2, 1, "<s1 s1|b>", "<s2 s1|b>"),
-    (T_ADJ_S, "<t2 s2|b>", 1, 1, "<s2 s2|b>", "<s1 s2|b>"),
-    (T_ADJ_S, "<t2 s2|b>", 2, 1, "<s1 s2|b>", "<s2 s2|b>"),
-    (T_ADJ_S, "<t1 t1 t1|b>", 1, 2, "<t2 t2 s1|b>", "<t2 t2 s2|b>"),
-    (T_ADJ_S, "<t1 t1 t1|b>", 2, 2, "<t2 t2 s2|b>", "<t2 t2 s1|b>"),
-    (T_ADJ_S, "<t1 t1 t2|b>", 1, 2, "<t2 t1 s2|b>", "<t2 t1 s1|b>"),
-    (T_ADJ_S, "<t1 t1 t2|b>", 2, 2, "<t2 t1 s1|b>", "<t2 t1 s2|b>"),
-    (T_ADJ_S, "<t1 t2 t1|b>", 1, 2, "<t1 t2 s2|b>", "<t1 t2 s1|b>"),
-    (T_ADJ_S, "<t1 t2 t1|b>", 2, 2, "<t1 t2 s1|b>", "<t1 t2 s2|b>"),
-    (T_ADJ_S, "<t1 t2 t2|b>", 1, 2, "<t1 t1 s1|b>", "<t1 t1 s2|b>"),
-    (T_ADJ_S, "<t1 t2 t2|b>", 2, 2, "<t1 t1 s2|b>", "<t1 t1 s1|b>"),
-    (T_ADJ_S, "<t2 t1 t1|b>", 1, 1, "<t2 t2 s2|b>", "<t2 t2 s1|b>"),
-    (T_ADJ_S, "<t2 t1 t1|b>", 2, 1, "<t2 t2 s1|b>", "<t2 t2 s2|b>"),
-    (T_ADJ_S, "<t2 t1 t2|b>", 1, 1, "<t2 t1 s1|b>", "<t2 t1 s2|b>"),
-    (T_ADJ_S, "<t2 t1 t2|b>", 2, 1, "<t2 t1 s2|b>", "<t2 t1 s1|b>"),
-    (T_ADJ_S, "<t2 t2 t1|b>", 1, 1, "<t1 t2 s1|b>", "<t1 t2 s2|b>"),
-    (T_ADJ_S, "<t2 t2 t1|b>", 2, 1, "<t1 t2 s2|b>", "<t1 t2 s1|b>"),
-    (T_ADJ_S, "<t2 t2 t2|b>", 1, 1, "<t1 t1 s2|b>", "<t1 t1 s1|b>"),
-    (T_ADJ_S, "<t2 t2 t2|b>", 2, 1, "<t1 t1 s1|b>", "<t1 t1 s2|b>"),
-    (T_ADJ_S, "<t1 t1 s1|b>", 1, 2, "<t2 s1 s1|b>", "<t2 s2 s1|b>"),
-    (T_ADJ_S, "<t1 t1 s1|b>", 2, 2, "<t2 s2 s1|b>", "<t2 s1 s1|b>"),
-    (T_ADJ_S, "<t1 t1 s2|b>", 1, 2, "<t2 s1 s2|b>", "<t2 s2 s2|b>"),
-    (T_ADJ_S, "<t1 t1 s2|b>", 2, 2, "<t2 s2 s2|b>", "<t2 s1 s2|b>"),
-    (T_ADJ_S, "<t1 t2 s1|b>", 1, 2, "<t1 s2 s1|b>", "<t1 s1 s1|b>"),
-    (T_ADJ_S, "<t1 t2 s1|b>", 2, 2, "<t1 s1 s1|b>", "<t1 s2 s1|b>"),
-    (T_ADJ_S, "<t1 t2 s2|b>", 1, 2, "<t1 s2 s2|b>", "<t1 s1 s2|b>"),
-    (T_ADJ_S, "<t1 t2 s2|b>", 2, 2, "<t1 s1 s2|b>", "<t1 s2 s2|b>"),
-    (T_ADJ_S, "<t2 t1 s1|b>", 1, 1, "<t2 s2 s1|b>", "<t2 s1 s1|b>"),
-    (T_ADJ_S, "<t2 t1 s1|b>", 2, 1, "<t2 s1 s1|b>", "<t2 s2 s1|b>"),
-    (T_ADJ_S, "<t2 t1 s2|b>", 1, 1, "<t2 s2 s2|b>", "<t2 s1 s2|b>"),
-    (T_ADJ_S, "<t2 t1 s2|b>", 2, 1, "<t2 s1 s2|b>", "<t2 s2 s2|b>"),
-    (T_ADJ_S, "<t2 t2 s1|b>", 1, 1, "<t1 s1 s1|b>", "<t1 s2 s1|b>"),
-    (T_ADJ_S, "<t2 t2 s1|b>", 2, 1, "<t1 s2 s1|b>", "<t1 s1 s1|b>"),
-    (T_ADJ_S, "<t2 t2 s2|b>", 1, 1, "<t1 s1 s2|b>", "<t1 s2 s2|b>"),
-    (T_ADJ_S, "<t2 t2 s2|b>", 2, 1, "<t1 s2 s2|b>", "<t1 s1 s2|b>"),
-    (T_ADJ_S, "<t1 s1 s1|b>", 1, 2, "<s1 s1 s1|b>", "<s2 s1 s1|b>"),
-    (T_ADJ_S, "<t1 s1 s1|b>", 2, 2, "<s2 s1 s1|b>", "<s1 s1 s1|b>"),
-    (T_ADJ_S, "<t1 s1 s2|b>", 1, 2, "<s1 s1 s2|b>", "<s2 s1 s2|b>"),
-    (T_ADJ_S, "<t1 s1 s2|b>", 2, 2, "<s2 s1 s2|b>", "<s1 s1 s2|b>"),
-    (T_ADJ_S, "<t1 s2 s1|b>", 1, 2, "<s1 s2 s1|b>", "<s2 s2 s1|b>"),
-    (T_ADJ_S, "<t1 s2 s1|b>", 2, 2, "<s2 s2 s1|b>", "<s1 s2 s1|b>"),
-    (T_ADJ_S, "<t1 s2 s2|b>", 1, 2, "<s1 s2 s2|b>", "<s2 s2 s2|b>"),
-    (T_ADJ_S, "<t1 s2 s2|b>", 2, 2, "<s2 s2 s2|b>", "<s1 s2 s2|b>"),
-    (T_ADJ_S, "<t2 s1 s1|b>", 1, 1, "<s2 s1 s1|b>", "<s1 s1 s1|b>"),
-    (T_ADJ_S, "<t2 s1 s1|b>", 2, 1, "<s1 s1 s1|b>", "<s2 s1 s1|b>"),
-    (T_ADJ_S, "<t2 s1 s2|b>", 1, 1, "<s2 s1 s2|b>", "<s1 s1 s2|b>"),
-    (T_ADJ_S, "<t2 s1 s2|b>", 2, 1, "<s1 s1 s2|b>", "<s2 s1 s2|b>"),
-    (T_ADJ_S, "<t2 s2 s1|b>", 1, 1, "<s2 s2 s1|b>", "<s1 s2 s1|b>"),
-    (T_ADJ_S, "<t2 s2 s1|b>", 2, 1, "<s1 s2 s1|b>", "<s2 s2 s1|b>"),
-    (T_ADJ_S, "<t2 s2 s2|b>", 1, 1, "<s2 s2 s2|b>", "<s1 s2 s2|b>"),
-    (T_ADJ_S, "<t2 s2 s2|b>", 2, 1, "<s1 s2 s2|b>", "<s2 s2 s2|b>"),
 ]
 
 
@@ -835,23 +848,25 @@ class TestDoublyCommute:
         assert check_doubly_commute(pp) == check_doubly_commute(pp, 3)
 
     def test_repeated_calls_give_equal_reports(self):
+        # every depth from 1 on lists the same witnesses; depth 0 holds
+        # only e_b, where the edge-free twist passes
         pp = free_pair(THETA_CYCLIC_22)
         report = check_doubly_commute(pp)
-        assert check_doubly_commute(pp, len(pp.base) + 2) == report
-        shallow = check_doubly_commute(pp, 2)
-        assert len(shallow.failures) < len(report.failures)
-        assert check_doubly_commute(pp, 2) == shallow
+        assert not report.ok
+        for depth in (1, 2, len(pp.base) + 2, 7):
+            assert check_doubly_commute(pp, depth) == report
+        assert check_doubly_commute(pp, 0) == check_doubly_commute(pp, 0) \
+            == CommutationReport()
 
-    def test_hypotheses_reuse_the_cached_report(self):
+    def test_hypotheses_flag_is_the_verdict(self):
         pp = free_pair(THETA_CYCLIC_22)
         hyp = check_hypotheses(pp)
         assert not hyp.doubly_commuting
         assert hyp.doubly_commuting == check_doubly_commute(pp).ok
 
     def test_cyclic_twist_failures_pinned(self):
-        # the whole report of the 4-cycle twist at the default depth 3,
-        # entry for entry: sharing predecessors across label pairs must
-        # not reorder, drop or add failures
+        # the whole report of the 4-cycle twist, entry for entry: the
+        # listing must not reorder, drop or add failures
         report = check_doubly_commute(free_pair(THETA_CYCLIC_22))
         got = [(f.identity, repr(f.element), f.i, f.j, repr(f.lhs),
                 repr(f.rhs)) for f in report.failures]
@@ -921,14 +936,15 @@ def _collisions(pp, elems):
 
 
 def _doubly_reports_match(pp, depth, elems=None):
-    # the report at depth against the sweep of its window; ok is read
-    # before failures, so it is decided before any listing
+    # the report at depth against the reference sweeps: ok is the
+    # verdict of the whole window, and the failures are listed at the
+    # witnesses
     if elems is None:
         elems = enumerate_pair(pp, depth)
     failures = _doubly_sweep(pp, elems)
     report = check_doubly_commute(pp, depth)
     assert report.ok == (not failures), (pp, depth)
-    assert report.failures == failures, (pp, depth)
+    _listed_at_the_witnesses(pp, report, depth)
     return failures
 
 
@@ -941,18 +957,20 @@ def _isometry_row(row):
 class TestBaseVectorRules:
     def test_acceptance_candidates_match_the_sweeps(self, pair_space):
         # both rules are exact both ways: the joint verdict is the
-        # collision sweep's, the doubly verdict is the window sweep's at
-        # the default depth, and the doubly report is the sweep's at
-        # depths 0, 1 and 2.  The fixture's injective flag is the joint
-        # decider's verdict.  A failing walk names two preimages of one
-        # e_c, each within |base| letters, so depth |base| holds the
-        # collision
+        # collision sweep's, and the doubly verdict is the window
+        # sweep's at depths 0, 1, 2 and the default |base| + 2, where
+        # the report lists the sweep's failures at the witnesses.  The
+        # fixture's injective flag is the joint decider's verdict.  A
+        # failing walk names two preimages of one e_c, each within
+        # |base| letters, so depth |base| holds the collision
         kinds = Counter()
         shallow_only = 0
         for pp, commuting, injective in pair_space:
             if not commuting:
                 continue
-            doubly = check_doubly_commute(pp).ok
+            report = check_doubly_commute(pp)
+            _listed_at_the_witnesses(pp, report, len(pp.base) + 2)
+            doubly = report.ok
             elems = enumerate_pair(pp, len(pp.base) + 2 * injective)
             assert injective == (not _collisions(pp, elems)), pp
             passes_at_0 = not _doubly_reports_match(pp, 0)
@@ -1025,7 +1043,6 @@ class TestBaseVectorRules:
                            tuple(f"b{q}" for q in range(6))),
                  product_pair(P, Q), path_pair(1000))
         monkeypatch.setattr("rowiso.pair._cartesian", _forbidden)
-        monkeypatch.setattr("rowiso.pair._doubly_sweep", _forbidden)
         for pp in pairs:
             assert check_joint_isometry(pp).ok
             assert check_doubly_commute(pp).ok
@@ -1083,24 +1100,42 @@ class TestDoublyVerdictWithoutWindow:
         assert not report.ok
         assert not check_hypotheses(pp).doubly_commuting
         assert not PREDICATES["doubly-commuting"](pp)
-        assert repr(report) == "CommutationReport(failing)"
-        monkeypatch.undo()
-        # the failures are listed on the first read, and kept
         failures = report.failures
+        assert repr(report) == f"CommutationReport({len(failures)} failures)"
+        monkeypatch.undo()
         assert failures == _doubly_sweep(
-            pp, enumerate_pair(pp, len(pp.base) + 2))
-        assert report.failures is failures
+            pp, _witnesses(pp, len(pp.base) + 2))
 
     def test_verdicts_run_no_sweep(self, monkeypatch):
         pp = free_pair(THETA_CYCLIC_22)
-        monkeypatch.setattr("rowiso.pair._doubly_sweep", _forbidden)
+        monkeypatch.setattr("rowiso.pair._cartesian", _forbidden)
         verdicts = [check_doubly_commute(pp, d).ok for d in range(5)]
         # the cyclic twist fails at T_l e_b, beyond the depth-0 window
         assert verdicts == [True, False, False, False, False]
 
+    def test_pair_not_jointly_isometric_reports_its_joint_text(
+            self, monkeypatch):
+        # the collision pair on twelve nodes, two labels a side: its
+        # default window is far over the budget, and none is built; the
+        # mirror pair reports the T-family's text
+        nodes = ("a", "c") + tuple(f"b{q}" for q in range(10))
+        pp = PairPresentation(THETA_ID_22, nodes,
+                              {("c", 1): "a"}, {("a", 1): "a"})
+        assert _free_word_bound(pp, len(nodes) + 2) > PAIR_WINDOW_BUDGET
+        monkeypatch.setattr("rowiso.pair._cartesian", _forbidden)
+        text = ("<a> has 2 distinct S-predecessors [(1, <c>), "
+                "(1, <t1|c>)]: the S-family is not injective on the basis")
+        for q, prefix in ((pp, ""),
+                          (mirror(pp), "T-family, read in the mirror pair: ")):
+            entry = (CommutationFailure("pred-contract", None, 0, 0,
+                                        prefix + text, None),)
+            assert check_doubly_commute(q).failures == entry
+            for depth in range(4):
+                assert check_doubly_commute(q, depth).failures == entry
+
     def test_dropped_failing_pair_frees_without_the_cycle_collector(self):
-        # a report that lists on demand holds its pair, and the pair's
-        # cache holds that report only weakly, so no cycle forms
+        # a report holds elements, not its pair, so a dropped pair goes
+        # at once, while its report lives on
         pp = free_pair(THETA_CYCLIC_22)
         gc.disable()
         try:
@@ -1108,7 +1143,8 @@ class TestDoublyVerdictWithoutWindow:
             assert not report.ok
             pair_ref = weakref.ref(pp)
             del pp
-            assert pair_ref() is not None
+            assert pair_ref() is None
+            assert len(report.failures) == len(CYCLIC_TWIST_FAILURES)
             del report
             assert pair_ref() is None
         finally:

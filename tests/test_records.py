@@ -4,8 +4,10 @@ Every result type in :data:`rowiso.__all__` but the mutable
 ``OracleModel`` is a record.  A record is built by position or by
 keyword and is equal only to a record of its own class, with a hash to
 match.  Assignment is refused, and it pickles and copies.  Its repr is
-the one the package printed when the records were frozen dataclasses.
-``SubspaceDesc.presentation`` stays out of equality, hash and repr.
+the one a frozen dataclass writes, except for the three reports
+(``ValidationReport``, ``Report``, ``CommutationReport``), which print
+a summary of their entries.  ``SubspaceDesc.presentation`` stays out of
+equality, hash and repr.
 """
 
 import copy
@@ -17,7 +19,7 @@ import rowiso
 from rowiso.errors import _Record
 from rowiso.lebesgue import LebesgueResult, UnitaryComponent, UnitaryKind
 from rowiso.oracle import OracleModel, Report, materialize
-from rowiso.pair import CommutationFailure, PairElem
+from rowiso.pair import CommutationFailure, CommutationReport, PairElem
 from rowiso.presentation import Elem, Presentation, ValidationReport
 from rowiso.search import SearchSpace
 from rowiso.slocinski import (FailureWitness, HypothesisReport,
@@ -30,7 +32,7 @@ D = SubspaceDesc((Elem((), "a"),), frozenset({"a"}), P)
 E = SubspaceDesc((Elem((1,), "a"),))
 ROW = ImplicationRow("n", True, False)
 
-# one record of each class, with its repr as a frozen dataclass wrote it
+# one record of each class, with its repr
 CASES = [
     (ValidationReport(("x",)), "ValidationReport(x)"),
     (D, "SubspaceDesc(seeds=(<a>,), nodes=frozenset({'a'}))"),
@@ -52,6 +54,8 @@ CASES = [
     (CommutationFailure("id", PairElem((), (1,), "a"), 1, 2, None, "z"),
      "CommutationFailure(identity='id', element=<s1|a>, i=1, j=2, "
      "lhs=None, rhs='z')"),
+    (CommutationReport((CommutationFailure("id", None, 0, 0, "x", None),)),
+     "CommutationReport(1 failures)"),
     (SearchSpace(1, 1, 1, ()), "SearchSpace(max_base=1, m=1, n=1, thetas=())"),
     (Multiplicity(None, (("a", (1,)),)), "Multiplicity(infinite)"),
     (FailureWitness("c1", PairElem((1,), (), "b"), "detail"),
@@ -84,7 +88,7 @@ def test_every_record_class_has_a_case():
               if isinstance(getattr(rowiso, name), type)
               and issubclass(getattr(rowiso, name), _Record)}
     assert public == set(IDS)
-    assert len(public) == 14
+    assert len(public) == 15
 
 
 @pytest.mark.parametrize("record,text", CASES, ids=IDS)
@@ -141,6 +145,8 @@ def test_pickle_and_copy_round_trip(record):
 def test_defaults_trail():
     assert ValidationReport() == ValidationReport(())
     assert repr(ValidationReport()) == "ValidationReport(ok)"
+    assert CommutationReport() == CommutationReport(())
+    assert repr(CommutationReport()) == "CommutationReport(ok)"
     assert SubspaceDesc(E.seeds) == E
     assert E.nodes is None and E.presentation is None
     assert ImplicationRow("n", True, False).witness is None
